@@ -15,7 +15,7 @@ use witag_phy::convolutional::{
 use witag_phy::mcs::{CodeRate, Mcs, Modulation};
 use witag_phy::modulation::{demap_symbol_into, demodulate_llr, demodulate_llr_into, modulate};
 use witag_phy::ppdu::{transmit, PhyConfig};
-use witag_phy::receiver::{receive, receive_many, receive_with_scratch, RxScratch};
+use witag_phy::receiver::{receive, receive_with_scratch, RxScratch};
 use witag_sim::geom::Floorplan;
 use witag_sim::rng::Rng;
 
@@ -251,27 +251,6 @@ fn bench_viterbi_sliced_vs_flat(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_receive_many(c: &mut Criterion) {
-    // Batched A-MPDU decode: per-call cost of `receive_many` at burst
-    // sizes 1 / 8 / 64, all through one scratch. Compare per-PPDU time
-    // (total / burst) against receive/scratch_1664B_mcs5 to read the
-    // amortisation of the hoisted permutation + pilot setup.
-    let config = PhyConfig::new(Mcs::ht(5));
-    let psdu = vec![0x5Au8; 1664];
-    let ppdu = transmit(&config, &psdu);
-    let mut scratch = RxScratch::new();
-    let mut g = c.benchmark_group("receive_many");
-    g.sample_size(10);
-    for burst in [1usize, 8, 64] {
-        let ppdus: Vec<_> = (0..burst).map(|_| ppdu.clone()).collect();
-        g.throughput(Throughput::Bytes((psdu.len() * burst) as u64));
-        g.bench_function(&format!("burst_{burst}_1664B_mcs5"), |b| {
-            b.iter(|| receive_many(std::hint::black_box(&ppdus), 1e-6, &mut scratch));
-        });
-    }
-    g.finish();
-}
-
 fn bench_demap_chunked_vs_scalar(c: &mut Criterion) {
     // The whole-symbol chunked demapper (per-subcarrier scale table, as
     // the receive chain drives it) against the per-call scalar path, at
@@ -369,7 +348,6 @@ criterion_group!(
     bench_demapper,
     bench_demap_chunked_vs_scalar,
     bench_receive_mcs_sweep,
-    bench_receive_many,
     bench_mimo_equaliser,
     bench_phy_chain,
     bench_ampdu,

@@ -1,10 +1,9 @@
 //! PERF GATE — the repository's performance baseline, as machine-readable
-//! JSON (`witag-phy-bench-v3`).
+//! JSON (`witag-phy-bench-v4`).
 //!
 //! Measures the PHY hot path (transmit, receive with and without scratch
-//! reuse, the chunked Viterbi kernel, batched `receive_many` at several
-//! burst sizes, and the multi-stream `receive_mu` joint-equaliser chain
-//! at 1/2/3 spatial streams under ZF and MMSE — the v3 addition) in
+//! reuse, the chunked Viterbi kernel, and the multi-stream `receive_mu`
+//! joint-equaliser chain at 1/2/3 spatial streams under ZF and MMSE) in
 //! ns/op and the full end-to-end query round in
 //! rounds/sec, serial vs the sharded parallel runner, then writes
 //! `BENCH_phy.json` (current directory, or `WITAG_PERF_OUT`) and prints
@@ -15,7 +14,8 @@
 //! repeat ARQ on a hostile loaded fleet, and writes `BENCH_net.json`
 //! (or `WITAG_PERF_NET_OUT`).
 //!
-//! v2→v3 schema honesty rules:
+//! v4 removed v3's batched-decode burst rows and their `configs` key
+//! along with the batched decode. Schema honesty rules:
 //!
 //! - `available_parallelism` is recorded, and `round.parallel_speedup`
 //!   is the string `"skipped_single_core"` on a 1-core machine instead
@@ -57,7 +57,7 @@ use witag_phy::mcs::Mcs;
 use witag_phy::mimo::{transmit_mu, MimoEqualiser};
 use witag_phy::ppdu::{transmit, PhyConfig};
 use witag_phy::receiver::{
-    receive, receive_many, receive_mu_with_scratch, receive_with_scratch, RxScratch,
+    receive, receive_mu_with_scratch, receive_with_scratch, RxScratch,
 };
 use witag_obs::{BufferRecorder, NullRecorder};
 use witag_sim::time::Duration;
@@ -202,21 +202,6 @@ fn main() {
         std::hint::black_box(viterbi_decode_stream(&llrs, n_bits));
     });
 
-    // Batched decode: per-PPDU cost of `receive_many` at growing burst
-    // sizes. Burst 1 vs `receive_scratch` isolates the batching entry
-    // overhead; larger bursts show the amortised win from hoisting the
-    // permutation/pilot setup across an A-MPDU worth of subframes.
-    let bursts: &[usize] = if quick { &[1, 8] } else { &[1, 8, 64] };
-    let mut burst_rows = Vec::new();
-    for &burst in bursts {
-        let ppdus: Vec<_> = (0..burst).map(|_| ppdu.clone()).collect();
-        let burst_iters = (iters / burst).max(1);
-        let total_ns = time_ns(burst_iters, || {
-            std::hint::black_box(receive_many(&ppdus, 1e-6, &mut scratch));
-        });
-        burst_rows.push((burst, total_ns / burst as f64));
-    }
-
     // --- Multi-stream joint-equaliser timings -------------------------
     // Per-PPDU cost of the full-matrix receive chain (`receive_mu`:
     // P-mapped sounding → per-subcarrier weight solve → joint
@@ -304,17 +289,10 @@ fn main() {
     let speedup_pr2_rx = PR2_RECEIVE_SCRATCH_1664B_MCS5_US * 1e3 / receive_scratch_ns;
     let speedup_pr2_vit = PR2_VITERBI_STREAM_4096_BITS_US * 1e3 / viterbi_ns;
 
-    let burst_json = burst_rows
-        .iter()
-        .map(|(b, ns)| format!("    {{ \"burst\": {b}, \"per_ppdu_ns\": {ns:.0} }}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-
     let out = std::env::var("WITAG_PERF_OUT").unwrap_or_else(|_| "BENCH_phy.json".into());
     let config_name = build_config_name();
-    let (last_burst, last_burst_ns) = *burst_rows.last().expect("at least one burst row");
     let config_entry = format!(
-        "{{ \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0}, \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0}, \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}, \"receive_many_burst{last_burst}_per_ppdu_ns\": {last_burst_ns:.0}, \"speedup_vs_seed_receive_chain\": {speedup_seed_rx:.2}, \"speedup_vs_pr2_receive_chain\": {speedup_pr2_rx:.2} }}"
+        "{{ \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0}, \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0}, \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}, \"speedup_vs_seed_receive_chain\": {speedup_seed_rx:.2}, \"speedup_vs_pr2_receive_chain\": {speedup_pr2_rx:.2} }}"
     );
     let mut configs = previous_configs(&out);
     configs.retain(|(n, _)| n != &config_name);
@@ -327,7 +305,7 @@ fn main() {
         .join(",\n");
 
     let json = format!(
-        "{{\n  \"schema\": \"witag-phy-bench-v3\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"kernel\": \"{KERNEL}\",\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config; per-config history lives in configs\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"receive_many\": [\n{burst_json}\n  ],\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row vs receive_scratch is the matrix-machinery overhead\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"obs\": {{\n    \"note\": \"serial_rounds_per_s above runs with a detached NullRecorder; this is the attached-recorder cost\",\n    \"traced_rounds_per_s\": {traced_per_s:.2},\n    \"trace_events\": {trace_events},\n    \"traced_overhead_pct\": {traced_overhead_pct:.2}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }},\n  \"configs\": {{\n{configs_json}\n  }}\n}}",
+        "{{\n  \"schema\": \"witag-phy-bench-v4\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"kernel\": \"{KERNEL}\",\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config; per-config history lives in configs\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row vs receive_scratch is the matrix-machinery overhead\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"obs\": {{\n    \"note\": \"serial_rounds_per_s above runs with a detached NullRecorder; this is the attached-recorder cost\",\n    \"traced_rounds_per_s\": {traced_per_s:.2},\n    \"trace_events\": {trace_events},\n    \"traced_overhead_pct\": {traced_overhead_pct:.2}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }},\n  \"configs\": {{\n{configs_json}\n  }}\n}}",
         SEED_TRANSMIT_1664B_MCS5_US * 1e3 / transmit_ns,
         serial_per_s * SEED_QUERY_ROUND_US / 1e6,
         parallel_per_s * SEED_QUERY_ROUND_US / 1e6,

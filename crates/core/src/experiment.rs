@@ -36,12 +36,9 @@ use witag_mac::header::Addr;
 use witag_mac::{deaggregate, BlockAck, Security};
 use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
-use witag_phy::legacy::{
-    legacy_receive_many_mixed, legacy_receive_with_scratch, legacy_transmit, LegacyPpdu,
-};
+use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit};
 use witag_phy::params::timing;
-use witag_phy::ppdu::Ppdu;
-use witag_phy::receiver::{receive_many_mixed, receive_with_scratch, DecodedPsdu, RxScratch};
+use witag_phy::receiver::{receive_with_scratch, RxScratch};
 use witag_sim::geom::{Floorplan, Point2};
 use witag_sim::parallel::par_map;
 use witag_sim::stats::SampleSet;
@@ -390,41 +387,6 @@ pub struct Experiment {
     trace_round: u64,
 }
 
-/// Everything one round computes before the forward-link PHY decode:
-/// the fault verdict, contention, tag planning and the channel-applied
-/// A-MPDU. Produced by `Experiment::round_prepare`; the lockstep batch
-/// driver holds one per shard while the decodes of every shard run as a
-/// single [`receive_many_mixed`] batch.
-struct PreparedRound {
-    obs_round: u64,
-    rf: RoundFaults,
-    contention: Duration,
-    ppdu_start: Instant,
-    ppdu_airtime: Duration,
-    triggered: bool,
-    sent_bits: Vec<u8>,
-    /// The channel-distorted A-MPDU (`None` ⇒ fault-injected query loss:
-    /// nothing reached the AP and the whole receive chain is skipped).
-    rx: Option<Ppdu>,
-    /// Forward-link noise variance, captured alongside the channel pass.
-    noise_var: f64,
-}
-
-/// Everything between the forward decode and the reverse (block-ACK)
-/// decode: the assembled BA and, when BA loss is modelled, the
-/// channel-applied legacy frame awaiting the batched legacy decode.
-struct MidRound {
-    /// The block ACK the AP transmitted (`None` ⇒ nothing to acknowledge).
-    ba: Option<BlockAck>,
-    /// The BA is already known lost (query loss or injected BA loss).
-    lost: bool,
-    /// Reverse-channel frame for [`legacy_receive_many_mixed`], when the
-    /// BA's return trip is modelled at the PHY level.
-    legacy_rx: Option<LegacyPpdu>,
-    /// Reverse-link noise variance, captured alongside the channel pass.
-    reverse_noise: f64,
-}
-
 impl Experiment {
     /// Wire up a scenario.
     pub fn new(cfg: ExperimentConfig) -> Result<Experiment, ExperimentError> {
@@ -575,26 +537,6 @@ impl Experiment {
     /// one branch per seam and the result is bit-identical to
     /// `run_round`.
     pub fn run_round_obs(&mut self, bits: &[u8], rec: &mut dyn Recorder) -> RoundResult {
-        let pre = self.round_prepare(bits, rec);
-        let decoded = pre
-            .rx
-            .as_ref()
-            .map(|rx| receive_with_scratch(rx, pre.noise_var, &mut self.scratch));
-        let mid = self.round_mid(&pre, decoded.as_ref(), rec);
-        let legacy_bytes = mid
-            .legacy_rx
-            .as_ref()
-            .map(|rx| legacy_receive_with_scratch(rx, mid.reverse_noise, &mut self.scratch));
-        self.round_finish(pre, mid, legacy_bytes.as_deref(), rec)
-    }
-
-    /// Round phase 1 — everything up to (and including) the forward
-    /// channel pass: fault verdict, contention, marker timeline, query
-    /// build, tag trigger/planning, energy gating and
-    /// [`Link::apply_ppdu`]. All of this round's draws on the contention,
-    /// forward-link and fault RNG streams happen here, so batching the
-    /// decode that follows cannot reorder them.
-    fn round_prepare(&mut self, bits: &[u8], rec: &mut dyn Recorder) -> PreparedRound {
         let obs_round = self.trace_round;
         self.trace_round += 1;
         let design = &self.design;
@@ -713,136 +655,78 @@ impl Experiment {
             }
         };
 
-        // -- 3. Forward channel pass. -----------------------------------
-        // A fault-injected query loss kills the A-MPDU before the AP —
-        // the tag already modulated (bits consumed, energy spent) but
-        // nothing arrives, so the whole receive chain is skipped.
-        let noise_var = self.link.noise_var();
-        let rx = if rf.query_lost {
-            None
-        } else {
-            Some(self.link.apply_ppdu(&self.built.ppdu, &schedule))
-        };
-        PreparedRound {
-            obs_round,
-            rf,
-            contention,
-            ppdu_start,
-            ppdu_airtime,
-            triggered,
-            sent_bits,
-            rx,
-            noise_var,
-        }
-    }
-
-    /// Round phase 2 — from the forward decode's output to the reverse
-    /// channel pass: de-aggregation, the security check, block-ACK
-    /// assembly (step 4) and, when BA loss is modelled, the BA's
-    /// serialisation and trip through the reverse link (the transmit half
-    /// of step 5). `decoded` is `None` exactly when the query was lost
-    /// before the AP. This round's reverse-link RNG draws happen here.
-    fn round_mid(
-        &mut self,
-        pre: &PreparedRound,
-        decoded: Option<&DecodedPsdu>,
-        rec: &mut dyn Recorder,
-    ) -> MidRound {
-        let reverse_noise = self.reverse_link.noise_var();
-        let decoded = match decoded {
-            Some(d) => d,
-            None => {
-                return MidRound { ba: None, lost: true, legacy_rx: None, reverse_noise };
-            }
-        };
-        if rec.enabled() {
-            rec.record(&Event::PhyRx {
-                round: pre.obs_round,
-                quality: decoded.quality(),
-            });
-        }
-        let outcomes = deaggregate(&decoded.bytes);
-
-        // Exercise the security path on surviving MPDUs: FCS-valid
-        // frames must always decrypt (WiTAG never mutates surviving
-        // frames).
-        for o in &outcomes {
-            if let Some(mpdu) = &o.mpdu {
-                if self
-                    .rx_sec
-                    .decrypt(&mpdu.header, &mpdu.payload)
-                    .is_err()
-                {
-                    self.decrypt_failures += 1;
-                }
-            }
-        }
-
-        let ba = BlockAck::from_outcomes(
-            Addr::local(1),
-            Addr::local(2),
-            0,
-            self.seq,
-            &outcomes,
-        );
-        if rec.enabled() {
-            rec.record(&ba.assembly_event(pre.obs_round, self.design.n_subframes));
-        }
-
-        // -- 5 (transmit half). Block ACK onto the *real* reverse
-        // channel. The AP serialises the BA and transmits it at the
-        // 24 Mbps basic rate; the tag sits in its reference state (its
-        // schedule ended with the A-MPDU), so it is just another static
-        // reflector here. A fault-injected BA loss drops the return
-        // frame outright instead.
-        if pre.rf.ba_lost {
-            MidRound { ba: None, lost: true, legacy_rx: None, reverse_noise }
-        } else if self.cfg.model_ba_loss {
-            let tx = legacy_transmit(LegacyRate::M24, &ba.to_bytes());
-            let rx = self.reverse_link.apply_legacy(&tx, self.cfg.encoding.reference());
-            MidRound { ba: Some(ba), lost: false, legacy_rx: Some(rx), reverse_noise }
-        } else {
-            MidRound { ba: Some(ba), lost: false, legacy_rx: None, reverse_noise }
-        }
-    }
-
-    /// Round phase 3 — from the reverse decode's output to the round
-    /// scoreboard: bitmap readout, fault corruption of the readout,
-    /// bit scoring, time/energy/fading advancement and the `round`
-    /// event. `legacy_bytes` is the decoded reverse frame when (and only
-    /// when) phase 2 put one on the air.
-    fn round_finish(
-        &mut self,
-        pre: PreparedRound,
-        mid: MidRound,
-        legacy_bytes: Option<&[u8]>,
-        rec: &mut dyn Recorder,
-    ) -> RoundResult {
-        let design = &self.design;
-        let PreparedRound {
-            obs_round,
-            rf,
-            contention,
-            ppdu_start,
-            ppdu_airtime,
-            triggered,
-            sent_bits,
-            ..
-        } = pre;
+        // -- 3. Channel + 4. standard AP receive chain. ------------------
         // `ba_for_readout` is what the client's reader sees (`None` ⇒ it
         // saw nothing at all); `ba_lost` marks the round's bits as
-        // undelivered.
-        let (ba_for_readout, ba_lost) = if mid.lost {
+        // undelivered. A fault-injected query loss kills the A-MPDU
+        // before the AP — the tag already modulated (bits consumed,
+        // energy spent) but nothing arrives, so the whole receive chain
+        // is skipped.
+        let (ba_for_readout, ba_lost) = if rf.query_lost {
             (None, true)
-        } else if mid.legacy_rx.is_some() {
-            match legacy_bytes.and_then(BlockAck::from_bytes) {
-                Some(rx_ba) => (Some(rx_ba), false),
-                // Natural decode failure: score against the true BA
-                // (the readout content is unused by the accounting).
-                None => (mid.ba, true),
-            }
         } else {
-            (mid.ba, false)
+            let rx = self.link.apply_ppdu(&self.built.ppdu, &schedule);
+            let decoded = receive_with_scratch(&rx, self.link.noise_var(), &mut self.scratch);
+            if rec.enabled() {
+                rec.record(&Event::PhyRx {
+                    round: obs_round,
+                    quality: decoded.quality(),
+                });
+            }
+            let outcomes = deaggregate(&decoded.bytes);
+
+            // Exercise the security path on surviving MPDUs: FCS-valid
+            // frames must always decrypt (WiTAG never mutates surviving
+            // frames).
+            for o in &outcomes {
+                if let Some(mpdu) = &o.mpdu {
+                    if self
+                        .rx_sec
+                        .decrypt(&mpdu.header, &mpdu.payload)
+                        .is_err()
+                    {
+                        self.decrypt_failures += 1;
+                    }
+                }
+            }
+
+            let ba = BlockAck::from_outcomes(
+                Addr::local(1),
+                Addr::local(2),
+                0,
+                self.seq,
+                &outcomes,
+            );
+            if rec.enabled() {
+                rec.record(&ba.assembly_event(obs_round, design.n_subframes));
+            }
+
+            // -- 5. Block ACK back through the *real* reverse channel. ---
+            // The AP serialises the BA, transmits it at the 24 Mbps basic
+            // rate, and the client decodes it with the standard legacy
+            // chain. The tag sits in its reference state (its schedule
+            // ended with the A-MPDU), so it is just another static
+            // reflector here. A fault-injected BA loss drops the return
+            // frame outright instead.
+            if rf.ba_lost {
+                (None, true)
+            } else if self.cfg.model_ba_loss {
+                let tx = legacy_transmit(LegacyRate::M24, &ba.to_bytes());
+                let rx = self.reverse_link.apply_legacy(&tx, reference);
+                let bytes = legacy_receive_with_scratch(
+                    &rx,
+                    self.reverse_link.noise_var(),
+                    &mut self.scratch,
+                );
+                match BlockAck::from_bytes(&bytes) {
+                    Some(rx_ba) => (Some(rx_ba), false),
+                    // Natural decode failure: score against the true BA
+                    // (the readout content is unused by the accounting).
+                    None => (Some(ba), true),
+                }
+            } else {
+                (Some(ba), false)
+            }
         };
         let mut readout = match ba_for_readout {
             Some(ba) => read_tag_bits(&ba, design.n_subframes, design.guard_subframes),
@@ -941,115 +825,6 @@ impl Experiment {
         stats
     }
 
-    /// Run many independent experiments ("shards") in lockstep, batching
-    /// their PHY decodes: each global round, every shard prepares
-    /// (contention, tag planning, channel pass), the forward A-MPDUs of
-    /// *all* shards decode as one [`receive_many_mixed`] batch over one
-    /// shared scratch, block ACKs assemble, the reverse legs decode as
-    /// one [`legacy_receive_many_mixed`] batch, and every shard finishes
-    /// its round. Shard `s` runs `shard_rounds[s]` rounds and records
-    /// into `recs[s]`.
-    ///
-    /// **Bit-identical to serial execution**: every shard owns its RNG
-    /// streams (contention, forward link, reverse link, faults) and its
-    /// three phases execute in round order, so no draw is reordered; the
-    /// decodes in between are pure functions of their inputs, and
-    /// sharing one scratch across shards cannot change their output
-    /// (`tests/batch_equivalence.rs` pins this against per-shard
-    /// [`Self::run_obs`]).
-    pub fn run_batch_obs(
-        shards: &mut [Experiment],
-        shard_rounds: &[usize],
-        recs: &mut [&mut dyn Recorder],
-    ) -> Vec<ExperimentStats> {
-        assert_eq!(shards.len(), shard_rounds.len(), "one round count per shard");
-        assert_eq!(shards.len(), recs.len(), "one recorder per shard");
-        let mut stats = vec![ExperimentStats::default(); shards.len()];
-        let max_rounds = shard_rounds.iter().copied().max().unwrap_or(0);
-        let mut batch_scratch = RxScratch::new();
-        let mut bits = Vec::new();
-        for round in 0..max_rounds {
-            // Phase 1: every live shard draws its round's tag bits and
-            // prepares (exactly the draws `run_obs` + `round_prepare`
-            // would make, in the same order).
-            let mut pres: Vec<Option<PreparedRound>> = Vec::with_capacity(shards.len());
-            for (s, exp) in shards.iter_mut().enumerate() {
-                if round >= shard_rounds[s] {
-                    pres.push(None);
-                    continue;
-                }
-                let n_bits = exp.design.bits_per_query();
-                bits.clear();
-                bits.extend((0..n_bits).map(|_| (exp.rng.next_u64() & 1) as u8));
-                pres.push(Some(exp.round_prepare(&bits, recs[s])));
-            }
-            // Phase 2: one batched forward decode across shards.
-            let fwd_decoded = {
-                let fwd: Vec<(&Ppdu, f64)> = pres
-                    .iter()
-                    .flatten()
-                    .filter_map(|p| p.rx.as_ref().map(|rx| (rx, p.noise_var)))
-                    .collect();
-                receive_many_mixed(&fwd, &mut batch_scratch)
-            };
-            // Phase 3: block-ACK assembly + reverse channel pass.
-            let mut fwd_iter = fwd_decoded.iter();
-            let mut mids: Vec<Option<MidRound>> = Vec::with_capacity(shards.len());
-            for (s, exp) in shards.iter_mut().enumerate() {
-                match &pres[s] {
-                    None => mids.push(None),
-                    Some(pre) => {
-                        let decoded = match &pre.rx {
-                            Some(_) => fwd_iter.next(),
-                            None => None,
-                        };
-                        mids.push(Some(exp.round_mid(pre, decoded, recs[s])));
-                    }
-                }
-            }
-            // Phase 4: one batched legacy (block-ACK) decode.
-            let legacy_decoded = {
-                let rev: Vec<(&LegacyPpdu, f64)> = mids
-                    .iter()
-                    .flatten()
-                    .filter_map(|m| m.legacy_rx.as_ref().map(|rx| (rx, m.reverse_noise)))
-                    .collect();
-                legacy_receive_many_mixed(&rev, &mut batch_scratch)
-            };
-            // Phase 5: score, advance time/energy/fading, accumulate.
-            let mut rev_iter = legacy_decoded.iter();
-            for (s, (pre_opt, mid_opt)) in pres.into_iter().zip(mids).enumerate() {
-                let (Some(pre), Some(mid)) = (pre_opt, mid_opt) else {
-                    continue;
-                };
-                let legacy_bytes = match &mid.legacy_rx {
-                    Some(_) => rev_iter.next().map(Vec::as_slice),
-                    None => None,
-                };
-                let r = shards[s].round_finish(pre, mid, legacy_bytes, recs[s]);
-                let st = &mut stats[s];
-                st.rounds += 1;
-                st.errors.merge(&r.errors);
-                st.elapsed += r.airtime;
-                if !r.triggered {
-                    st.missed_triggers += 1;
-                }
-                if r.ba_lost {
-                    st.lost_block_acks += 1;
-                }
-            }
-        }
-        stats
-    }
-
-    /// [`run_batch_obs`](Self::run_batch_obs) without observability.
-    pub fn run_batch(shards: &mut [Experiment], shard_rounds: &[usize]) -> Vec<ExperimentStats> {
-        let mut nulls: Vec<NullRecorder> = (0..shards.len()).map(|_| NullRecorder).collect();
-        let mut recs: Vec<&mut dyn Recorder> =
-            nulls.iter_mut().map(|n| n as &mut dyn Recorder).collect();
-        Self::run_batch_obs(shards, shard_rounds, &mut recs)
-    }
-
     /// Run `rounds` rounds split into independent shards executed on up
     /// to `threads` worker threads, merging the shard statistics in
     /// shard order.
@@ -1095,9 +870,9 @@ impl Experiment {
     ) -> Result<ExperimentStats, ExperimentError> {
         let tracing = rec.enabled();
         let n_shards = rounds.div_ceil(PARALLEL_SHARD_ROUNDS).max(1);
-        // Derive each shard's seed (and fault stream) from the master
-        // seed only — never from thread identity or completion order.
-        let build_shard = |shard: usize| -> Result<(Experiment, usize), ExperimentError> {
+        let shard_results = par_map(n_shards, threads, |shard| {
+            // Derive the shard's seed (and fault stream) from the master
+            // seed only — never from thread identity or completion order.
             let mut stream = Rng::seed_from_u64(cfg.seed).fork(shard as u64);
             let mut shard_cfg = cfg.clone();
             shard_cfg.seed = stream.next_u64();
@@ -1110,66 +885,14 @@ impl Experiment {
                 shard_plan.seed = stream.next_u64();
                 exp.attach_faults(shard_plan);
             }
-            Ok((exp, shard_rounds))
-        };
-        let shard_results: Vec<Result<(ExperimentStats, BufferRecorder, usize), ExperimentError>> =
-            if threads <= 1 {
-                // Single-worker path: run every shard in lockstep so the
-                // PHY decodes of all shards batch over one scratch
-                // ([`Self::run_batch_obs`]). Per-shard results are
-                // bit-identical to the threaded per-shard path — the
-                // determinism tests compare 1 thread against 4.
-                let mut exps = Vec::new();
-                let mut exp_rounds = Vec::new();
-                // `slots[i]` is the build error for shard `i`, or `None`
-                // when the shard built and sits in `exps` (in shard
-                // order) — construction failures are per-shard results,
-                // exactly as on the threaded path.
-                let mut slots: Vec<Option<ExperimentError>> = Vec::with_capacity(n_shards);
-                for r in (0..n_shards).map(build_shard) {
-                    match r {
-                        Ok((exp, shard_rounds)) => {
-                            exps.push(exp);
-                            exp_rounds.push(shard_rounds);
-                            slots.push(None);
-                        }
-                        Err(e) => slots.push(Some(e)),
-                    }
-                }
-                let mut bufs: Vec<BufferRecorder> =
-                    (0..exps.len()).map(|_| BufferRecorder::new()).collect();
-                let stats = if tracing {
-                    let mut shard_recs: Vec<&mut dyn Recorder> =
-                        bufs.iter_mut().map(|b| b as &mut dyn Recorder).collect();
-                    Self::run_batch_obs(&mut exps, &exp_rounds, &mut shard_recs)
-                } else {
-                    Self::run_batch(&mut exps, &exp_rounds)
-                };
-                let mut ok_iter = stats.into_iter().zip(bufs).zip(exp_rounds);
-                slots
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(e) => Err(e),
-                        None => match ok_iter.next() {
-                            Some(((s, b), r)) => Ok((s, b, r)),
-                            // Structurally unreachable: one batch result
-                            // exists per built shard.
-                            None => Err(ExperimentError::LinkTooPoor),
-                        },
-                    })
-                    .collect()
+            let mut buf = BufferRecorder::new();
+            let stats = if tracing {
+                exp.run_obs(shard_rounds, &mut buf)
             } else {
-                par_map(n_shards, threads, |shard| {
-                    let (mut exp, shard_rounds) = build_shard(shard)?;
-                    let mut buf = BufferRecorder::new();
-                    let stats = if tracing {
-                        exp.run_obs(shard_rounds, &mut buf)
-                    } else {
-                        exp.run(shard_rounds)
-                    };
-                    Ok((stats, buf, shard_rounds))
-                })
+                exp.run(shard_rounds)
             };
+            Ok((stats, buf, shard_rounds))
+        });
         let mut total = ExperimentStats::default();
         for (shard, r) in shard_results.into_iter().enumerate() {
             let (s, buf, shard_rounds) = r?;

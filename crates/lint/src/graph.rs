@@ -26,6 +26,7 @@
 //! deterministic, so evidence chains are byte-stable at any thread count.
 
 use crate::resolve::{CallKind, FileFacts, HitKind, TokenHit};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Free functions from the std prelude (or universally glob-imported in
@@ -216,8 +217,8 @@ impl CallGraph {
         let mut parent: BTreeMap<usize, Option<(usize, u32)>> = BTreeMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         for &r in roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, None);
+            if let Entry::Vacant(e) = parent.entry(r) {
+                e.insert(None);
                 queue.push_back(r);
             }
         }

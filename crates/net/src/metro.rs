@@ -31,10 +31,8 @@
 //!   O(tags)-per-grant scan is gone.
 //! * **Batched grant rounds.** A reader that wins the medium serves up
 //!   to [`MetroConfig::batch`] query rounds back to back under one
-//!   DIFS/backoff/marker envelope (the A-MPDU amortisation the PR-7
-//!   `receive_many` kernels model at the PHY), aborting the batch on
-//!   the first dead-air round so sleeping tags cost one probe, not
-//!   eight.
+//!   DIFS/backoff/marker envelope, aborting the batch on the first
+//!   dead-air round so sleeping tags cost one probe, not eight.
 //! * **Hierarchical scheduling.** Within a cell the intra-cell policy
 //!   is the existing [`SchedulerKind`] vocabulary (`rr`/`fair`/`edf`/
 //!   `serial`; `pred` falls back to `fair` — predictive deferral is a

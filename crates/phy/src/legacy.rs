@@ -193,8 +193,7 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
 /// Receive a legacy PPDU: estimate from the LTF, equalise, decode.
 ///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
-/// output); the allocation-free steady-state contract lives on
-/// [`legacy_receive_many_into`] and the shared decode core.
+/// output); [`legacy_receive_with_scratch`] reuses the working memory.
 pub fn legacy_receive(rx: &LegacyPpdu, noise_var: f64) -> Vec<u8> {
     legacy_receive_with_scratch(rx, noise_var, &mut RxScratch::new())
 }
@@ -210,82 +209,20 @@ pub fn legacy_receive_with_scratch(
     scratch: &mut RxScratch,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    let layout = LegacyLayout::cached();
     let dims = InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier());
     let (perms, _pilots, mut bufs) = scratch.split();
-    RxScratch::perm(perms, dims);
-    legacy_decode_core(rx, noise_var, layout, perms, &mut bufs, &mut out);
+    let perm = RxScratch::perm(perms, dims);
+    legacy_decode_core(rx, noise_var, perm, &mut bufs, &mut out);
     out
 }
 
-/// Decode a burst of legacy PPDUs (e.g. the block-ACK responses of a
-/// scheduling round) reusing one scratch, with the tone plan and
-/// interleaver-permutation setup hoisted out of the per-PPDU loop. Each
-/// element is bit-identical to a standalone
-/// [`legacy_receive_with_scratch`] call.
-pub fn legacy_receive_many_with_scratch(
-    ppdus: &[LegacyPpdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    legacy_receive_many_into(ppdus, noise_var, scratch, &mut out);
-    out
-}
-
-/// [`legacy_receive_many_with_scratch`] into a caller-provided output
-/// vector whose existing byte buffers are reused (allocation-free once
-/// warm).
-// lint:no_alloc
-pub fn legacy_receive_many_into(
-    ppdus: &[LegacyPpdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-    out: &mut Vec<Vec<u8>>,
-) {
-    out.truncate(ppdus.len());
-    out.resize_with(ppdus.len(), Vec::new); // lint:allow(no_alloc)
-    let layout = LegacyLayout::cached();
-    let (perms, _pilots, mut bufs) = scratch.split();
-    for rx in ppdus {
-        RxScratch::perm(perms, InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier()));
-    }
-    for (rx, dst) in ppdus.iter().zip(out.iter_mut()) {
-        legacy_decode_core(rx, noise_var, layout, perms, &mut bufs, dst);
-    }
-}
-
-/// [`legacy_receive_many_with_scratch`] where every PPDU carries its own
-/// noise variance: the lockstep round driver decodes the block-ACK leg of
-/// many parallel sessions in one pass over one scratch. Each element is
-/// bit-identical to a standalone [`legacy_receive_with_scratch`] call
-/// with that pair.
-pub fn legacy_receive_many_mixed(
-    ppdus: &[(&LegacyPpdu, f64)],
-    scratch: &mut RxScratch,
-) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    out.resize_with(ppdus.len(), Vec::new);
-    let layout = LegacyLayout::cached();
-    let (perms, _pilots, mut bufs) = scratch.split();
-    for (rx, _) in ppdus {
-        RxScratch::perm(perms, InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier()));
-    }
-    for (&(rx, noise_var), dst) in ppdus.iter().zip(out.iter_mut()) {
-        legacy_decode_core(rx, noise_var, layout, perms, &mut bufs, dst);
-    }
-    out
-}
-
-/// Shared implementation behind the singular and batched legacy receive
-/// paths: the caller provides the tone plan and a pre-warmed permutation
-/// cache.
+/// The legacy decode chain, given the cached interleaver permutation for
+/// the PPDU's rate.
 // lint:no_alloc
 fn legacy_decode_core(
     rx: &LegacyPpdu,
     noise_var: f64,
-    layout: &LegacyLayout,
-    perms: &[crate::interleaver::InterleaverPerm],
+    perm: &crate::interleaver::InterleaverPerm,
     bufs: &mut crate::receiver::RxBufs<'_>,
     out: &mut Vec<u8>,
 ) {
@@ -295,13 +232,9 @@ fn legacy_decode_core(
 
     let ndbps = rx.rate.ndbps();
     let modulation = rx.rate.modulation();
-    let dims = InterleaverDims::legacy(modulation.bits_per_subcarrier());
     let h = &rx.ltf.streams[0];
-    let data_pos = layout.data_positions();
+    let data_pos = LegacyLayout::cached().data_positions();
     let n_data = data_pos.len();
-
-    // The cache was warmed by the caller; `position` cannot miss.
-    let perm = &perms[perms.iter().position(|p| p.dims() == dims).unwrap_or(0)]; // lint:allow(panic_path) callers warm the cache, so perms is non-empty
 
     // Per-PPDU hoisted channel gather and demapper scales (the estimate
     // is static across the PPDU's symbols — same arithmetic as the old
@@ -318,7 +251,7 @@ fn legacy_decode_core(
     }
 
     bufs.coded_llrs.clear();
-    bufs.coded_llrs.reserve(rx.symbols.len() * dims.n_cbps);
+    bufs.coded_llrs.reserve(rx.symbols.len() * perm.dims().n_cbps);
     for sym in &rx.symbols {
         let raw = &sym.streams[0];
         bufs.eq.clear();

@@ -374,10 +374,9 @@ mod tests {
     fn p_rows_are_orthogonal_per_stream_count() {
         for nss in 1..=4usize {
             let n_ltf = ht_ltf_count(nss);
-            for i in 0..nss {
-                for k in 0..nss {
-                    let dot: f64 =
-                        (0..n_ltf).map(|n| P_HTLTF[i][n] * P_HTLTF[k][n]).sum();
+            for (i, row_i) in P_HTLTF.iter().enumerate().take(nss) {
+                for (k, row_k) in P_HTLTF.iter().enumerate().take(nss) {
+                    let dot: f64 = (0..n_ltf).map(|n| row_i[n] * row_k[n]).sum();
                     let expect = if i == k { n_ltf as f64 } else { 0.0 };
                     assert_eq!(dot, expect, "nss={nss} rows {i},{k}");
                 }

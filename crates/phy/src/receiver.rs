@@ -213,8 +213,7 @@ impl DecodedPsdu {
 /// what the reproduction studies.
 ///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
-/// output); the allocation-free steady-state contract lives on
-/// [`receive_many_into`] and the shared decode core.
+/// output); [`receive_with_scratch`] reuses the working memory.
 pub fn receive(rx: &Ppdu, noise_var: f64) -> DecodedPsdu {
     receive_with_scratch(rx, noise_var, &mut RxScratch::new())
 }
@@ -229,78 +228,15 @@ pub fn receive_with_scratch(rx: &Ppdu, noise_var: f64, scratch: &mut RxScratch) 
     let dims = InterleaverDims::ht(rx.config.bandwidth, n_bpscs);
     let n_pilots = rx.config.layout().pilot_positions().len();
     let (perms, pilots, mut bufs) = scratch.split();
-    RxScratch::perm(perms, dims);
-    RxScratch::pilot_pattern(pilots, n_pilots);
-    decode_core(rx, noise_var, perms, pilots, &mut bufs, &mut out);
-    out
-}
-
-/// Decode a burst of PPDUs (e.g. the per-subframe transmissions of one
-/// A-MPDU exchange) reusing one scratch, with the interleaver-permutation
-/// and pilot-pattern setup hoisted out of the per-subframe loop. Each
-/// element of the result is bit-identical to what a standalone
-/// [`receive_with_scratch`] call on that PPDU would return.
-pub fn receive_many(ppdus: &[Ppdu], noise_var: f64, scratch: &mut RxScratch) -> Vec<DecodedPsdu> {
-    let mut out = Vec::new();
-    receive_many_into(ppdus, noise_var, scratch, &mut out);
-    out
-}
-
-/// [`receive_many`] into a caller-provided output vector whose existing
-/// `DecodedPsdu` allocations are reused: a steady-state burst decode
-/// performs no allocation at all.
-// lint:no_alloc
-pub fn receive_many_into(
-    ppdus: &[Ppdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-    out: &mut Vec<DecodedPsdu>,
-) {
-    out.truncate(ppdus.len());
-    out.resize_with(ppdus.len(), || DecodedPsdu {
-        bytes: Vec::new(),          // lint:allow(no_alloc)
-        symbol_quality: Vec::new(), // lint:allow(no_alloc)
-    });
-    let (perms, pilots, mut bufs) = scratch.split();
-    // Warm the permutation / pilot caches for every distinct configuration
-    // in the burst first, so the decode loop below only takes immutable
-    // lookups (and the hot per-subframe path never touches cache growth).
-    for rx in ppdus {
-        let n_bpscs = rx.config.mcs.modulation.bits_per_subcarrier();
-        RxScratch::perm(perms, InterleaverDims::ht(rx.config.bandwidth, n_bpscs));
-        RxScratch::pilot_pattern(pilots, rx.config.layout().pilot_positions().len());
-    }
-    for (rx, dst) in ppdus.iter().zip(out.iter_mut()) {
-        decode_core(rx, noise_var, perms, pilots, &mut bufs, dst);
-    }
-}
-
-/// [`receive_many`] where every PPDU carries its own noise variance: the
-/// lockstep round driver decodes one subframe from each of many parallel
-/// sessions (whose links may differ) in a single pass over one scratch.
-/// Each element is bit-identical to a standalone
-/// [`receive_with_scratch`] call with that pair.
-pub fn receive_many_mixed(ppdus: &[(&Ppdu, f64)], scratch: &mut RxScratch) -> Vec<DecodedPsdu> {
-    let mut out = Vec::new();
-    out.resize_with(ppdus.len(), || DecodedPsdu {
-        bytes: Vec::new(),
-        symbol_quality: Vec::new(),
-    });
-    let (perms, pilots, mut bufs) = scratch.split();
-    for (rx, _) in ppdus {
-        let n_bpscs = rx.config.mcs.modulation.bits_per_subcarrier();
-        RxScratch::perm(perms, InterleaverDims::ht(rx.config.bandwidth, n_bpscs));
-        RxScratch::pilot_pattern(pilots, rx.config.layout().pilot_positions().len());
-    }
-    for (&(rx, noise_var), dst) in ppdus.iter().zip(out.iter_mut()) {
-        decode_core(rx, noise_var, perms, pilots, &mut bufs, dst);
-    }
+    let perm = RxScratch::perm(perms, dims);
+    let pilots = RxScratch::pilot_pattern(pilots, n_pilots);
+    decode_core(rx, noise_var, perm, pilots, &mut bufs, &mut out);
     out
 }
 
 /// The working buffers of [`RxScratch`] minus the perm/pilot caches —
-/// split off so a burst loop can hold the caches immutably while the
-/// per-PPDU buffers stay mutable.
+/// split off so a decode can hold a cached permutation and pilot pattern
+/// while the per-PPDU buffers stay mutable.
 pub(crate) struct RxBufs<'a> {
     pub(crate) llrs_tx: &'a mut Vec<f64>,
     pub(crate) per_stream: &'a mut Vec<Vec<f64>>,
@@ -357,44 +293,31 @@ impl RxScratch {
     }
 }
 
-/// Decode one PPDU into `dst` using pre-warmed perm/pilot caches. This is
-/// the single shared implementation behind [`receive_with_scratch`] and
-/// [`receive_many_into`].
+/// Decode one PPDU into `dst` with the cached interleaver permutation
+/// and pilot pattern for its configuration. Multi-stream PPDUs go to
+/// [`decode_core_mimo`]; the body below is the `Nss = 1` chain.
 // lint:no_alloc
 pub(crate) fn decode_core(
     rx: &Ppdu,
     noise_var: f64,
-    perms: &[InterleaverPerm],
-    pilot_cache: &[Vec<Complex64>],
+    perm: &InterleaverPerm,
+    pilots: &[Complex64],
     bufs: &mut RxBufs<'_>,
     dst: &mut DecodedPsdu,
 ) {
     let config = &rx.config;
-    let layout = config.layout();
-    let nss = config.mcs.spatial_streams;
-    if nss > 1 {
+    if config.mcs.spatial_streams > 1 {
         // Multi-stream: full-matrix sounding + joint equalisation. The
         // scalar path below is the Nss = 1 degenerate case and stays
         // byte-for-byte what it has always been.
-        decode_core_mimo(rx, noise_var, perms, pilot_cache, bufs, dst);
+        decode_core_mimo(rx, noise_var, perm, pilots, bufs, dst);
         return;
     }
+    let layout = config.layout();
     let modulation = config.mcs.modulation;
-    let n_bpscs = modulation.bits_per_subcarrier();
-    let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
-    let est = ChannelEstimate::from_ltf(&rx.ltfs[0]);
+    let h = &ChannelEstimate::from_ltf(&rx.ltfs[0]).h[0];
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
-
-    // The caches were warmed by the caller; `position` cannot miss.
-    let perm = &perms[perms.iter().position(|p| p.dims() == dims).unwrap_or(0)]; // lint:allow(panic_path) callers warm the cache, so perms is non-empty
-    let n_pilots = layout.pilot_positions().len();
-    let pilots: &[Complex64] =
-        &pilot_cache[pilot_cache.iter().position(|p| p.len() == n_pilots).unwrap_or(0)]; // lint:allow(panic_path) callers warm the cache, so pilot_cache is non-empty
-
-    // Grows only on the first call (or a wider nss): steady state is a
-    // no-op and the placeholder `Vec::new` never allocates until filled.
-    bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new); // lint:allow(no_alloc)
 
     // Per-PPDU hoisted tables: channel coefficients at the data positions
     // and demapper scales. Both are constant across a PPDU's symbols (the
@@ -402,18 +325,15 @@ pub(crate) fn decode_core(
     // not per symbol per subcarrier — changes no arithmetic, only how
     // often it runs.
     bufs.h_data.clear();
-    bufs.h_data.reserve(nss * n_data);
+    bufs.h_data.reserve(n_data);
     bufs.demap_scales.clear();
-    bufs.demap_scales.reserve(nss * n_data);
-    for ss in 0..nss {
-        let h = &est.h[ss];
-        for &pos in data_pos {
-            let hv = h[pos];
-            // ZF noise enhancement: variance grows as 1/|h|².
-            let eff_noise = noise_var / hv.norm_sqr().max(1e-9);
-            bufs.h_data.push(hv);
-            bufs.demap_scales.push(axis_scale(modulation, eff_noise));
-        }
+    bufs.demap_scales.reserve(n_data);
+    for &pos in data_pos {
+        let hv = h[pos];
+        // ZF noise enhancement: variance grows as 1/|h|².
+        let eff_noise = noise_var / hv.norm_sqr().max(1e-9);
+        bufs.h_data.push(hv);
+        bufs.demap_scales.push(axis_scale(modulation, eff_noise));
     }
 
     bufs.coded_llrs.clear();
@@ -422,49 +342,35 @@ pub(crate) fn decode_core(
     dst.symbol_quality.reserve(rx.symbols.len());
 
     for sym in &rx.symbols {
-        let mut qual_acc = 0.0;
-        for ss in 0..nss {
-            let h = &est.h[ss];
-            let raw = &sym.streams[ss];
-            let h_d = &bufs.h_data[ss * n_data..(ss + 1) * n_data];
-            let scales = &bufs.demap_scales[ss * n_data..(ss + 1) * n_data];
+        let raw = &sym.streams[0];
 
-            // Common-phase-error estimate from pilots.
-            let mut acc = Complex64::ZERO;
-            for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-                // Expected pilot after channel: h[pos]·pv.
-                acc += raw[pos] * (h[pos] * pv).conj();
-            }
-            let cpe = if acc.abs() > 1e-12 {
-                Complex64::from_polar(1.0, -acc.arg())
-            } else {
-                Complex64::ONE
-            };
+        // Common-phase-error estimate from pilots.
+        let mut acc = Complex64::ZERO;
+        for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
+            // Expected pilot after channel: h[pos]·pv.
+            acc += raw[pos] * (h[pos] * pv).conj();
+        }
+        let cpe = if acc.abs() > 1e-12 {
+            Complex64::from_polar(1.0, -acc.arg())
+        } else {
+            Complex64::ONE
+        };
 
-            // Zero-forcing equalisation into the SoA buffer (same operation
-            // order per subcarrier as the historical fused loop), then the
-            // chunked demapper over the whole symbol at once.
-            bufs.eq.clear();
-            bufs.eq.reserve(n_data);
-            for (i, &pos) in data_pos.iter().enumerate() {
-                bufs.eq.push(raw[pos] * cpe / h_d[i]);
-            }
-            bufs.llrs_tx.clear();
-            demap_symbol_into(bufs.eq, modulation, scales, bufs.llrs_tx);
-            qual_acc +=
-                bufs.llrs_tx.iter().map(|l| l.abs()).sum::<f64>() / bufs.llrs_tx.len() as f64;
-            if nss == 1 {
-                // Single stream: stream deparse is the identity, so
-                // deinterleave straight onto the code stream.
-                perm.deinterleave_append(bufs.llrs_tx, bufs.coded_llrs);
-            } else {
-                perm.deinterleave_into(bufs.llrs_tx, &mut bufs.per_stream[ss]);
-            }
+        // Zero-forcing equalisation into the SoA buffer (same operation
+        // order per subcarrier as the historical fused loop), then the
+        // chunked demapper over the whole symbol at once.
+        bufs.eq.clear();
+        bufs.eq.reserve(n_data);
+        for (i, &pos) in data_pos.iter().enumerate() {
+            bufs.eq.push(raw[pos] * cpe / bufs.h_data[i]);
         }
-        dst.symbol_quality.push(qual_acc / nss as f64);
-        if nss > 1 {
-            deparse_streams_into(&bufs.per_stream[..nss], n_bpscs, bufs.coded_llrs);
-        }
+        bufs.llrs_tx.clear();
+        demap_symbol_into(bufs.eq, modulation, bufs.demap_scales, bufs.llrs_tx);
+        dst.symbol_quality
+            .push(bufs.llrs_tx.iter().map(|l| l.abs()).sum::<f64>() / bufs.llrs_tx.len() as f64);
+        // Single stream: stream deparse is the identity, so deinterleave
+        // straight onto the code stream.
+        perm.deinterleave_append(bufs.llrs_tx, bufs.coded_llrs);
     }
 
     // Decode the whole DATA field as one stream.
@@ -609,8 +515,8 @@ fn mimo_equalise_symbol(
 pub(crate) fn decode_core_mimo(
     rx: &Ppdu,
     noise_var: f64,
-    perms: &[InterleaverPerm],
-    pilot_cache: &[Vec<Complex64>],
+    perm: &InterleaverPerm,
+    pilots: &[Complex64],
     bufs: &mut RxBufs<'_>,
     dst: &mut DecodedPsdu,
 ) {
@@ -619,14 +525,8 @@ pub(crate) fn decode_core_mimo(
     let nss = config.mcs.spatial_streams;
     let modulation = config.mcs.modulation;
     let n_bpscs = modulation.bits_per_subcarrier();
-    let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
-
-    let perm = &perms[perms.iter().position(|p| p.dims() == dims).unwrap_or(0)]; // lint:allow(panic_path) callers warm the cache, so perms is non-empty
-    let n_pilots = layout.pilot_positions().len();
-    let pilots: &[Complex64] =
-        &pilot_cache[pilot_cache.iter().position(|p| p.len() == n_pilots).unwrap_or(0)]; // lint:allow(panic_path) callers warm the cache, so pilot_cache is non-empty
 
     bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new); // lint:allow(no_alloc)
     bufs.eq_streams.resize_with(bufs.eq_streams.len().max(nss), Vec::new); // lint:allow(no_alloc)
@@ -686,13 +586,9 @@ pub fn receive_mu_with_scratch(
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
 
-    let (perms, pilot_cache, mut bufs) = scratch.split();
-    RxScratch::perm(perms, dims);
-    RxScratch::pilot_pattern(pilot_cache, layout.pilot_positions().len());
-    let perm = &perms[perms.iter().position(|p| p.dims() == dims).unwrap_or(0)]; // lint:allow(panic_path) RxScratch::perm warmed the cache above, so perms is non-empty
-    let n_pilots = layout.pilot_positions().len();
-    let pilots: &[Complex64] =
-        &pilot_cache[pilot_cache.iter().position(|p| p.len() == n_pilots).unwrap_or(0)]; // lint:allow(panic_path) RxScratch::pilot_pattern warmed the cache above, so pilot_cache is non-empty
+    let (perms, pilots, mut bufs) = scratch.split();
+    let perm = RxScratch::perm(perms, dims);
+    let pilots = RxScratch::pilot_pattern(pilots, layout.pilot_positions().len());
     let bufs = &mut bufs;
 
     bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new);

@@ -344,7 +344,7 @@ fn receive_chain_bit_identical_across_mcs_and_scratch_reuse() {
 /// Apply a deterministic channel perturbation to a transmitted PPDU:
 /// complex AWGN on every carrier plus, optionally, a mid-frame phase flip
 /// over a run of symbols (the WiTAG tag's corruption mechanism) — so the
-/// batched-decode tests cover subframes that fail their FCS, not just
+/// warm-scratch test covers subframes that fail their FCS, not just
 /// clean ones.
 fn perturb(ppdu: &witag_phy::ppdu::Ppdu, seed: u64, noise_std: f64, flip: bool) -> witag_phy::ppdu::Ppdu {
     let mut rng = Rng::seed_from_u64(seed);
@@ -368,96 +368,55 @@ fn perturb(ppdu: &witag_phy::ppdu::Ppdu, seed: u64, noise_std: f64, flip: bool) 
 }
 
 #[test]
-fn receive_many_matches_per_ppdu_receive_loop() {
-    // The batched A-MPDU decode — shared scratch, caches warmed once,
-    // permutation/pilot setup hoisted out of the subframe loop — must be
-    // bit-identical to decoding each subframe with its own call, for
-    // mixed MCS bursts including corrupted subframes.
-    use witag_phy::receiver::{receive_many, receive_many_into, receive_many_mixed};
-    let psdu = vec![0x5Au8; 208];
-    let noise_var: f64 = 2e-3;
-    let mut burst = Vec::new();
-    for (i, idx) in [0usize, 5, 7, 12, 15, 5, 5].iter().enumerate() {
-        let clean = transmit(&PhyConfig::new(Mcs::ht(*idx)), &psdu);
-        // Corrupt every third subframe so the burst carries FCS failures.
-        burst.push(perturb(&clean, 900 + i as u64, noise_var.sqrt(), i % 3 == 0));
-    }
-
-    let mut serial = Vec::new();
-    for rx in &burst {
-        serial.push(receive_with_scratch(rx, noise_var, &mut RxScratch::new()));
-    }
-
-    let batched = receive_many(&burst, noise_var, &mut RxScratch::new());
-    assert_eq!(batched.len(), serial.len());
-    for (i, (a, b)) in serial.iter().zip(batched.iter()).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "subframe {i}: bytes must be bit-identical");
-        assert_eq!(a.symbol_quality, b.symbol_quality, "subframe {i}: quality");
-    }
-
-    // The _into variant reuses output allocations across bursts without
-    // changing a bit; decode the burst twice through one output vector.
-    let mut scratch = RxScratch::new();
-    let mut out = Vec::new();
-    receive_many_into(&burst, noise_var, &mut scratch, &mut out);
-    receive_many_into(&burst, noise_var, &mut scratch, &mut out);
-    for (i, (a, b)) in serial.iter().zip(out.iter()).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "reused-output subframe {i}");
-        assert_eq!(a.symbol_quality, b.symbol_quality);
-    }
-
-    // The mixed variant (per-item noise) with *distinct* noise floors
-    // must match per-item standalone calls.
-    let noises: Vec<f64> = (0..burst.len()).map(|i| 1e-4 * (i + 1) as f64).collect();
-    let pairs: Vec<(&witag_phy::ppdu::Ppdu, f64)> =
-        burst.iter().zip(noises.iter().copied()).collect();
-    let mixed = receive_many_mixed(&pairs, &mut RxScratch::new());
-    for (i, ((rx, nv), m)) in pairs.iter().zip(mixed.iter()).enumerate() {
-        let solo = receive_with_scratch(rx, *nv, &mut RxScratch::new());
-        assert_eq!(solo.bytes, m.bytes, "mixed subframe {i}");
-        assert_eq!(solo.symbol_quality, m.symbol_quality);
-    }
-}
-
-#[test]
-fn legacy_receive_many_matches_per_ppdu_receive_loop() {
-    use witag_phy::legacy::{
-        legacy_receive_many_mixed, legacy_receive_many_with_scratch, legacy_receive_with_scratch,
-        legacy_transmit, LegacyRate,
-    };
+fn legacy_and_ht_decodes_alternate_through_one_warm_scratch() {
+    // An experiment decodes the HT query A-MPDU and the legacy block ACK
+    // through one `RxScratch`, so both interleaver dimension sets stay
+    // cached side by side. Alternating the two frame families through one
+    // warm scratch must give exactly what fresh-scratch decodes give.
+    use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit, LegacyRate};
     let noise_var: f64 = 1e-3;
     let rates = [LegacyRate::M6, LegacyRate::M24, LegacyRate::M54, LegacyRate::M24];
-    let burst: Vec<_> = rates
+    let legacy: Vec<_> = rates
         .iter()
         .enumerate()
         .map(|(i, &r)| {
             let psdu: Vec<u8> = (0..32).map(|b| (b * 7 + i) as u8).collect();
-            let clean = legacy_transmit(r, &psdu);
-            let mut noisy = clean.clone();
+            let mut noisy = legacy_transmit(r, &psdu);
             let mut rng = Rng::seed_from_u64(77 + i as u64);
             for sym in noisy.symbols.iter_mut() {
                 for pt in sym.streams[0].iter_mut() {
                     let re = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
                     let im = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
-                    *pt = *pt + witag_phy::complex::c64(re, im);
+                    *pt += witag_phy::complex::c64(re, im);
                 }
             }
             noisy
         })
         .collect();
-
-    let serial: Vec<Vec<u8>> = burst
+    let psdu = vec![0x5Au8; 208];
+    let ht: Vec<_> = [0usize, 7, 12, 5]
         .iter()
-        .map(|rx| legacy_receive_with_scratch(rx, noise_var, &mut RxScratch::new()))
+        .enumerate()
+        .map(|(i, &idx)| {
+            let clean = transmit(&PhyConfig::new(Mcs::ht(idx)), &psdu);
+            // Corrupt every other subframe so the FCS-failing path runs too.
+            perturb(&clean, 900 + i as u64, noise_var.sqrt(), i % 2 == 0)
+        })
         .collect();
-    let batched = legacy_receive_many_with_scratch(&burst, noise_var, &mut RxScratch::new());
-    assert_eq!(serial, batched, "batched legacy decode must be bit-identical");
 
-    let noises: Vec<f64> = (0..burst.len()).map(|i| 5e-4 * (i + 1) as f64).collect();
-    let pairs: Vec<_> = burst.iter().zip(noises.iter().copied()).collect();
-    let mixed = legacy_receive_many_mixed(&pairs, &mut RxScratch::new());
-    for (i, ((rx, nv), m)) in pairs.iter().zip(mixed.iter()).enumerate() {
-        let solo = legacy_receive_with_scratch(rx, *nv, &mut RxScratch::new());
-        assert_eq!(&solo, m, "mixed legacy subframe {i}");
+    let mut warm = RxScratch::new();
+    for round in 0..2 {
+        for (i, (h, l)) in ht.iter().zip(legacy.iter()).enumerate() {
+            let fresh = receive_with_scratch(h, noise_var, &mut RxScratch::new());
+            let got = receive_with_scratch(h, noise_var, &mut warm);
+            assert_eq!(fresh.bytes, got.bytes, "round {round} HT frame {i}: bytes");
+            assert_eq!(
+                fresh.symbol_quality, got.symbol_quality,
+                "round {round} HT frame {i}"
+            );
+            let fresh = legacy_receive_with_scratch(l, noise_var, &mut RxScratch::new());
+            let got = legacy_receive_with_scratch(l, noise_var, &mut warm);
+            assert_eq!(fresh, got, "round {round} legacy frame {i}");
+        }
     }
 }

@@ -156,16 +156,16 @@ proptest! {
     }
 
     #[test]
-    fn receive_many_is_bit_identical_to_per_ppdu_loop(
+    fn warm_scratch_is_bit_identical_to_fresh_scratch(
         seed in any::<u64>(),
         mcs_list in proptest::collection::vec(0usize..16, 1..5),
         corrupt_mask in any::<u8>(),
     ) {
-        // The batched burst decode must return exactly what a loop of
-        // standalone receives returns — any MCS mix, clean or corrupted
+        // One `RxScratch` reused across a burst must decode every PPDU
+        // exactly as a fresh scratch does — any MCS mix, clean or corrupted
         // subframes (a mid-frame phase flip is the tag's own corruption
         // mechanism and reliably kills the FCS).
-        use witag_phy::receiver::{receive_many, receive_with_scratch, RxScratch};
+        use witag_phy::receiver::{receive_with_scratch, RxScratch};
         let mut rng = witag_sim::Rng::seed_from_u64(seed);
         let noise_var: f64 = 1e-3;
         let noise_std = noise_var.sqrt();
@@ -191,11 +191,12 @@ proptest! {
             }
             ppdu
         }).collect();
-        let batched = receive_many(&burst, noise_var, &mut RxScratch::new());
-        for (i, (rx, b)) in burst.iter().zip(batched.iter()).enumerate() {
+        let mut warm = RxScratch::new();
+        for (i, rx) in burst.iter().enumerate() {
+            let w = receive_with_scratch(rx, noise_var, &mut warm);
             let solo = receive_with_scratch(rx, noise_var, &mut RxScratch::new());
-            prop_assert_eq!(&solo.bytes, &b.bytes, "subframe {} bytes diverged", i);
-            prop_assert_eq!(&solo.symbol_quality, &b.symbol_quality, "subframe {} quality diverged", i);
+            prop_assert_eq!(&solo.bytes, &w.bytes, "subframe {} bytes diverged", i);
+            prop_assert_eq!(&solo.symbol_quality, &w.symbol_quality, "subframe {} quality diverged", i);
         }
     }
 

@@ -427,12 +427,14 @@ macro_rules! __proptest_fns {
 #[macro_export]
 macro_rules! __proptest_case {
     ( $rng:ident, $body:block, $(,)? ) => {
-        let __flow = (|| -> ::core::ops::ControlFlow<()> {
+        // A closure, so `prop_assume!`'s `return` skips just this case.
+        #[allow(unused_mut)]
+        let mut __case = || -> ::core::ops::ControlFlow<()> {
             $body
             #[allow(unreachable_code)]
             ::core::ops::ControlFlow::Continue(())
-        })();
-        let _ = __flow;
+        };
+        let _ = __case();
     };
     ( $rng:ident, $body:block, mut $pname:ident in $strat:expr $(, $($rest:tt)*)? ) => {
         #[allow(unused_mut)]
