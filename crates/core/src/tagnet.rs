@@ -638,12 +638,18 @@ impl SessionReport {
     }
 }
 
-/// Client-side session driver state (kept separate from the loop in
-/// [`run_session`] so tests can poke at decisions directly).
-struct SessionClient {
-    cfg: SessionConfig,
-    /// Client's belief of the tag window base — only ever updated from
-    /// decoded base reports, so it cannot silently diverge.
+/// Client side of the selective-repeat window: the client's belief of
+/// the tag's window base, the chunks decoded so far, and the header
+/// (message length and end-to-end CRC) once chunk 0 has decoded.
+///
+/// [`run_session`] drives one per session; an external driver that
+/// multiplexes many sessions (the `witag-net` fleet engine) steps one
+/// per link with its own query policy.
+#[derive(Debug, Clone)]
+pub struct ReceiveWindow {
+    window: usize,
+    /// Only ever updated from decoded base reports (or a slide the
+    /// client saw the tag serve), so it cannot silently diverge.
     base: usize,
     /// Decoded chunk payloads by absolute index (grown on demand).
     got: Vec<Option<Vec<u8>>>,
@@ -651,6 +657,103 @@ struct SessionClient {
     n_chunks: Option<usize>,
     /// Message byte length and end-to-end CRC from the header.
     header: Option<(usize, u8)>,
+}
+
+impl ReceiveWindow {
+    /// An empty window of `window` slots at base 0.
+    pub fn new(window: usize) -> Self {
+        ReceiveWindow {
+            window,
+            base: 0,
+            got: vec![None],
+            n_chunks: None,
+            header: None,
+        }
+    }
+
+    /// The client's belief of the tag's window base (absolute chunk
+    /// index).
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Move the window base, after a base report or a served slide.
+    pub fn set_base(&mut self, base: usize) {
+        self.base = base;
+    }
+
+    /// Total chunks, header included, once the header has decoded.
+    pub fn chunk_count(&self) -> Option<usize> {
+        self.n_chunks
+    }
+
+    fn have(&self, abs: usize) -> bool {
+        self.got.get(abs).is_some_and(|c| c.is_some())
+    }
+
+    /// First missing slot in the current window, if any. Before the
+    /// header decodes only chunk 0 is actionable.
+    pub fn next_missing_slot(&self) -> Option<u8> {
+        let end = self.n_chunks.unwrap_or(1);
+        (0..self.window as u8).find(|&k| {
+            let abs = self.base + k as usize;
+            abs < end && !self.have(abs)
+        })
+    }
+
+    /// Store chunk `abs`'s payload ([`CHUNK_PAYLOAD_BITS`] bits, as
+    /// [`decode_chunk`] returns it); chunk 0 is decoded as the header.
+    /// Returns the freshly recovered payload bits: 0 for a duplicate or
+    /// a payload of any other length.
+    pub fn store(&mut self, abs: usize, payload: Vec<u8>) -> usize {
+        if payload.len() != CHUNK_PAYLOAD_BITS {
+            return 0;
+        }
+        if self.got.len() <= abs {
+            self.got.resize(abs + 1, None);
+        }
+        if self.got[abs].is_some() { // lint:allow(panic_path) resized to abs + 1 above
+            return 0; // duplicate
+        }
+        if abs == 0 {
+            let len = payload[..12].iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+            let hcrc = payload[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
+            self.header = Some((len, hcrc));
+            self.n_chunks = Some(1 + (len * 8).div_ceil(CHUNK_PAYLOAD_BITS));
+        }
+        self.got[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 above
+        CHUNK_PAYLOAD_BITS
+    }
+
+    /// Whether the header and every chunk it announces have decoded.
+    pub fn complete(&self) -> bool {
+        self.n_chunks
+            .is_some_and(|n| (0..n).all(|abs| self.have(abs)))
+    }
+
+    /// Reassemble the message and check its end-to-end CRC. `None`
+    /// before [`complete`](Self::complete) or on a CRC mismatch.
+    pub fn assemble(&self) -> Option<Vec<u8>> {
+        let (len, hcrc) = self.header?;
+        let n = self.n_chunks?;
+        let mut bits = Vec::with_capacity(n.saturating_sub(1) * CHUNK_PAYLOAD_BITS);
+        for abs in 1..n {
+            bits.extend_from_slice(self.got.get(abs)?.as_deref()?);
+        }
+        let bytes: Vec<u8> = bits
+            .chunks(8)
+            .take(len)
+            .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
+            .collect();
+        (bytes.len() == len && crc8(&bytes) == hcrc).then_some(bytes)
+    }
+}
+
+/// Client-side session driver state (kept separate from the loop in
+/// [`run_session`] so tests can poke at decisions directly).
+struct SessionClient {
+    cfg: SessionConfig,
+    win: ReceiveWindow,
     diversity: usize,
     history: VecDeque<bool>,
     consecutive_losses: usize,
@@ -682,11 +785,8 @@ impl SessionClient {
     fn new(cfg: SessionConfig) -> Self {
         let diversity = cfg.initial_diversity.clamp(1, cfg.max_diversity.max(1));
         SessionClient {
+            win: ReceiveWindow::new(cfg.window),
             cfg,
-            base: 0,
-            got: vec![None],
-            n_chunks: None,
-            header: None,
             diversity,
             history: VecDeque::new(),
             consecutive_losses: 0,
@@ -700,60 +800,12 @@ impl SessionClient {
         }
     }
 
-    fn have(&self, abs: usize) -> bool {
-        self.got.get(abs).is_some_and(|c| c.is_some())
-    }
-
-    /// First missing slot in the current window, if any.
-    fn next_missing_slot(&self) -> Option<u8> {
-        // Before the header is decoded only chunk 0 is actionable.
-        let end = self.n_chunks.unwrap_or(1);
-        (0..self.cfg.window as u8).find(|&k| {
-            let abs = self.base + k as usize;
-            abs < end && !self.have(abs)
-        })
-    }
-
-    fn store(&mut self, abs: usize, payload: Vec<u8>) -> usize {
-        if self.got.len() <= abs {
-            self.got.resize(abs + 1, None);
-        }
-        if self.got[abs].is_some() { // lint:allow(panic_path) resized to abs + 1 above
-            return 0; // duplicate
-        }
-        if abs == 0 {
-            let len = payload[..12].iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
-            let hcrc = payload[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
-            self.header = Some((len, hcrc));
-            self.n_chunks = Some(1 + (len * 8).div_ceil(CHUNK_PAYLOAD_BITS));
-        }
-        self.got[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 above
-        CHUNK_PAYLOAD_BITS
-    }
-
-    fn complete(&self) -> bool {
-        self.n_chunks
-            .is_some_and(|n| (0..n).all(|abs| self.have(abs)))
-    }
-
-    // Structurally infallible: the sole caller gates on `complete()`,
-    // which requires the header (chunk 0) and every chunk through
-    // `n_chunks` to be present.
-    fn assemble(&self) -> SessionOutcome {
-        let (len, hcrc) = self.header.expect("complete() implies header"); // lint:allow(panic_freedom)
-        let n = self.n_chunks.expect("complete() implies chunk count"); // lint:allow(panic_freedom)
-        let bits: Vec<u8> = (1..n)
-            .flat_map(|abs| self.got[abs].as_ref().expect("complete").iter().copied()) // lint:allow(panic_freedom)
-            .collect();
-        let bytes: Vec<u8> = bits
-            .chunks(8)
-            .take(len)
-            .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-            .collect();
-        if bytes.len() == len && crc8(&bytes) == hcrc {
-            SessionOutcome::Delivered(bytes)
-        } else {
-            SessionOutcome::Failed(SessionFailure::CrcMismatch)
+    /// The terminal outcome of a complete window: the CRC-verified
+    /// message, or a CRC mismatch.
+    fn outcome(&self) -> SessionOutcome {
+        match self.win.assemble() {
+            Some(bytes) => SessionOutcome::Delivered(bytes),
+            None => SessionOutcome::Failed(SessionFailure::CrcMismatch),
         }
     }
 
@@ -893,8 +945,8 @@ where
     };
 
     while stats.rounds < cfg.max_rounds {
-        if client.complete() {
-            let outcome = client.assemble();
+        if client.win.complete() {
+            let outcome = client.outcome();
             if rec.enabled() {
                 let delivered = matches!(outcome, SessionOutcome::Delivered(_));
                 rec.record(&done_event(&stats, delivered));
@@ -930,11 +982,11 @@ where
         let (q, expected_seq) = if client.pending_resync {
             (SessionQuery::Resync, None)
         } else {
-            match client.next_missing_slot() {
+            match client.win.next_missing_slot() {
                 None => (SessionQuery::Slide, None),
                 Some(k) => (
                     SessionQuery::Slot(k),
-                    Some(((client.base + k as usize) % 16) as u8),
+                    Some(((client.win.base() + k as usize) % 16) as u8),
                 ),
             }
         };
@@ -955,7 +1007,7 @@ where
         let needs_confirm_pre =
             client.diversity > 1 || client.history.iter().any(|&ok| !ok);
         let slot_abs = match q {
-            SessionQuery::Slot(k) => Some(client.base + k as usize),
+            SessionQuery::Slot(k) => Some(client.win.base() + k as usize),
             _ => None,
         };
         if let Some(abs) = slot_abs {
@@ -1081,7 +1133,7 @@ where
         // the store whenever that belief (or the query kind) changes.
         let fresh_copies = copies.len();
         if matches!(q, SessionQuery::Slide | SessionQuery::Resync) {
-            let key = (matches!(q, SessionQuery::Slide), client.base);
+            let key = (matches!(q, SessionQuery::Slide), client.win.base());
             if client.control_key != Some(key) {
                 client.control_soft.clear();
                 client.control_key = Some(key);
@@ -1107,7 +1159,7 @@ where
 
         match q {
             SessionQuery::Slot(k) => {
-                let abs = client.base + k as usize;
+                let abs = client.win.base() + k as usize;
                 let prior = client.attempts.get(abs).copied().unwrap_or(0);
                 if client.attempts.len() <= abs {
                     client.attempts.resize(abs + 1, 0);
@@ -1131,7 +1183,7 @@ where
                 }
                 match decoded {
                     Some((_, payload)) => {
-                        stats.payload_bits += client.store(abs, payload);
+                        stats.payload_bits += client.win.store(abs, payload);
                         if rec.enabled() {
                             rec.record(&Event::SessionChunk {
                                 round: stats.rounds as u64,
@@ -1177,7 +1229,7 @@ where
                         // `parse_base_report` successfully on this payload.
                         let base = parse_base_report(seq, &payload)
                             .expect("validated as a base report above"); // lint:allow(panic_freedom)
-                        client.base = base;
+                        client.win.set_base(base);
                         if rec.enabled() {
                             rec.record(&Event::SessionResync {
                                 round: stats.rounds as u64,
@@ -1202,12 +1254,13 @@ where
                         // A slide is only issued with the window fully
                         // decoded, so the header — and with it the total
                         // chunk count — is always in hand by now.
-                        let total = client.n_chunks.unwrap_or(usize::MAX);
-                        client.base = (client.base + client.cfg.window).min(total);
+                        let total = client.win.chunk_count().unwrap_or(usize::MAX);
+                        let base = (client.win.base() + cfg.window).min(total);
+                        client.win.set_base(base);
                         if rec.enabled() {
                             rec.record(&Event::SessionResync {
                                 round: stats.rounds as u64,
-                                base: client.base as u32,
+                                base: base as u32,
                             });
                         }
                         client.consecutive_losses = 0;
@@ -1228,8 +1281,8 @@ where
         }
     }
 
-    if client.complete() {
-        let outcome = client.assemble();
+    if client.win.complete() {
+        let outcome = client.outcome();
         if rec.enabled() {
             let delivered = matches!(outcome, SessionOutcome::Delivered(_));
             rec.record(&done_event(&stats, delivered));
@@ -1816,6 +1869,24 @@ mod tests {
         s.commit(&SessionQuery::Slot(0));
         s.commit(&SessionQuery::Slide);
         assert_eq!(s.base(), 8);
+    }
+
+    #[test]
+    fn receive_window_reassembles_what_the_sender_serves() {
+        let message = b"one window for every driver";
+        let sender = SessionSender::new(message, 4).unwrap();
+        let mut win = ReceiveWindow::new(4);
+        assert_eq!(win.store(0, vec![0; 5]), 0, "a short payload is ignored");
+        assert_eq!(win.assemble(), None);
+        for abs in 0..sender.chunk_count() {
+            let (_, payload) = decode_chunk(&encode_chunk(0, &sender.chunks[abs], 62).unwrap(), 62)
+                .unwrap();
+            assert_eq!(win.store(abs, payload.clone()), CHUNK_PAYLOAD_BITS);
+            assert_eq!(win.store(abs, payload), 0, "a duplicate recovers nothing");
+        }
+        assert_eq!(win.chunk_count(), Some(sender.chunk_count()));
+        assert!(win.complete());
+        assert_eq!(win.assemble().as_deref(), Some(&message[..]));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!
 //! This module produces exchange durations — with random backoff drawn
 //! from the contention window — and implements binary exponential backoff
-//! for retries. It is an airtime model, not a full CSMA state machine:
-//! the reproduction's experiments run a single saturated querier (like
-//! the paper's), so inter-station collision dynamics reduce to the
-//! configured interference process in `witag-channel`.
+//! for retries. The single-querier experiments (like the paper's) use it
+//! as an airtime model: inter-station collision dynamics reduce to the
+//! configured interference process in `witag-channel`. Where several
+//! stations share one medium — the [`dcf`](crate::dcf) simulator and the
+//! `witag-net` fleet and metro engines — each round of countdown goes
+//! through the one [`contend`] function over [`Station`]s.
 
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::params::timing;
@@ -44,8 +46,12 @@ impl Contention {
 
     /// Draw a backoff duration for a new transmission attempt.
     pub fn draw_backoff(&self, rng: &mut Rng) -> Duration {
-        let slots = rng.below(self.cw as u64 + 1);
-        timing::SLOT * slots
+        timing::SLOT * self.draw_slots(rng)
+    }
+
+    /// Draw a backoff counter, in slots, uniform over `0..=window`.
+    fn draw_slots(&self, rng: &mut Rng) -> u64 {
+        rng.below(self.cw as u64 + 1)
     }
 
     /// Record a failed exchange: double the window up to CWmax.
@@ -57,6 +63,103 @@ impl Contention {
     pub fn on_success(&mut self) {
         self.cw = timing::CW_MIN;
     }
+}
+
+/// One station on a shared medium: its contention window plus the
+/// backoff counter it froze when another station won the countdown.
+#[derive(Debug, Clone, Default)]
+pub struct Station {
+    contention: Contention,
+    frozen: Option<u64>,
+}
+
+impl Station {
+    /// Current contention window (slots).
+    pub fn window(&self) -> u32 {
+        self.contention.window()
+    }
+
+    /// Backoff slots still to count down, if the station holds a
+    /// counter from an earlier round.
+    pub fn frozen(&self) -> Option<u64> {
+        self.frozen
+    }
+}
+
+impl AsMut<Station> for Station {
+    fn as_mut(&mut self) -> &mut Station {
+        self
+    }
+}
+
+/// What one contention round decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Round {
+    /// Idle slots counted down before the winners transmitted.
+    pub slots: u64,
+    /// The contenders whose counters reached zero together, in
+    /// contender order: one is a grant, several are a collision.
+    pub winners: Vec<usize>,
+}
+
+impl Round {
+    /// Time from the medium going idle to the winners' transmission:
+    /// DIFS plus the counted slots.
+    pub fn wait(&self) -> Duration {
+        timing::DIFS + timing::SLOT * self.slots
+    }
+
+    /// Whether several stations transmitted at once.
+    pub fn collided(&self) -> bool {
+        self.winners.len() > 1
+    }
+}
+
+/// Run one DCF contention round among `contenders`, indices into
+/// `stations` in the order their counters are drawn.
+///
+/// Each contender without a counter draws one from its window; a
+/// contender that holds a frozen counter keeps it. All contenders count
+/// down by the smallest counter, and the ones that reach zero win. A
+/// lone winner resets its window to CWmin, colliding winners double
+/// theirs, and every winner drops its counter so it draws afresh next
+/// time. Stations not named in `contenders` are left untouched.
+pub fn contend<S: AsMut<Station>>(
+    stations: &mut [S],
+    contenders: &[usize],
+    rng: &mut Rng,
+) -> Round {
+    let mut min: Option<u64> = None;
+    for &i in contenders {
+        if let Some(s) = stations.get_mut(i) {
+            let s = s.as_mut();
+            let left = *s.frozen.get_or_insert_with(|| s.contention.draw_slots(rng));
+            min = Some(min.map_or(left, |m| m.min(left)));
+        }
+    }
+    let slots = min.unwrap_or(0);
+    let mut winners = Vec::new();
+    for &i in contenders {
+        if let Some(left) = stations.get_mut(i).and_then(|s| s.as_mut().frozen.as_mut()) {
+            if *left == slots {
+                winners.push(i);
+            }
+            *left -= slots;
+        }
+    }
+    let collided = winners.len() > 1;
+    for &i in &winners {
+        if let Some(s) = stations.get_mut(i) {
+            let s = s.as_mut();
+            if collided {
+                s.contention.on_failure();
+            } else {
+                s.contention.on_success();
+            }
+            s.frozen = None;
+        }
+    }
+    Round { slots, winners }
 }
 
 /// Timing breakdown of one query exchange.
@@ -125,6 +228,20 @@ mod tests {
         assert_eq!(c.window(), timing::CW_MAX);
         c.on_success();
         assert_eq!(c.window(), timing::CW_MIN);
+    }
+
+    #[test]
+    fn lone_contender_wins_and_resets_its_window() {
+        let mut rng = Rng::seed_from_u64(4);
+        let mut stations = vec![Station::default(); 2];
+        let round = contend(&mut stations, &[1], &mut rng);
+        assert_eq!(round.winners, vec![1]);
+        assert!(!round.collided());
+        assert!(round.slots <= timing::CW_MIN as u64);
+        assert_eq!(round.wait(), timing::DIFS + timing::SLOT * round.slots);
+        assert_eq!(stations[1].frozen(), None);
+        assert_eq!(stations[1].window(), timing::CW_MIN);
+        assert_eq!(stations[0].frozen(), None, "a station outside the round never draws");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! retry until delivered) since saturated fairness and collision
 //! probability — what the tests pin — do not depend on them.
 
-use crate::access::Contention;
+use crate::access::{contend, Station};
 use witag_phy::params::timing;
 use witag_sim::rng::Rng;
 use witag_sim::time::{Duration, Instant};
@@ -28,8 +28,7 @@ pub struct DcfStation {
     /// `None` = saturated (always has a frame); `Some(rate)` = Poisson
     /// arrivals at `rate` frames/s.
     pub arrival_rate: Option<f64>,
-    contention: Contention,
-    backoff_slots: Option<u64>,
+    access: Station,
     next_arrival: Option<Instant>,
     queued: usize,
     /// Completed exchanges.
@@ -46,8 +45,7 @@ impl DcfStation {
         DcfStation {
             exchange_airtime,
             arrival_rate: None,
-            contention: Contention::new(),
-            backoff_slots: None,
+            access: Station::default(),
             next_arrival: None,
             queued: 1,
             delivered: 0,
@@ -67,6 +65,12 @@ impl DcfStation {
 
     fn has_frame(&self) -> bool {
         self.queued > 0 || self.arrival_rate.is_none()
+    }
+}
+
+impl AsMut<Station> for DcfStation {
+    fn as_mut(&mut self) -> &mut Station {
+        &mut self.access
     }
 }
 
@@ -140,18 +144,15 @@ pub fn simulate(stations: &mut [DcfStation], horizon: Duration, seed: u64) -> Dc
             }
         }
 
-        // Stations with frames draw/hold backoff counters.
-        let mut any_ready = false;
-        for s in stations.iter_mut() {
-            if s.has_frame() {
-                any_ready = true;
-                if s.backoff_slots.is_none() {
-                    s.backoff_slots =
-                        Some(s.contention.draw_backoff(&mut rng).as_nanos() / timing::SLOT.as_nanos());
-                }
-            }
-        }
-        if !any_ready {
+        // Stations with frames contend: everyone waits DIFS, then counts
+        // down together.
+        let contenders: Vec<usize> = stations
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.has_frame())
+            .map(|(i, _)| i)
+            .collect();
+        if contenders.is_empty() {
             // Idle until the next arrival.
             let next = stations
                 .iter()
@@ -162,55 +163,33 @@ pub fn simulate(stations: &mut [DcfStation], horizon: Duration, seed: u64) -> Dc
             continue;
         }
 
-        // Everyone waits DIFS, then counts down together.
-        let min_slots = stations
-            .iter()
-            .filter(|s| s.has_frame())
-            .filter_map(|s| s.backoff_slots)
-            .min()
-            .unwrap_or(0);
-        now += timing::DIFS + timing::SLOT * min_slots;
+        let round = contend(stations, &contenders, &mut rng);
+        now += round.wait();
 
-        let winners: Vec<usize> = stations
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.has_frame() && s.backoff_slots == Some(min_slots))
-            .map(|(i, _)| i)
-            .collect();
-        for s in stations.iter_mut() {
-            if let Some(b) = s.backoff_slots.as_mut() {
-                *b -= min_slots.min(*b);
-            }
-        }
-
-        if winners.len() == 1 {
-            let w = &mut stations[winners[0]]; // lint:allow(panic_path) winners holds enumerate() indices of stations, len checked above
+        if let [w] = round.winners[..] {
+            let w = &mut stations[w]; // lint:allow(panic_path) winners are contender indices into stations
             now += w.exchange_airtime;
             w.delivered += 1;
             w.airtime_used += w.exchange_airtime;
             if w.arrival_rate.is_some() {
                 w.queued -= 1;
             }
-            w.contention.on_success();
-            w.backoff_slots = None;
             successes += 1;
         } else {
-            // Collision: medium busy for the longest involved frame; all
-            // involved double their windows and redraw.
+            // Collision: medium busy for the longest involved frame; the
+            // round has already doubled the colliders' windows.
             collision_events += 1;
             // A collision involves ≥ 2 winners, so the maximum exists; the
             // fold makes that total without a panic path.
-            let busy = winners
+            let busy = round
+                .winners
                 .iter()
                 .map(|&i| stations[i].exchange_airtime)
                 .fold(Duration::ZERO, Duration::max);
             now += busy;
-            for &i in &winners {
-                let s = &mut stations[i];
-                s.collisions += 1;
+            for &i in &round.winners {
+                stations[i].collisions += 1;
                 collision_participations += 1;
-                s.contention.on_failure();
-                s.backoff_slots = None;
             }
         }
     }

@@ -1,11 +1,15 @@
 //! Property-based tests for the MAC: aggregation geometry, corruption
 //! containment, block-ACK bitmap correctness — for arbitrary MPDU mixes
-//! and arbitrary damage.
+//! and arbitrary damage — and the DCF contention round for arbitrary
+//! station states.
 
 use proptest::prelude::*;
+use witag_mac::access::{contend, Station};
 use witag_mac::ampdu::{aggregate, deaggregate, Mpdu};
 use witag_mac::blockack::BlockAck;
 use witag_mac::header::{Addr, FrameKind, MacHeader};
+use witag_phy::params::timing;
+use witag_sim::Rng;
 
 fn mpdu(seq: u16, payload_len: usize) -> Mpdu {
     let mut h = MacHeader::qos_null(Addr::local(1), Addr::local(2), Addr::local(1), seq % 4096);
@@ -145,6 +149,71 @@ proptest! {
         let outcomes = deaggregate(&garbage);
         for o in outcomes {
             prop_assert!(o.mpdu.is_none());
+        }
+    }
+
+    #[test]
+    fn contention_round_draws_counts_down_and_picks_the_minimum(
+        seed in any::<u64>(),
+        stations_n in 1usize..12,
+        warmup in 0usize..8,
+        joins in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        // Warm-up rounds over random subsets leave a random mix of
+        // windows and frozen counters: losers hold one, winners and
+        // stations that never contended do not.
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut stations = vec![Station::default(); stations_n];
+        for _ in 0..warmup {
+            let subset: Vec<usize> = (0..stations_n).filter(|_| rng.chance(0.6)).collect();
+            contend(&mut stations, &subset, &mut rng);
+        }
+        let contenders: Vec<usize> = (0..stations_n).filter(|&i| joins[i]).collect();
+        let before = stations.clone();
+
+        // The counters the round should use: a frozen one is kept, a
+        // missing one is drawn uniformly from 0..=window, in contender
+        // order, from the same stream.
+        let mut reference = rng.clone();
+        let counters: Vec<u64> = contenders
+            .iter()
+            .map(|&i| {
+                before[i]
+                    .frozen()
+                    .unwrap_or_else(|| reference.below(before[i].window() as u64 + 1))
+            })
+            .collect();
+        let round = contend(&mut stations, &contenders, &mut rng);
+        prop_assert_eq!(rng.next_u64(), reference.next_u64(), "only stations without a counter draw");
+
+        let min = counters.iter().copied().min().unwrap_or(0);
+        prop_assert_eq!(round.slots, min);
+        let winners: Vec<usize> = contenders
+            .iter()
+            .zip(&counters)
+            .filter(|&(_, &c)| c == min)
+            .map(|(&i, _)| i)
+            .collect();
+        prop_assert_eq!(&round.winners, &winners, "exactly the stations at the minimum win");
+        prop_assert_eq!(round.collided(), winners.len() > 1);
+
+        for (&i, &c) in contenders.iter().zip(&counters) {
+            if winners.contains(&i) {
+                let window = if round.collided() {
+                    ((before[i].window() + 1) * 2 - 1).min(timing::CW_MAX)
+                } else {
+                    timing::CW_MIN
+                };
+                prop_assert_eq!(stations[i].frozen(), None, "a winner draws afresh next time");
+                prop_assert_eq!(stations[i].window(), window);
+            } else {
+                prop_assert_eq!(stations[i].frozen(), Some(c - min), "losers count down by the minimum");
+                prop_assert_eq!(stations[i].window(), before[i].window());
+            }
+        }
+        for i in (0..stations_n).filter(|i| !contenders.contains(i)) {
+            prop_assert_eq!(stations[i].frozen(), before[i].frozen(), "outsiders keep their counter");
+            prop_assert_eq!(stations[i].window(), before[i].window());
         }
     }
 }

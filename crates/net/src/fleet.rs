@@ -1,9 +1,9 @@
 //! The fleet network layer: N clients × M tags on one shared medium.
 //!
-//! A deterministic discrete-event simulation built on
-//! [`witag_sim::EventQueue`]: clients contend for medium access with the
-//! same binary-exponential backoff the [`witag_mac::dcf`] simulator
-//! models, every grant runs one query round of one tag's concurrent
+//! A deterministic discrete-event simulation that steps from one medium
+//! access to the next: clients contend through the same DCF round
+//! ([`witag_mac::access::contend`]) as the [`witag_mac::dcf`] simulator,
+//! every grant runs one query round of one tag's concurrent
 //! [`SessionSender`] session, and airtime comes from the real PHY
 //! arithmetic (`witag_phy::ppdu::PhyConfig::airtime` plus SIFS and a
 //! legacy-rate block ACK). When two clients' backoff counters expire
@@ -30,12 +30,11 @@
 
 use witag::fountain::{FountainQuery, FountainReceiver, FountainSender};
 use witag::tagnet::{
-    decode_chunk, parse_base_report, SessionQuery, SessionSender, TagnetError,
-    CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
+    decode_chunk, parse_base_report, ReceiveWindow, SessionQuery, SessionSender, TagnetError,
+    MIN_CHANNEL_BITS,
 };
-use witag_crypto::crc8;
 use witag_faults::{FaultInjector, FaultPlan, RoundFaults};
-use witag_mac::access::Contention;
+use witag_mac::access::{contend, Station};
 use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::mcs::Mcs;
@@ -43,7 +42,7 @@ use witag_phy::params::timing;
 use witag_phy::ppdu::PhyConfig;
 use witag_sim::stats::SampleSet;
 use witag_sim::time::{Duration, Instant};
-use witag_sim::{par_map, EventQueue, Rng};
+use witag_sim::{par_map, Rng};
 
 use crate::predict::TrafficPredictor;
 use crate::scheduler::{Candidate, Scheduler, SchedulerKind};
@@ -63,9 +62,18 @@ const DRIFT_SMEAR_FLIP: f64 = 0.3;
 /// cooldown and the scheduler stops offering it.
 const COOLDOWN_AFTER: u32 = 2;
 
-/// Cooldown growth cap: `exchange_airtime << 6` = 64 exchanges, small
-/// enough that a duty-cycled tag's ON window is never skipped whole.
+/// Cooldown growth cap: `exchange << 6` = 64 exchanges, small enough
+/// that a duty-cycled tag's ON window is never skipped whole.
 const COOLDOWN_CAP_EXP: u32 = 6;
+
+/// The cooldown rule both engines apply after a round: a link that has
+/// now been dead `dead_streak` rounds in a row sits out
+/// `exchange × 2^min(streak, 6)` once the streak reaches 2, and is
+/// servable again at once before that (`None`).
+pub(crate) fn cooldown(dead_streak: u32, exchange: Duration) -> Option<Duration> {
+    (dead_streak >= COOLDOWN_AFTER)
+        .then(|| exchange * (1u64 << dead_streak.min(COOLDOWN_CAP_EXP)))
+}
 
 /// Busy forecast above which the `pred` policy defers all but one
 /// contending client. Below it the medium is calm enough that ordinary
@@ -395,132 +403,6 @@ impl FleetReport {
     }
 }
 
-/// Client-side steppable session state: the selective-repeat bookkeeping
-/// of `tagnet::run_session`'s driver, reduced to what a multiplexed
-/// fleet needs (one decode per round, no diversity batching — the
-/// scheduler decides when this tag gets another round, not the flow).
-#[derive(Debug, Clone)]
-struct FlowClient {
-    window: usize,
-    /// Client's belief of the tag window base; only updated from
-    /// decoded base reports, so it cannot silently diverge.
-    base: usize,
-    got: Vec<Option<Vec<u8>>>,
-    n_chunks: Option<usize>,
-    header: Option<(usize, u8)>,
-    pending_resync: bool,
-}
-
-impl FlowClient {
-    fn new(window: usize) -> Self {
-        FlowClient {
-            window,
-            base: 0,
-            got: vec![None],
-            n_chunks: None,
-            header: None,
-            pending_resync: false,
-        }
-    }
-
-    fn have(&self, abs: usize) -> bool {
-        self.got.get(abs).is_some_and(|c| c.is_some())
-    }
-
-    /// First missing slot in the current window (before the header
-    /// decodes, only chunk 0 is actionable).
-    fn next_missing_slot(&self) -> Option<u8> {
-        let end = self.n_chunks.unwrap_or(1);
-        (0..self.window as u8).find(|&k| {
-            let abs = self.base + k as usize;
-            abs < end && !self.have(abs)
-        })
-    }
-
-    fn next_query(&self) -> SessionQuery {
-        if self.pending_resync {
-            return SessionQuery::Resync;
-        }
-        match self.next_missing_slot() {
-            Some(k) => SessionQuery::Slot(k),
-            None => SessionQuery::Slide,
-        }
-    }
-
-    /// Fold one readout in; returns freshly recovered payload bits.
-    fn absorb(&mut self, q: &SessionQuery, readout: Option<&[u8]>, channel_bits: usize) -> usize {
-        let Some(bits) = readout else { return 0 };
-        if bits.iter().all(|&b| b == 1) {
-            return 0; // dead air: the tag never modulated
-        }
-        let Some((seq, payload)) = decode_chunk(bits, channel_bits) else {
-            return 0; // chunk CRC failed (noise, collision overlap)
-        };
-        match *q {
-            SessionQuery::Slot(k) => {
-                let abs = self.base + k as usize;
-                if seq == (abs % 16) as u8 {
-                    self.store(abs, payload)
-                } else {
-                    // Decodable but stale: the tag's window is
-                    // elsewhere — re-learn the base before spending
-                    // more slot queries.
-                    self.pending_resync = true;
-                    0
-                }
-            }
-            SessionQuery::Slide | SessionQuery::Resync => {
-                if let Some(base) = parse_base_report(seq, &payload) {
-                    self.base = base;
-                    self.pending_resync = false;
-                }
-                0
-            }
-            SessionQuery::Idle => 0,
-        }
-    }
-
-    fn store(&mut self, abs: usize, payload: Vec<u8>) -> usize {
-        if self.got.len() <= abs {
-            self.got.resize(abs + 1, None);
-        }
-        if self.got[abs].is_some() { // lint:allow(panic_path) resized to abs + 1 above
-            return 0; // duplicate
-        }
-        if abs == 0 {
-            let len = payload[..12]
-                .iter()
-                .fold(0usize, |acc, &b| (acc << 1) | b as usize);
-            let hcrc = payload[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
-            self.header = Some((len, hcrc));
-            self.n_chunks = Some(1 + (len * 8).div_ceil(CHUNK_PAYLOAD_BITS));
-        }
-        self.got[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 above
-        CHUNK_PAYLOAD_BITS
-    }
-
-    fn complete(&self) -> bool {
-        self.n_chunks.is_some_and(|n| (0..n).all(|abs| self.have(abs)))
-    }
-
-    /// Reassemble and CRC-check the message; `None` on CRC mismatch
-    /// (or if called before completion).
-    fn assemble(&self) -> Option<Vec<u8>> {
-        let (len, hcrc) = self.header?;
-        let n = self.n_chunks?;
-        let mut bits = Vec::with_capacity(n.saturating_sub(1) * CHUNK_PAYLOAD_BITS);
-        for abs in 1..n {
-            bits.extend_from_slice(self.got.get(abs)?.as_deref()?);
-        }
-        let bytes: Vec<u8> = bits
-            .chunks(8)
-            .take(len)
-            .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-            .collect();
-        (bytes.len() == len && crc8(&bytes) == hcrc).then_some(bytes)
-    }
-}
-
 /// One round's query, over either transport.
 enum ProtoQuery {
     Arq(SessionQuery),
@@ -531,11 +413,15 @@ enum ProtoQuery {
 /// side of whichever transport the fleet runs, reduced to the
 /// serve/commit/absorb/complete shape `TagLink::run_round` drives.
 enum LinkProto {
-    /// Selective-repeat ARQ: `SessionSender` + the steppable
-    /// `FlowClient` bookkeeping.
+    /// Selective-repeat ARQ: `SessionSender` + the client's
+    /// `ReceiveWindow`, one decode per round (no diversity batching: the
+    /// scheduler decides when this tag gets another round). A stale
+    /// sequence number sets `resync`, so the next query re-learns the
+    /// tag's base before spending more slot queries.
     Arq {
         sender: SessionSender,
-        flow: FlowClient,
+        win: ReceiveWindow,
+        resync: bool,
     },
     /// Rateless fountain: `FountainSender` + `FountainReceiver`
     /// (boxed: the receiver's decoder state dwarfs the ARQ variant).
@@ -549,8 +435,12 @@ impl LinkProto {
     /// The next query and the bits the tag would modulate for it.
     fn serve(&self, channel_bits: usize) -> Result<(ProtoQuery, Vec<u8>), TagnetError> {
         match self {
-            LinkProto::Arq { sender, flow } => {
-                let q = flow.next_query();
+            LinkProto::Arq { sender, win, resync } => {
+                let q = if *resync {
+                    SessionQuery::Resync
+                } else {
+                    win.next_missing_slot().map_or(SessionQuery::Slide, SessionQuery::Slot)
+                };
                 let tx = sender.serve(&q, channel_bits)?;
                 Ok((ProtoQuery::Arq(q), tx))
             }
@@ -575,8 +465,32 @@ impl LinkProto {
     /// payload bits.
     fn absorb(&mut self, q: &ProtoQuery, readout: Option<&[u8]>, channel_bits: usize) -> usize {
         match (self, q) {
-            (LinkProto::Arq { flow, .. }, ProtoQuery::Arq(q)) => {
-                flow.absorb(q, readout, channel_bits)
+            (LinkProto::Arq { win, resync, .. }, ProtoQuery::Arq(q)) => {
+                // Dead air (the tag never modulated) and chunk-CRC
+                // failures (noise, collision overlap) recover nothing.
+                let Some(bits) = readout.filter(|bits| !bits.iter().all(|&b| b == 1)) else {
+                    return 0;
+                };
+                let Some((seq, payload)) = decode_chunk(bits, channel_bits) else {
+                    return 0;
+                };
+                match *q {
+                    SessionQuery::Slot(k) => {
+                        let abs = win.base() + k as usize;
+                        if seq == (abs % 16) as u8 {
+                            return win.store(abs, payload);
+                        }
+                        *resync = true;
+                    }
+                    SessionQuery::Slide | SessionQuery::Resync => {
+                        if let Some(base) = parse_base_report(seq, &payload) {
+                            win.set_base(base);
+                            *resync = false;
+                        }
+                    }
+                    SessionQuery::Idle => {}
+                }
+                0
             }
             (LinkProto::Fountain { recv, .. }, ProtoQuery::Fountain(q)) => {
                 recv.absorb(q, readout, channel_bits).solved_bits
@@ -587,14 +501,14 @@ impl LinkProto {
 
     fn complete(&self) -> bool {
         match self {
-            LinkProto::Arq { flow, .. } => flow.complete(),
+            LinkProto::Arq { win, .. } => win.complete(),
             LinkProto::Fountain { recv, .. } => recv.complete(),
         }
     }
 
     fn assemble(&self) -> Option<Vec<u8>> {
         match self {
-            LinkProto::Arq { flow, .. } => flow.assemble(),
+            LinkProto::Arq { win, .. } => win.assemble(),
             LinkProto::Fountain { recv, .. } => recv.assemble(),
         }
     }
@@ -688,13 +602,8 @@ impl TagLink {
             self.ready_at = t_end;
         } else {
             self.dead_streak = self.dead_streak.saturating_add(1);
-            if self.dead_streak >= COOLDOWN_AFTER {
-                let exp = self.dead_streak.min(COOLDOWN_CAP_EXP);
-                let mult = 1u64 << exp;
-                self.ready_at = t_end + self.exchange * mult;
-            } else {
-                self.ready_at = t_end;
-            }
+            let wait = cooldown(self.dead_streak, self.exchange).unwrap_or(Duration::ZERO);
+            self.ready_at = t_end + wait;
         }
         if !self.done && self.proto.complete() {
             self.done = true;
@@ -722,13 +631,6 @@ impl TagLink {
     }
 }
 
-/// Per-client MAC state: persistent backoff counter plus the policy.
-struct ClientState {
-    contention: Contention,
-    backoff_slots: Option<u64>,
-    sched: Box<dyn Scheduler>,
-}
-
 fn build_links(cfg: &FleetConfig) -> Result<Vec<TagLink>, NetError> {
     let phy = PhyConfig::new(Mcs::ht(4));
     let mut links = Vec::with_capacity(cfg.profiles.len());
@@ -742,7 +644,8 @@ fn build_links(cfg: &FleetConfig) -> Result<Vec<TagLink>, NetError> {
         let proto = match cfg.transport {
             Transport::Arq => LinkProto::Arq {
                 sender: SessionSender::new(&prof.message, cfg.window)?,
-                flow: FlowClient::new(cfg.window),
+                win: ReceiveWindow::new(cfg.window),
+                resync: false,
             },
             Transport::Fountain => LinkProto::Fountain {
                 sender: FountainSender::new(&prof.message)?,
@@ -789,13 +692,9 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
         return Err(NetError::NoTags);
     }
     let mut links = build_links(cfg)?;
-    let mut clients: Vec<ClientState> = (0..cfg.clients)
-        .map(|_| ClientState {
-            contention: Contention::new(),
-            backoff_slots: None,
-            sched: cfg.scheduler.build(),
-        })
-        .collect();
+    let mut stations = vec![Station::default(); cfg.clients];
+    let mut scheds: Vec<Box<dyn Scheduler>> =
+        (0..cfg.clients).map(|_| cfg.scheduler.build()).collect();
     let mut mac_rng = Rng::seed_from_u64(cfg.seed).fork(0x3AC);
     if rec.enabled() {
         for (tag, link) in links.iter().enumerate() {
@@ -808,8 +707,6 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
         }
     }
 
-    let mut queue: EventQueue<()> = EventQueue::new();
-    queue.schedule(Instant::ZERO, ());
     let end = Instant::ZERO + cfg.horizon;
     let ignore_cooldown = cfg.scheduler.ignores_cooldown();
     let pred_active = matches!(cfg.scheduler, SchedulerKind::Pred);
@@ -822,12 +719,10 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
     let mut collisions = 0u64;
     let mut elapsed = Duration::ZERO;
 
-    while let Some(wake) = queue.pop() {
-        let now = wake.at;
-        if now >= end || links.iter().all(|l| l.done) {
-            break;
-        }
-
+    // The loop steps from one medium access to the next: `now` is when
+    // the medium next goes idle, or the earliest cooldown expiry.
+    let mut now = Instant::ZERO;
+    while now < end && !links.iter().all(|l| l.done) {
         // Servable tags per client, in ascending tag order.
         let mut per_client: Vec<Vec<Candidate>> = vec![Vec::new(); cfg.clients];
         for (tag, link) in links.iter().enumerate() {
@@ -849,7 +744,7 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
             // expiry (cheap — no airtime is burned).
             match links.iter().filter(|l| !l.done).map(|l| l.ready_at).min() {
                 Some(t) => {
-                    queue.schedule(t.max(now + timing::SLOT), ());
+                    now = t.max(now + timing::SLOT);
                     continue;
                 }
                 None => break,
@@ -896,40 +791,17 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
             });
         }
 
-        // DCF access: draw/hold per-client backoff counters, count down
-        // together; simultaneous expiry is a collision.
-        for &c in &contenders {
-            let st = &mut clients[c];
-            if st.backoff_slots.is_none() {
-                st.backoff_slots = Some(
-                    st.contention.draw_backoff(&mut mac_rng).as_nanos()
-                        / timing::SLOT.as_nanos(),
-                );
-            }
-        }
-        let min_slots = contenders
-            .iter()
-            .filter_map(|&c| clients[c].backoff_slots)
-            .min()
-            .unwrap_or(0);
-        let t_access = now + timing::DIFS + timing::SLOT * min_slots;
-        let winners: Vec<usize> = contenders
-            .iter()
-            .copied()
-            .filter(|&c| clients[c].backoff_slots == Some(min_slots))
-            .collect();
-        for &c in &contenders {
-            if let Some(b) = clients[c].backoff_slots.as_mut() {
-                *b -= min_slots.min(*b);
-            }
-        }
+        // DCF access: simultaneous expiry is a collision.
+        let round = contend(&mut stations, &contenders, &mut mac_rng);
+        let t_access = now + round.wait();
 
         // Every winner's scheduler picks its tag; picks transmit
         // simultaneously.
-        let picks: Vec<(usize, usize)> = winners
+        let picks: Vec<(usize, usize)> = round
+            .winners
             .iter()
             .map(|&c| {
-                let pos = clients[c].sched.pick(&per_client[c]);
+                let pos = scheds[c].pick(&per_client[c]);
                 (c, per_client[c][pos].tag) // lint:allow(panic_path) pick() returns an index into the slice it was given
             })
             .collect();
@@ -953,9 +825,7 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
             let own = links[tag].exchange;
             let alive = links[tag].run_round(&mut mac_rng, t_access, None)?;
             let completed = links[tag].finish_round(own, alive, t_end);
-            clients[c].sched.on_served(tag, own);
-            clients[c].contention.on_success();
-            clients[c].backoff_slots = None;
+            scheds[c].on_served(tag, own);
             if completed && rec.enabled() {
                 record_session_done(rec, fleet_round, tag, &links[tag]);
             }
@@ -979,9 +849,7 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
                     other_max.min(own).as_nanos() as f64 / own.as_nanos().max(1) as f64;
                 let alive = links[tag].run_round(&mut mac_rng, t_access, Some(frac))?;
                 let completed = links[tag].finish_round(own, alive, t_end);
-                clients[c].sched.on_served(tag, own);
-                clients[c].contention.on_failure();
-                clients[c].backoff_slots = None;
+                scheds[c].on_served(tag, own);
                 if completed && rec.enabled() {
                     record_session_done(rec, fleet_round, tag, &links[tag]);
                 }
@@ -990,7 +858,7 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
         predictor.observe(picks.len() > 1, busy);
         fleet_round += 1;
         elapsed = t_end.min(end) - Instant::ZERO;
-        queue.schedule(t_end, ());
+        now = t_end;
     }
 
     Ok(FleetReport {

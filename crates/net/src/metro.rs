@@ -20,7 +20,7 @@
 //!   Readers contend CSMA-style only inside their domain, and
 //!   non-interfering domains advance completely independently — which
 //!   is what makes the engine parallel without a global lock step.
-//! * **Struct-of-arrays tag state.** A [`TagStore`]'s parallel `Vec`s
+//! * **Struct-of-arrays tag state.** A `TagStore`'s parallel `Vec`s
 //!   (duty phase, cooldown streak, chunks remaining, airtime, DRR
 //!   credit) replace `run_fleet`'s per-tag heap objects — the same SoA
 //!   trick the PR-7 PHY kernels used, here so a million tags fit in a
@@ -49,19 +49,21 @@
 //! any thread count (pinned by `tests/net_determinism.rs`).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use witag::tagnet::{CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS};
-use witag_mac::access::Contention;
+use witag_mac::access::{contend, Station};
 use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::mcs::Mcs;
 use witag_phy::params::timing;
 use witag_phy::ppdu::PhyConfig;
 use witag_sim::geom::Point2;
+use witag_sim::stats::SampleSet;
 use witag_sim::time::{Duration, Instant};
 use witag_sim::{par_map, CalendarQueue, Rng};
 
-use crate::fleet::{DutyCycle, NetError, MARKER_AIRTIME};
+use crate::fleet::{cooldown, DutyCycle, NetError, MARKER_AIRTIME};
 use crate::scheduler::SchedulerKind;
 
 /// Side of one square metro cell, metres — a warehouse aisle block or
@@ -72,13 +74,6 @@ pub const CELL_SIZE_M: f64 = 20.0;
 /// even co-channel (backscatter links are short and readers are
 /// down-tilted; 25 m > one diagonal cell pitch, < two cell pitches).
 pub const INTERFERENCE_RANGE_M: f64 = 25.0;
-
-/// Consecutive dead (unmodulated) rounds before a link enters
-/// cooldown — same inference rule as the full-fidelity engine.
-const COOLDOWN_AFTER: u8 = 2;
-
-/// Cooldown growth cap: `exchange << 6` = 64 exchanges.
-const COOLDOWN_CAP_EXP: u8 = 6;
 
 /// Per-round chunk failure probability at zero reader distance (chunk
 /// CRC rejects: residual noise the FEC did not clean).
@@ -274,15 +269,14 @@ impl MetroReport {
     }
 
     /// The `p`-th percentile of delivery latencies, microseconds
-    /// (`None` when nothing was delivered). Nearest-rank on the
-    /// sorted sample.
+    /// (`None` when nothing was delivered), interpolated like
+    /// [`FleetReport::latency_percentile`](crate::FleetReport::latency_percentile).
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        if self.latencies_us.is_empty() {
-            return None;
+        let mut samples = SampleSet::new();
+        for &lat in &self.latencies_us {
+            samples.push(lat);
         }
-        let n = self.latencies_us.len();
-        let rank = ((p / 100.0) * (n as f64 - 1.0)).round().clamp(0.0, n as f64 - 1.0);
-        self.latencies_us.get(rank as usize).copied()
+        samples.percentile(p)
     }
 }
 
@@ -421,17 +415,12 @@ impl TagStore {
     }
 
     /// Whether tag `t` can respond at `now` under the config duty
-    /// cycle (always awake without one).
+    /// cycle, shifted by the tag's own phase (always awake without one).
     fn awake(&self, duty: Option<&DutyCycle>, t: usize, now: Instant) -> bool {
-        match duty {
-            None => true,
-            Some(d) => {
-                let period = d.period.as_nanos().max(1);
-                let phase = self.duty_phase_ns.get(t).copied().unwrap_or(0);
-                let x = (now.nanos() + phase) % period;
-                (x as f64) < d.on_fraction * period as f64
-            }
-        }
+        duty.is_none_or(|d| {
+            let phase = Duration::nanos(self.duty_phase_ns.get(t).copied().unwrap_or(0));
+            DutyCycle { phase, ..*d }.awake(now)
+        })
     }
 }
 
@@ -540,9 +529,8 @@ struct CellState {
     epoch_grants: u32,
     /// DRR replenish quantum, ns (cheapest batch in the cell).
     quantum_ns: u64,
-    /// Readers homed here: (global reader id, persistent contention
-    /// state, frozen backoff slots).
-    readers: Vec<(usize, Contention, Option<u64>)>,
+    /// This cell's readers: indices into the domain's stations.
+    readers: Range<usize>,
     /// Totals for the cell summary.
     grants: u64,
     collisions: u64,
@@ -581,11 +569,14 @@ fn simulate_domain(
     let mut rng = Rng::seed_from_u64(cfg.seed).fork(0x3E70).fork(domain as u64);
 
     // Per-cell state; local tag ids are grouped by cell in store
-    // construction order.
+    // construction order, and so are the domain's readers: each is
+    // (cell index, global reader id), with its DCF station alongside.
     let n_cells = topo.domain_cells[domain].len(); // lint:allow(panic_path) domain < topo.domains by caller contract
+    let mut reader_home: Vec<(usize, usize)> = Vec::new();
     let mut cells: Vec<CellState> = topo.domain_cells[domain] // lint:allow(panic_path) domain < topo.domains by caller contract
         .iter()
-        .map(|&c| CellState {
+        .enumerate()
+        .map(|(ci, &c)| CellState {
             cell: c,
             ring: VecDeque::new(),
             members: Vec::new(),
@@ -595,10 +586,11 @@ fn simulate_domain(
             budget_ns: 0,
             epoch_grants: 0,
             quantum_ns: u64::MAX,
-            readers: topo.cell_readers[c] // lint:allow(panic_path) c is a valid cell id from domain_cells
-                .iter()
-                .map(|&r| (r, Contention::new(), None))
-                .collect(),
+            readers: {
+                let first = reader_home.len();
+                reader_home.extend(topo.cell_readers[c].iter().map(|&r| (ci, r))); // lint:allow(panic_path) c is a valid cell id from domain_cells
+                first..reader_home.len()
+            },
             grants: 0,
             collisions: 0,
             airtime_ns: 0,
@@ -614,6 +606,7 @@ fn simulate_domain(
             cs.quantum_ns = cs.quantum_ns.min(cost);
         }
     }
+    let mut stations = vec![Station::default(); reader_home.len()];
 
     let epoch_ns = cfg.epoch.as_nanos().max(1_000_000); // ≥ 1 ms
     let end = Instant::ZERO + cfg.horizon;
@@ -681,9 +674,9 @@ fn simulate_domain(
 
         // Contending readers: every reader of a cell that has
         // servable work and epoch budget left.
-        let mut contenders: Vec<(usize, usize)> = Vec::new(); // (cell idx, reader idx)
+        let mut contenders: Vec<usize> = Vec::new();
         let mut budget_blocked = false;
-        for (ci, cs) in cells.iter().enumerate() {
+        for cs in cells.iter() {
             let has_work = if serial {
                 cs.remaining > 0
             } else {
@@ -696,9 +689,7 @@ fn simulate_domain(
                 budget_blocked = true;
                 continue;
             }
-            for ri in 0..cs.readers.len() {
-                contenders.push((ci, ri));
-            }
+            contenders.extend(cs.readers.clone());
         }
         if contenders.is_empty() {
             if budget_blocked {
@@ -710,48 +701,19 @@ fn simulate_domain(
             continue;
         }
 
-        // DCF: draw/hold per-reader backoff counters, count down
-        // together; simultaneous expiry is a collision.
-        for &(ci, ri) in &contenders {
-            if let Some(cs) = cells.get_mut(ci) {
-                if let Some((_, cont, slots)) = cs.readers.get_mut(ri) {
-                    if slots.is_none() {
-                        *slots = Some(
-                            cont.draw_backoff(&mut rng).as_nanos()
-                                / timing::SLOT.as_nanos(),
-                        );
-                    }
-                }
-            }
-        }
-        let min_slots = contenders
-            .iter()
-            .filter_map(|&(ci, ri)| {
-                cells.get(ci).and_then(|cs| cs.readers.get(ri)).and_then(|r| r.2)
-            })
-            .min()
-            .unwrap_or(0);
-        let t_access = now + timing::DIFS + timing::SLOT * min_slots;
-        let mut winners: Vec<(usize, usize)> = Vec::new();
-        for &(ci, ri) in &contenders {
-            if let Some(cs) = cells.get_mut(ci) {
-                if let Some((_, _, slots)) = cs.readers.get_mut(ri) {
-                    if *slots == Some(min_slots) {
-                        winners.push((ci, ri));
-                    }
-                    if let Some(b) = slots.as_mut() {
-                        *b -= min_slots.min(*b);
-                    }
-                }
-            }
-        }
-        let collided = winners.len() > 1;
+        // DCF: simultaneous expiry is a collision.
+        let round = contend(&mut stations, &contenders, &mut rng);
+        let t_access = now + round.wait();
+        let collided = round.collided();
 
         // Each winner's cell policy picks a tag; winners transmit
         // simultaneously (their batches overlap in the air).
         let mut t_end = t_access;
         let mut served: Vec<(usize, usize, u64)> = Vec::new(); // (cell, tag, spent ns)
-        for &(ci, ri) in &winners {
+        for &r in &round.winners {
+            let Some(&(ci, reader_global)) = reader_home.get(r) else {
+                continue;
+            };
             let Some(pick) = pick_tag(store, &mut cells, ci, policy) else {
                 // The cell's last servable tag vanished between the
                 // contention snapshot and now (same-access double win);
@@ -798,10 +760,6 @@ fn simulate_domain(
             if let Some(a) = store.airtime_ns.get_mut(t) {
                 *a += spent;
             }
-            let reader_global = cells
-                .get(ci)
-                .and_then(|cs| cs.readers.get(ri))
-                .map_or(0, |r| r.0);
             let t_busy = t_access + Duration::nanos(spent);
             t_end = t_end.max(t_busy);
             served.push((ci, t, spent));
@@ -832,12 +790,11 @@ fn simulate_domain(
                     *s = s.saturating_add(1);
                     *s
                 });
-                if !serial && streak >= COOLDOWN_AFTER {
-                    let exp = streak.min(COOLDOWN_CAP_EXP);
-                    let ready = t_busy + Duration::nanos(exch << exp);
-                    queue.schedule(ready.max(now), Wake::Ready(t as u32));
-                } else {
-                    requeue(store, &mut cells, ci, t, policy);
+                match cooldown(streak.into(), Duration::nanos(exch)).filter(|_| !serial) {
+                    Some(wait) => {
+                        queue.schedule((t_busy + wait).max(now), Wake::Ready(t as u32));
+                    }
+                    None => requeue(store, &mut cells, ci, t, policy),
                 }
             } else {
                 if let Some(s) = store.streak.get_mut(t) {
@@ -864,24 +821,12 @@ fn simulate_domain(
             if rec.enabled() {
                 rec.record(&Event::NetCollision {
                     round: access_round,
-                    clients: winners.len() as u32,
+                    clients: round.winners.len() as u32,
                     airtime_us: busy.as_nanos() / 1_000,
                 });
             }
         } else if !served.is_empty() {
             grants += 1;
-        }
-        for &(ci, ri) in &winners {
-            if let Some(cs) = cells.get_mut(ci) {
-                if let Some((_, cont, slots)) = cs.readers.get_mut(ri) {
-                    if collided {
-                        cont.on_failure();
-                    } else {
-                        cont.on_success();
-                    }
-                    *slots = None;
-                }
-            }
         }
         for &(ci, _, spent) in &served {
             if let Some(cs) = cells.get_mut(ci) {
@@ -1039,7 +984,9 @@ fn pick_tag(
 }
 
 /// Return a served, unfinished, non-cooling tag to its cell's
-/// servable structures, charging DRR credit for the airtime it burned.
+/// servable structures. Under `fair`/`pred` this charges the tag's DRR
+/// credit one exchange, whatever the batch actually spent (DESIGN.md
+/// §4j says why the charge stays that way).
 fn requeue(store: &mut TagStore, cells: &mut [CellState], ci: usize, t: usize, policy: SchedulerKind) {
     if matches!(policy, SchedulerKind::Fair | SchedulerKind::Pred) {
         let spent = store.exchange_ns.get(t).copied().unwrap_or(0) as u64;

@@ -18,8 +18,7 @@ pub const SCHEMA: &str = "witag-obs/2";
 
 /// Every event kind the schema knows, in emission-source order. The
 /// schema-coverage test asserts each appears in `docs/OBS_SCHEMA.md`;
-/// [`MetricsRecorder`](crate::MetricsRecorder) and
-/// [`TraceSummary`](crate::TraceSummary) index their per-kind counters
+/// [`TraceSummary`](crate::TraceSummary) indexes its per-kind counters
 /// by position in this list.
 pub const KINDS: [&str; 22] = [
     "phy_rx",

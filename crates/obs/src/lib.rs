@@ -25,10 +25,11 @@
 //!    a schema-coverage test keeps code and document in lockstep.
 //!
 //! Recorders shipped here: [`NullRecorder`] (detached default),
-//! [`JsonlRecorder`] (streaming JSON lines), [`MetricsRecorder`]
-//! (in-memory counters + fixed-bucket histograms), [`BufferRecorder`]
-//! (event capture for shard merging and tests) and [`SharedRecorder`]
+//! [`JsonlRecorder`] (streaming JSON lines), [`BufferRecorder`] (event
+//! capture for shard merging and tests) and [`SharedRecorder`]
 //! (interior-mutability adapter when two seams feed one sink).
+//! [`TraceSummary`] folds a finished JSONL trace into per-kind counts
+//! and roll-ups (`witag-cli report`).
 //!
 //! The system-wide map — crate graph, data flow, determinism/replay
 //! contract, fault/observability/lint hooks — is `docs/ARCHITECTURE.md`
@@ -38,12 +39,10 @@
 
 pub mod event;
 pub mod jsonl;
-pub mod metrics;
 pub mod report;
 
 pub use event::{Event, RxQuality, FAULT_CLASS_NAMES, KINDS, SCHEMA};
 pub use jsonl::JsonlRecorder;
-pub use metrics::{Histogram, MetricsRecorder};
 pub use report::TraceSummary;
 
 use std::cell::RefCell;

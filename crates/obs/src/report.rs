@@ -1,7 +1,7 @@
-//! Trace aggregation: fold a JSONL trace back into the same fixed-order
-//! summary a live [`MetricsRecorder`](crate::MetricsRecorder) would
-//! have produced, plus trace-level structure (sweep points, shards,
-//! session roll-ups) that only exists once the run is over.
+//! Trace aggregation: fold a JSONL trace into per-kind counters in the
+//! fixed [`KINDS`] order, plus trace-level structure
+//! (sweep points, shards, session roll-ups) that only exists once the
+//! run is over.
 //!
 //! This is the engine behind `witag-cli report`. It reads the
 //! constrained JSON this crate's writer emits via the
@@ -77,7 +77,7 @@ impl TraceSummary {
         self.kind_counts.iter().sum()
     }
 
-    /// Lines whose `kind` was not in [`KINDS`](crate::KINDS) — a
+    /// Lines whose `kind` was not in [`KINDS`] — a
     /// version-skew tripwire.
     pub fn unknown(&self) -> u64 {
         self.unknown
@@ -89,7 +89,7 @@ impl TraceSummary {
     }
 
     /// Events counted for `kind`; 0 for names outside
-    /// [`KINDS`](crate::KINDS).
+    /// [`KINDS`].
     pub fn count(&self, kind: &str) -> u64 {
         KINDS
             .iter()

@@ -15,12 +15,11 @@
 //!
 //! The contract is identical to [`EventQueue`](crate::EventQueue) —
 //! min order on `(time, seq)` so simultaneous events pop FIFO, a
-//! monotone clock, and a panic on scheduling into the past — and both
-//! structures implement the [`Timeline`](crate::event::Timeline)
-//! abstraction, which is what lets the property tests drive the two
-//! against each other on random workloads.
+//! monotone clock, and a panic on scheduling into the past — and the
+//! property tests drive the two against each other on random
+//! workloads.
 
-use crate::event::{ScheduledEvent, Timeline};
+use crate::event::ScheduledEvent;
 use crate::time::{Duration, Instant};
 
 /// One pending event: fire time, FIFO tie-break, payload.
@@ -43,7 +42,7 @@ const INITIAL_BUCKETS: usize = 16;
 /// [`EventQueue`](crate::EventQueue).
 ///
 /// ```
-/// use witag_sim::{CalendarQueue, Instant, Timeline};
+/// use witag_sim::{CalendarQueue, Instant};
 /// let mut q = CalendarQueue::new();
 /// q.schedule(Instant::from_nanos(20), "b");
 /// q.schedule(Instant::from_nanos(10), "a");
@@ -262,27 +261,6 @@ impl<E> CalendarQueue<E> {
             b.clear();
         }
         self.size = 0;
-    }
-}
-
-impl<E> Timeline<E> for CalendarQueue<E> {
-    fn now(&self) -> Instant {
-        CalendarQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-    fn schedule(&mut self, at: Instant, payload: E) -> u64 {
-        CalendarQueue::schedule(self, at, payload)
-    }
-    fn peek_time(&self) -> Option<Instant> {
-        CalendarQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        CalendarQueue::pop(self)
-    }
-    fn clear(&mut self) {
-        CalendarQueue::clear(self)
     }
 }
 

@@ -6,54 +6,19 @@
 //! delivered in FIFO order. That tie-break is what makes multi-entity
 //! simulations (client, AP, tag, interferers) reproducible.
 //!
-//! Two pending-event structures share one contract (the [`Timeline`]
-//! trait): the [`EventQueue`] here — a binary heap, O(log n) per
-//! operation, right for the thousands of events a single-cell fleet
-//! holds — and the [`CalendarQueue`](crate::CalendarQueue) — bucketed,
-//! O(1) amortized, built for the millions of pending wakeups of the
-//! metro-scale engine in `witag-net`.
+//! Two pending-event structures keep one contract — events pop in
+//! ascending `(time, seq)` order, `pop` advances `now` to the popped
+//! fire time, scheduling earlier than `now` panics, and `seq` ids are
+//! unique and increasing. The [`EventQueue`] here is a binary heap,
+//! O(log n) per operation; it is the reference the calendar queue's
+//! property tests check against. The
+//! [`CalendarQueue`](crate::CalendarQueue) is bucketed, O(1) amortized,
+//! and built for the millions of pending wakeups of the metro-scale
+//! engine in `witag-net`.
 
 use crate::time::{Duration, Instant};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// The event-queue abstraction: what a deterministic simulation loop
-/// needs from its pending-event structure. Implemented by
-/// [`EventQueue`] (binary heap) and
-/// [`CalendarQueue`](crate::CalendarQueue) (bucketed calendar), so
-/// loops — and the equivalence property tests — can be generic over
-/// the structure.
-///
-/// The contract every implementation upholds:
-///
-/// * events pop in ascending `(time, seq)` order — simultaneous
-///   events are FIFO by insertion;
-/// * `pop` advances [`now`](Timeline::now) to the popped fire time,
-///   and scheduling earlier than `now` panics;
-/// * `seq` ids are unique and monotonically increasing.
-pub trait Timeline<E> {
-    /// Current simulation time: the fire time of the last popped event.
-    fn now(&self) -> Instant;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// `true` if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Schedule `payload` at absolute time `at`; returns its unique
-    /// sequence id. Panics if `at` is before [`now`](Timeline::now).
-    fn schedule(&mut self, at: Instant, payload: E) -> u64;
-    /// Schedule `payload` to fire `delay` after the current time.
-    fn schedule_in(&mut self, delay: Duration, payload: E) -> u64 {
-        self.schedule(self.now() + delay, payload)
-    }
-    /// Fire time of the next pending event without removing it.
-    fn peek_time(&self) -> Option<Instant>;
-    /// Pop the earliest event, advancing the clock to its fire time.
-    fn pop(&mut self) -> Option<ScheduledEvent<E>>;
-    /// Drop every pending event (the clock is left where it is).
-    fn clear(&mut self);
-}
 
 /// An event taken from the queue: when it fires and its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,7 +126,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: crate::time::Duration, payload: E) -> u64 {
+    pub fn schedule_in(&mut self, delay: Duration, payload: E) -> u64 {
         self.schedule(self.now + delay, payload)
     }
 
@@ -189,31 +154,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Timeline<E> for EventQueue<E> {
-    fn now(&self) -> Instant {
-        EventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn schedule(&mut self, at: Instant, payload: E) -> u64 {
-        EventQueue::schedule(self, at, payload)
-    }
-    fn peek_time(&self) -> Option<Instant> {
-        EventQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        EventQueue::pop(self)
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_order() {

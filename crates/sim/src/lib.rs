@@ -8,8 +8,9 @@
 //! * [`rng`] — a self-contained xoshiro256** PRNG with SplitMix64 seeding.
 //!   The whole simulation is reproducible from a single `u64` seed; no
 //!   external RNG crate is used on any simulation path.
-//! * [`event`] — a discrete-event queue with stable FIFO ordering among
-//!   simultaneous events, behind the [`Timeline`] abstraction.
+//! * [`event`] — a binary-heap discrete-event queue with stable FIFO
+//!   ordering among simultaneous events: the reference implementation
+//!   the calendar queue is tested against.
 //! * [`calendar`] — a bucketed calendar queue with the same contract but
 //!   O(1) amortized insert/pop, for simulations holding millions of
 //!   pending wakeups (the metro-scale fleet engine).
@@ -39,7 +40,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
-pub use event::{EventQueue, ScheduledEvent, Timeline};
+pub use event::{EventQueue, ScheduledEvent};
 pub use parallel::{available_threads, par_map};
 pub use geom::{Floorplan, Material, Obstacle, Point2, Segment};
 pub use rng::Rng;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use witag_sim::geom::{Floorplan, Point2, Segment};
 use witag_sim::stats::{RunningStats, SampleSet};
 use witag_sim::time::{Duration, Instant};
-use witag_sim::{CalendarQueue, EventQueue, Rng, Timeline};
+use witag_sim::{CalendarQueue, EventQueue, Rng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -63,7 +63,7 @@ proptest! {
         // Drive the bucketed calendar and the BinaryHeap-backed
         // EventQueue through one random schedule of interleaved
         // inserts, pops (removal) and time advances; every pop must
-        // agree on (time, seq, payload) — the Timeline contract.
+        // agree on (time, seq, payload) — the contract both queues keep.
         let mut cal: CalendarQueue<u64> =
             CalendarQueue::with_width(Duration::nanos(width_ns));
         let mut heap: EventQueue<u64> = EventQueue::new();
@@ -75,7 +75,7 @@ proptest! {
                 // Insert at a random offset past `now` (both clocks
                 // advance identically, so the offsets stay legal).
                 0 | 1 => {
-                    let at = Timeline::<u64>::now(&heap) + Duration::nanos(dt);
+                    let at = heap.now() + Duration::nanos(dt);
                     let sa = cal.schedule(at, payload);
                     let sb = heap.schedule(at, payload);
                     prop_assert_eq!(sa, sb, "seq ids must track");
@@ -105,7 +105,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(Timeline::<u64>::now(&cal), Timeline::<u64>::now(&heap));
+            prop_assert_eq!(cal.now(), heap.now());
             prop_assert_eq!(cal.peek_time(), heap.peek_time());
         }
         // Drain both: the full remaining order must agree.
