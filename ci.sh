@@ -48,8 +48,9 @@ cargo test -q -p witag-lint -p witag-phy --features simd
 # speedup is gated here: the quick run (a portable build, like the
 # committed configs.portable section — never compare a portable build
 # against the tuned simd_native headline) must stay within 30% of the
-# committed value, so a kernel regression cannot land silently. The 30%
-# slack absorbs quick-mode iteration noise, not real regressions.
+# committed value, and so must the transmit time, so a kernel regression
+# cannot land silently. The 30% slack absorbs quick-mode iteration noise,
+# not real regressions.
 WITAG_PERF_QUICK=1 WITAG_PERF_OUT=/tmp/witag_perf_smoke.json \
     WITAG_PERF_NET_OUT=/tmp/witag_net_smoke.json \
     cargo run -q --release -p witag-bench --bin perf_gate > /dev/null
@@ -90,6 +91,14 @@ assert measured >= 0.7 * committed, (
     f"receive-chain speedup regressed: measured {measured:.2f}x vs "
     f"committed portable {committed:.2f}x (floor {0.7 * committed:.2f}x)")
 print(f"perf gate: receive chain {measured:.2f}x vs committed {committed:.2f}x — ok")
+# Transmit floor: the same portable-vs-portable rule for the transmit
+# chain (1664 B at MCS 5), within 30% of the committed time.
+committed = ref['configs']['portable']['transmit_1664B_mcs5_ns']
+measured = cur['phy']['transmit_1664B_mcs5_ns']
+assert measured <= 1.3 * committed, (
+    f"transmit regressed: measured {measured:.0f} ns vs committed "
+    f"portable {committed:.0f} ns (ceiling {1.3 * committed:.0f} ns)")
+print(f"perf gate: transmit {measured:.0f} ns vs committed {committed:.0f} ns — ok")
 EOF
 
 # Trace smoke: a parallel sweep streamed to a witag-obs/2 JSONL trace,

@@ -37,7 +37,7 @@
 //! jq, or a spreadsheet can all gate on it. CI smoke-runs this binary
 //! with `WITAG_PERF_QUICK=1` (tiny iteration counts, same code paths),
 //! asserts the output parses, and fails if the quick portable
-//! receive-chain speedup regresses below the committed
+//! receive-chain speedup or transmit time regresses past the committed
 //! `configs.portable` value (ci.sh; portable-vs-portable comparison).
 //!
 //! The `obs` section gates the observability layer: the serial round
@@ -292,7 +292,7 @@ fn main() {
     let out = std::env::var("WITAG_PERF_OUT").unwrap_or_else(|_| "BENCH_phy.json".into());
     let config_name = build_config_name();
     let config_entry = format!(
-        "{{ \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0}, \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0}, \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}, \"speedup_vs_seed_receive_chain\": {speedup_seed_rx:.2}, \"speedup_vs_pr2_receive_chain\": {speedup_pr2_rx:.2} }}"
+        "{{ \"transmit_1664B_mcs5_ns\": {transmit_ns:.0}, \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0}, \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0}, \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}, \"speedup_vs_seed_receive_chain\": {speedup_seed_rx:.2}, \"speedup_vs_pr2_receive_chain\": {speedup_pr2_rx:.2} }}"
     );
     let mut configs = previous_configs(&out);
     configs.retain(|(n, _)| n != &config_name);

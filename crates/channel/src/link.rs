@@ -80,6 +80,53 @@ impl TagSchedule {
     }
 }
 
+/// One PPDU's channel responses, evaluated once per distinct tag-mode
+/// combination and looked up per slot (slot 0 is the training field,
+/// slot `i + 1` DATA symbol `i`).
+///
+/// The channel only moves in [`Link::advance`], between frames, so
+/// within a PPDU a response is a pure function of the tag modes: a tag
+/// that flips between two states needs two evaluations, not one per
+/// symbol. The evaluations draw nothing from the link's RNG, so the
+/// noise and every output bit stay as an evaluation per symbol left
+/// them (DESIGN.md § 4l).
+pub(crate) struct PpduResponses {
+    /// The distinct responses, in order of first use.
+    distinct: Vec<Vec<Complex64>>,
+    /// Per slot, its index into `distinct`.
+    slot: Vec<usize>,
+}
+
+impl PpduResponses {
+    /// `modes` holds one combination of `stride` modes per slot;
+    /// `response` evaluates one combination.
+    pub(crate) fn new(
+        modes: &[TagMode],
+        stride: usize,
+        response: impl Fn(&[TagMode]) -> Vec<Complex64>,
+    ) -> Self {
+        let mut keys: Vec<&[TagMode]> = Vec::new();
+        let mut distinct = Vec::new();
+        let slot = modes
+            .chunks(stride)
+            .map(|key| match keys.iter().position(|&k| k == key) {
+                Some(i) => i,
+                None => {
+                    keys.push(key);
+                    distinct.push(response(key));
+                    distinct.len() - 1
+                }
+            })
+            .collect();
+        PpduResponses { distinct, slot }
+    }
+
+    /// The response in slot `i`.
+    pub(crate) fn slot(&self, i: usize) -> &[Complex64] {
+        &self.distinct[self.slot[i]] // lint:allow(panic_path) each slot's index is pushed with its response in new(); callers pass one slot per training field and DATA symbol
+    }
+}
+
 /// One propagation ray.
 #[derive(Debug, Clone, Copy)]
 struct Ray {
@@ -349,10 +396,7 @@ impl Link {
     /// The channel's complex response on every occupied subcarrier for a
     /// given tag switch state.
     pub fn response(&self, mode: TagMode, layout: &SubcarrierLayout) -> Vec<Complex64> {
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|pos| layout.freq_offset_hz(pos))
-            .collect();
-        self.response_at(mode, &freqs)
+        self.response_at(mode, layout.freq_offsets_hz())
     }
 
     /// Mean |Δh| between two tag modes across subcarriers — the channel
@@ -488,20 +532,21 @@ impl Link {
         for s in extra_schedules {
             assert!(s.data.len() >= ppdu.symbols.len(), "extra schedule too short");
         }
-        // Precompute per-symbol channel responses (immutable borrows),
-        // then apply noise (mutable RNG borrow) in a second pass.
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|pos| layout.freq_offset_hz(pos))
-            .collect();
-        let ltf_extra_modes: Vec<TagMode> = extra_schedules.iter().map(|s| s.ltf).collect();
-        let h_ltf = self.response_at_multi(schedule.ltf, &ltf_extra_modes, &freqs);
-        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
-            .map(|i| {
-                let modes: Vec<TagMode> =
-                    extra_schedules.iter().map(|s| s.data[i]).collect();
-                self.response_at_multi(schedule.data[i], &modes, &freqs)
-            })
-            .collect();
+        // Precompute the channel responses (immutable borrows), then
+        // apply noise (mutable RNG borrow) in a second pass. One
+        // combination of tag modes per slot (LTF, then each DATA symbol):
+        // the primary tag's mode, then each extra tag's.
+        let n_sym = ppdu.symbols.len();
+        let mut modes = Vec::with_capacity((n_sym + 1) * (1 + extra_schedules.len()));
+        modes.push(schedule.ltf);
+        modes.extend(extra_schedules.iter().map(|s| s.ltf));
+        for i in 0..n_sym {
+            modes.push(schedule.data[i]);
+            modes.extend(extra_schedules.iter().map(|s| s.data[i]));
+        }
+        let h = PpduResponses::new(&modes, 1 + extra_schedules.len(), |m| {
+            self.response_at_multi(m[0], &m[1..], layout.freq_offsets_hz())
+        });
 
         let noise_std = (self.noise_var / 2.0).sqrt();
         let rng = &mut self.rng;
@@ -533,7 +578,7 @@ impl Link {
                 streams: sym
                     .streams
                     .iter()
-                    .map(|s| noisy(s, &h_ltf, ltf_intf))
+                    .map(|s| noisy(s, h.slot(0), ltf_intf))
                     .collect(),
             })
             .collect();
@@ -547,7 +592,7 @@ impl Link {
                 streams: sym
                     .streams
                     .iter()
-                    .map(|s| noisy(s, &h_data[i], extra))
+                    .map(|s| noisy(s, h.slot(i + 1), extra))
                     .collect(),
             });
         }
@@ -570,10 +615,7 @@ impl Link {
         mode: TagMode,
     ) -> witag_phy::legacy::LegacyPpdu {
         let layout = witag_phy::legacy::LegacyLayout::cached();
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|pos| layout.freq_offset_hz(pos))
-            .collect();
-        let h = self.response_at(mode, &freqs);
+        let h = self.response_at(mode, layout.freq_offsets_hz());
         let noise_std = (self.noise_var / 2.0).sqrt();
         let mut noisy = |carriers: &[Complex64]| -> Vec<Complex64> {
             carriers
@@ -861,16 +903,14 @@ mod tests {
             quiet_cfg(),
             44,
         );
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|p| layout.freq_offset_hz(p))
-            .collect();
-        let h1 = single.response_at(TagMode::Phase0, &freqs);
-        let h2 = multi.response_at_multi(TagMode::Phase0, &[TagMode::Absent], &freqs);
+        let freqs = layout.freq_offsets_hz();
+        let h1 = single.response_at(TagMode::Phase0, freqs);
+        let h2 = multi.response_at_multi(TagMode::Phase0, &[TagMode::Absent], freqs);
         for (a, b) in h1.iter().zip(h2.iter()) {
             assert!((*a - *b).abs() < 1e-15, "absent extra tag must be invisible");
         }
         // A reflecting extra tag changes the channel.
-        let h3 = multi.response_at_multi(TagMode::Phase0, &[TagMode::Phase0], &freqs);
+        let h3 = multi.response_at_multi(TagMode::Phase0, &[TagMode::Phase0], freqs);
         let diff: f64 = h1.iter().zip(h3.iter()).map(|(a, b)| (*a - *b).abs()).sum();
         assert!(diff > 0.0);
     }

@@ -29,7 +29,7 @@
 //! given `(floorplan, positions, config, seed)` tuple reproduces the same
 //! matrices bit-for-bit.
 
-use crate::link::{LinkConfig, TagMode, TagSchedule};
+use crate::link::{LinkConfig, PpduResponses, TagMode, TagSchedule};
 use crate::pathloss::{
     db_to_linear, dbm_to_mw, freespace_amplitude, noise_floor_dbm,
     wavelength, SPEED_OF_LIGHT,
@@ -358,10 +358,7 @@ impl MimoLink {
 
     /// The channel matrices on every occupied subcarrier of `layout`.
     pub fn response(&self, mode: TagMode, layout: &SubcarrierLayout) -> Vec<Complex64> {
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|pos| layout.freq_offset_hz(pos))
-            .collect();
-        self.response_at(mode, &freqs)
+        self.response_at(mode, layout.freq_offsets_hz())
     }
 
     /// Mean Frobenius displacement `‖H(a) − H(b)‖_F / √(nss²)` between
@@ -533,13 +530,13 @@ impl MimoLink {
         let intf_var = sig_power * db_to_linear(self.cfg.link.interference_rel_db);
         let overlaps = |lo: f64, hi: f64| bursts.iter().any(|&(a, b)| a < hi && b > lo);
 
-        let freqs: Vec<f64> = (0..layout.n_occupied())
-            .map(|pos| layout.freq_offset_hz(pos))
+        // One matrix response per distinct tag mode: slot 0 is the
+        // training field, slot i + 1 DATA symbol i.
+        let freqs = layout.freq_offsets_hz();
+        let modes: Vec<TagMode> = core::iter::once(schedule.ltf)
+            .chain(schedule.data[..ppdu.symbols.len()].iter().copied())
             .collect();
-        let h_ltf = self.response_at(schedule.ltf, &freqs);
-        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
-            .map(|i| self.response_at(schedule.data[i], &freqs))
-            .collect();
+        let h = PpduResponses::new(&modes, 1, |m| self.response_at(m[0], freqs));
 
         let noise_std = (self.noise_var / 2.0).sqrt();
         let rng = &mut self.rng;
@@ -570,12 +567,12 @@ impl MimoLink {
         };
 
         let ltf_intf = if overlaps(0.0, preamble) { intf_var } else { 0.0 };
-        let ltfs: Vec<OfdmSymbol> = ppdu.ltfs.iter().map(|s| mix(s, &h_ltf, ltf_intf)).collect();
+        let ltfs: Vec<OfdmSymbol> = ppdu.ltfs.iter().map(|s| mix(s, h.slot(0), ltf_intf)).collect();
         let mut symbols = Vec::with_capacity(ppdu.symbols.len());
         for (i, sym) in ppdu.symbols.iter().enumerate() {
             let lo = preamble + i as f64 * sym_dur;
             let extra = if overlaps(lo, lo + sym_dur) { intf_var } else { 0.0 };
-            symbols.push(mix(sym, &h_data[i], extra));
+            symbols.push(mix(sym, h.slot(i + 1), extra));
         }
 
         Ppdu {

@@ -27,21 +27,11 @@ pub const TAIL_BITS: usize = CONSTRAINT - 1;
 /// Code rate selector (re-exported type from [`crate::mcs`]).
 pub use crate::mcs::CodeRate;
 
-fn parity(x: u32) -> u8 {
-    (x.count_ones() & 1) as u8
-}
-
-/// The two coded bits emitted when `input` is shifted into `state`.
-#[inline]
-fn branch_output(state: usize, input: u8) -> (u8, u8) {
-    let reg = ((state as u32) << 1) | input as u32;
-    (parity(reg & G0), parity(reg & G1))
-}
-
 /// Precomputed branch-output table: `OUTPUT_CODE[reg]` for the 7-bit
 /// encoder register `reg = (state << 1) | input` gives the two coded bits
 /// packed as `(o0 << 1) | o1` — an index into the 4 per-step branch
-/// metrics. Replaces two `count_ones` parities per trellis edge.
+/// metrics, and the encoder's output. Replaces two `count_ones`
+/// parities per trellis edge and per encoded bit.
 const OUTPUT_CODE: [u8; 2 * STATES] = {
     let mut table = [0u8; 2 * STATES];
     let mut reg = 0usize;
@@ -58,15 +48,23 @@ const OUTPUT_CODE: [u8; 2 * STATES] = {
 /// terminate the trellis. Output length is `2 * (data.len() + TAIL_BITS)`.
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 * (data.len() + TAIL_BITS));
-    let mut state = 0usize;
-    for &bit in data.iter().chain(core::iter::repeat_n(&0u8, TAIL_BITS)) {
-        debug_assert!(bit <= 1);
-        let (o0, o1) = branch_output(state, bit);
-        out.push(o0);
-        out.push(o1);
-        state = ((state << 1) | bit as usize) & (STATES - 1);
-    }
+    encode_into(data.iter().chain(core::iter::repeat_n(&0u8, TAIL_BITS)), &mut out);
     out
+}
+
+/// Run the encoder over `bits` from the all-zero state, appending the two
+/// coded bits of each input bit to `out`.
+fn encode_into<'a>(bits: impl IntoIterator<Item = &'a u8>, out: &mut Vec<u8>) {
+    let mut state = 0usize;
+    for &bit in bits {
+        debug_assert!(bit <= 1);
+        let reg = (state << 1) | bit as usize;
+        // The generators tap only the register's low 7 bits.
+        let code = OUTPUT_CODE[reg & (2 * STATES - 1)];
+        out.push(code >> 1);
+        out.push(code & 1);
+        state = reg & (STATES - 1);
+    }
 }
 
 /// Puncturing pattern: `true` positions are transmitted, `false` dropped.
@@ -414,14 +412,7 @@ pub fn viterbi_decode_into(
 /// bits, so the encoder just runs over everything.
 pub fn encode_stream(bits: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 * bits.len());
-    let mut state = 0usize;
-    for &bit in bits {
-        debug_assert!(bit <= 1);
-        let (o0, o1) = branch_output(state, bit);
-        out.push(o0);
-        out.push(o1);
-        state = ((state << 1) | bit as usize) & (STATES - 1);
-    }
+    encode_into(bits, &mut out);
     out
 }
 

@@ -13,11 +13,10 @@
 
 use crate::complex::Complex64;
 use crate::convolutional::{encode_stream, puncture};
-use crate::interleaver::{interleave, InterleaverDims};
+use crate::interleaver::InterleaverDims;
 use crate::mcs::{CodeRate, Modulation};
-use crate::modulation::modulate;
 use crate::params::timing;
-use crate::ppdu::{bytes_to_bits, pilot_values, OfdmSymbol};
+use crate::ppdu::{data_field_bits, OfdmSymbol, SymbolMapper};
 use crate::receiver::RxScratch;
 use crate::scrambler::Scrambler;
 use std::sync::LazyLock;
@@ -28,7 +27,8 @@ pub use crate::airtime::LegacyRate;
 /// Legacy tone plan: subcarriers −26…26 without DC; pilots at ±7, ±21.
 #[derive(Debug, Clone)]
 pub struct LegacyLayout {
-    indices: Vec<i32>,
+    /// Baseband frequency (Hz) of each occupied subcarrier, storage order.
+    freq_offsets_hz: Vec<f64>,
     data_positions: Vec<usize>,
     pilot_positions: Vec<usize>,
 }
@@ -59,7 +59,7 @@ impl LegacyLayout {
             }
         }
         LegacyLayout {
-            indices,
+            freq_offsets_hz: indices.iter().map(|&k| k as f64 * 312_500.0).collect(),
             data_positions,
             pilot_positions,
         }
@@ -73,7 +73,7 @@ impl LegacyLayout {
 
     /// Occupied subcarrier count (52).
     pub fn n_occupied(&self) -> usize {
-        self.indices.len()
+        self.freq_offsets_hz.len()
     }
 
     /// Data-bearing storage positions (48).
@@ -86,12 +86,10 @@ impl LegacyLayout {
         &self.pilot_positions
     }
 
-    /// Baseband frequency of storage position `pos` (Hz).
-    ///
-    /// # Panics
-    /// Panics if `pos` is not a storage position (`pos >= n_occupied()`).
-    pub fn freq_offset_hz(&self, pos: usize) -> f64 {
-        self.indices[pos] as f64 * 312_500.0 // lint:allow(panic_path) documented contract: pos < n_occupied()
+    /// Baseband frequency (Hz) of every occupied subcarrier, in storage
+    /// order.
+    pub fn freq_offsets_hz(&self) -> &[f64] {
+        &self.freq_offsets_hz
     }
 }
 
@@ -143,40 +141,23 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
     assert!(!psdu.is_empty(), "PSDU must be non-empty");
     let layout = LegacyLayout::cached();
     let ndbps = rate.ndbps();
-    let n_bpscs = rate.modulation().bits_per_subcarrier();
-    let dims = InterleaverDims::legacy(n_bpscs);
+    let dims = InterleaverDims::legacy(rate.modulation().bits_per_subcarrier());
     let n_sym = (16 + 8 * psdu.len() + 6).div_ceil(ndbps);
 
-    let mut bits = Vec::with_capacity(n_sym * ndbps);
-    bits.extend_from_slice(&[0u8; 16]);
-    bits.extend_from_slice(&bytes_to_bits(psdu));
-    bits.resize(n_sym * ndbps, 0);
-    Scrambler::new(SCRAMBLER_SEED).apply(&mut bits);
-    let tail_start = 16 + 8 * psdu.len();
-    for bit in bits.iter_mut().skip(tail_start).take(6) {
-        *bit = 0;
-    }
-
+    let bits = data_field_bits(SCRAMBLER_SEED, psdu, n_sym * ndbps);
     let coded = puncture(&encode_stream(&bits), rate.code_rate());
-    let ncbps = dims.n_cbps;
-    debug_assert_eq!(coded.len(), n_sym * ncbps);
+    debug_assert_eq!(coded.len(), n_sym * dims.n_cbps);
 
-    let pilots = pilot_values(4);
+    let mut mapper = SymbolMapper::new(
+        dims,
+        rate.modulation(),
+        layout.data_positions(),
+        layout.pilot_positions(),
+    );
     let symbols = coded
-        .chunks(ncbps)
-        .map(|chunk| {
-            let tx_order = interleave(chunk, dims);
-            let points = modulate(&tx_order, rate.modulation());
-            let mut carriers = vec![Complex64::ZERO; layout.n_occupied()];
-            for (&pos, &pt) in layout.data_positions().iter().zip(points.iter()) {
-                carriers[pos] = pt;
-            }
-            for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-                carriers[pos] = pv;
-            }
-            OfdmSymbol {
-                streams: vec![carriers],
-            }
+        .chunks(dims.n_cbps)
+        .map(|chunk| OfdmSymbol {
+            streams: vec![mapper.stream_carriers(chunk, 0, 1)],
         })
         .collect();
 

@@ -314,18 +314,17 @@ pub fn transmit_mu(config: &PhyConfig, psdus: &[Vec<u8>]) -> Ppdu {
         "MU streams must carry equal-length PSDUs"
     );
 
-    let per_stream: Vec<Ppdu> = (0..nss)
-        .map(|i| transmit(&mu_stream_config(config, i), &psdus[i]))
-        .collect();
-    let n_sym = per_stream[0].symbols.len();
-    let mut symbols = Vec::with_capacity(n_sym);
-    for k in 0..n_sym {
-        symbols.push(OfdmSymbol {
-            streams: per_stream
-                .iter()
-                .map(|tx| tx.symbols[k].streams[0].clone())
-                .collect(),
+    // Every stream has the same length, so the same symbol count: move
+    // each stream's carriers into the shared symbols.
+    let mut symbols: Vec<OfdmSymbol> = Vec::new();
+    for (i, psdu) in psdus.iter().enumerate() {
+        let tx = transmit(&mu_stream_config(config, i), psdu);
+        symbols.resize_with(tx.symbols.len(), || OfdmSymbol {
+            streams: Vec::with_capacity(nss),
         });
+        for (sym, stream) in symbols.iter_mut().zip(tx.symbols) {
+            sym.streams.extend(stream.streams);
+        }
     }
     Ppdu {
         config: config.clone(),

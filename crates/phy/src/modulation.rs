@@ -47,6 +47,18 @@ fn bits_to_level(bits: &[u8]) -> f64 {
     (2.0 * index as f64) - ((1 << k) as f64 - 1.0)
 }
 
+/// The constellation point for one subcarrier's `bits_per_subcarrier`
+/// bits, scaled by `k` (K_MOD).
+fn point(chunk: &[u8], m: Modulation, k: f64) -> Complex64 {
+    match m {
+        Modulation::Bpsk => c64(bits_to_level(chunk), 0.0) * k,
+        _ => {
+            let (i, q) = chunk.split_at(chunk.len() / 2);
+            c64(bits_to_level(i), bits_to_level(q)) * k
+        }
+    }
+}
+
 /// Map a bit slice onto constellation points. `bits.len()` must be a
 /// multiple of the modulation's bits-per-subcarrier.
 pub fn modulate(bits: &[u8], m: Modulation) -> Vec<Complex64> {
@@ -57,17 +69,23 @@ pub fn modulate(bits: &[u8], m: Modulation) -> Vec<Complex64> {
         bits.len()
     );
     let k = k_mod(m);
-    bits.chunks(bpsc)
-        .map(|chunk| match m {
-            Modulation::Bpsk => c64(bits_to_level(chunk), 0.0) * k,
-            _ => {
-                let half = bpsc / 2;
-                let i = bits_to_level(&chunk[..half]);
-                let q = bits_to_level(&chunk[half..]);
-                c64(i, q) * k
-            }
-        })
-        .collect()
+    bits.chunks(bpsc).map(|chunk| point(chunk, m, k)).collect()
+}
+
+/// [`modulate`] writing point `i` straight to `out[positions[i]]`: the
+/// transmit chain maps each symbol's bits onto its data subcarriers
+/// without an intermediate point vector. The points are bit-identical.
+///
+/// # Panics
+/// Panics unless `bits` holds exactly one subcarrier's bits per entry of
+/// `positions`, or if a position is out of range for `out`.
+pub(crate) fn modulate_onto(bits: &[u8], m: Modulation, positions: &[usize], out: &mut [Complex64]) {
+    let bpsc = m.bits_per_subcarrier();
+    assert_eq!(bits.len(), positions.len() * bpsc, "one point per position");
+    let k = k_mod(m);
+    for (&pos, chunk) in positions.iter().zip(bits.chunks_exact(bpsc)) {
+        out[pos] = point(chunk, m, k);
+    }
 }
 
 /// Max-log LLRs for the `k` Gray-coded bits of one axis observation.

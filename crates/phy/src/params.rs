@@ -132,14 +132,14 @@ pub const MAX_AMPDU_SUBFRAMES: usize = 64;
 /// occupied set.
 #[derive(Debug, Clone)]
 pub struct SubcarrierLayout {
-    /// Signed subcarrier indices (…, −2, −1, 1, 2, …) in storage order.
-    indices: Vec<i32>,
+    /// Baseband frequency (Hz) of each occupied subcarrier in storage
+    /// order: its signed index (…, −2, −1, 1, 2, …) times the 312.5 kHz
+    /// subcarrier spacing.
+    freq_offsets_hz: Vec<f64>,
     /// Storage positions that carry data.
     data_positions: Vec<usize>,
     /// Storage positions that carry pilots.
     pilot_positions: Vec<usize>,
-    /// Subcarrier spacing in Hz (312.5 kHz for 802.11 OFDM).
-    spacing_hz: f64,
 }
 
 // Backing stores for [`SubcarrierLayout::cached`]. Initialised at most
@@ -170,10 +170,9 @@ impl SubcarrierLayout {
             }
         }
         SubcarrierLayout {
-            indices,
+            freq_offsets_hz: indices.iter().map(|&k| k as f64 * 312_500.0).collect(),
             data_positions,
             pilot_positions,
-            spacing_hz: 312_500.0,
         }
     }
 
@@ -191,7 +190,7 @@ impl SubcarrierLayout {
 
     /// Number of occupied subcarriers.
     pub fn n_occupied(&self) -> usize {
-        self.indices.len()
+        self.freq_offsets_hz.len()
     }
 
     /// Storage positions carrying data.
@@ -204,14 +203,11 @@ impl SubcarrierLayout {
         &self.pilot_positions
     }
 
-    /// Baseband frequency offset (Hz) of the subcarrier at storage
-    /// position `pos`. Used by the multipath model to compute per-tone
-    /// phase rotations `e^{−j2π f τ}`.
-    ///
-    /// # Panics
-    /// Panics if `pos` is not a storage position (`pos >= n_occupied()`).
-    pub fn freq_offset_hz(&self, pos: usize) -> f64 {
-        self.indices[pos] as f64 * self.spacing_hz // lint:allow(panic_path) documented contract: pos < n_occupied()
+    /// Baseband frequency offset (Hz) of every occupied subcarrier, in
+    /// storage order. The multipath model evaluates its per-tone phase
+    /// rotations `e^{−j2π f τ}` on this grid.
+    pub fn freq_offsets_hz(&self) -> &[f64] {
+        &self.freq_offsets_hz
     }
 }
 
@@ -274,12 +270,12 @@ mod tests {
     #[test]
     fn freq_offsets_symmetric_and_skip_dc() {
         let l = SubcarrierLayout::new(Bandwidth::Mhz20);
-        let lo = l.freq_offset_hz(0);
-        let hi = l.freq_offset_hz(l.n_occupied() - 1);
+        let f = l.freq_offsets_hz();
+        let (lo, hi) = (f[0], f[f.len() - 1]);
         assert!((lo + hi).abs() < 1e-9, "edges must be symmetric");
         assert!((hi - 28.0 * 312_500.0).abs() < 1e-9);
-        for pos in 0..l.n_occupied() {
-            assert!(l.freq_offset_hz(pos).abs() >= 312_500.0 - 1e-9, "DC must be skipped");
+        for &x in f {
+            assert!(x.abs() >= 312_500.0 - 1e-9, "DC must be skipped");
         }
     }
 

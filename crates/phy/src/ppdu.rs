@@ -26,9 +26,9 @@
 
 use crate::complex::{c64, Complex64};
 use crate::convolutional::{encode_stream, puncture};
-use crate::interleaver::{interleave, InterleaverDims};
-use crate::mcs::Mcs;
-use crate::modulation::modulate;
+use crate::interleaver::{InterleaverDims, InterleaverPerm};
+use crate::mcs::{Mcs, Modulation};
+use crate::modulation::modulate_onto;
 use crate::params::{ht_preamble_duration, Bandwidth, GuardInterval, SubcarrierLayout};
 use crate::scrambler::Scrambler;
 use witag_sim::time::Duration;
@@ -232,18 +232,19 @@ pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Split one symbol's coded bits round-robin across spatial streams in
-/// groups of `s = max(1, N_BPSCS/2)` bits (802.11n stream parser).
-pub fn parse_streams(coded: &[u8], nss: usize, n_bpscs: usize) -> Vec<Vec<u8>> {
+/// The 802.11n stream parser: one symbol's coded bits are dealt
+/// round-robin across `nss` spatial streams in groups of
+/// `s = max(1, N_BPSCS/2)` bits. Writes stream `ss`'s share into `out`
+/// (cleared first). At `nss = 1` that is the whole symbol.
+pub fn parse_stream_into(coded: &[u8], ss: usize, nss: usize, n_bpscs: usize, out: &mut Vec<u8>) {
     let s = (n_bpscs / 2).max(1);
-    let mut streams = vec![Vec::with_capacity(coded.len() / nss); nss];
-    for (g, group) in coded.chunks(s).enumerate() {
-        streams[g % nss].extend_from_slice(group);
+    out.clear();
+    for group in coded.chunks(s).skip(ss).step_by(nss) {
+        out.extend_from_slice(group);
     }
-    streams
 }
 
-/// Inverse of [`parse_streams`] for receiver-side soft values.
+/// Inverse of [`parse_stream_into`] for receiver-side soft values.
 pub fn deparse_streams(streams: &[Vec<f64>], n_bpscs: usize) -> Vec<f64> {
     let total: usize = streams.iter().map(|v| v.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -272,23 +273,75 @@ pub fn deparse_streams_into(streams: &[Vec<f64>], n_bpscs: usize, out: &mut Vec<
     }
 }
 
-/// Build the scrambled, tail-zeroed DATA-field bit stream for a PSDU.
-fn data_field_bits(config: &PhyConfig, psdu: &[u8]) -> Vec<u8> {
-    let ndbps = config.ndbps();
-    let n_sym = config.n_symbols(psdu.len());
-    let n_total = n_sym * ndbps;
+/// Build the scrambled, tail-zeroed DATA-field bit stream for a PSDU:
+/// SERVICE ‖ PSDU ‖ tail ‖ pad up to `n_total` bits, scrambled from
+/// `scrambler_seed`, then the 6 tail bits re-zeroed so the trellis
+/// (mostly) terminates. The HT and legacy chains share it.
+pub(crate) fn data_field_bits(scrambler_seed: u8, psdu: &[u8], n_total: usize) -> Vec<u8> {
     let mut bits = Vec::with_capacity(n_total);
     bits.extend_from_slice(&[0u8; 16]); // SERVICE (scrambler init run-in)
     bits.extend_from_slice(&bytes_to_bits(psdu));
     bits.resize(n_total, 0); // tail + pad
-    let mut scrambler = Scrambler::new(config.scrambler_seed);
-    scrambler.apply(&mut bits);
-    // Re-zero the 6 tail bits so the trellis (mostly) terminates.
+    Scrambler::new(scrambler_seed).apply(&mut bits);
     let tail_start = 16 + 8 * psdu.len();
     for bit in bits.iter_mut().skip(tail_start).take(6) {
         *bit = 0;
     }
     bits
+}
+
+/// Maps coded bits onto OFDM carriers, one stream-symbol at a time: the
+/// stream parse → interleave → QAM map → data-and-pilot placement step
+/// that the HT and legacy transmit chains share. Everything that is the
+/// same for every symbol of a PPDU (the interleaver table, the tone
+/// plan, the pilot values) is built once, in [`SymbolMapper::new`].
+pub(crate) struct SymbolMapper<'a> {
+    perm: InterleaverPerm,
+    modulation: Modulation,
+    n_occupied: usize,
+    data_positions: &'a [usize],
+    pilot_positions: &'a [usize],
+    pilots: Vec<Complex64>,
+    stream_bits: Vec<u8>,
+    tx_order: Vec<u8>,
+}
+
+impl<'a> SymbolMapper<'a> {
+    /// A mapper for one PPDU's interleaver dimensions, constellation and
+    /// tone plan: `data_positions` carry constellation points,
+    /// `pilot_positions` the pilot pattern, and together they are every
+    /// occupied carrier.
+    pub(crate) fn new(
+        dims: InterleaverDims,
+        modulation: Modulation,
+        data_positions: &'a [usize],
+        pilot_positions: &'a [usize],
+    ) -> Self {
+        SymbolMapper {
+            perm: InterleaverPerm::new(dims),
+            modulation,
+            n_occupied: data_positions.len() + pilot_positions.len(),
+            data_positions,
+            pilot_positions,
+            pilots: pilot_values(pilot_positions.len()),
+            stream_bits: Vec::with_capacity(dims.n_cbps),
+            tx_order: Vec::with_capacity(dims.n_cbps),
+        }
+    }
+
+    /// The carriers of spatial stream `ss` (of `nss`) for one symbol's
+    /// coded bits (all streams).
+    pub(crate) fn stream_carriers(&mut self, coded: &[u8], ss: usize, nss: usize) -> Vec<Complex64> {
+        let n_bpscs = self.modulation.bits_per_subcarrier();
+        parse_stream_into(coded, ss, nss, n_bpscs, &mut self.stream_bits);
+        self.perm.interleave_into(&self.stream_bits, &mut self.tx_order);
+        let mut carriers = vec![Complex64::ZERO; self.n_occupied];
+        modulate_onto(&self.tx_order, self.modulation, self.data_positions, &mut carriers);
+        for (&pos, &pv) in self.pilot_positions.iter().zip(&self.pilots) {
+            carriers[pos] = pv;
+        }
+        carriers
+    }
 }
 
 /// Transmit: encode a PSDU into a PPDU.
@@ -299,35 +352,25 @@ pub fn transmit(config: &PhyConfig, psdu: &[u8]) -> Ppdu {
     assert!(!psdu.is_empty(), "PSDU must be non-empty");
     let layout = config.layout();
     let nss = config.mcs.spatial_streams;
-    let n_bpscs = config.mcs.modulation.bits_per_subcarrier();
     let ncbps = config.ncbps();
-    let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
 
-    let bits = data_field_bits(config, psdu);
-    let mother = encode_stream(&bits);
-    let coded = puncture(&mother, config.mcs.code_rate);
+    let n_total = config.n_symbols(psdu.len()) * config.ndbps();
+    let bits = data_field_bits(config.scrambler_seed, psdu, n_total);
+    let coded = puncture(&encode_stream(&bits), config.mcs.code_rate);
     debug_assert_eq!(coded.len() % ncbps, 0, "puncturing must align to symbols");
 
-    let pilots = pilot_values(layout.pilot_positions().len());
-    let mut symbols = Vec::with_capacity(coded.len() / ncbps);
-    for chunk in coded.chunks(ncbps) {
-        let stream_bits = parse_streams(chunk, nss, n_bpscs);
-        let mut streams = Vec::with_capacity(nss);
-        for sb in &stream_bits {
-            let tx_order = interleave(sb, dims);
-            let points = modulate(&tx_order, config.mcs.modulation);
-            // Place data points and pilots into storage order.
-            let mut carriers = vec![Complex64::ZERO; layout.n_occupied()];
-            for (&pos, &pt) in layout.data_positions().iter().zip(points.iter()) {
-                carriers[pos] = pt;
-            }
-            for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-                carriers[pos] = pv;
-            }
-            streams.push(carriers);
-        }
-        symbols.push(OfdmSymbol { streams });
-    }
+    let mut mapper = SymbolMapper::new(
+        InterleaverDims::ht(config.bandwidth, config.mcs.modulation.bits_per_subcarrier()),
+        config.mcs.modulation,
+        layout.data_positions(),
+        layout.pilot_positions(),
+    );
+    let symbols = coded
+        .chunks(ncbps)
+        .map(|chunk| OfdmSymbol {
+            streams: (0..nss).map(|ss| mapper.stream_carriers(chunk, ss, nss)).collect(),
+        })
+        .collect();
 
     Ppdu {
         config: config.clone(),
@@ -422,7 +465,13 @@ mod tests {
             for n_bpscs in [1usize, 2, 4, 6] {
                 let n = 52 * n_bpscs * nss;
                 let coded: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
-                let streams = parse_streams(&coded, nss, n_bpscs);
+                let streams: Vec<Vec<u8>> = (0..nss)
+                    .map(|ss| {
+                        let mut out = Vec::new();
+                        parse_stream_into(&coded, ss, nss, n_bpscs, &mut out);
+                        out
+                    })
+                    .collect();
                 assert!(streams.iter().all(|s| s.len() == 52 * n_bpscs));
                 let soft: Vec<Vec<f64>> = streams
                     .iter()

@@ -733,8 +733,7 @@ mod tests {
         let n_sym = ppdu.symbols.len();
         let half = n_sym / 2;
         for sym in ppdu.symbols.iter_mut().skip(half) {
-            for (pos, pt) in sym.streams[0].iter_mut().enumerate() {
-                let f = layout.freq_offset_hz(pos);
+            for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
                 let extra = Complex64::from_polar(0.3, -2.0 * core::f64::consts::PI * f * 120e-9);
                 *pt *= Complex64::ONE + extra;
             }
@@ -756,8 +755,7 @@ mod tests {
         let layout = config.layout();
         let n_sym = ppdu.symbols.len();
         for sym in ppdu.symbols.iter_mut().skip(n_sym / 2) {
-            for (pos, pt) in sym.streams[0].iter_mut().enumerate() {
-                let f = layout.freq_offset_hz(pos);
+            for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
                 let extra = Complex64::from_polar(0.2, -2.0 * core::f64::consts::PI * f * 120e-9);
                 *pt *= Complex64::ONE + extra;
             }
@@ -803,7 +801,7 @@ mod tests {
         // error seen by the equaliser is (1−a)/(1+a) ≈ 1 − 2a: a ~24% EVM
         // hit, far beyond 64-QAM's margins.
         let tag_path = |pos: usize, flip: bool| {
-            let f = layout.freq_offset_hz(pos);
+            let f = layout.freq_offsets_hz()[pos];
             let tau = 35e-9;
             let base = Complex64::from_polar(0.12, -2.0 * core::f64::consts::PI * f * tau);
             if flip {

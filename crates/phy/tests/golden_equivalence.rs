@@ -14,14 +14,14 @@
 
 use witag_phy::complex::Complex64;
 use witag_phy::convolutional::{
-    bits_to_llrs, encode_stream, puncture, depuncture, viterbi_decode, viterbi_decode_stream,
-    CONSTRAINT, TAIL_BITS,
+    bits_to_llrs, encode, encode_stream, puncture, depuncture, viterbi_decode,
+    viterbi_decode_stream, CONSTRAINT, TAIL_BITS,
 };
 use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
 use witag_phy::mcs::{CodeRate, Mcs, Modulation};
 use witag_phy::modulation::{demodulate_llr, modulate};
 use witag_phy::params::Bandwidth;
-use witag_phy::ppdu::{transmit, PhyConfig};
+use witag_phy::ppdu::{transmit, OfdmSymbol, PhyConfig};
 use witag_phy::receiver::{receive, receive_with_scratch, RxScratch};
 use witag_sim::Rng;
 
@@ -419,4 +419,174 @@ fn legacy_and_ht_decodes_alternate_through_one_warm_scratch() {
             assert_eq!(fresh, got, "round {round} legacy frame {i}");
         }
     }
+}
+
+/// Seed encoder: two `count_ones` parities per input bit.
+fn reference_encode_stream(bits: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * bits.len());
+    let mut state = 0usize;
+    for &bit in bits {
+        let (o0, o1) = branch_output(state, bit);
+        out.push(o0);
+        out.push(o1);
+        state = ((state << 1) | bit as usize) & (STATES - 1);
+    }
+    out
+}
+
+#[test]
+fn encoder_matches_reference_parities() {
+    let mut rng = Rng::seed_from_u64(0xC0DE);
+    for len in [1usize, 7, 64, 1000] {
+        let bits: Vec<u8> = (0..len).map(|_| rng.below(2) as u8).collect();
+        assert_eq!(encode_stream(&bits), reference_encode_stream(&bits), "len {len}");
+        let mut tailed = bits.clone();
+        tailed.extend_from_slice(&[0; TAIL_BITS]);
+        assert_eq!(encode(&bits), reference_encode_stream(&tailed), "len {len}");
+    }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `f64::to_bits` of every
+/// carrier, training symbols first.
+fn hash_symbols<'a>(symbols: impl IntoIterator<Item = &'a OfdmSymbol>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for pt in symbols.into_iter().flat_map(|s| s.streams.iter().flatten()) {
+        for x in [pt.re, pt.im] {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn check_pins(actual: &[(String, u64)], expected: &[(&str, u64)]) {
+    let same = actual.len() == expected.len()
+        && actual
+            .iter()
+            .zip(expected)
+            .all(|(a, e)| a.0 == e.0 && a.1 == e.1);
+    if !same {
+        let mut table = String::new();
+        for (name, hash) in actual {
+            table.push_str(&format!("            (\"{name}\", 0x{hash:016x}),\n"));
+        }
+        panic!("golden mismatch; the frames now give:\n{table}");
+    }
+}
+
+fn random_psdu(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..len).map(|_| rng.below(256) as u8).collect()
+}
+
+// Transmit pins: FNV-1a hashes of the on-air carriers, captured before
+// the transmit chain built its interleaver table once per PPDU. Every
+// output bit must stay as it was.
+
+#[test]
+fn ht_transmit_is_pinned() {
+    let mut rows = Vec::new();
+    for bw in [Bandwidth::Mhz20, Bandwidth::Mhz40] {
+        for idx in [0usize, 1, 2, 3, 4, 5, 6, 7, 15, 23] {
+            let ppdu = transmit(
+                &PhyConfig::with_bandwidth(Mcs::ht(idx), bw),
+                &random_psdu(idx as u64, 333),
+            );
+            rows.push((
+                format!("mcs{idx}/{bw:?}"),
+                hash_symbols(ppdu.ltfs.iter().chain(&ppdu.symbols)),
+            ));
+        }
+    }
+    check_pins(
+        &rows,
+        &[
+            ("mcs0/Mhz20", 0x208e26838eb89025),
+            ("mcs1/Mhz20", 0xe36522046c6a0e65),
+            ("mcs2/Mhz20", 0xd477c7d30b189f35),
+            ("mcs3/Mhz20", 0xdd4812cd9af2b055),
+            ("mcs4/Mhz20", 0x1188ea11553db785),
+            ("mcs5/Mhz20", 0x2c695cc11ed583a1),
+            ("mcs6/Mhz20", 0x2b4fca264c3c9bf1),
+            ("mcs7/Mhz20", 0x8947478db374eb1d),
+            ("mcs15/Mhz20", 0xa1115a1c18619622),
+            ("mcs23/Mhz20", 0x94251879374c9b99),
+            ("mcs0/Mhz40", 0x76e71ce28d4df1e5),
+            ("mcs1/Mhz40", 0xd739ae04f8f14a15),
+            ("mcs2/Mhz40", 0xbfd8413029694795),
+            ("mcs3/Mhz40", 0x831c8de4a4ba5e1d),
+            ("mcs4/Mhz40", 0x65096269d412fa09),
+            ("mcs5/Mhz40", 0x89f832c12f9d17b9),
+            ("mcs6/Mhz40", 0x0b6923af91c8c48d),
+            ("mcs7/Mhz40", 0x2e32a4516e639559),
+            ("mcs15/Mhz40", 0x1727e0fc8fab00d5),
+            ("mcs23/Mhz40", 0x0b0c14638cccd3f1),
+        ],
+    );
+}
+
+#[test]
+fn legacy_transmit_is_pinned() {
+    use witag_phy::legacy::{legacy_transmit, LegacyRate};
+    let rates = [
+        LegacyRate::M6,
+        LegacyRate::M9,
+        LegacyRate::M12,
+        LegacyRate::M18,
+        LegacyRate::M24,
+        LegacyRate::M36,
+        LegacyRate::M48,
+        LegacyRate::M54,
+    ];
+    let rows: Vec<(String, u64)> = rates
+        .iter()
+        .enumerate()
+        .map(|(i, &rate)| {
+            let ppdu = legacy_transmit(rate, &random_psdu(100 + i as u64, 57));
+            (
+                format!("{rate:?}"),
+                hash_symbols([&ppdu.ltf].into_iter().chain(&ppdu.symbols)),
+            )
+        })
+        .collect();
+    check_pins(
+        &rows,
+        &[
+            ("M6", 0x759369c16c123ca5),
+            ("M9", 0x5bc020042f747125),
+            ("M12", 0xf1e52a4e4e992765),
+            ("M18", 0x8b9828126889e145),
+            ("M24", 0x1ed0108d474a79b9),
+            ("M36", 0xf3154143473f6d2d),
+            ("M48", 0x8b1e9289822012f2),
+            ("M54", 0x1ac255725e24d606),
+        ],
+    );
+}
+
+#[test]
+fn mu_transmit_is_pinned() {
+    use witag_phy::mimo::transmit_mu;
+    let mut rows = Vec::new();
+    for idx in [8usize, 12, 20, 23] {
+        let config = PhyConfig::new(Mcs::ht(idx));
+        let psdus: Vec<Vec<u8>> = (0..config.mcs.spatial_streams)
+            .map(|s| random_psdu(200 + (idx * 4 + s) as u64, 150))
+            .collect();
+        let ppdu = transmit_mu(&config, &psdus);
+        rows.push((
+            format!("mcs{idx}"),
+            hash_symbols(ppdu.ltfs.iter().chain(&ppdu.symbols)),
+        ));
+    }
+    check_pins(
+        &rows,
+        &[
+            ("mcs8", 0x08da4b7cfa9b6425),
+            ("mcs12", 0x8e4a5b9ca0f5ff9d),
+            ("mcs20", 0xc030e923c9b9ba7d),
+            ("mcs23", 0xe2b6369abecd0de1),
+        ],
+    );
 }
