@@ -19,9 +19,9 @@
 //! * the **tag ray** is an *exactly rank-1* perturbation: the tag is one
 //!   physical scatterer, so its contribution factors as an outer product
 //!   `u_j·v_i` of the RX-side and TX-side hop responses (the two-hop
-//!   [`backscatter_amplitude`] is separable in the hop distances). When
-//!   the tag flips its switch state, **every entry of `H` moves at
-//!   once** — the MOXcatter observation that a single backscatter
+//!   [`crate::pathloss::backscatter_amplitude`] is separable in the hop
+//!   distances). When the tag flips its switch state, **every entry of
+//!   `H` moves at once** — the MOXcatter observation that a single backscatter
 //!   reflector leaks across all spatial streams simultaneously, which is
 //!   what makes WiTAG-style modulation MIMO-agnostic (paper §4).
 //!

@@ -1,6 +1,6 @@
 //! Workspace call graph — the back half of the whole-workspace analyzer.
 //!
-//! Consumes the per-file [`FileFacts`](crate::resolve::FileFacts) and
+//! Consumes the per-file [`FileFacts`] and
 //! builds one static call graph over every function in the workspace.
 //! Resolution is name-based with receiver-type narrowing, mirroring how
 //! the resolver classified each call site:

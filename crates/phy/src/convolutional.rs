@@ -125,12 +125,7 @@ pub fn depuncture(received: &[f64], rate: CodeRate, mother_len: usize) -> Vec<f6
 // lint:no_alloc
 pub fn depuncture_into(received: &[f64], rate: CodeRate, mother_len: usize, out: &mut Vec<f64>) {
     let pattern = puncture_pattern(rate);
-    assert_eq!(
-        received.len(),
-        punctured_len(pattern, mother_len),
-        "received stream too {} for mother length",
-        if received.len() < punctured_len(pattern, mother_len) { "short" } else { "long" }
-    );
+    assert_punctured_len(received, pattern, mother_len);
     out.clear();
     out.resize(mother_len, 0.0);
     // Chunked by pattern period: each full period copies a fixed set of
@@ -204,19 +199,19 @@ const BF_S1: [f64; HALF] = {
 };
 
 /// Reusable Viterbi working memory: ping-pong path-metric arrays plus
-/// survivor storage (one byte per state per trellis step — byte
-/// `64*step + s` says whether state `s` was reached from its high
-/// predecessor). Hold one per long-lived decoder (e.g. inside a
-/// `RxScratch`) so steady-state decoding allocates nothing beyond the
-/// survivor buffer's high-water mark.
+/// survivor storage (one `u64` per trellis step — bit `s` of word
+/// `step` says whether state `s` was reached from its high predecessor).
+/// Hold one per long-lived decoder (e.g. inside a `RxScratch`) so
+/// steady-state decoding allocates nothing beyond the survivor buffer's
+/// high-water mark.
 #[derive(Debug, Clone)]
 pub struct ViterbiScratch {
     /// Path metrics entering the current step.
     metrics: [f64; STATES],
     /// Path metrics being built for the next step.
     next: [f64; STATES],
-    /// One survivor byte per state per step.
-    survivors: Vec<u8>,
+    /// One survivor word per step, one decision bit per state.
+    survivors: Vec<u64>,
 }
 
 impl Default for ViterbiScratch {
@@ -236,12 +231,13 @@ impl Default for ViterbiScratch {
 /// `bm[c ^ 3] = −bm[c]` holds exactly (IEEE rounding is sign-symmetric:
 /// `fl(−a − b) = −fl(a + b)`). The compare is branchless — data-dependent
 /// `hi > lo` branches are unpredictable on noisy LLRs and dominated the
-/// flat kernel's runtime — and survivor decisions are stored as bytes so
-/// the whole lane loop autovectorises.
+/// flat kernel's runtime — and the step's decisions are written as bytes
+/// into a 64-byte array so the whole lane loop autovectorises; the
+/// kernel packs that array into the step's survivor word.
 // lint:no_alloc
 #[inline(always)]
 #[cfg(not(feature = "simd"))]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8]) {
+fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
     let (m_lo, m_hi) = cur.split_at(HALF);
     // Pass 1: branch metrics for all butterflies (a pure mul/add sweep the
     // vectoriser handles without select pressure).
@@ -281,7 +277,7 @@ fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt
 // lint:no_alloc
 #[inline(always)]
 #[cfg(feature = "simd")]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8]) {
+fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
     let _ = LANES;
     let (m_lo, m_hi) = cur.split_at(HALF);
     let mut b_arr = [0.0f64; HALF];
@@ -318,18 +314,46 @@ fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt
     }
 }
 
-/// Flat add-compare-select over all trellis steps. `terminated` selects
-/// the traceback start: state 0 for a terminated trellis (falling back to
-/// the best state when 0 is unreachable), the best-metric state otherwise.
+/// Pack one step's decision bytes (each 0 or 1) into a survivor word,
+/// byte `s` to bit `s`. Each group of eight bytes is assembled
+/// little-endian with shifts and gathered into eight bits by one
+/// multiply: `GATHER` has one tap per byte, placing byte `i`'s bit at
+/// position `56 + i`; every (byte, tap) pair lands on a distinct bit, so
+/// no carry reaches the top byte.
+// lint:no_alloc
+#[inline(always)]
+fn pack_decisions(surv: &[u8; STATES]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut word = 0u64;
+    for (g, group) in surv.chunks_exact(8).enumerate() {
+        let mut x = 0u64;
+        for (i, &d) in group.iter().enumerate() {
+            x |= (d as u64) << (8 * i);
+        }
+        word |= (x.wrapping_mul(GATHER) >> 56) << (8 * g);
+    }
+    word
+}
+
+/// Flat add-compare-select over all trellis steps, reading the punctured
+/// coded stream `coded` in place: mother-stream position `i` is the next
+/// unread `coded` value when `pattern[i % pattern.len()]` keeps it, and an
+/// erasure (`0.0`, exactly what [`depuncture_into`] writes) when it was
+/// dropped. `coded.len()` must equal `punctured_len(pattern, 2 * n_steps)`
+/// (the public entry points assert it). `terminated` selects the
+/// traceback start: state 0 for a terminated trellis (falling back to the
+/// best state when 0 is unreachable), the best-metric state otherwise.
 /// Decoded bits (one per step, tail included) land in `out`.
 ///
-/// Bit-identical to the textbook per-edge formulation: branch metrics use
-/// the same additions in the same order (see [`butterfly_step`] for the
-/// proof sketch), and ties keep the low predecessor / the last-scanned
-/// best end state, exactly as the original per-state scan did.
+/// Bit-identical to the textbook per-edge formulation over the
+/// depunctured stream: branch metrics use the same additions in the same
+/// order (see [`butterfly_step`] for the proof sketch), and ties keep the
+/// low predecessor / the last-scanned best end state, exactly as the
+/// original per-state scan did.
 // lint:no_alloc
 fn viterbi_kernel(
-    llrs: &[f64],
+    coded: &[f64],
+    pattern: &[bool],
     n_steps: usize,
     terminated: bool,
     scratch: &mut ViterbiScratch,
@@ -344,15 +368,35 @@ fn viterbi_kernel(
     scratch.metrics = [NEG_INF; STATES];
     scratch.metrics[0] = 0.0; // encoder starts in state 0
     scratch.survivors.clear();
-    scratch.survivors.resize(n_steps * STATES, 0);
+    scratch.survivors.resize(n_steps, 0);
 
     let ViterbiScratch { metrics, next, survivors } = scratch;
     let mut cur: &mut [f64; STATES] = metrics;
     let mut nxt: &mut [f64; STATES] = next;
-    for (step, surv) in survivors.chunks_exact_mut(STATES).enumerate() {
-        let l0 = llrs[2 * step];
-        let l1 = llrs[2 * step + 1];
-        butterfly_step::<LANES>(l0, l1, cur, nxt, surv);
+    let mut surv = [0u8; STATES];
+    // Pattern cursor (always even: one (A, B) pair per step; every
+    // pattern has even length) and read cursor into `coded`.
+    let mut p = 0usize;
+    let mut next_in = 0usize;
+    for word in survivors.iter_mut() {
+        let l0 = if pattern[p] { // lint:allow(panic_path) p is even and < pattern.len(), wrapped below
+            next_in += 1;
+            coded[next_in - 1] // lint:allow(panic_path) kept positions over 2 * n_steps equal coded.len(), asserted by every entry point
+        } else {
+            0.0
+        };
+        let l1 = if pattern[p + 1] { // lint:allow(panic_path) p + 1 < pattern.len(), which is even
+            next_in += 1;
+            coded[next_in - 1] // lint:allow(panic_path) kept positions over 2 * n_steps equal coded.len(), asserted by every entry point
+        } else {
+            0.0
+        };
+        p += 2;
+        if p == pattern.len() {
+            p = 0;
+        }
+        butterfly_step::<LANES>(l0, l1, cur, nxt, &mut surv);
+        *word = pack_decisions(&surv);
         core::mem::swap(&mut cur, &mut nxt);
     }
 
@@ -369,11 +413,23 @@ fn viterbi_kernel(
 
     out.clear();
     out.resize(n_steps, 0);
-    for step in (0..n_steps).rev() {
-        out[step] = (state & 1) as u8; // input bit is the successor's LSB
-        let from_high = survivors[(step << (CONSTRAINT - 1)) | state]; // lint:allow(panic_path) step < n_steps, state < 2^(K-1), survivors sized n_steps * 2^(K-1)
+    for (bit, &word) in out.iter_mut().zip(survivors.iter()).rev() {
+        *bit = (state & 1) as u8; // input bit is the successor's LSB
+        let from_high = (word >> state) & 1;
         state = (state >> 1) | ((from_high as usize) << (CONSTRAINT - 2));
     }
+}
+
+/// Assert that `coded` holds exactly the positions `pattern` keeps over a
+/// mother stream of `mother_len` bits (the [`depuncture`] contract).
+fn assert_punctured_len(coded: &[f64], pattern: &[bool], mother_len: usize) {
+    let want = punctured_len(pattern, mother_len);
+    assert_eq!(
+        coded.len(),
+        want,
+        "received stream too {} for mother length",
+        if coded.len() < want { "short" } else { "long" }
+    );
 }
 
 /// Soft-decision Viterbi decode of a terminated mother-rate stream.
@@ -402,7 +458,7 @@ pub fn viterbi_decode_into(
         2 * total_steps,
         "LLR stream length must be 2*(info+tail)"
     );
-    viterbi_kernel(llrs, total_steps, true, scratch, out);
+    viterbi_kernel(llrs, puncture_pattern(CodeRate::R12), total_steps, true, scratch, out);
     out.truncate(info_bits);
 }
 
@@ -437,7 +493,29 @@ pub fn viterbi_decode_stream_into(
     out: &mut Vec<u8>,
 ) {
     assert_eq!(llrs.len(), 2 * n_bits, "LLR stream length must be 2*n_bits");
-    viterbi_kernel(llrs, n_bits, false, scratch, out);
+    viterbi_kernel(llrs, puncture_pattern(CodeRate::R12), n_bits, false, scratch, out);
+}
+
+/// Soft-decision Viterbi decode of an unterminated stream of `n_bits`
+/// information bits straight from its punctured form: `coded` holds one
+/// LLR per *transmitted* coded bit at `rate`. Decodes exactly what
+/// [`depuncture_into`] (to `2 * n_bits`) followed by
+/// [`viterbi_decode_stream_into`] decodes, without materialising the
+/// depunctured stream. This is the form the receive chain uses.
+///
+/// # Panics
+/// Same length contract as [`depuncture`] with `mother_len = 2 * n_bits`.
+// lint:no_alloc
+pub fn viterbi_decode_punctured_into(
+    coded: &[f64],
+    rate: CodeRate,
+    n_bits: usize,
+    scratch: &mut ViterbiScratch,
+    out: &mut Vec<u8>,
+) {
+    let pattern = puncture_pattern(rate);
+    assert_punctured_len(coded, pattern, 2 * n_bits);
+    viterbi_kernel(coded, pattern, n_bits, false, scratch, out);
 }
 
 /// Convenience: encode + puncture in one call.
@@ -445,12 +523,18 @@ pub fn encode_punctured(data: &[u8], rate: CodeRate) -> Vec<u8> {
     puncture(&encode(data), rate)
 }
 
-/// Convenience: depuncture + Viterbi in one call. `received` holds one LLR
-/// per *transmitted* coded bit.
+/// Convenience: Viterbi decode of a terminated, punctured stream in one
+/// call (the decoder reads the punctured positions as erasures).
+/// `received` holds one LLR per *transmitted* coded bit.
 pub fn decode_punctured(received: &[f64], rate: CodeRate, info_bits: usize) -> Vec<u8> {
-    let mother_len = 2 * (info_bits + TAIL_BITS);
-    let soft = depuncture(received, rate, mother_len);
-    viterbi_decode(&soft, info_bits)
+    let pattern = puncture_pattern(rate);
+    let total_steps = info_bits + TAIL_BITS;
+    assert_punctured_len(received, pattern, 2 * total_steps);
+    let mut scratch = ViterbiScratch::default();
+    let mut bits = Vec::new();
+    viterbi_kernel(received, pattern, total_steps, true, &mut scratch, &mut bits);
+    bits.truncate(info_bits);
+    bits
 }
 
 /// Convert hard bits to strong LLRs (for loss-free test paths).

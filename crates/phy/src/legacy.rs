@@ -207,7 +207,7 @@ fn legacy_decode_core(
     bufs: &mut crate::receiver::RxBufs<'_>,
     out: &mut Vec<u8>,
 ) {
-    use crate::convolutional::{depuncture_into, viterbi_decode_stream_into};
+    use crate::convolutional::viterbi_decode_punctured_into;
     use crate::modulation::{axis_scale, demap_symbol_into};
     use crate::ppdu::bits_to_bytes_into;
 
@@ -246,8 +246,13 @@ fn legacy_decode_core(
     }
 
     let n_total = rx.symbols.len() * ndbps;
-    depuncture_into(bufs.coded_llrs, rx.rate.code_rate(), 2 * n_total, bufs.soft);
-    viterbi_decode_stream_into(bufs.soft, n_total, bufs.viterbi, bufs.bits);
+    viterbi_decode_punctured_into(
+        bufs.coded_llrs,
+        rx.rate.code_rate(),
+        n_total,
+        bufs.viterbi,
+        bufs.bits,
+    );
     Scrambler::new(SCRAMBLER_SEED).apply(bufs.bits);
     bits_to_bytes_into(&bufs.bits[16..16 + 8 * rx.psdu_len], out);
 }
@@ -257,6 +262,45 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use witag_sim::Rng;
+
+    #[test]
+    fn non_finite_samples_decode_like_the_two_step_path() {
+        // Same contract as the HT receiver: NaN/±inf samples give bytes,
+        // not a panic, identical to the two-step decode of the coded
+        // stream left in the scratch.
+        let mut scratch = RxScratch::new();
+        let cases = [
+            (LegacyRate::M6, f64::NAN, false),
+            (LegacyRate::M18, f64::INFINITY, false),
+            (LegacyRate::M48, f64::NEG_INFINITY, false),
+            (LegacyRate::M54, f64::NAN, true),
+        ];
+        for (rate, poison, in_ltf) in cases {
+            let psdu = vec![0x5Au8; 32];
+            let mut ppdu = legacy_transmit(rate, &psdu);
+            if in_ltf {
+                ppdu.ltf.streams[0][10] = c64(poison, 0.0);
+            } else {
+                for sym in ppdu.symbols.iter_mut() {
+                    for pt in sym.streams[0].iter_mut().step_by(5) {
+                        *pt = c64(poison, 0.0);
+                    }
+                }
+            }
+            let got = legacy_receive_with_scratch(&ppdu, 1e-4, &mut scratch);
+            assert!(scratch.coded_llrs.iter().any(|l| !l.is_finite()), "{rate:?}");
+            let n_total = ppdu.symbols.len() * rate.ndbps();
+            let want = crate::receiver::two_step_decode(
+                &scratch.coded_llrs,
+                rate.code_rate(),
+                n_total,
+                SCRAMBLER_SEED,
+                ppdu.psdu_len,
+            );
+            assert_eq!(got.len(), psdu.len(), "{rate:?}");
+            assert_eq!(got, want, "{rate:?}");
+        }
+    }
 
     #[test]
     fn layout_counts() {

@@ -18,7 +18,7 @@
 //! commodity NICs cannot decode tag-corrupted subframes.
 
 use crate::complex::Complex64;
-use crate::convolutional::{depuncture_into, viterbi_decode_stream_into, ViterbiScratch};
+use crate::convolutional::{viterbi_decode_punctured_into, ViterbiScratch};
 use crate::interleaver::{InterleaverDims, InterleaverPerm};
 use crate::mimo::{self, MAX_NSS};
 use crate::modulation::{axis_scale, demap_symbol_into};
@@ -71,9 +71,9 @@ impl<'a> ChannelEstimate<'a> {
 /// One `RxScratch` threaded through [`receive_with_scratch`] (and the
 /// legacy [`crate::legacy::legacy_receive_with_scratch`]) makes the whole
 /// RX hot path allocation-free in steady state: every intermediate buffer
-/// — transmit-order LLRs, per-stream deinterleaved LLRs, the coded
-/// stream, the depunctured mother stream, decoded bits, Viterbi path
-/// metrics and survivors, cached interleaver permutations and pilot
+/// — transmit-order LLRs, per-stream deinterleaved LLRs, the punctured
+/// coded stream (the decoder reads it in place), decoded bits, Viterbi
+/// path metrics and survivors, cached interleaver permutations and pilot
 /// patterns — is owned here and reused across calls.
 #[derive(Debug, Default)]
 pub struct RxScratch {
@@ -89,8 +89,6 @@ pub struct RxScratch {
     pub(crate) per_stream: Vec<Vec<f64>>,
     /// The whole DATA field's coded LLR stream.
     pub(crate) coded_llrs: Vec<f64>,
-    /// Depunctured mother-rate soft stream.
-    pub(crate) soft: Vec<f64>,
     /// Decoded (still scrambled, then descrambled in place) bits.
     pub(crate) bits: Vec<u8>,
     /// Viterbi path-metric and survivor storage.
@@ -241,7 +239,6 @@ pub(crate) struct RxBufs<'a> {
     pub(crate) llrs_tx: &'a mut Vec<f64>,
     pub(crate) per_stream: &'a mut Vec<Vec<f64>>,
     pub(crate) coded_llrs: &'a mut Vec<f64>,
-    pub(crate) soft: &'a mut Vec<f64>,
     pub(crate) bits: &'a mut Vec<u8>,
     pub(crate) viterbi: &'a mut ViterbiScratch,
     pub(crate) eq: &'a mut Vec<Complex64>,
@@ -262,7 +259,6 @@ impl RxScratch {
             llrs_tx,
             per_stream,
             coded_llrs,
-            soft,
             bits,
             viterbi,
             eq,
@@ -279,7 +275,6 @@ impl RxScratch {
                 llrs_tx,
                 per_stream,
                 coded_llrs,
-                soft,
                 bits,
                 viterbi,
                 eq,
@@ -376,9 +371,13 @@ pub(crate) fn decode_core(
     // Decode the whole DATA field as one stream.
     let n_sym = rx.symbols.len();
     let n_total = n_sym * config.ndbps();
-    let mother_len = 2 * n_total;
-    depuncture_into(bufs.coded_llrs, config.mcs.code_rate, mother_len, bufs.soft);
-    viterbi_decode_stream_into(bufs.soft, n_total, bufs.viterbi, bufs.bits);
+    viterbi_decode_punctured_into(
+        bufs.coded_llrs,
+        config.mcs.code_rate,
+        n_total,
+        bufs.viterbi,
+        bufs.bits,
+    );
 
     // Descramble and extract the PSDU.
     let mut scrambler = Scrambler::new(config.scrambler_seed);
@@ -555,9 +554,13 @@ pub(crate) fn decode_core_mimo(
 
     let n_sym = rx.symbols.len();
     let n_total = n_sym * config.ndbps();
-    let mother_len = 2 * n_total;
-    depuncture_into(bufs.coded_llrs, config.mcs.code_rate, mother_len, bufs.soft);
-    viterbi_decode_stream_into(bufs.soft, n_total, bufs.viterbi, bufs.bits);
+    viterbi_decode_punctured_into(
+        bufs.coded_llrs,
+        config.mcs.code_rate,
+        n_total,
+        bufs.viterbi,
+        bufs.bits,
+    );
 
     let mut scrambler = Scrambler::new(config.scrambler_seed);
     scrambler.apply(bufs.bits);
@@ -620,15 +623,38 @@ pub fn receive_mu_with_scratch(
     // punctured convolutional codeword.
     let ndbps1 = config.ndbps() / nss;
     let n_total = rx.symbols.len() * ndbps1;
-    let mother_len = 2 * n_total;
     for (ss, dst) in out.iter_mut().enumerate() {
-        depuncture_into(&bufs.per_stream[ss], config.mcs.code_rate, mother_len, bufs.soft);
-        viterbi_decode_stream_into(bufs.soft, n_total, bufs.viterbi, bufs.bits);
+        viterbi_decode_punctured_into(
+            &bufs.per_stream[ss],
+            config.mcs.code_rate,
+            n_total,
+            bufs.viterbi,
+            bufs.bits,
+        );
         let mut scrambler = Scrambler::new(mimo::mu_stream_seed(config.scrambler_seed, ss));
         scrambler.apply(bufs.bits);
         let psdu_bits = &bufs.bits[16..16 + 8 * rx.psdu_len];
         bits_to_bytes_into(psdu_bits, &mut dst.bytes);
     }
+    out
+}
+
+/// Two-step reference decode of a DATA field's coded stream: depuncture
+/// `coded` to the mother stream, Viterbi over that, descramble, and
+/// extract `psdu_len` bytes. Tests hold the in-place decode to it.
+#[cfg(test)]
+pub(crate) fn two_step_decode(
+    coded: &[f64],
+    rate: crate::mcs::CodeRate,
+    n_total: usize,
+    scrambler_seed: u8,
+    psdu_len: usize,
+) -> Vec<u8> {
+    use crate::convolutional::{depuncture, viterbi_decode_stream};
+    let mut bits = viterbi_decode_stream(&depuncture(coded, rate, 2 * n_total), n_total);
+    Scrambler::new(scrambler_seed).apply(&mut bits);
+    let mut out = Vec::new();
+    bits_to_bytes_into(&bits[16..16 + 8 * psdu_len], &mut out);
     out
 }
 
@@ -644,6 +670,53 @@ mod tests {
         let mut v = vec![0u8; len];
         rng.fill_bytes(&mut v);
         v
+    }
+
+    #[test]
+    fn non_finite_samples_decode_like_the_two_step_path() {
+        // NaN and ±inf samples, in the DATA field or in the training
+        // symbol, must come back as bytes (garbage, but no panic), and
+        // the in-place decode must match the two-step path on the coded
+        // stream the receive left in the scratch.
+        let mut rng = Rng::seed_from_u64(19);
+        let mut scratch = RxScratch::new();
+        let cases = [
+            (0usize, f64::NAN, false),
+            (3, f64::INFINITY, false),
+            (5, f64::NEG_INFINITY, false),
+            (7, f64::NAN, true),
+            (9, f64::INFINITY, false),
+            (12, f64::NAN, true),
+        ];
+        for (mcs_idx, poison, in_ltf) in cases {
+            let config = PhyConfig::new(Mcs::ht(mcs_idx));
+            let psdu = random_psdu(&mut rng, 96);
+            let mut ppdu = transmit(&config, &psdu);
+            if in_ltf {
+                ppdu.ltfs[0].streams[0][3] = c64(poison, 0.0);
+            } else {
+                for sym in ppdu.symbols.iter_mut() {
+                    for pt in sym.streams.iter_mut().flat_map(|s| s.iter_mut()).step_by(7) {
+                        *pt = c64(poison, 0.0);
+                    }
+                }
+            }
+            let got = receive_with_scratch(&ppdu, 1e-4, &mut scratch);
+            assert!(
+                scratch.coded_llrs.iter().any(|l| !l.is_finite()),
+                "MCS{mcs_idx}: the poison must reach the decoder"
+            );
+            let n_total = ppdu.symbols.len() * config.ndbps();
+            let want = two_step_decode(
+                &scratch.coded_llrs,
+                config.mcs.code_rate,
+                n_total,
+                config.scrambler_seed,
+                ppdu.psdu_len,
+            );
+            assert_eq!(got.bytes.len(), psdu.len(), "MCS{mcs_idx}");
+            assert_eq!(got.bytes, want, "MCS{mcs_idx}");
+        }
     }
 
     /// Identity channel: receive exactly what was sent.

@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 use witag_phy::complex::{c64, Complex64};
 use witag_phy::convolutional::{
-    bits_to_llrs, decode_punctured, encode_punctured, encode_stream, viterbi_decode_stream,
-    CodeRate,
+    bits_to_llrs, decode_punctured, depuncture_into, encode_punctured, encode_stream, puncture,
+    viterbi_decode_punctured_into, viterbi_decode_stream, viterbi_decode_stream_into, CodeRate,
+    ViterbiScratch,
 };
 use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
 use witag_phy::mcs::{Mcs, Modulation};
@@ -39,8 +40,91 @@ fn any_modulation() -> impl Strategy<Value = Modulation> {
     ]
 }
 
+const ALL_RATES: [CodeRate; 4] = [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56];
+
+/// Punctured length of an unterminated stream of `n_bits` information
+/// bits at `rate`.
+fn punctured_stream_len(n_bits: usize, rate: CodeRate) -> usize {
+    puncture(&vec![0u8; 2 * n_bits], rate).len()
+}
+
+/// `n` LLRs drawn mostly from `alphabet` (small values make equal path
+/// metrics, and so the decoder's tie-breaks, common), one in four from
+/// arbitrary finite values.
+fn llrs_from(rng: &mut witag_sim::Rng, alphabet: &[f64], n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            if rng.next_u64().is_multiple_of(4) {
+                rng.range_f64(-40.0, 40.0)
+            } else {
+                alphabet[(rng.next_u64() % alphabet.len() as u64) as usize]
+            }
+        })
+        .collect()
+}
+
+/// The two-step reference: depuncture to the mother stream, then the
+/// rate-1/2 stream decoder, on a fresh scratch.
+fn two_step_decode(coded: &[f64], rate: CodeRate, n_bits: usize) -> Vec<u8> {
+    let mut soft = Vec::new();
+    depuncture_into(coded, rate, 2 * n_bits, &mut soft);
+    let mut bits = Vec::new();
+    viterbi_decode_stream_into(&soft, n_bits, &mut ViterbiScratch::default(), &mut bits);
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn punctured_decode_equals_depuncture_then_decode(
+        seed in any::<u64>(),
+        long in 200usize..600,
+        short in 0usize..24,
+    ) {
+        // One warm scratch for every rate and length, decoding long,
+        // then short, then long again: a decode must never see survivor
+        // words a longer earlier decode left behind. Random lengths
+        // cover mother streams that are not a multiple of the pattern
+        // period.
+        let mut rng = witag_sim::Rng::seed_from_u64(seed);
+        let mut warm = ViterbiScratch::default();
+        let mut out = Vec::new();
+        for rate in ALL_RATES {
+            for n_bits in [long, short, 0, 1, long + 1] {
+                let coded = llrs_from(
+                    &mut rng,
+                    &[0.0, 1.0, -1.0, 2.0, -2.0],
+                    punctured_stream_len(n_bits, rate),
+                );
+                viterbi_decode_punctured_into(&coded, rate, n_bits, &mut warm, &mut out);
+                prop_assert_eq!(&out, &two_step_decode(&coded, rate, n_bits),
+                    "{:?} n_bits {}", rate, n_bits);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_llrs_decode_like_the_two_step_path(
+        seed in any::<u64>(),
+        n_bits in 0usize..300,
+    ) {
+        // NaN and ±inf LLRs must not panic, and the in-place decode must
+        // take exactly the two-step path's decisions on them.
+        let mut rng = witag_sim::Rng::seed_from_u64(seed);
+        let mut scratch = ViterbiScratch::default();
+        let mut out = Vec::new();
+        for rate in ALL_RATES {
+            let coded = llrs_from(
+                &mut rng,
+                &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0, -1.0],
+                punctured_stream_len(n_bits, rate),
+            );
+            viterbi_decode_punctured_into(&coded, rate, n_bits, &mut scratch, &mut out);
+            prop_assert_eq!(out.len(), n_bits);
+            prop_assert_eq!(&out, &two_step_decode(&coded, rate, n_bits), "{:?}", rate);
+        }
+    }
 
     #[test]
     fn scrambler_is_an_involution(data in bits(300), seed in 1u8..128) {

@@ -3,7 +3,7 @@
 //! The build environment has no access to a crates.io mirror, so this
 //! crate provides the slice of proptest's surface the workspace's
 //! property tests actually use: the [`proptest!`] macro, `prop_assert*`
-//! / [`prop_assume!`], [`strategy::Strategy`] with ranges / [`any`] /
+//! / [`prop_assume!`], [`strategy::Strategy`] with ranges / [`arbitrary::any`] /
 //! [`collection`] / [`prop_oneof!`] / [`strategy::Just`], and
 //! `prop::sample::Index`.
 //!
@@ -127,7 +127,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between boxed strategies (backs [`prop_oneof!`]).
+    /// Uniform choice between boxed strategies (backs [`crate::prop_oneof!`]).
     pub struct Union<T> {
         options: Vec<Box<dyn Strategy<Value = T>>>,
     }
