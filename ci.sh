@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build, test, lint — one reproducible command.
-# Works fully offline (proptest/criterion are path-dep shims under crates/).
+# Works fully offline (proptest is a path-dep shim under crates/).
 set -eux
 
 cargo build --release

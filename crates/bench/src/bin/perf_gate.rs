@@ -206,10 +206,10 @@ fn main() {
     // Per-PPDU cost of the full-matrix receive chain (`receive_mu`:
     // P-mapped sounding → per-subcarrier weight solve → joint
     // equalisation → per-stream Viterbi) at 1/2/3 spatial streams under
-    // both equalisers. The 1-stream row is the degenerate matrix path —
-    // its gap to `receive_scratch` above is the pure matrix-machinery
-    // overhead. Per-stream PSDUs are 256 B so stream count changes the
-    // matrix dimension, not the airtime.
+    // both equalisers. The 1-stream row runs the same decode core as
+    // `receive_scratch` above (one stream is the 1×1 case of the joint
+    // equaliser), on a 256 B PSDU. Per-stream PSDUs are 256 B so stream
+    // count changes the matrix dimension, not the airtime.
     let mut mimo_rows = Vec::new();
     for nss in 1..=3usize {
         let mut mcfg = PhyConfig::new(Mcs::ht((nss - 1) * 8 + 5));
@@ -305,7 +305,7 @@ fn main() {
         .join(",\n");
 
     let json = format!(
-        "{{\n  \"schema\": \"witag-phy-bench-v4\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"kernel\": \"{KERNEL}\",\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config; per-config history lives in configs\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row vs receive_scratch is the matrix-machinery overhead\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"obs\": {{\n    \"note\": \"serial_rounds_per_s above runs with a detached NullRecorder; this is the attached-recorder cost\",\n    \"traced_rounds_per_s\": {traced_per_s:.2},\n    \"trace_events\": {trace_events},\n    \"traced_overhead_pct\": {traced_overhead_pct:.2}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }},\n  \"configs\": {{\n{configs_json}\n  }}\n}}",
+        "{{\n  \"schema\": \"witag-phy-bench-v4\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"kernel\": \"{KERNEL}\",\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config; per-config history lives in configs\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row runs the same core as receive_scratch\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"obs\": {{\n    \"note\": \"serial_rounds_per_s above runs with a detached NullRecorder; this is the attached-recorder cost\",\n    \"traced_rounds_per_s\": {traced_per_s:.2},\n    \"trace_events\": {trace_events},\n    \"traced_overhead_pct\": {traced_overhead_pct:.2}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }},\n  \"configs\": {{\n{configs_json}\n  }}\n}}",
         SEED_TRANSMIT_1664B_MCS5_US * 1e3 / transmit_ns,
         serial_per_s * SEED_QUERY_ROUND_US / 1e6,
         parallel_per_s * SEED_QUERY_ROUND_US / 1e6,

@@ -20,7 +20,9 @@
 //! Round counts are scaled by the `WITAG_ROUNDS` environment variable
 //! (default 150 rounds ≈ 9,300 tag bits per measurement point).
 //!
-//! Criterion micro-benchmarks for the hot paths live under `benches/`.
+//! The `perf_gate` binary times the hot paths for the `ci.sh` floors;
+//! the per-layer ledger is the `perfbench` package at the repository
+//! root.
 //!
 //! The system-wide map — crate graph, data flow, determinism/replay
 //! contract, fault/observability/lint hooks — is `docs/ARCHITECTURE.md`

@@ -64,8 +64,8 @@ pub const PANIC_SCOPE: &[&str] =
 /// Crates whose library sources must be deterministic (no wall-clock, no
 /// ad-hoc threads, no entropy, no default-hasher collections). Everything
 /// the simulator links, plus the CLI and this linter itself; `bench` and
-/// the offline shim crates (`criterion`, `proptest`) legitimately touch
-/// `std::time` and stay out.
+/// the offline `proptest` shim legitimately touch `std::time` and stay
+/// out.
 pub const DETERMINISM_SCOPE: &[&str] = &[
     "phy", "mac", "crypto", "channel", "tag", "core", "faults", "sim", "baselines", "cli", "lint",
     "obs", "net",
@@ -84,12 +84,13 @@ pub const DOCS_SCOPE: &[&str] = &[
     "obs", "net",
 ];
 
-/// Crate dirs excluded from the call graph: `bench` and the offline shim
-/// crates re-implement std-ish APIs (timers, samplers) whose internals
-/// are deliberately wall-clock; wiring them in through name-based method
-/// resolution would attach their nondeterminism to unrelated callers.
-/// They still get the full per-file passes and the consistency passes.
-pub const GRAPH_EXCLUDE: &[&str] = &["bench", "criterion", "proptest"];
+/// Crate dirs excluded from the call graph: `bench` (timers) and the
+/// offline `proptest` shim (samplers) re-implement std-ish APIs whose
+/// internals are deliberately wall-clock or random; wiring them in
+/// through name-based method resolution would attach their
+/// nondeterminism to unrelated callers. They still get the full per-file
+/// passes and the consistency passes.
+pub const GRAPH_EXCLUDE: &[&str] = &["bench", "proptest"];
 
 /// One source file of a (real or virtual) workspace — the unit the
 /// analyzer fans out over. Integration tests build these by hand to pin

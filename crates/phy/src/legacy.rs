@@ -18,7 +18,6 @@ use crate::mcs::{CodeRate, Modulation};
 use crate::params::timing;
 use crate::ppdu::{data_field_bits, OfdmSymbol, SymbolMapper};
 use crate::receiver::RxScratch;
-use crate::scrambler::Scrambler;
 use std::sync::LazyLock;
 use witag_sim::time::Duration;
 
@@ -173,6 +172,12 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
 
 /// Receive a legacy PPDU: estimate from the LTF, equalise, decode.
 ///
+/// Malformed shapes never panic, by the rule of
+/// [`crate::receiver::receive`]: decoding stops at the first DATA symbol
+/// that lacks one of the 52 occupied subcarriers, an LTF that lacks one
+/// leaves no symbol to decode, and the `psdu_len` bytes the decoded
+/// symbols do not carry come back zero.
+///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
 /// output); [`legacy_receive_with_scratch`] reuses the working memory.
 pub fn legacy_receive(rx: &LegacyPpdu, noise_var: f64) -> Vec<u8> {
@@ -191,70 +196,82 @@ pub fn legacy_receive_with_scratch(
 ) -> Vec<u8> {
     let mut out = Vec::new();
     let dims = InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier());
-    let (perms, _pilots, mut bufs) = scratch.split();
-    let perm = RxScratch::perm(perms, dims);
-    legacy_decode_core(rx, noise_var, perm, &mut bufs, &mut out);
+    let perm = RxScratch::perm(&mut scratch.perms, dims);
+    legacy_decode_core(rx, noise_var, perm, &mut scratch.bufs, &mut out);
     out
 }
 
 /// The legacy decode chain, given the cached interleaver permutation for
-/// the PPDU's rate.
+/// the PPDU's rate: its own front half (per-subcarrier divide by the LTF
+/// estimate, no pilot tracking), then the shared
+/// [`crate::receiver::decode_tail`].
 // lint:no_alloc
 fn legacy_decode_core(
     rx: &LegacyPpdu,
     noise_var: f64,
     perm: &crate::interleaver::InterleaverPerm,
-    bufs: &mut crate::receiver::RxBufs<'_>,
+    bufs: &mut crate::receiver::RxBufs,
     out: &mut Vec<u8>,
 ) {
-    use crate::convolutional::viterbi_decode_punctured_into;
     use crate::modulation::{axis_scale, demap_symbol_into};
-    use crate::ppdu::bits_to_bytes_into;
 
-    let ndbps = rx.rate.ndbps();
     let modulation = rx.rate.modulation();
-    let h = &rx.ltf.streams[0];
-    let data_pos = LegacyLayout::cached().data_positions();
+    let layout = LegacyLayout::cached();
+    let data_pos = layout.data_positions();
     let n_data = data_pos.len();
+    // The shape check: the LTF and each decoded symbol must carry every
+    // occupied subcarrier.
+    let full = |sym: &OfdmSymbol| {
+        sym.streams.first().is_some_and(|s| s.len() >= layout.n_occupied())
+    };
+    let n_sym = if full(&rx.ltf) {
+        rx.symbols.iter().take_while(|sym| full(sym)).count()
+    } else {
+        0
+    };
 
-    // Per-PPDU hoisted channel gather and demapper scales (the estimate
-    // is static across the PPDU's symbols — same arithmetic as the old
-    // per-symbol loop, computed once).
-    bufs.h_data.clear();
-    bufs.h_data.reserve(n_data);
-    bufs.demap_scales.clear();
-    bufs.demap_scales.reserve(n_data);
-    for &pos in data_pos {
-        let hv = h[pos];
-        let eff_noise = noise_var / hv.norm_sqr().max(1e-9);
-        bufs.h_data.push(hv);
-        bufs.demap_scales.push(axis_scale(modulation, eff_noise));
-    }
-
+    bufs.eq_streams.resize_with(bufs.eq_streams.len().max(1), Vec::new); // lint:allow(no_alloc)
     bufs.coded_llrs.clear();
-    bufs.coded_llrs.reserve(rx.symbols.len() * perm.dims().n_cbps);
-    for sym in &rx.symbols {
+    if n_sym > 0 {
+        // Per-PPDU hoist of `1/h` and the demapper scales (the estimate
+        // is static across the PPDU's symbols). `raw·h.inv()` is `raw/h`
+        // bit for bit: complex division is multiplication by the inverse.
+        let h = &rx.ltf.streams[0];
+        bufs.w_mat.clear();
+        bufs.w_mat.reserve(n_data);
+        bufs.demap_scales.clear();
+        bufs.demap_scales.reserve(n_data);
+        for &pos in data_pos {
+            let hv = h[pos];
+            bufs.w_mat.push(hv.inv());
+            bufs.demap_scales.push(axis_scale(modulation, noise_var / hv.norm_sqr().max(1e-9)));
+        }
+        bufs.coded_llrs.reserve(n_sym * perm.dims().n_cbps);
+    }
+    for sym in &rx.symbols[..n_sym] {
         let raw = &sym.streams[0];
-        bufs.eq.clear();
-        bufs.eq.reserve(n_data);
-        for (i, &pos) in data_pos.iter().enumerate() {
-            bufs.eq.push(raw[pos] / bufs.h_data[i]);
+        let eq = &mut bufs.eq_streams[0];
+        eq.clear();
+        eq.reserve(n_data);
+        for (&pos, &w) in data_pos.iter().zip(bufs.w_mat.iter()) {
+            eq.push(raw[pos] * w);
         }
         bufs.llrs_tx.clear();
-        demap_symbol_into(bufs.eq, modulation, bufs.demap_scales, bufs.llrs_tx);
-        perm.deinterleave_append(bufs.llrs_tx, bufs.coded_llrs);
+        demap_symbol_into(eq, modulation, &bufs.demap_scales, &mut bufs.llrs_tx);
+        perm.deinterleave_append(&bufs.llrs_tx, &mut bufs.coded_llrs);
     }
 
-    let n_total = rx.symbols.len() * ndbps;
-    viterbi_decode_punctured_into(
-        bufs.coded_llrs,
+    out.clear();
+    out.resize(rx.psdu_len, 0);
+    crate::receiver::decode_tail(
+        &bufs.coded_llrs,
         rx.rate.code_rate(),
-        n_total,
-        bufs.viterbi,
-        bufs.bits,
+        n_sym * rx.rate.ndbps(),
+        SCRAMBLER_SEED,
+        &mut bufs.viterbi,
+        &mut bufs.bits,
+        out,
     );
-    Scrambler::new(SCRAMBLER_SEED).apply(bufs.bits);
-    bits_to_bytes_into(&bufs.bits[16..16 + 8 * rx.psdu_len], out);
 }
 
 #[cfg(test)]
@@ -288,10 +305,10 @@ mod tests {
                 }
             }
             let got = legacy_receive_with_scratch(&ppdu, 1e-4, &mut scratch);
-            assert!(scratch.coded_llrs.iter().any(|l| !l.is_finite()), "{rate:?}");
+            assert!(scratch.bufs.coded_llrs.iter().any(|l| !l.is_finite()), "{rate:?}");
             let n_total = ppdu.symbols.len() * rate.ndbps();
             let want = crate::receiver::two_step_decode(
-                &scratch.coded_llrs,
+                &scratch.bufs.coded_llrs,
                 rate.code_rate(),
                 n_total,
                 SCRAMBLER_SEED,

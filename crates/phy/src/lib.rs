@@ -16,11 +16,11 @@
 //!   time/frequency synchronisation impairments are out of scope.
 //! * **Real MIMO.** Multi-stream PPDUs are sounded with P-mapped HT-LTF
 //!   symbols and decoded through full per-subcarrier `Nss×Nss` channel
-//!   matrices with joint ZF/MMSE equalisation ([`mimo`]); the historical
-//!   independent-streams model survives only as the `Nss = 1` degenerate
-//!   case. The tag — a single physical reflector — perturbs every matrix
-//!   entry at once, which is why WiTAG is MIMO-agnostic (paper §4) while
-//!   per-symbol-twiddling designs are not.
+//!   matrices with joint ZF/MMSE equalisation ([`mimo`]); one stream is
+//!   the 1×1 case of the same receive core. The tag — a single physical
+//!   reflector — perturbs every matrix entry at once, which is why WiTAG
+//!   is MIMO-agnostic (paper §4) while per-symbol-twiddling designs are
+//!   not.
 //! * **Channel estimation happens once per PPDU**, from the LTF — the
 //!   802.11 behaviour WiTAG exploits (paper §3.2): flip the channel
 //!   mid-frame and every later symbol is equalised with stale CSI.
@@ -53,7 +53,4 @@ pub use params::{Bandwidth, GuardInterval, SubcarrierLayout, MAX_AMPDU_SUBFRAMES
 pub use ppdu::{transmit, OfdmSymbol, PhyConfig, Ppdu};
 pub use legacy::{legacy_receive, legacy_receive_with_scratch, legacy_transmit, LegacyLayout, LegacyPpdu};
 pub use mimo::{receive_mu, transmit_mu, MimoEqualiser};
-pub use receiver::{
-    receive, receive_mu_with_scratch, receive_with_scratch, ChannelEstimate, DecodedPsdu,
-    RxScratch,
-};
+pub use receiver::{receive, receive_mu_with_scratch, receive_with_scratch, DecodedPsdu, RxScratch};

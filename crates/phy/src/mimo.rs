@@ -50,9 +50,8 @@ pub const P_HTLTF: [[f64; 4]; 4] = [
     [-1.0, 1.0, 1.0, 1.0],
 ];
 
-/// Which joint equaliser the receiver applies to multi-stream PPDUs
-/// (single-stream PPDUs always use the scalar per-subcarrier divide —
-/// the `Nss = 1` degenerate case of either choice).
+/// Which joint equaliser the receiver applies, at every stream count
+/// (at `Nss = 1` zero-forcing is the per-subcarrier divide by `h`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MimoEqualiser {
     /// Zero-forcing: `W = H⁻¹`.
@@ -93,7 +92,7 @@ impl MimoEqualiser {
 /// The HT-LTF training symbols for `nss` streams: `ht_ltf_count(nss)`
 /// OFDM symbols where training symbol `n` carries `P_HTLTF[ss][n]` on
 /// every occupied subcarrier of stream `ss`. For `nss = 1` this is the
-/// single all-ones LTF the scalar chain has always used.
+/// single all-ones LTF.
 pub fn ltf_symbols(nss: usize, n_occupied: usize) -> Vec<OfdmSymbol> {
     assert!((1..=MAX_NSS).contains(&nss), "1..=4 spatial streams");
     (0..ht_ltf_count(nss))

@@ -18,9 +18,8 @@
 //! symbols ([`crate::mimo::ltf_symbols`]) and the receiver estimates the
 //! **full** `Nss×Nss` per-subcarrier channel matrix, then jointly
 //! equalises (ZF or MMSE, [`crate::mimo::MimoEqualiser`]) — cross-stream
-//! leakage is modelled, not assumed away. The historical "independent
-//! per-stream channels, ideal separation" path survives only as the
-//! `Nss = 1` degenerate case. The tag — one physical reflector — still
+//! leakage is modelled, not assumed away. One stream is the 1×1 case of
+//! the same receive core. The tag — one physical reflector — still
 //! perturbs every matrix entry at once, which is exactly why WiTAG is
 //! MIMO-agnostic (paper §4) where per-symbol-twiddling designs are not.
 
@@ -44,8 +43,7 @@ pub struct PhyConfig {
     pub guard: GuardInterval,
     /// 7-bit nonzero scrambler seed for the SERVICE field.
     pub scrambler_seed: u8,
-    /// Joint equaliser used for multi-stream receive (ignored at
-    /// `Nss = 1`, where the scalar per-subcarrier divide applies).
+    /// Joint equaliser the receiver applies, at every stream count.
     pub equaliser: crate::mimo::MimoEqualiser,
 }
 
@@ -156,7 +154,7 @@ pub struct Ppdu {
     /// HT-LTF training symbols, one per training slot
     /// (`ht_ltf_count(nss)` of them): training symbol `n` carries
     /// `P_HTLTF[ss][n]` on every occupied subcarrier of stream `ss`. At
-    /// `Nss = 1` this is the single all-ones LTF the receiver divides by.
+    /// `Nss = 1` this is the single all-ones LTF.
     pub ltfs: Vec<OfdmSymbol>,
     /// DATA-field symbols.
     pub symbols: Vec<OfdmSymbol>,

@@ -20,61 +20,21 @@
 use crate::complex::Complex64;
 use crate::convolutional::{viterbi_decode_punctured_into, ViterbiScratch};
 use crate::interleaver::{InterleaverDims, InterleaverPerm};
+use crate::mcs::CodeRate;
 use crate::mimo::{self, MAX_NSS};
 use crate::modulation::{axis_scale, demap_symbol_into};
-use crate::ppdu::{bits_to_bytes_into, deparse_streams_into, pilot_values, OfdmSymbol, Ppdu};
+use crate::params::ht_ltf_count;
+use crate::ppdu::{deparse_streams_into, pilot_values, OfdmSymbol, PhyConfig, Ppdu};
 use crate::scrambler::Scrambler;
-
-/// Single-stream per-subcarrier channel estimate (CSI), borrowing the
-/// received LTF it was estimated from. The transmitted `Nss = 1` LTF is
-/// all-ones on every occupied subcarrier, so the received LTF *is* the
-/// estimate — the seed implementation cloned the full table every call
-/// for nothing. Multi-stream PPDUs estimate the full channel *matrix*
-/// instead ([`crate::mimo::estimate_into`]); this diagonal form survives
-/// as the `Nss = 1` degenerate case.
-#[derive(Debug, Clone, Copy)]
-pub struct ChannelEstimate<'a> {
-    /// `h[ss][pos]` — estimated coefficient for stream `ss`, storage
-    /// position `pos`.
-    pub h: &'a [Vec<Complex64>],
-}
-
-impl<'a> ChannelEstimate<'a> {
-    /// Estimate CSI from the received LTF (transmitted LTF is all-ones on
-    /// every occupied subcarrier).
-    pub fn from_ltf(rx_ltf: &'a OfdmSymbol) -> Self {
-        ChannelEstimate {
-            h: &rx_ltf.streams,
-        }
-    }
-
-    /// Mean channel magnitude across streams and subcarriers (diagnostic).
-    pub fn mean_magnitude(&self) -> f64 {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for stream in self.h {
-            for c in stream {
-                total += c.abs();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
-    }
-}
 
 /// Reusable working memory for the receive chain.
 ///
-/// One `RxScratch` threaded through [`receive_with_scratch`] (and the
-/// legacy [`crate::legacy::legacy_receive_with_scratch`]) makes the whole
-/// RX hot path allocation-free in steady state: every intermediate buffer
-/// — transmit-order LLRs, per-stream deinterleaved LLRs, the punctured
-/// coded stream (the decoder reads it in place), decoded bits, Viterbi
-/// path metrics and survivors, cached interleaver permutations and pilot
-/// patterns — is owned here and reused across calls.
+/// One `RxScratch` threaded through [`receive_with_scratch`],
+/// [`receive_mu_with_scratch`] and the legacy
+/// [`crate::legacy::legacy_receive_with_scratch`] makes the receive hot
+/// path allocation-free in steady state: the caches of interleaver
+/// permutations and pilot patterns, and every working buffer of a
+/// decode, are owned here and reused across calls.
 #[derive(Debug, Default)]
 pub struct RxScratch {
     /// Cached interleaver permutations, one per dimension set seen (an
@@ -83,34 +43,39 @@ pub struct RxScratch {
     pub(crate) perms: Vec<InterleaverPerm>,
     /// Cached pilot patterns keyed by pilot count.
     pub(crate) pilots: Vec<Vec<Complex64>>,
-    /// One stream's LLRs in transmit (subcarrier) order.
+    /// The working buffers.
+    pub(crate) bufs: RxBufs,
+}
+
+/// The working buffers of [`RxScratch`], apart from its caches so that
+/// a decode can hold a cached permutation and pilot pattern while these
+/// stay mutable.
+#[derive(Debug, Default)]
+pub(crate) struct RxBufs {
+    /// One stream's LLRs for one symbol in transmit (subcarrier) order.
     pub(crate) llrs_tx: Vec<f64>,
-    /// Per-stream deinterleaved (code-order) LLRs.
+    /// Per-stream deinterleaved (code-order) LLRs of the whole PPDU. A
+    /// single-stream PPDU decodes `per_stream[0]` in place, a MU PPDU
+    /// decodes each stream.
     pub(crate) per_stream: Vec<Vec<f64>>,
-    /// The whole DATA field's coded LLR stream.
+    /// The merged coded LLR stream: the stream deparse of a multiplexed
+    /// PPDU, or a legacy PPDU's code stream.
     pub(crate) coded_llrs: Vec<f64>,
     /// Decoded (still scrambled, then descrambled in place) bits.
     pub(crate) bits: Vec<u8>,
     /// Viterbi path-metric and survivor storage.
     pub(crate) viterbi: ViterbiScratch,
-    /// One symbol's equalised data subcarriers (SoA form for the chunked
-    /// demapper).
-    pub(crate) eq: Vec<Complex64>,
-    /// Channel coefficients gathered at the data positions, per stream —
-    /// hoisted out of the per-symbol loop (the estimate is static across a
-    /// PPDU by construction).
-    pub(crate) h_data: Vec<Complex64>,
-    /// Per-subcarrier demapper output scales, per stream — likewise
-    /// hoisted (they depend only on the channel estimate and noise floor).
+    /// Per-subcarrier demapper output scales, per stream — hoisted out
+    /// of the per-symbol loop, as the estimate is static across a PPDU.
     pub(crate) demap_scales: Vec<f64>,
-    /// Full channel matrix estimate for multi-stream PPDUs:
-    /// `h_mat[pos*nss*nss + j*nss + i]` (RX antenna `j`, TX stream `i`).
+    /// Channel matrix estimate: `h_mat[pos*nss*nss + j*nss + i]` (RX
+    /// antenna `j`, TX stream `i`).
     pub(crate) h_mat: Vec<Complex64>,
-    /// Hoisted per-data-subcarrier equaliser weight matrices (row-major
-    /// `nss×nss` blocks, one per data position).
+    /// Hoisted equaliser weight matrices (row-major `nss×nss` blocks, one
+    /// per data subcarrier; the legacy chain keeps `1/h` here).
     pub(crate) w_mat: Vec<Complex64>,
-    /// Per-stream jointly-equalised data subcarriers for one symbol (SoA
-    /// form for the chunked demapper).
+    /// Per-stream equalised data subcarriers for one symbol (SoA form
+    /// for the chunked demapper).
     pub(crate) eq_streams: Vec<Vec<Complex64>>,
 }
 
@@ -121,29 +86,35 @@ impl RxScratch {
         Self::default()
     }
 
-    /// Cached permutation for `dims`, building it on first sight.
+    /// The cached interleaver permutation for `dims`, built on first
+    /// sight.
     pub(crate) fn perm(perms: &mut Vec<InterleaverPerm>, dims: InterleaverDims) -> &InterleaverPerm {
-        let i = match perms.iter().position(|p| p.dims() == dims) {
-            Some(i) => i,
-            None => {
-                perms.push(InterleaverPerm::new(dims));
-                perms.len() - 1
-            }
-        };
-        &perms[i] // lint:allow(panic_path) i is a position() hit or len - 1 after push
+        cached(perms, |p| p.dims() == dims, || InterleaverPerm::new(dims))
     }
 
-    /// Cached pilot pattern for `n_pilots` pilot tones.
-    pub(crate) fn pilot_pattern(pilots: &mut Vec<Vec<Complex64>>, n_pilots: usize) -> &[Complex64] {
-        let i = match pilots.iter().position(|p| p.len() == n_pilots) {
-            Some(i) => i,
-            None => {
-                pilots.push(pilot_values(n_pilots));
-                pilots.len() - 1
-            }
-        };
-        &pilots[i] // lint:allow(panic_path) i is a position() hit or len - 1 after push
+    /// The cached permutation and pilot pattern of an HT/VHT `config`,
+    /// and the working buffers.
+    fn split_for(&mut self, config: &PhyConfig) -> (&InterleaverPerm, &[Complex64], &mut RxBufs) {
+        let n_bpscs = config.mcs.modulation.bits_per_subcarrier();
+        let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
+        let n_pilots = config.layout().pilot_positions().len();
+        let perm = Self::perm(&mut self.perms, dims);
+        let pilots = cached(&mut self.pilots, |p| p.len() == n_pilots, || pilot_values(n_pilots));
+        (perm, pilots, &mut self.bufs)
     }
+}
+
+/// The entry of `cache` that `hit` accepts, built by `build` on first
+/// sight.
+fn cached<T>(cache: &mut Vec<T>, hit: impl Fn(&T) -> bool, build: impl FnOnce() -> T) -> &T {
+    let i = match cache.iter().position(hit) {
+        Some(i) => i,
+        None => {
+            cache.push(build());
+            cache.len() - 1
+        }
+    };
+    &cache[i] // lint:allow(panic_path) i is a position() hit or len - 1 after push
 }
 
 /// Result of decoding one PPDU.
@@ -210,6 +181,17 @@ impl DecodedPsdu {
 /// the true value removes an estimation error source that is orthogonal to
 /// what the reproduction studies.
 ///
+/// Every stream count runs one core: the `Nss×Nss` channel matrix from the
+/// P-mapped LTFs, one [`crate::mimo::MimoEqualiser`] weight matrix per data
+/// subcarrier, pilot CPE tracking, `x̂ = W·(y·cpe)`. One stream is the 1×1
+/// case, where zero-forcing is the per-subcarrier divide by `h`.
+///
+/// Malformed shapes never panic. Decoding stops at the first DATA symbol
+/// that lacks one of the `Nss` streams or one of the occupied subcarriers,
+/// and a stream count outside `1..=4` or training symbols that cannot
+/// sound every stream leave no symbol to decode. The result still carries
+/// `psdu_len` bytes: those the decoded symbols do not carry are zero.
+///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
 /// output); [`receive_with_scratch`] reuses the working memory.
 pub fn receive(rx: &Ppdu, noise_var: f64) -> DecodedPsdu {
@@ -222,186 +204,127 @@ pub fn receive(rx: &Ppdu, noise_var: f64) -> DecodedPsdu {
 /// bit-identical to [`receive`].
 pub fn receive_with_scratch(rx: &Ppdu, noise_var: f64, scratch: &mut RxScratch) -> DecodedPsdu {
     let mut out = DecodedPsdu { bytes: Vec::new(), symbol_quality: Vec::new() };
-    let n_bpscs = rx.config.mcs.modulation.bits_per_subcarrier();
-    let dims = InterleaverDims::ht(rx.config.bandwidth, n_bpscs);
-    let n_pilots = rx.config.layout().pilot_positions().len();
-    let (perms, pilots, mut bufs) = scratch.split();
-    let perm = RxScratch::perm(perms, dims);
-    let pilots = RxScratch::pilot_pattern(pilots, n_pilots);
-    decode_core(rx, noise_var, perm, pilots, &mut bufs, &mut out);
+    let (perm, pilots, bufs) = scratch.split_for(&rx.config);
+    decode_core(rx, noise_var, perm, pilots, bufs, &mut out);
     out
 }
 
-/// The working buffers of [`RxScratch`] minus the perm/pilot caches —
-/// split off so a decode can hold a cached permutation and pilot pattern
-/// while the per-PPDU buffers stay mutable.
-pub(crate) struct RxBufs<'a> {
-    pub(crate) llrs_tx: &'a mut Vec<f64>,
-    pub(crate) per_stream: &'a mut Vec<Vec<f64>>,
-    pub(crate) coded_llrs: &'a mut Vec<f64>,
-    pub(crate) bits: &'a mut Vec<u8>,
-    pub(crate) viterbi: &'a mut ViterbiScratch,
-    pub(crate) eq: &'a mut Vec<Complex64>,
-    pub(crate) h_data: &'a mut Vec<Complex64>,
-    pub(crate) demap_scales: &'a mut Vec<f64>,
-    pub(crate) h_mat: &'a mut Vec<Complex64>,
-    pub(crate) w_mat: &'a mut Vec<Complex64>,
-    pub(crate) eq_streams: &'a mut Vec<Vec<Complex64>>,
-}
-
-impl RxScratch {
-    /// Split-borrow the scratch into its cache vectors and working
-    /// buffers.
-    pub(crate) fn split(&mut self) -> (&mut Vec<InterleaverPerm>, &mut Vec<Vec<Complex64>>, RxBufs<'_>) {
-        let RxScratch {
-            perms,
-            pilots,
-            llrs_tx,
-            per_stream,
-            coded_llrs,
-            bits,
-            viterbi,
-            eq,
-            h_data,
-            demap_scales,
-            h_mat,
-            w_mat,
-            eq_streams,
-        } = self;
-        (
-            perms,
-            pilots,
-            RxBufs {
-                llrs_tx,
-                per_stream,
-                coded_llrs,
-                bits,
-                viterbi,
-                eq,
-                h_data,
-                demap_scales,
-                h_mat,
-                w_mat,
-                eq_streams,
-            },
-        )
-    }
-}
-
-/// Decode one PPDU into `dst` with the cached interleaver permutation
-/// and pilot pattern for its configuration. Multi-stream PPDUs go to
-/// [`decode_core_mimo`]; the body below is the `Nss = 1` chain.
+/// Decode one single-user PPDU into `dst`: the shared front half
+/// ([`demap_streams`]), then the stream deparse — the identity at
+/// `Nss = 1`, so that stream decodes in place — and [`decode_tail`].
 // lint:no_alloc
-pub(crate) fn decode_core(
+fn decode_core(
     rx: &Ppdu,
     noise_var: f64,
     perm: &InterleaverPerm,
     pilots: &[Complex64],
-    bufs: &mut RxBufs<'_>,
+    bufs: &mut RxBufs,
     dst: &mut DecodedPsdu,
 ) {
     let config = &rx.config;
-    if config.mcs.spatial_streams > 1 {
-        // Multi-stream: full-matrix sounding + joint equalisation. The
-        // scalar path below is the Nss = 1 degenerate case and stays
-        // byte-for-byte what it has always been.
-        decode_core_mimo(rx, noise_var, perm, pilots, bufs, dst);
-        return;
-    }
-    let layout = config.layout();
-    let modulation = config.mcs.modulation;
-    let h = &ChannelEstimate::from_ltf(&rx.ltfs[0]).h[0];
-    let data_pos = layout.data_positions();
-    let n_data = data_pos.len();
-
-    // Per-PPDU hoisted tables: channel coefficients at the data positions
-    // and demapper scales. Both are constant across a PPDU's symbols (the
-    // receiver estimates once, from the LTF), so computing them here —
-    // not per symbol per subcarrier — changes no arithmetic, only how
-    // often it runs.
-    bufs.h_data.clear();
-    bufs.h_data.reserve(n_data);
-    bufs.demap_scales.clear();
-    bufs.demap_scales.reserve(n_data);
-    for &pos in data_pos {
-        let hv = h[pos];
-        // ZF noise enhancement: variance grows as 1/|h|².
-        let eff_noise = noise_var / hv.norm_sqr().max(1e-9);
-        bufs.h_data.push(hv);
-        bufs.demap_scales.push(axis_scale(modulation, eff_noise));
-    }
-
-    bufs.coded_llrs.clear();
-    bufs.coded_llrs.reserve(rx.symbols.len() * config.ncbps());
-    dst.symbol_quality.clear();
-    dst.symbol_quality.reserve(rx.symbols.len());
-
-    for sym in &rx.symbols {
-        let raw = &sym.streams[0];
-
-        // Common-phase-error estimate from pilots.
-        let mut acc = Complex64::ZERO;
-        for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-            // Expected pilot after channel: h[pos]·pv.
-            acc += raw[pos] * (h[pos] * pv).conj();
+    let nss = config.mcs.spatial_streams;
+    let n_sym = demap_streams(rx, noise_var, perm, pilots, bufs, &mut dst.symbol_quality);
+    let coded: &[f64] = if n_sym == 0 {
+        &[]
+    } else if nss == 1 {
+        &bufs.per_stream[0]
+    } else {
+        // One quality per symbol: the mean over its streams.
+        let q = &mut dst.symbol_quality;
+        for s in 0..n_sym {
+            let mut acc = 0.0;
+            for &qs in &q[s * nss..(s + 1) * nss] {
+                acc += qs;
+            }
+            q[s] = acc / nss as f64;
         }
-        let cpe = if acc.abs() > 1e-12 {
-            Complex64::from_polar(1.0, -acc.arg())
-        } else {
-            Complex64::ONE
-        };
-
-        // Zero-forcing equalisation into the SoA buffer (same operation
-        // order per subcarrier as the historical fused loop), then the
-        // chunked demapper over the whole symbol at once.
-        bufs.eq.clear();
-        bufs.eq.reserve(n_data);
-        for (i, &pos) in data_pos.iter().enumerate() {
-            bufs.eq.push(raw[pos] * cpe / bufs.h_data[i]);
-        }
-        bufs.llrs_tx.clear();
-        demap_symbol_into(bufs.eq, modulation, bufs.demap_scales, bufs.llrs_tx);
-        dst.symbol_quality
-            .push(bufs.llrs_tx.iter().map(|l| l.abs()).sum::<f64>() / bufs.llrs_tx.len() as f64);
-        // Single stream: stream deparse is the identity, so deinterleave
-        // straight onto the code stream.
-        perm.deinterleave_append(bufs.llrs_tx, bufs.coded_llrs);
-    }
-
-    // Decode the whole DATA field as one stream.
-    let n_sym = rx.symbols.len();
-    let n_total = n_sym * config.ndbps();
-    viterbi_decode_punctured_into(
-        bufs.coded_llrs,
+        q.truncate(n_sym);
+        // Each stream's N_CBPSS is a multiple of the parser's block, so
+        // one deparse of the whole PPDU deals the blocks exactly as one
+        // deparse per symbol would.
+        bufs.coded_llrs.clear();
+        deparse_streams_into(
+            &bufs.per_stream[..nss],
+            config.mcs.modulation.bits_per_subcarrier(),
+            &mut bufs.coded_llrs,
+        );
+        &bufs.coded_llrs
+    };
+    dst.bytes.clear();
+    dst.bytes.resize(rx.psdu_len, 0);
+    decode_tail(
+        coded,
         config.mcs.code_rate,
-        n_total,
-        bufs.viterbi,
-        bufs.bits,
+        n_sym * config.ndbps(),
+        config.scrambler_seed,
+        &mut bufs.viterbi,
+        &mut bufs.bits,
+        &mut dst.bytes,
     );
-
-    // Descramble and extract the PSDU.
-    let mut scrambler = Scrambler::new(config.scrambler_seed);
-    scrambler.apply(bufs.bits);
-    let psdu_bits = &bufs.bits[16..16 + 8 * rx.psdu_len];
-    bits_to_bytes_into(psdu_bits, &mut dst.bytes);
 }
 
-/// Widest pilot pattern the fixed-size MIMO pilot table covers (80 MHz
+/// The decode tail every receive path shares: Viterbi over the punctured
+/// coded stream of `n_bits` information bits, descramble, then the PSDU
+/// bytes after the 16 SERVICE bits into `psdu`, which arrives zeroed at
+/// the signalled length. Bytes the decoded bits do not reach stay zero.
+// lint:no_alloc
+pub(crate) fn decode_tail(
+    coded: &[f64],
+    rate: CodeRate,
+    n_bits: usize,
+    scrambler_seed: u8,
+    viterbi: &mut ViterbiScratch,
+    bits: &mut Vec<u8>,
+    psdu: &mut [u8],
+) {
+    viterbi_decode_punctured_into(coded, rate, n_bits, viterbi, bits);
+    Scrambler::new(scrambler_seed).apply(bits);
+    let carried = bits.get(16..).unwrap_or(&[]);
+    for (byte, chunk) in psdu.iter_mut().zip(carried.chunks_exact(8)) {
+        *byte = chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |acc, (i, &b)| acc | (b << i));
+    }
+}
+
+/// Widest pilot pattern the fixed-size pilot table covers (80 MHz
 /// carries 8 pilot tones).
 const MAX_PILOTS: usize = 8;
 
-/// Per-PPDU hoist for the multi-stream path: estimate the full channel
-/// matrix from the P-mapped LTFs, precompute one equaliser weight matrix
-/// per data subcarrier and the per-stream demapper scales (effective
-/// noise = per-antenna noise amplified by the equaliser row), and return
-/// the expected pilot values per RX antenna (what each antenna should
-/// see when every stream transmits the common pilot tone).
+/// The shape check at the entry of the HT/VHT decode: how many leading
+/// DATA symbols of `rx` carry every stream on every occupied subcarrier.
+/// It is 0 when the stream count is outside `1..=MAX_NSS` or the
+/// training symbols cannot sound the channel.
 // lint:no_alloc
-fn mimo_hoist(
+fn full_symbols(rx: &Ppdu) -> usize {
+    let nss = rx.config.mcs.spatial_streams;
+    if !(1..=MAX_NSS).contains(&nss) {
+        return 0;
+    }
+    let n_occupied = rx.config.layout().n_occupied();
+    let full = |sym: &OfdmSymbol| {
+        sym.streams.len() >= nss && sym.streams[..nss].iter().all(|s| s.len() >= n_occupied)
+    };
+    let n_ltf = ht_ltf_count(nss);
+    if rx.ltfs.len() < n_ltf || !rx.ltfs[..n_ltf].iter().all(full) {
+        return 0;
+    }
+    rx.symbols.iter().take_while(|sym| full(sym)).count()
+}
+
+/// Per-PPDU hoist: estimate the full channel matrix from the P-mapped
+/// LTFs, precompute one equaliser weight matrix per data subcarrier and
+/// the per-stream demapper scales (effective noise = per-antenna noise
+/// amplified by the equaliser row), and return the expected pilot values
+/// per RX antenna (what each antenna should see when every stream
+/// transmits the common pilot tone).
+// lint:no_alloc
+fn hoist_weights(
     rx: &Ppdu,
     noise_var: f64,
     pilots: &[Complex64],
-    bufs: &mut RxBufs<'_>,
+    bufs: &mut RxBufs,
 ) -> [Complex64; MAX_NSS * MAX_PILOTS] {
     let config = &rx.config;
     let layout = config.layout();
@@ -409,33 +332,26 @@ fn mimo_hoist(
     let modulation = config.mcs.modulation;
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
-    assert!(nss <= MAX_NSS, "at most 4 spatial streams");
     assert!(layout.pilot_positions().len() <= MAX_PILOTS, "pilot table bound");
 
-    mimo::estimate_into(&rx.ltfs, nss, layout.n_occupied(), bufs.h_mat);
+    mimo::estimate_into(&rx.ltfs[..ht_ltf_count(nss)], nss, layout.n_occupied(), &mut bufs.h_mat);
 
     bufs.w_mat.clear();
     bufs.w_mat.reserve(n_data * nss * nss);
-    let eq_kind = config.equaliser;
+    bufs.demap_scales.clear();
+    bufs.demap_scales.resize(nss * n_data, 0.0);
     let mut wbuf = [Complex64::ZERO; MAX_NSS * MAX_NSS];
-    for &pos in data_pos {
+    let mut eff_noise = [0.0; MAX_NSS];
+    for (idx, &pos) in data_pos.iter().enumerate() {
         let h = &bufs.h_mat[pos * nss * nss..(pos + 1) * nss * nss];
         // A singular subcarrier falls back to identity weights: the
         // decode proceeds and the FCS judges the result — no panic.
-        eq_kind.weights(h, nss, noise_var, &mut wbuf);
+        config.equaliser.weights(h, nss, noise_var, &mut wbuf);
         bufs.w_mat.extend_from_slice(&wbuf[..nss * nss]);
-    }
-
-    bufs.demap_scales.clear();
-    bufs.demap_scales.reserve(nss * n_data);
-    for ss in 0..nss {
-        for idx in 0..n_data {
-            let w = &bufs.w_mat[idx * nss * nss..(idx + 1) * nss * nss];
-            let mut amp = 0.0;
-            for j in 0..nss {
-                amp += w[ss * nss + j].norm_sqr(); // lint:allow(panic_path) ss,j < nss, w slice is nss*nss
-            }
-            bufs.demap_scales.push(axis_scale(modulation, noise_var * amp));
+        mimo::eff_noise_rows(&wbuf, nss, noise_var, &mut eff_noise);
+        let column = bufs.demap_scales.iter_mut().skip(idx).step_by(n_data);
+        for (scale, &eff) in column.zip(&eff_noise[..nss]) {
+            *scale = axis_scale(modulation, eff);
         }
     }
 
@@ -462,13 +378,13 @@ fn mimo_hoist(
 /// shared, so one CPE per symbol), then apply the hoisted per-subcarrier
 /// weight matrix `x̂ = W·(y·cpe)`.
 // lint:no_alloc
-fn mimo_equalise_symbol(
+fn equalise_symbol(
     sym: &OfdmSymbol,
     nss: usize,
     data_pos: &[usize],
     pilot_positions: &[usize],
     pilot_exp: &[Complex64; MAX_NSS * MAX_PILOTS],
-    bufs: &mut RxBufs<'_>,
+    bufs: &mut RxBufs,
 ) {
     let mut acc = Complex64::ZERO;
     for j in 0..nss {
@@ -505,138 +421,95 @@ fn mimo_equalise_symbol(
     }
 }
 
-/// Multi-stream decode core (`Nss ≥ 2`): full-matrix LTF sounding, joint
-/// ZF/MMSE equalisation per data subcarrier, then the standard per-stream
-/// deinterleave → stream deparse → depuncture → Viterbi → descramble
-/// chain over the merged code stream. Same allocation discipline as the
-/// scalar core: steady state touches only pre-grown scratch buffers.
+/// The front half every HT/VHT receive shares, single-user and MU alike:
+/// the shape check ([`full_symbols`]), the per-PPDU hoist, then per DATA
+/// symbol the joint equalise ([`equalise_symbol`]), each stream's demap,
+/// and its deinterleave onto the end of `per_stream[ss]`, so each stream's
+/// code-order LLRs for the whole PPDU end up in one buffer. Each symbol
+/// pushes its `Nss` per-stream mean |LLR| values onto `quality`, stream
+/// order. Returns the number of DATA symbols decoded.
 // lint:no_alloc
-pub(crate) fn decode_core_mimo(
+fn demap_streams(
     rx: &Ppdu,
     noise_var: f64,
     perm: &InterleaverPerm,
     pilots: &[Complex64],
-    bufs: &mut RxBufs<'_>,
-    dst: &mut DecodedPsdu,
-) {
+    bufs: &mut RxBufs,
+    quality: &mut Vec<f64>,
+) -> usize {
+    quality.clear();
+    let n_sym = full_symbols(rx);
+    if n_sym == 0 {
+        return 0;
+    }
     let config = &rx.config;
     let layout = config.layout();
     let nss = config.mcs.spatial_streams;
     let modulation = config.mcs.modulation;
-    let n_bpscs = modulation.bits_per_subcarrier();
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
 
     bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new); // lint:allow(no_alloc)
     bufs.eq_streams.resize_with(bufs.eq_streams.len().max(nss), Vec::new); // lint:allow(no_alloc)
+    for stream in &mut bufs.per_stream[..nss] {
+        stream.clear();
+        stream.reserve(n_sym * perm.dims().n_cbps);
+    }
+    quality.reserve(n_sym * nss);
 
-    let pilot_exp = mimo_hoist(rx, noise_var, pilots, bufs);
-
-    bufs.coded_llrs.clear();
-    bufs.coded_llrs.reserve(rx.symbols.len() * config.ncbps());
-    dst.symbol_quality.clear();
-    dst.symbol_quality.reserve(rx.symbols.len());
-
-    for sym in &rx.symbols {
-        mimo_equalise_symbol(sym, nss, data_pos, layout.pilot_positions(), &pilot_exp, bufs);
-        let mut qual_acc = 0.0;
+    let pilot_exp = hoist_weights(rx, noise_var, pilots, bufs);
+    for sym in &rx.symbols[..n_sym] {
+        equalise_symbol(sym, nss, data_pos, layout.pilot_positions(), &pilot_exp, bufs);
         for ss in 0..nss {
             let scales = &bufs.demap_scales[ss * n_data..(ss + 1) * n_data];
             bufs.llrs_tx.clear();
-            demap_symbol_into(&bufs.eq_streams[ss], modulation, scales, bufs.llrs_tx);
-            qual_acc +=
-                bufs.llrs_tx.iter().map(|l| l.abs()).sum::<f64>() / bufs.llrs_tx.len() as f64;
-            perm.deinterleave_into(bufs.llrs_tx, &mut bufs.per_stream[ss]);
+            demap_symbol_into(&bufs.eq_streams[ss], modulation, scales, &mut bufs.llrs_tx);
+            let llrs = &bufs.llrs_tx;
+            quality.push(llrs.iter().map(|l| l.abs()).sum::<f64>() / llrs.len() as f64);
+            perm.deinterleave_append(llrs, &mut bufs.per_stream[ss]);
         }
-        dst.symbol_quality.push(qual_acc / nss as f64);
-        deparse_streams_into(&bufs.per_stream[..nss], n_bpscs, bufs.coded_llrs);
     }
-
-    let n_sym = rx.symbols.len();
-    let n_total = n_sym * config.ndbps();
-    viterbi_decode_punctured_into(
-        bufs.coded_llrs,
-        config.mcs.code_rate,
-        n_total,
-        bufs.viterbi,
-        bufs.bits,
-    );
-
-    let mut scrambler = Scrambler::new(config.scrambler_seed);
-    scrambler.apply(bufs.bits);
-    let psdu_bits = &bufs.bits[16..16 + 8 * rx.psdu_len];
-    bits_to_bytes_into(psdu_bits, &mut dst.bytes);
+    n_sym
 }
 
 /// Decode a MU PPDU ([`crate::mimo::transmit_mu`]) carrying one
-/// independent PSDU per spatial stream: joint equalisation exactly as in
-/// the multiplexed path, but each stream then runs its **own**
-/// deinterleave → depuncture → Viterbi → descramble chain (per-stream
-/// scrambler seed), yielding one [`DecodedPsdu`] per stream in stream
-/// order. This is scenario-layer code (MOXcatter), not the hot receive
-/// path — it allocates its output freely.
+/// independent PSDU per spatial stream: the same front half as
+/// [`receive_with_scratch`] (and the same rule for malformed shapes),
+/// but each stream is its own scrambled, punctured codeword (per-stream
+/// scrambler seed) and runs the decode tail on its own, yielding one
+/// [`DecodedPsdu`] per stream in stream order. This is scenario-layer
+/// code (MOXcatter), not the hot receive path — it allocates its output
+/// freely.
 pub fn receive_mu_with_scratch(
     rx: &Ppdu,
     noise_var: f64,
     scratch: &mut RxScratch,
 ) -> Vec<DecodedPsdu> {
     let config = &rx.config;
-    let layout = config.layout();
     let nss = config.mcs.spatial_streams;
-    let modulation = config.mcs.modulation;
-    let n_bpscs = modulation.bits_per_subcarrier();
-    let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
-    let data_pos = layout.data_positions();
-    let n_data = data_pos.len();
-
-    let (perms, pilots, mut bufs) = scratch.split();
-    let perm = RxScratch::perm(perms, dims);
-    let pilots = RxScratch::pilot_pattern(pilots, layout.pilot_positions().len());
-    let bufs = &mut bufs;
-
-    bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new);
-    bufs.eq_streams.resize_with(bufs.eq_streams.len().max(nss), Vec::new);
-    for v in bufs.per_stream[..nss].iter_mut() {
-        v.clear(); // accumulates this PPDU's full per-stream code stream
-    }
-
-    let pilot_exp = mimo_hoist(rx, noise_var, pilots, bufs);
-
-    let mut out: Vec<DecodedPsdu> = (0..nss)
-        .map(|_| DecodedPsdu { bytes: Vec::new(), symbol_quality: Vec::new() })
-        .collect();
-
-    for sym in &rx.symbols {
-        mimo_equalise_symbol(sym, nss, data_pos, layout.pilot_positions(), &pilot_exp, bufs);
-        for (ss, dst) in out.iter_mut().enumerate() {
-            let scales = &bufs.demap_scales[ss * n_data..(ss + 1) * n_data];
-            bufs.llrs_tx.clear();
-            demap_symbol_into(&bufs.eq_streams[ss], modulation, scales, bufs.llrs_tx);
-            dst.symbol_quality.push(
-                bufs.llrs_tx.iter().map(|l| l.abs()).sum::<f64>() / bufs.llrs_tx.len() as f64,
+    let (perm, pilots, bufs) = scratch.split_for(config);
+    let mut quality = Vec::new();
+    let n_sym = demap_streams(rx, noise_var, perm, pilots, bufs, &mut quality);
+    let n_bits = n_sym * (config.ndbps() / nss.max(1));
+    (0..nss)
+        .map(|ss| {
+            let mut dst = DecodedPsdu {
+                bytes: vec![0; rx.psdu_len],
+                symbol_quality: quality.iter().skip(ss).step_by(nss).copied().collect(),
+            };
+            let coded: &[f64] = if n_sym == 0 { &[] } else { &bufs.per_stream[ss] };
+            decode_tail(
+                coded,
+                config.mcs.code_rate,
+                n_bits,
+                mimo::mu_stream_seed(config.scrambler_seed, ss),
+                &mut bufs.viterbi,
+                &mut bufs.bits,
+                &mut dst.bytes,
             );
-            perm.deinterleave_append(bufs.llrs_tx, &mut bufs.per_stream[ss]);
-        }
-    }
-
-    // Per-stream DATA-field decode: each stream is its own scrambled,
-    // punctured convolutional codeword.
-    let ndbps1 = config.ndbps() / nss;
-    let n_total = rx.symbols.len() * ndbps1;
-    for (ss, dst) in out.iter_mut().enumerate() {
-        viterbi_decode_punctured_into(
-            &bufs.per_stream[ss],
-            config.mcs.code_rate,
-            n_total,
-            bufs.viterbi,
-            bufs.bits,
-        );
-        let mut scrambler = Scrambler::new(mimo::mu_stream_seed(config.scrambler_seed, ss));
-        scrambler.apply(bufs.bits);
-        let psdu_bits = &bufs.bits[16..16 + 8 * rx.psdu_len];
-        bits_to_bytes_into(psdu_bits, &mut dst.bytes);
-    }
-    out
+            dst
+        })
+        .collect()
 }
 
 /// Two-step reference decode of a DATA field's coded stream: depuncture
@@ -651,6 +524,7 @@ pub(crate) fn two_step_decode(
     psdu_len: usize,
 ) -> Vec<u8> {
     use crate::convolutional::{depuncture, viterbi_decode_stream};
+    use crate::ppdu::bits_to_bytes_into;
     let mut bits = viterbi_decode_stream(&depuncture(coded, rate, 2 * n_total), n_total);
     Scrambler::new(scrambler_seed).apply(&mut bits);
     let mut out = Vec::new();
@@ -663,7 +537,7 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::mcs::Mcs;
-    use crate::ppdu::{transmit, PhyConfig};
+    use crate::ppdu::transmit;
     use witag_sim::Rng;
 
     fn random_psdu(rng: &mut Rng, len: usize) -> Vec<u8> {
@@ -677,7 +551,7 @@ mod tests {
         // NaN and ±inf samples, in the DATA field or in the training
         // symbol, must come back as bytes (garbage, but no panic), and
         // the in-place decode must match the two-step path on the coded
-        // stream the receive left in the scratch.
+        // stream the receive decoded from the scratch.
         let mut rng = Rng::seed_from_u64(19);
         let mut scratch = RxScratch::new();
         let cases = [
@@ -702,13 +576,20 @@ mod tests {
                 }
             }
             let got = receive_with_scratch(&ppdu, 1e-4, &mut scratch);
+            // One stream decodes its deinterleaved stream in place; more
+            // decode the deparsed merge.
+            let decoded = if config.mcs.spatial_streams == 1 {
+                &scratch.bufs.per_stream[0]
+            } else {
+                &scratch.bufs.coded_llrs
+            };
             assert!(
-                scratch.coded_llrs.iter().any(|l| !l.is_finite()),
+                decoded.iter().any(|l| !l.is_finite()),
                 "MCS{mcs_idx}: the poison must reach the decoder"
             );
             let n_total = ppdu.symbols.len() * config.ndbps();
             let want = two_step_decode(
-                &scratch.coded_llrs,
+                decoded,
                 config.mcs.code_rate,
                 n_total,
                 config.scrambler_seed,
@@ -717,6 +598,121 @@ mod tests {
             assert_eq!(got.bytes.len(), psdu.len(), "MCS{mcs_idx}");
             assert_eq!(got.bytes, want, "MCS{mcs_idx}");
         }
+    }
+
+    /// The single-stream front half as it ran before `Nss = 1` became the
+    /// 1×1 case of the joint equaliser: `raw·cpe/h` with the CPE
+    /// reference `h·pilot`, and demapper scales from `σ²/max(|h|², 1e-9)`.
+    /// Returns the deinterleaved coded LLRs and the per-symbol quality.
+    fn scalar_front_half(rx: &Ppdu, noise_var: f64) -> (Vec<f64>, Vec<f64>) {
+        let config = &rx.config;
+        let layout = config.layout();
+        let modulation = config.mcs.modulation;
+        let perm = InterleaverPerm::new(InterleaverDims::ht(
+            config.bandwidth,
+            modulation.bits_per_subcarrier(),
+        ));
+        let pilots = pilot_values(layout.pilot_positions().len());
+        let h = &rx.ltfs[0].streams[0];
+        let scales: Vec<f64> = layout
+            .data_positions()
+            .iter()
+            .map(|&pos| axis_scale(modulation, noise_var / h[pos].norm_sqr().max(1e-9)))
+            .collect();
+        let (mut coded, mut quality, mut llrs) = (Vec::new(), Vec::new(), Vec::new());
+        for sym in &rx.symbols {
+            let raw = &sym.streams[0];
+            let mut acc = Complex64::ZERO;
+            for (&pos, &pv) in layout.pilot_positions().iter().zip(&pilots) {
+                acc += raw[pos] * (h[pos] * pv).conj();
+            }
+            let cpe = if acc.abs() > 1e-12 {
+                Complex64::from_polar(1.0, -acc.arg())
+            } else {
+                Complex64::ONE
+            };
+            let eq: Vec<Complex64> =
+                layout.data_positions().iter().map(|&pos| raw[pos] * cpe / h[pos]).collect();
+            llrs.clear();
+            demap_symbol_into(&eq, modulation, &scales, &mut llrs);
+            quality.push(llrs.iter().map(|l| l.abs()).sum::<f64>() / llrs.len() as f64);
+            perm.deinterleave_append(&llrs, &mut coded);
+        }
+        (coded, quality)
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            let tol = 1e-14 * g.abs().max(w.abs());
+            assert!((g - w).abs() <= tol, "{what}[{i}]: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn one_stream_decodes_as_the_scalar_front_half_did() {
+        // A seeded corpus of noisy PPDUs over a two-path channel whose
+        // second path flips sign mid-frame (the tag's corruption), at
+        // HT MCS 0–7 on 20/40/80 MHz plus VHT single-stream. The joint
+        // equaliser's 1×1 case must give the scalar chain's bytes, and
+        // its LLRs and symbol quality to a relative 1e-14.
+        use crate::params::Bandwidth;
+        use core::f64::consts::PI;
+        let mut rng = Rng::seed_from_u64(20);
+        let mut scratch = RxScratch::new();
+        let mut cases = Vec::new();
+        for bw in [Bandwidth::Mhz20, Bandwidth::Mhz40, Bandwidth::Mhz80] {
+            cases.extend((0..8).map(|i| (Mcs::ht(i), bw)));
+            cases.push((Mcs::vht(8, 1), bw));
+        }
+        cases.extend([(Mcs::vht(9, 1), Bandwidth::Mhz40), (Mcs::vht(9, 1), Bandwidth::Mhz80)]);
+        let (mut clean, mut corrupt) = (0, 0);
+        for (mcs, bw) in cases {
+            for _ in 0..3 {
+                let config = PhyConfig::with_bandwidth(mcs, bw);
+                let psdu = random_psdu(&mut rng, 120);
+                let mut ppdu = transmit(&config, &psdu);
+                let layout = config.layout();
+                let (gain, phase) = (rng.range_f64(0.2, 1.0), rng.range_f64(-3.0, 3.0));
+                let direct = Complex64::from_polar(gain, phase);
+                let tag = rng.range_f64(0.02, 0.2);
+                let tau = rng.range_f64(10e-9, 80e-9);
+                let noise_var = 10f64.powf(-rng.range_f64(8.0, 32.0) / 10.0);
+                let std = (noise_var / 2.0).sqrt();
+                let n_sym = ppdu.symbols.len();
+                let flip_from = rng.below(n_sym as u64 + 1) as usize;
+                let ltf = ppdu.ltfs.iter_mut().map(|s| (s, false));
+                let data = ppdu.symbols.iter_mut().enumerate().map(|(i, s)| (s, i >= flip_from));
+                for (sym, flipped) in ltf.chain(data) {
+                    for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
+                        let path = Complex64::from_polar(tag, -2.0 * PI * f * tau);
+                        let h = direct + if flipped { Complex64::ZERO - path } else { path };
+                        *pt = *pt * h + c64(rng.gaussian() * std, rng.gaussian() * std);
+                    }
+                }
+                let got = receive_with_scratch(&ppdu, noise_var, &mut scratch);
+                let (coded, quality) = scalar_front_half(&ppdu, noise_var);
+                let what = format!("{mcs:?} @ {bw:?}");
+                assert_close(&scratch.bufs.per_stream[0], &coded, &format!("{what} LLR"));
+                assert_close(&got.symbol_quality, &quality, &format!("{what} quality"));
+                let want = two_step_decode(
+                    &coded,
+                    config.mcs.code_rate,
+                    n_sym * config.ndbps(),
+                    config.scrambler_seed,
+                    ppdu.psdu_len,
+                );
+                assert_eq!(got.bytes, want, "{what}");
+                if got.bytes == psdu {
+                    clean += 1;
+                } else {
+                    corrupt += 1;
+                }
+            }
+        }
+        // The corpus must hold both outcomes, or it pins nothing about
+        // the decisions the corruption turns on.
+        assert!(clean >= 10 && corrupt >= 10, "{clean} clean, {corrupt} corrupt");
     }
 
     /// Identity channel: receive exactly what was sent.

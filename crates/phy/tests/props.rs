@@ -13,7 +13,7 @@ use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
 use witag_phy::mcs::{Mcs, Modulation};
 use witag_phy::modulation::{demodulate_hard, modulate};
 use witag_phy::params::Bandwidth;
-use witag_phy::ppdu::{bits_to_bytes, bytes_to_bits, transmit, PhyConfig};
+use witag_phy::ppdu::{bits_to_bytes, bytes_to_bits, transmit, OfdmSymbol, PhyConfig};
 use witag_phy::receiver::receive;
 use witag_phy::scrambler::Scrambler;
 
@@ -71,6 +71,45 @@ fn two_step_decode(coded: &[f64], rate: CodeRate, n_bits: usize) -> Vec<u8> {
     let mut bits = Vec::new();
     viterbi_decode_stream_into(&soft, n_bits, &mut ViterbiScratch::default(), &mut bits);
     bits
+}
+
+/// Deform a received PPDU's symbol list (`symbols`) and training
+/// symbols (`ltfs`) into one of the malformed shapes a receiver can be
+/// handed: `kind` picks the shape, `cut` where it bites.
+fn malform(symbols: &mut Vec<OfdmSymbol>, ltfs: &mut Vec<OfdmSymbol>, kind: u8, cut: usize) {
+    let pick = |v: &[OfdmSymbol]| cut % v.len().max(1);
+    match kind {
+        // A truncated symbol list, possibly empty.
+        0 => symbols.truncate(pick(symbols)),
+        1 => symbols.clear(),
+        // A short sample vector in one DATA symbol.
+        2 => {
+            let i = pick(symbols);
+            if let Some(s) = symbols[i].streams.last_mut() {
+                s.truncate(cut % s.len().max(1));
+            }
+        }
+        // A missing stream in one DATA symbol.
+        3 => {
+            let i = pick(symbols);
+            symbols[i].streams.pop();
+        }
+        // Missing or short training symbols.
+        4 => ltfs.truncate(pick(ltfs)),
+        _ => {
+            let i = pick(ltfs);
+            if let Some(s) = ltfs[i].streams.first_mut() {
+                s.truncate(cut % s.len().max(1));
+            }
+        }
+    }
+}
+
+/// The decoded bytes past what `n_sym` DATA symbols of `ndbps` bits
+/// carry after the 16 SERVICE bits must be zero.
+fn uncarried_bytes_are_zero(bytes: &[u8], n_sym: usize, ndbps: usize) -> bool {
+    let carried = (n_sym * ndbps).saturating_sub(16) / 8;
+    bytes.iter().skip(carried).all(|&b| b == 0)
 }
 
 proptest! {
@@ -380,5 +419,75 @@ proptest! {
         let broken = receive(&flipped, 1e-4);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         prop_assert!(mean(&broken.symbol_quality) <= mean(&clean.symbol_quality) * 1.05);
+    }
+    #[test]
+    fn malformed_ppdu_shapes_never_panic(
+        seed in any::<u64>(),
+        nss in 1usize..=3,
+        mcs_idx in 0usize..8,
+        kind in 0u8..6,
+        cut in any::<u64>(),
+        claimed_nss in 0usize..=5,
+    ) {
+        // Truncated or empty symbol lists, short sample vectors, missing
+        // streams, missing training symbols and a config that claims the
+        // wrong stream count must all come back as `psdu_len` bytes with
+        // zeros where the decoded symbols carry nothing — never a panic.
+        // One warm scratch serves every call, so stale buffers of the
+        // well-formed decodes are in play.
+        use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit, LegacyRate};
+        use witag_phy::mimo::transmit_mu;
+        use witag_phy::receiver::{receive_mu_with_scratch, receive_with_scratch, RxScratch};
+        let mut rng = witag_sim::Rng::seed_from_u64(seed);
+        let cut = cut as usize;
+        let mut scratch = RxScratch::new();
+        let config = PhyConfig::new(Mcs::ht((nss - 1) * 8 + mcs_idx));
+        let psdus: Vec<Vec<u8>> = (0..nss).map(|_| {
+            let mut p = vec![0u8; 48];
+            rng.fill_bytes(&mut p);
+            p
+        }).collect();
+
+        let su = transmit(&config, &psdus[0]);
+        prop_assert_eq!(&receive_with_scratch(&su, 1e-4, &mut scratch).bytes, &psdus[0]);
+        let mut bad = su.clone();
+        malform(&mut bad.symbols, &mut bad.ltfs, kind, cut);
+        let got = receive_with_scratch(&bad, 1e-4, &mut scratch);
+        prop_assert_eq!(got.bytes.len(), bad.psdu_len);
+        prop_assert!(got.symbol_quality.len() <= bad.symbols.len());
+        let decoded = got.symbol_quality.len();
+        prop_assert!(uncarried_bytes_are_zero(&got.bytes, decoded, config.ndbps()));
+        bad.config.mcs.spatial_streams = claimed_nss;
+        let got = receive_with_scratch(&bad, 1e-4, &mut scratch);
+        prop_assert_eq!(got.bytes.len(), bad.psdu_len);
+
+        let mut mu = transmit_mu(&config, &psdus);
+        malform(&mut mu.symbols, &mut mu.ltfs, kind, cut);
+        let got = receive_mu_with_scratch(&mu, 1e-4, &mut scratch);
+        prop_assert_eq!(got.len(), nss);
+        for d in &got {
+            prop_assert_eq!(d.bytes.len(), mu.psdu_len);
+            let decoded = d.symbol_quality.len();
+            prop_assert!(uncarried_bytes_are_zero(&d.bytes, decoded, config.ndbps() / nss));
+        }
+        mu.config.mcs.spatial_streams = claimed_nss;
+        let got = receive_mu_with_scratch(&mu, 1e-4, &mut scratch);
+        prop_assert_eq!(got.len(), claimed_nss);
+        prop_assert!(got.iter().all(|d| d.bytes.len() == mu.psdu_len));
+
+        let rate = [LegacyRate::M6, LegacyRate::M24, LegacyRate::M54][mcs_idx % 3];
+        let mut legacy = legacy_transmit(rate, &psdus[0][..32]);
+        let mut ltfs = vec![legacy.ltf.clone()];
+        malform(&mut legacy.symbols, &mut ltfs, kind, cut);
+        legacy.ltf = ltfs.pop().unwrap_or(OfdmSymbol { streams: Vec::new() });
+        let got = legacy_receive_with_scratch(&legacy, 1e-4, &mut scratch);
+        prop_assert_eq!(got.len(), 32);
+        let full = |s: &OfdmSymbol| s.streams.first().is_some_and(|c| c.len() == 52);
+        let kept = if full(&legacy.ltf) {
+            legacy.symbols.iter().take_while(|s| full(s)).count()
+        } else {
+            0
+        };
+        prop_assert!(uncarried_bytes_are_zero(&got, kept, rate.ndbps()));
     }
 }
