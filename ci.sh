@@ -5,9 +5,9 @@ set -eux
 
 cargo build --release
 cargo test -q
-# `cargo test -q` at the root runs only the root package; the member
-# crates' suites (phy without `simd`, core, net, ...) run here, in release
-# because the full-stack suites are 10-50x slower in debug.
+# `cargo test -q` at the root runs every workspace crate (the root
+# `Cargo.toml` sets `default-members`) in debug; the same suites run again
+# here in release, where the full-stack ones are 10-50x faster.
 cargo test -q --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -19,7 +19,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 # builds the whole-workspace call graph, and fails (nonzero exit) on any
 # per-file finding (determinism / panic-freedom / no_alloc / hygiene) or
 # interprocedural finding (transitive no_alloc, panic reachability,
-# determinism taint, obs-schema and simd cfg parity). The committed
+# determinism taint, obs-schema consistency). The committed
 # witag-lint/2 JSON artifact must match what the tree produces — a stale
 # LINT_report.json fails the drift check below.
 cargo run -q --release -p witag-lint -- --threads 1 --json LINT_report.json
@@ -36,19 +36,14 @@ git diff --exit-code -- LINT_report.json
 cargo run -q --release -p witag-lint -- --threads 4 --json /tmp/witag_lint_t4.json
 cmp LINT_report.json /tmp/witag_lint_t4.json
 
-# The linter's own fixture suites (resolver edge pins, virtual-workspace
-# pass acceptance) also run under the simd feature so the parity pass and
-# the kernels see the flag from both sides.
-cargo test -q -p witag-lint -p witag-phy --features simd
-
 # Perf gate smoke: run the baseline binary in quick mode (tiny iteration
 # counts, same code paths) and assert it emits parseable JSON — both the
 # PHY baseline and the net_scale fleet sweep. Most thresholds are judged
 # by humans against EXPERIMENTS.md § "PERF GATE", but the receive-chain
 # speedup is gated here: the quick run (a portable build, like the
-# committed configs.portable section — never compare a portable build
-# against the tuned simd_native headline) must stay within 30% of the
-# committed value, and so must the transmit time, so a kernel regression
+# committed one — never compare a portable build against a
+# target-cpu=native one) must stay within 30% of the committed value,
+# and so must the transmit time, so a kernel regression
 # cannot land silently. The 30% slack absorbs quick-mode iteration noise,
 # not real regressions.
 WITAG_PERF_QUICK=1 WITAG_PERF_OUT=/tmp/witag_perf_smoke.json \
@@ -58,7 +53,7 @@ python3 -c "import json; json.load(open('/tmp/witag_perf_smoke.json'))"
 python3 - <<'EOF'
 import json
 r = json.load(open('/tmp/witag_perf_smoke.json'))
-assert r['schema'] == 'witag-phy-bench-v4', r['schema']
+assert r['schema'] == 'witag-phy-bench-v5', r['schema']
 rows = r['mimo']['rows']
 seen = {(row['streams'], row['equaliser']) for row in rows}
 for nss in (1, 2, 3):
@@ -85,7 +80,8 @@ import json
 cur = json.load(open('/tmp/witag_perf_smoke.json'))
 ref = json.load(open('BENCH_phy.json'))
 assert cur['build']['config'] == 'portable', cur['build']
-committed = ref['configs']['portable']['speedup_vs_seed_receive_chain']
+assert ref['build']['config'] == 'portable', ref['build']
+committed = ref['speedup_vs_seed']['receive_chain']
 measured = cur['speedup_vs_seed']['receive_chain']
 assert measured >= 0.7 * committed, (
     f"receive-chain speedup regressed: measured {measured:.2f}x vs "
@@ -93,7 +89,7 @@ assert measured >= 0.7 * committed, (
 print(f"perf gate: receive chain {measured:.2f}x vs committed {committed:.2f}x — ok")
 # Transmit floor: the same portable-vs-portable rule for the transmit
 # chain (1664 B at MCS 5), within 30% of the committed time.
-committed = ref['configs']['portable']['transmit_1664B_mcs5_ns']
+committed = ref['phy']['transmit_1664B_mcs5_ns']
 measured = cur['phy']['transmit_1664B_mcs5_ns']
 assert measured <= 1.3 * committed, (
     f"transmit regressed: measured {measured:.0f} ns vs committed "

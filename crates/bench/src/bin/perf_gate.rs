@@ -1,5 +1,5 @@
 //! PERF GATE — the repository's performance baseline, as machine-readable
-//! JSON (`witag-phy-bench-v4`).
+//! JSON (`witag-phy-bench-v5`).
 //!
 //! Measures the PHY hot path (transmit, receive with and without scratch
 //! reuse, the chunked Viterbi kernel, and the multi-stream `receive_mu`
@@ -14,20 +14,19 @@
 //! repeat ARQ on a hostile loaded fleet, and writes `BENCH_net.json`
 //! (or `WITAG_PERF_NET_OUT`).
 //!
-//! v4 removed v3's batched-decode burst rows and their `configs` key
-//! along with the batched decode. Schema honesty rules:
+//! v4 removed v3's batched-decode burst rows along with the batched
+//! decode; v5 removed the per-build `configs` matrix (the Viterbi has one
+//! kernel, so there is one build to record) and the `obs` traced-round
+//! section. Schema honesty rules:
 //!
 //! - `available_parallelism` is recorded, and `round.parallel_speedup`
 //!   is the string `"skipped_single_core"` on a 1-core machine instead
 //!   of a meaningless ~1.0 ratio (shard results are bit-identical for
 //!   every thread count, so there is nothing to verify by timing).
 //! - The top-level `phy` numbers describe **this binary's build** only.
-//!   `build` records which kernel variant (`portable` vs the `simd`
-//!   feature's structure-of-arrays butterfly) and whether wide vector
-//!   units were compiled in (`target-cpu=native`). The same numbers are
-//!   also filed under `configs.<name>`, and rewriting `BENCH_phy.json`
-//!   preserves the `configs` entries of *other* build configurations,
-//!   so one committed artefact accumulates the portable/tuned matrix.
+//!   `build` records whether wide vector units (AVX2, a proxy for
+//!   `target-cpu=native`) were compiled in: `config` is `native` if so,
+//!   else `portable`.
 //! - `speedup_vs_pr2` judges the receive chain against the PR-2
 //!   allocation-free baseline (the previous committed gate), not just
 //!   the seed commit, so incremental kernel work stays visible.
@@ -38,14 +37,7 @@
 //! with `WITAG_PERF_QUICK=1` (tiny iteration counts, same code paths),
 //! asserts the output parses, and fails if the quick portable
 //! receive-chain speedup or transmit time regresses past the committed
-//! `configs.portable` value (ci.sh; portable-vs-portable comparison).
-//!
-//! The `obs` section gates the observability layer: the serial round
-//! number above already runs with a detached `NullRecorder` (that is the
-//! zero-cost path the ≤2% budget applies to, judged against
-//! `seed_baseline_us`), and `traced_rounds_per_s` measures the same
-//! workload with an attached in-memory recorder so the cost of *active*
-//! tracing stays visible.
+//! portable value (ci.sh; portable-vs-portable comparison).
 
 use std::time::Instant;
 
@@ -59,7 +51,7 @@ use witag_phy::ppdu::{transmit, PhyConfig};
 use witag_phy::receiver::{
     receive, receive_mu_with_scratch, receive_with_scratch, RxScratch,
 };
-use witag_obs::{BufferRecorder, NullRecorder};
+use witag_obs::NullRecorder;
 use witag_sim::time::Duration;
 use witag_sim::Rng;
 
@@ -81,81 +73,6 @@ const SEED_QUERY_ROUND_US: f64 = 50_140.5;
 /// the chunked/bit-sliced kernels of this PR are judged against.
 const PR2_RECEIVE_SCRATCH_1664B_MCS5_US: f64 = 4_587.6;
 const PR2_VITERBI_STREAM_4096_BITS_US: f64 = 492.6;
-
-/// Which kernel variant this binary was compiled with. The `simd`
-/// feature swaps the chunked butterfly for the structure-of-arrays
-/// variant (bit-identical output; meant for wide vector targets).
-const KERNEL: &str = if cfg!(feature = "simd") { "simd" } else { "portable" };
-
-/// Name of this build configuration for the `configs` matrix: kernel
-/// variant plus whether wide vector units were compiled in (a proxy for
-/// `-C target-cpu=native`; the container's default target is SSE2).
-fn build_config_name() -> String {
-    let wide = cfg!(target_feature = "avx2");
-    if wide { format!("{KERNEL}_native") } else { KERNEL.to_string() }
-}
-
-/// Pull the `"configs": { "name": {...}, ... }` entries out of a
-/// previously written gate file, so rewriting the artefact under one
-/// build configuration preserves the sections measured under others.
-/// Hand-rolled brace matching — the config objects contain no nested
-/// braces inside strings, and a malformed file just yields no entries.
-fn previous_configs(path: &str) -> Vec<(String, String)> {
-    let Ok(old) = std::fs::read_to_string(path) else { return Vec::new() };
-    let Some(key) = old.find("\"configs\"") else { return Vec::new() };
-    let Some(open) = old[key..].find('{') else { return Vec::new() };
-    let body = &old[key + open..];
-    // Slice out the configs object itself.
-    let mut depth = 0usize;
-    let mut end = 0usize;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    if end == 0 {
-        return Vec::new();
-    }
-    let inner = &body[1..end];
-    // Walk `"name": { ... }` pairs inside it.
-    let mut out = Vec::new();
-    let mut rest = inner;
-    while let Some(q0) = rest.find('"') {
-        let Some(q1) = rest[q0 + 1..].find('"') else { break };
-        let name = rest[q0 + 1..q0 + 1 + q1].to_string();
-        let Some(o) = rest[q0 + 1 + q1..].find('{') else { break };
-        let obj = &rest[q0 + 1 + q1 + o..];
-        let mut depth = 0usize;
-        let mut end = 0usize;
-        for (i, c) in obj.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if end == 0 {
-            break;
-        }
-        out.push((name, obj[..=end].to_string()));
-        rest = &obj[end + 1..];
-    }
-    out
-}
 
 /// Median-of-runs wall time for `f`, in nanoseconds per call.
 fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
@@ -240,22 +157,6 @@ fn main() {
     };
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Same serial workload with an attached recorder: the delta against
-    // the (NullRecorder) serial number above is the cost of live tracing.
-    let t0 = Instant::now();
-    let (traced_stats, trace_events) = {
-        let mut exp = Experiment::new(cfg.clone()).expect("viable scenario");
-        let mut buf = BufferRecorder::new();
-        let stats = exp.run_obs(rounds, &mut buf);
-        (stats, buf.events().len())
-    };
-    let traced_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        traced_stats.ber(),
-        serial_stats.ber(),
-        "attaching a recorder must not perturb results"
-    );
-
     let t0 = Instant::now();
     let parallel_stats = Experiment::run_parallel(&cfg, None, rounds, threads)
         .expect("viable scenario");
@@ -271,8 +172,6 @@ fn main() {
 
     let serial_per_s = serial_stats.rounds as f64 / serial_s.max(1e-9);
     let parallel_per_s = parallel_stats.rounds as f64 / parallel_s.max(1e-9);
-    let traced_per_s = traced_stats.rounds as f64 / traced_s.max(1e-9);
-    let traced_overhead_pct = (1.0 - traced_per_s / serial_per_s.max(1e-9)) * 100.0;
     let faulted_per_s = faulted_stats.rounds as f64 / faulted_s.max(1e-9);
 
     // On a single-core container the sharded runner cannot demonstrate a
@@ -290,29 +189,17 @@ fn main() {
     let speedup_pr2_vit = PR2_VITERBI_STREAM_4096_BITS_US * 1e3 / viterbi_ns;
 
     let out = std::env::var("WITAG_PERF_OUT").unwrap_or_else(|_| "BENCH_phy.json".into());
-    let config_name = build_config_name();
-    let config_entry = format!(
-        "{{ \"transmit_1664B_mcs5_ns\": {transmit_ns:.0}, \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0}, \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0}, \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}, \"speedup_vs_seed_receive_chain\": {speedup_seed_rx:.2}, \"speedup_vs_pr2_receive_chain\": {speedup_pr2_rx:.2} }}"
-    );
-    let mut configs = previous_configs(&out);
-    configs.retain(|(n, _)| n != &config_name);
-    configs.push((config_name.clone(), config_entry));
-    configs.sort_by(|a, b| a.0.cmp(&b.0));
-    let configs_json = configs
-        .iter()
-        .map(|(n, o)| format!("    \"{n}\": {o}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let wide = cfg!(target_feature = "avx2");
+    let config_name = if wide { "native" } else { "portable" };
 
     let json = format!(
-        "{{\n  \"schema\": \"witag-phy-bench-v4\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"kernel\": \"{KERNEL}\",\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config; per-config history lives in configs\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row runs the same core as receive_scratch\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"obs\": {{\n    \"note\": \"serial_rounds_per_s above runs with a detached NullRecorder; this is the attached-recorder cost\",\n    \"traced_rounds_per_s\": {traced_per_s:.2},\n    \"trace_events\": {trace_events},\n    \"traced_overhead_pct\": {traced_overhead_pct:.2}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }},\n  \"configs\": {{\n{configs_json}\n  }}\n}}",
+        "{{\n  \"schema\": \"witag-phy-bench-v5\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row runs the same core as receive_scratch\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }}\n}}",
         SEED_TRANSMIT_1664B_MCS5_US * 1e3 / transmit_ns,
         serial_per_s * SEED_QUERY_ROUND_US / 1e6,
         parallel_per_s * SEED_QUERY_ROUND_US / 1e6,
         serial_stats.ber(),
         parallel_stats.ber(),
         parallel_stats.window_bers.len(),
-        wide = cfg!(target_feature = "avx2"),
     );
 
     std::fs::write(&out, format!("{json}\n")).expect("write perf JSON");

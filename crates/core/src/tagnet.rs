@@ -1319,24 +1319,43 @@ pub fn session_over_experiment(
 /// `phy_rx`, `ba`, `round`) interleave into one recorder in execution
 /// order, sharing the session's round numbering (the experiment's trace
 /// base is reset to 0 so both stamps line up).
-///
-/// Internally the one `rec` feeds two call paths (the driver and the
-/// per-round channel closure), which borrow rules forbid directly; a
-/// [`SharedRecorder`] cell routes both mutable paths through one sink.
 pub fn session_over_experiment_obs(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
     cfg: &SessionConfig,
     rec: &mut dyn Recorder,
 ) -> Result<SessionReport, TagnetError> {
+    over_experiment(exp, rec, |channel_bits, driver_rec, round| {
+        run_session_obs(message, channel_bits, cfg, driver_rec, |q, tx| {
+            round(matches!(q, SessionQuery::Idle), tx)
+        })
+    })
+}
+
+/// The channel glue both session drivers share over an
+/// [`Experiment`](crate::experiment::Experiment): `drive` gets the
+/// query width, the driver's recorder and a `round(idle, tx)` callback
+/// that burns one idle round ([`run_idle_obs`]) or plays `tx` as one
+/// query round and maps it to a [`RoundOutcome`].
+///
+/// The one `rec` feeds two call paths (the driver and the per-round
+/// callback), which borrow rules forbid directly; a [`SharedRecorder`]
+/// cell routes both mutable paths through one sink.
+///
+/// [`run_idle_obs`]: crate::experiment::Experiment::run_idle_obs
+fn over_experiment<T>(
+    exp: &mut crate::experiment::Experiment,
+    rec: &mut dyn Recorder,
+    drive: impl FnOnce(usize, &mut dyn Recorder, &mut dyn FnMut(bool, &[u8]) -> RoundOutcome) -> T,
+) -> T {
     let channel_bits = exp.design.bits_per_query();
     exp.set_trace_base(0);
     let cell = RefCell::new(rec);
     let dyn_cell: &RefCell<dyn Recorder + '_> = &cell;
     let mut driver_rec = SharedRecorder::new(dyn_cell);
     let mut channel_rec = SharedRecorder::new(dyn_cell);
-    run_session_obs(message, channel_bits, cfg, &mut driver_rec, |q, tx| {
-        if matches!(q, SessionQuery::Idle) {
+    let mut round = |idle: bool, tx: &[u8]| {
+        if idle {
             exp.run_idle_obs(&mut channel_rec);
             return RoundOutcome {
                 tag_heard: false,
@@ -1348,7 +1367,8 @@ pub fn session_over_experiment_obs(
             tag_heard: r.triggered,
             readout: (!r.ba_lost).then_some(r.readout.bits),
         }
-    })
+    };
+    drive(channel_bits, &mut driver_rec, &mut round)
 }
 
 /// Fountain-session tuning knobs — deliberately a small subset of
@@ -1680,33 +1700,17 @@ pub fn fountain_session_over_experiment(
 /// [`fountain_session_over_experiment`] with observability: the
 /// driver's events and the experiment rounds' events interleave into
 /// one recorder in execution order, sharing the session's round
-/// numbering (same [`SharedRecorder`] routing as
-/// [`session_over_experiment_obs`]).
+/// numbering (the same channel glue as [`session_over_experiment_obs`]).
 pub fn fountain_session_over_experiment_obs(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
     cfg: &FountainConfig,
     rec: &mut dyn Recorder,
 ) -> Result<FountainReport, TagnetError> {
-    let channel_bits = exp.design.bits_per_query();
-    exp.set_trace_base(0);
-    let cell = RefCell::new(rec);
-    let dyn_cell: &RefCell<dyn Recorder + '_> = &cell;
-    let mut driver_rec = SharedRecorder::new(dyn_cell);
-    let mut channel_rec = SharedRecorder::new(dyn_cell);
-    run_fountain_session_obs(message, channel_bits, cfg, &mut driver_rec, |q, tx| {
-        if matches!(q, FountainQuery::Idle) {
-            exp.run_idle_obs(&mut channel_rec);
-            return RoundOutcome {
-                tag_heard: false,
-                readout: None,
-            };
-        }
-        let r = exp.run_round_obs(tx, &mut channel_rec);
-        RoundOutcome {
-            tag_heard: r.triggered,
-            readout: (!r.ba_lost).then_some(r.readout.bits),
-        }
+    over_experiment(exp, rec, |channel_bits, driver_rec, round| {
+        run_fountain_session_obs(message, channel_bits, cfg, driver_rec, |q, tx| {
+            round(matches!(q, FountainQuery::Idle), tx)
+        })
     })
 }
 

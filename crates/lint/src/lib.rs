@@ -20,7 +20,7 @@
 //! forms of the same invariants — allocation-freedom through the callee
 //! closure of `lint:no_alloc` fns, panic-freedom through everything
 //! reachable from the hot set, determinism taint from entropy sources up
-//! to their callers — plus obs-schema and simd-parity consistency.
+//! to their callers — plus obs-schema consistency.
 //!
 //! Escape hatch: `// lint:allow(<rule>)` suppresses one line and
 //! documents *why*; `// lint:no_alloc` marks a function whose transitive

@@ -1,9 +1,9 @@
 //! Whole-workspace passes over the call graph and file facts.
 //!
 //! Three interprocedural passes prove transitive invariants through the
-//! static call graph ([`no_alloc`], [`panics`], [`determinism`]) and two
-//! consistency passes cross-check code against committed artifacts
-//! ([`obs_schema`], [`simd`]). All of them run *after* the per-file
+//! static call graph ([`no_alloc`], [`panics`], [`determinism`]) and one
+//! consistency pass cross-checks code against a committed artifact
+//! ([`obs_schema`]). All of them run *after* the per-file
 //! rule passes, on the merged [`FileFacts`] and the [`CallGraph`] built
 //! from them, and append to the same findings stream with call-chain
 //! evidence attached.
@@ -12,7 +12,6 @@ pub mod determinism;
 pub mod no_alloc;
 pub mod obs_schema;
 pub mod panics;
-pub mod simd;
 
 use crate::graph::CallGraph;
 use crate::resolve::FileFacts;
@@ -27,7 +26,6 @@ pub const PASSES: &[&str] = &[
     "panic_path",
     "determinism_taint",
     "obs_schema",
-    "simd_parity",
 ];
 
 /// Shared input to every whole-workspace pass.
@@ -73,5 +71,4 @@ pub fn run_all(ctx: &PassCtx<'_>, findings: &mut Vec<Finding>) {
     panics::run(ctx, findings);
     determinism::run(ctx, findings);
     obs_schema::run(ctx, findings);
-    simd::run(ctx, findings);
 }

@@ -9,9 +9,8 @@
 //! path call, callback-parameter call or local-closure call), the token
 //! hits the interprocedural passes care about (allocation, panic,
 //! nondeterminism, unbounded indexing), plus the file-level facts the
-//! consistency passes consume (`#[cfg(feature = "simd")]`-gated items,
-//! `Event::…` constructions, the obs `KINDS` table and `kind_index`
-//! arms).
+//! consistency pass consumes (`Event::…` constructions, the obs `KINDS`
+//! table and `kind_index` arms).
 //!
 //! Extraction is pure per-file work — `run_workspace` fans it out over
 //! `witag_sim::par_map` — and everything here is heuristic by design:
@@ -134,20 +133,6 @@ pub struct FnFact {
     pub hits: Vec<TokenHit>,
 }
 
-/// An item gated on the `simd` feature (either polarity).
-#[derive(Debug, Clone)]
-pub struct SimdItem {
-    /// `true` for `#[cfg(feature = "simd")]`, `false` for
-    /// `#[cfg(not(feature = "simd"))]`.
-    pub simd: bool,
-    /// Item keyword (`fn`, `struct`, `mod`, …).
-    pub item_kind: String,
-    /// Item name (for `impl`: the self type).
-    pub name: String,
-    /// 1-based line of the gating attribute.
-    pub line: u32,
-}
-
 /// One `Event::Variant` construction site (non-test code only).
 #[derive(Debug, Clone)]
 pub struct ObsCtor {
@@ -168,8 +153,6 @@ pub struct FileFacts {
     pub krate: String,
     /// Function definitions, in source order.
     pub fns: Vec<FnFact>,
-    /// `simd`-feature-gated items.
-    pub simd_items: Vec<SimdItem>,
     /// `Event::…` construction sites outside tests.
     pub obs_ctors: Vec<ObsCtor>,
     /// Contents of a `const KINDS = […]` string array, if the file
@@ -232,7 +215,6 @@ pub fn extract(file: &str, krate: &str, lexed: &Lexed<'_>, map: &FileMap) -> Fil
         facts.fns.push(fact);
     }
 
-    simd_items(toks, map, &mut facts.simd_items);
     obs_ctors(toks, map, &mut facts.obs_ctors);
     kinds_table(toks, &mut facts.kinds_array);
     kind_index_arms(toks, &mut facts.kind_arms);
@@ -723,127 +705,6 @@ fn render_tokens(toks: &[Token<'_>]) -> String {
     s
 }
 
-/// Collect `#[cfg(feature = "simd")]` / `#[cfg(not(feature = "simd"))]`
-/// gated items: attribute polarity, following item keyword and name.
-fn simd_items(toks: &[Token<'_>], map: &FileMap, out: &mut Vec<SimdItem>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            // Scan the attribute for cfg + feature + "simd" (+ not).
-            let mut j = i + 1;
-            let mut depth = 0usize;
-            let (mut has_cfg, mut has_feature, mut has_simd, mut has_not) =
-                (false, false, false, false);
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokKind::Punct('[') => depth += 1,
-                    TokKind::Punct(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Ident => match toks[j].text {
-                        "cfg" => has_cfg = true,
-                        "feature" => has_feature = true,
-                        "not" => has_not = true,
-                        _ => {}
-                    },
-                    TokKind::Literal if toks[j].text.contains("simd") => has_simd = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if has_cfg && has_feature && has_simd && !map.in_test(i) {
-                if let Some((kind, name)) = item_after(toks, j + 1) {
-                    out.push(SimdItem {
-                        simd: !has_not,
-                        item_kind: kind,
-                        name,
-                        line: toks[i].line,
-                    });
-                }
-            }
-            i = j + 1;
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// The item declared right after an attribute: `(keyword, name)`.
-fn item_after(toks: &[Token<'_>], mut j: usize) -> Option<(String, String)> {
-    // Skip further attributes and visibility.
-    let mut guard = 0usize;
-    while j < toks.len() && guard < 64 {
-        guard += 1;
-        let t = &toks[j];
-        if t.is_punct('#') && toks.get(j + 1).is_some_and(|x| x.is_punct('[')) {
-            let mut depth = 0usize;
-            let mut k = j + 1;
-            while k < toks.len() {
-                match toks[k].kind {
-                    TokKind::Punct('[') => depth += 1,
-                    TokKind::Punct(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            j = k + 1;
-            continue;
-        }
-        if t.is_ident("pub") {
-            // Skip optional `(crate)` restriction.
-            if toks.get(j + 1).is_some_and(|x| x.is_punct('(')) {
-                let mut k = j + 1;
-                let mut depth = 0usize;
-                while k < toks.len() {
-                    match toks[k].kind {
-                        TokKind::Punct('(') => depth += 1,
-                        TokKind::Punct(')') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                j = k + 1;
-            } else {
-                j += 1;
-            }
-            continue;
-        }
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text,
-                "fn" | "struct" | "enum" | "const" | "static" | "type" | "mod" | "trait" | "use"
-            )
-        {
-            let name = toks.get(j + 1).filter(|x| x.kind == TokKind::Ident)?;
-            return Some((t.text.to_string(), name.text.to_string()));
-        }
-        if t.is_ident("impl") {
-            let (ty, _) = parse_impl_header(toks, j + 1);
-            return Some(("impl".to_string(), ty?));
-        }
-        // `unsafe`, `extern`, `async` prefixes.
-        if t.kind == TokKind::Ident && matches!(t.text, "unsafe" | "extern" | "async") {
-            j += 1;
-            continue;
-        }
-        return None;
-    }
-    None
-}
-
 /// Collect `Event::Variant` construction/usage sites outside tests.
 fn obs_ctors(toks: &[Token<'_>], map: &FileMap, out: &mut Vec<ObsCtor>) {
     for i in 0..toks.len() {
@@ -1024,19 +885,6 @@ mod tests {
             "fn f(xs: &[u8]) { for c in 0..4 { let base = c * LANES; let _ = xs[base + 1]; } }",
         );
         assert!(f.fns[0].hits.iter().all(|h| h.kind != HitKind::Index));
-    }
-
-    #[test]
-    fn simd_items_extracted() {
-        let f = facts_of(
-            "#[cfg(not(feature = \"simd\"))]\nfn butterfly() {}\n\
-             #[cfg(feature = \"simd\")]\n#[inline]\npub fn butterfly() {}",
-        );
-        assert_eq!(f.simd_items.len(), 2);
-        assert!(!f.simd_items[0].simd);
-        assert!(f.simd_items[1].simd);
-        assert_eq!(f.simd_items[0].name, "butterfly");
-        assert_eq!(f.simd_items[1].name, "butterfly");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Finding {
     /// Rule that fired (`determinism`, `panic_freedom`, `no_alloc`,
     /// `hygiene`, or one of the interprocedural/consistency rules:
     /// `no_alloc_transitive`, `unknown_callee`, `panic_path`,
-    /// `determinism_taint`, `obs_schema`, `simd_parity`).
+    /// `determinism_taint`, `obs_schema`).
     pub rule: &'static str,
     /// Repo-relative path of the offending file.
     pub file: String,

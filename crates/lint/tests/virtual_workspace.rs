@@ -197,23 +197,3 @@ fn obs_schema_doc_allow_keeps_an_intentional_entry() {
     let doc = "{\"kind\": \"alpha\"}\n<!-- lint:allow(obs_schema) reserved -->\n{\"kind\": \"beta\"}\n";
     assert!(run(&files, Some(doc)).is_empty());
 }
-
-#[test]
-fn simd_parity_requires_both_sides_of_the_feature_gate() {
-    let paired = file(
-        "crates/phy/src/k.rs",
-        "phy",
-        "#[cfg(feature = \"simd\")]\npub fn kernel() {}\n#[cfg(not(feature = \"simd\"))]\npub fn kernel() {}\n",
-    );
-    assert!(run(&[paired], None).is_empty());
-
-    let lonely = file(
-        "crates/phy/src/k.rs",
-        "phy",
-        "#[cfg(feature = \"simd\")]\npub fn kernel() {}\n#[cfg(not(feature = \"simd\"))]\npub fn kernel() {}\n#[cfg(feature = \"simd\")]\npub fn lonely() {}\n",
-    );
-    let findings = run(&[lonely], None);
-    assert_eq!(findings.len(), 1, "{}", rendered(&findings));
-    assert_eq!(findings[0].rule, "simd_parity");
-    assert_eq!(findings[0].line, 5, "finding lands on the unpaired attribute");
-}

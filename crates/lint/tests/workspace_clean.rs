@@ -1,7 +1,7 @@
 //! The linter's own acceptance test: the real workspace carries zero
 //! findings — per-file rules AND the whole-workspace passes (transitive
-//! no_alloc, panic propagation, determinism taint, obs-schema and simd
-//! parity). Any violation introduced anywhere in the tree fails this
+//! no_alloc, panic propagation, determinism taint and obs-schema). Any
+//! violation introduced anywhere in the tree fails this
 //! test (and `ci.sh`) with the offending file, line and call chain.
 
 use std::path::Path;

@@ -301,6 +301,7 @@ impl TraceSummary {
 mod tests {
     use super::*;
     use crate::Recorder;
+    use proptest::prelude::*;
 
     /// Build a summary by serialising events through the real writer.
     fn summarise(events: &[crate::Event]) -> TraceSummary {
@@ -392,6 +393,73 @@ mod tests {
         assert!(r.contains("busy 3.000 ms"), "{r}");
         assert!(r.contains("fleet sessions: 2 (1 delivered)"), "{r}");
         assert!(r.contains("mean latency 10.000 ms (max 11.000 ms)"), "{r}");
+    }
+
+    /// One splitmix64 step: the offsets and byte values of the
+    /// truncation/corruption property below.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn truncated_and_corrupt_lines_each_land_in_one_bucket(
+            seed in any::<u64>(),
+            flips in 0usize..24,
+        ) {
+            // A real trace (header plus one line of every kind), cut at an
+            // arbitrary byte offset, with `flips` bytes overwritten and
+            // each line cut again with probability 1/2. Every non-blank
+            // line must land in exactly one of header / event / unknown /
+            // malformed, alone and folded into one running summary.
+            let mut rec = crate::JsonlRecorder::in_memory();
+            for e in crate::event::all_sample_events() {
+                rec.record(&e);
+            }
+            let mut bytes = rec.finish().expect("in-memory sink cannot fail");
+            let mut state = seed;
+            let cut = (mix(&mut state) % (bytes.len() as u64 + 1)) as usize;
+            bytes.truncate(cut);
+            for _ in 0..flips {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = (mix(&mut state) % bytes.len() as u64) as usize;
+                bytes[at] = mix(&mut state) as u8;
+            }
+
+            let mut whole = TraceSummary::default();
+            let (mut fed, mut blank, mut headers) = (0u64, 0u64, 0u64);
+            let (mut events, mut unknown, mut malformed) = (0u64, 0u64, 0u64);
+            for raw in bytes.split(|&b| b == b'\n') {
+                let r = mix(&mut state);
+                let keep = if r & 1 == 0 { raw.len() } else { (r >> 1) as usize % (raw.len() + 1) };
+                let line = String::from_utf8_lossy(&raw[..keep]);
+                let mut one = TraceSummary::default();
+                one.ingest_line(&line);
+                let header = u64::from(one.schema().is_some());
+                let landed = header + one.events() + one.unknown + one.malformed;
+                prop_assert_eq!(landed, u64::from(!line.trim().is_empty()), "{:?}", line);
+                whole.ingest_line(&line);
+                fed += 1;
+                blank += 1 - landed;
+                headers += header;
+                events += one.events();
+                unknown += one.unknown;
+                malformed += one.malformed;
+            }
+            prop_assert_eq!(whole.events(), events);
+            prop_assert_eq!(whole.unknown, unknown);
+            prop_assert_eq!(whole.malformed, malformed);
+            prop_assert_eq!(blank + headers + whole.events() + whole.unknown + whole.malformed, fed);
+            let _ = whole.render();
+        }
     }
 
     #[test]

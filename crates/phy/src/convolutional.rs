@@ -174,6 +174,10 @@ const NEG_INF: f64 = f64::NEG_INFINITY;
 /// Half the state count: the butterfly index range.
 const HALF: usize = STATES / 2;
 
+/// Butterflies per add-compare-select chunk in [`butterfly_step`], tuned
+/// for narrow (SSE2-class) baseline targets.
+const LANES: usize = 4;
+
 /// Sign of `l0` in the branch metric of the low branch into state `2j`:
 /// `B[j] = S0[j]*l0 + S1[j]*l1` reproduces `bm[OUTPUT_CODE[2j]]` exactly
 /// (multiplication by ±1.0 is exact in IEEE arithmetic).
@@ -236,8 +240,7 @@ impl Default for ViterbiScratch {
 /// kernel packs that array into the step's survivor word.
 // lint:no_alloc
 #[inline(always)]
-#[cfg(not(feature = "simd"))]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
+fn butterfly_step(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
     let (m_lo, m_hi) = cur.split_at(HALF);
     // Pass 1: branch metrics for all butterflies (a pure mul/add sweep the
     // vectoriser handles without select pressure).
@@ -264,53 +267,6 @@ fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt
             surv[2 * j] = t0 as u8;
             surv[2 * j + 1] = t1 as u8;
         }
-    }
-}
-
-/// Structure-of-arrays variant of [`butterfly_step`] selected by the
-/// `simd` feature: every pass is a unit-stride map over all `HALF`
-/// butterflies (branch metrics, even successors, odd successors), with
-/// one final interleave pass writing the stride-2 successor layout. The
-/// per-lane arithmetic is the identical expression tree, so the output
-/// is bit-identical to the default chunked variant; `LANES` is unused
-/// (the vectoriser picks its own width for full-array sweeps).
-// lint:no_alloc
-#[inline(always)]
-#[cfg(feature = "simd")]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
-    let _ = LANES;
-    let (m_lo, m_hi) = cur.split_at(HALF);
-    let mut b_arr = [0.0f64; HALF];
-    for (j, b) in b_arr.iter_mut().enumerate() {
-        *b = BF_S0[j] * l0 + BF_S1[j] * l1;
-    }
-    let mut even = [0.0f64; HALF];
-    let mut odd = [0.0f64; HALF];
-    let mut s_even = [0u8; HALF];
-    let mut s_odd = [0u8; HALF];
-    for j in 0..HALF {
-        let b = b_arr[j];
-        let lo0 = m_lo[j] + b;
-        let hi0 = m_hi[j] - b;
-        // Strict '>' keeps the low predecessor on ties, matching the
-        // ascending-state scan of the reference implementation.
-        let t0 = hi0 > lo0;
-        even[j] = if t0 { hi0 } else { lo0 };
-        s_even[j] = t0 as u8;
-    }
-    for j in 0..HALF {
-        let b = b_arr[j];
-        let lo1 = m_lo[j] - b;
-        let hi1 = m_hi[j] + b;
-        let t1 = hi1 > lo1;
-        odd[j] = if t1 { hi1 } else { lo1 };
-        s_odd[j] = t1 as u8;
-    }
-    for j in 0..HALF {
-        nxt[2 * j] = even[j];
-        nxt[2 * j + 1] = odd[j];
-        surv[2 * j] = s_even[j];
-        surv[2 * j + 1] = s_odd[j];
     }
 }
 
@@ -359,12 +315,6 @@ fn viterbi_kernel(
     scratch: &mut ViterbiScratch,
     out: &mut Vec<u8>,
 ) {
-    // Chunk width of the default butterfly kernel, tuned for narrow
-    // (SSE2-class) baseline targets. The `simd` feature swaps in the
-    // structure-of-arrays variant, which ignores the width and lets the
-    // vectoriser pick its own for full-array sweeps.
-    const LANES: usize = 4;
-
     scratch.metrics = [NEG_INF; STATES];
     scratch.metrics[0] = 0.0; // encoder starts in state 0
     scratch.survivors.clear();
@@ -395,7 +345,7 @@ fn viterbi_kernel(
         if p == pattern.len() {
             p = 0;
         }
-        butterfly_step::<LANES>(l0, l1, cur, nxt, &mut surv);
+        butterfly_step(l0, l1, cur, nxt, &mut surv);
         *word = pack_decisions(&surv);
         core::mem::swap(&mut cur, &mut nxt);
     }

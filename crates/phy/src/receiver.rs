@@ -188,9 +188,10 @@ impl DecodedPsdu {
 ///
 /// Malformed shapes never panic. Decoding stops at the first DATA symbol
 /// that lacks one of the `Nss` streams or one of the occupied subcarriers,
-/// and a stream count outside `1..=4` or training symbols that cannot
-/// sound every stream leave no symbol to decode. The result still carries
-/// `psdu_len` bytes: those the decoded symbols do not carry are zero.
+/// and a stream count outside `1..=4`, training symbols that cannot sound
+/// every stream or a scrambler seed that is not 7-bit nonzero leave no
+/// symbol to decode. The result still carries `psdu_len` bytes: those the
+/// decoded symbols do not carry are zero.
 ///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
 /// output); [`receive_with_scratch`] reuses the working memory.
@@ -224,9 +225,12 @@ fn decode_core(
     let config = &rx.config;
     let nss = config.mcs.spatial_streams;
     let n_sym = demap_streams(rx, noise_var, perm, pilots, bufs, &mut dst.symbol_quality);
-    let coded: &[f64] = if n_sym == 0 {
-        &[]
-    } else if nss == 1 {
+    dst.bytes.clear();
+    dst.bytes.resize(rx.psdu_len, 0);
+    if n_sym == 0 {
+        return;
+    }
+    let coded: &[f64] = if nss == 1 {
         &bufs.per_stream[0]
     } else {
         // One quality per symbol: the mean over its streams.
@@ -250,8 +254,6 @@ fn decode_core(
         );
         &bufs.coded_llrs
     };
-    dst.bytes.clear();
-    dst.bytes.resize(rx.psdu_len, 0);
     decode_tail(
         coded,
         config.mcs.code_rate,
@@ -294,12 +296,13 @@ const MAX_PILOTS: usize = 8;
 
 /// The shape check at the entry of the HT/VHT decode: how many leading
 /// DATA symbols of `rx` carry every stream on every occupied subcarrier.
-/// It is 0 when the stream count is outside `1..=MAX_NSS` or the
+/// It is 0 when the stream count is outside `1..=MAX_NSS`, the scrambler
+/// seed is not 7-bit nonzero (no descrambler exists for it), or the
 /// training symbols cannot sound the channel.
 // lint:no_alloc
 fn full_symbols(rx: &Ppdu) -> usize {
     let nss = rx.config.mcs.spatial_streams;
-    if !(1..=MAX_NSS).contains(&nss) {
+    if !(1..=MAX_NSS).contains(&nss) || !(1..0x80).contains(&rx.config.scrambler_seed) {
         return 0;
     }
     let n_occupied = rx.config.layout().n_occupied();
@@ -497,16 +500,17 @@ pub fn receive_mu_with_scratch(
                 bytes: vec![0; rx.psdu_len],
                 symbol_quality: quality.iter().skip(ss).step_by(nss).copied().collect(),
             };
-            let coded: &[f64] = if n_sym == 0 { &[] } else { &bufs.per_stream[ss] };
-            decode_tail(
-                coded,
-                config.mcs.code_rate,
-                n_bits,
-                mimo::mu_stream_seed(config.scrambler_seed, ss),
-                &mut bufs.viterbi,
-                &mut bufs.bits,
-                &mut dst.bytes,
-            );
+            if n_sym > 0 {
+                decode_tail(
+                    &bufs.per_stream[ss],
+                    config.mcs.code_rate,
+                    n_bits,
+                    mimo::mu_stream_seed(config.scrambler_seed, ss),
+                    &mut bufs.viterbi,
+                    &mut bufs.bits,
+                    &mut dst.bytes,
+                );
+            }
             dst
         })
         .collect()

@@ -73,10 +73,16 @@ fn two_step_decode(coded: &[f64], rate: CodeRate, n_bits: usize) -> Vec<u8> {
     bits
 }
 
-/// Deform a received PPDU's symbol list (`symbols`) and training
-/// symbols (`ltfs`) into one of the malformed shapes a receiver can be
-/// handed: `kind` picks the shape, `cut` where it bites.
-fn malform(symbols: &mut Vec<OfdmSymbol>, ltfs: &mut Vec<OfdmSymbol>, kind: u8, cut: usize) {
+/// Deform a received PPDU's symbol list (`symbols`), training symbols
+/// (`ltfs`) or signalled scrambler seed into one of the malformed shapes
+/// a receiver can be handed: `kind` picks the shape, `cut` where it bites.
+fn malform(
+    symbols: &mut Vec<OfdmSymbol>,
+    ltfs: &mut Vec<OfdmSymbol>,
+    scrambler_seed: Option<&mut u8>,
+    kind: u8,
+    cut: usize,
+) {
     let pick = |v: &[OfdmSymbol]| cut % v.len().max(1);
     match kind {
         // A truncated symbol list, possibly empty.
@@ -96,10 +102,17 @@ fn malform(symbols: &mut Vec<OfdmSymbol>, ltfs: &mut Vec<OfdmSymbol>, kind: u8, 
         }
         // Missing or short training symbols.
         4 => ltfs.truncate(pick(ltfs)),
-        _ => {
+        5 => {
             let i = pick(ltfs);
             if let Some(s) = ltfs[i].streams.first_mut() {
                 s.truncate(cut % s.len().max(1));
+            }
+        }
+        // A scrambler seed outside the 7-bit nonzero range: 0 half the
+        // time, else one of 0x80..=0xFF (only where the PPDU signals one).
+        _ => {
+            if let Some(seed) = scrambler_seed {
+                *seed = if cut.is_multiple_of(2) { 0 } else { 0x80 | (cut >> 1) as u8 };
             }
         }
     }
@@ -425,14 +438,15 @@ proptest! {
         seed in any::<u64>(),
         nss in 1usize..=3,
         mcs_idx in 0usize..8,
-        kind in 0u8..6,
+        kind in 0u8..7,
         cut in any::<u64>(),
         claimed_nss in 0usize..=5,
     ) {
         // Truncated or empty symbol lists, short sample vectors, missing
-        // streams, missing training symbols and a config that claims the
-        // wrong stream count must all come back as `psdu_len` bytes with
-        // zeros where the decoded symbols carry nothing — never a panic.
+        // streams, missing training symbols, an invalid scrambler seed and
+        // a config that claims the wrong stream count must all come back
+        // as `psdu_len` bytes with zeros where the decoded symbols carry
+        // nothing — never a panic.
         // One warm scratch serves every call, so stale buffers of the
         // well-formed decodes are in play.
         use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit, LegacyRate};
@@ -451,7 +465,7 @@ proptest! {
         let su = transmit(&config, &psdus[0]);
         prop_assert_eq!(&receive_with_scratch(&su, 1e-4, &mut scratch).bytes, &psdus[0]);
         let mut bad = su.clone();
-        malform(&mut bad.symbols, &mut bad.ltfs, kind, cut);
+        malform(&mut bad.symbols, &mut bad.ltfs, Some(&mut bad.config.scrambler_seed), kind, cut);
         let got = receive_with_scratch(&bad, 1e-4, &mut scratch);
         prop_assert_eq!(got.bytes.len(), bad.psdu_len);
         prop_assert!(got.symbol_quality.len() <= bad.symbols.len());
@@ -462,7 +476,7 @@ proptest! {
         prop_assert_eq!(got.bytes.len(), bad.psdu_len);
 
         let mut mu = transmit_mu(&config, &psdus);
-        malform(&mut mu.symbols, &mut mu.ltfs, kind, cut);
+        malform(&mut mu.symbols, &mut mu.ltfs, Some(&mut mu.config.scrambler_seed), kind, cut);
         let got = receive_mu_with_scratch(&mu, 1e-4, &mut scratch);
         prop_assert_eq!(got.len(), nss);
         for d in &got {
@@ -478,7 +492,7 @@ proptest! {
         let rate = [LegacyRate::M6, LegacyRate::M24, LegacyRate::M54][mcs_idx % 3];
         let mut legacy = legacy_transmit(rate, &psdus[0][..32]);
         let mut ltfs = vec![legacy.ltf.clone()];
-        malform(&mut legacy.symbols, &mut ltfs, kind, cut);
+        malform(&mut legacy.symbols, &mut ltfs, None, kind, cut);
         legacy.ltf = ltfs.pop().unwrap_or(OfdmSymbol { streams: Vec::new() });
         let got = legacy_receive_with_scratch(&legacy, 1e-4, &mut scratch);
         prop_assert_eq!(got.len(), 32);
