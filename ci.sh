@@ -7,7 +7,10 @@ cargo build --release
 cargo test -q
 # `cargo test -q` at the root runs every workspace crate (the root
 # `Cargo.toml` sets `default-members`) in debug; the same suites run again
-# here in release, where the full-stack ones are 10-50x faster.
+# here in release, where the full-stack ones are 10-50x faster. Release
+# also runs the tests marked `cfg_attr(debug_assertions, ignore)`: the
+# Viterbi waterfall test (quantised decoder within 0.25 dB of the f64
+# oracle at BER 1e-3, MCS 0/5/7) is one.
 cargo test -q --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -95,7 +98,25 @@ assert measured <= 1.3 * committed, (
     f"transmit regressed: measured {measured:.0f} ns vs committed "
     f"portable {committed:.0f} ns (ceiling {1.3 * committed:.0f} ns)")
 print(f"perf gate: transmit {measured:.0f} ns vs committed {committed:.0f} ns — ok")
+# Viterbi ceiling: the same rule for the decoder kernel alone (4096 bits
+# at rate 1/2), so a kernel slowdown fails here even where the rest of
+# the receive chain hides it.
+committed = ref['phy']['viterbi_stream_4096_bits_ns']
+measured = cur['phy']['viterbi_stream_4096_bits_ns']
+assert measured <= 1.3 * committed, (
+    f"Viterbi regressed: measured {measured:.0f} ns vs committed "
+    f"portable {committed:.0f} ns (ceiling {1.3 * committed:.0f} ns)")
+print(f"perf gate: viterbi {measured:.0f} ns vs committed {committed:.0f} ns — ok")
 EOF
+
+# Science suite: the paper-facing estimates (FIG5 BER with Wilson 95 %
+# intervals, U-shape and 40 Kbps scale, FIG6 ordering, MOX streams-hit
+# fraction, hostile-fleet delivery) on the seeds fixed in
+# crates/bench/src/bin/science.rs, judged row by row against the
+# committed SCIENCE.tsv with the results-change protocol
+# (EXPERIMENTS.md § "SCIENCE"). A change that moves output bits must
+# pass it; the binary exits 1 on any failing row.
+cargo run -q --release -p witag-bench --bin science -- --baseline SCIENCE.tsv
 
 # Trace smoke: a parallel sweep streamed to a witag-obs/2 JSONL trace,
 # then aggregated by `report`. Asserts the trace carries the schema

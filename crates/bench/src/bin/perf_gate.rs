@@ -36,8 +36,9 @@
 //! jq, or a spreadsheet can all gate on it. CI smoke-runs this binary
 //! with `WITAG_PERF_QUICK=1` (tiny iteration counts, same code paths),
 //! asserts the output parses, and fails if the quick portable
-//! receive-chain speedup or transmit time regresses past the committed
-//! portable value (ci.sh; portable-vs-portable comparison).
+//! receive-chain speedup, transmit time or Viterbi time regresses past
+//! the committed portable value (ci.sh; portable-vs-portable
+//! comparison).
 
 use std::time::Instant;
 

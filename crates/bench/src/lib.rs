@@ -22,7 +22,10 @@
 //!
 //! The `perf_gate` binary times the hot paths for the `ci.sh` floors;
 //! the per-layer ledger is the `perfbench` package at the repository
-//! root.
+//! root. The `science` binary recomputes the paper-facing estimates
+//! with confidence intervals and judges them against a baseline table
+//! (the results-change protocol; `ci.sh` runs it against the committed
+//! `SCIENCE.tsv`).
 //!
 //! The system-wide map — crate graph, data flow, determinism/replay
 //! contract, fault/observability/lint hooks — is `docs/ARCHITECTURE.md`

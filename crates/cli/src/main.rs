@@ -801,16 +801,18 @@ fn cmd_report(a: &Args) -> Result<(), ArgError> {
             std::process::exit(2);
         }
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read trace file '{path}': {e}");
             std::process::exit(1);
         }
     };
+    // Decode line by line: a line with invalid UTF-8 is counted as
+    // malformed, not fatal to the whole report.
     let mut summary = TraceSummary::default();
-    for line in text.lines() {
-        summary.ingest_line(line);
+    for line in bytes.split(|&b| b == b'\n') {
+        summary.ingest_line(&String::from_utf8_lossy(line));
     }
     if summary.events() == 0 && summary.schema().is_none() {
         eprintln!("'{path}' contains no witag-obs events");

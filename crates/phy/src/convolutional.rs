@@ -11,7 +11,9 @@
 //!
 //! Soft inputs are log-likelihood ratios with the convention
 //! `llr = ln P(bit = 0) − ln P(bit = 1)`: positive favours 0. Punctured
-//! positions carry `llr = 0` (erasure).
+//! positions carry `llr = 0` (erasure). The decoder works as a NIC's
+//! does: it quantises the LLRs to saturating integers (see [`SOFT_MAX`])
+//! and runs the trellis on wrapping `i16` path metrics.
 
 /// Generator polynomial g0 = 133₈.
 const G0: u32 = 0o133;
@@ -169,109 +171,188 @@ pub fn coded_len(info_bits: usize, rate: CodeRate) -> usize {
     full * keep_per_period + rem_keep
 }
 
-const NEG_INF: f64 = f64::NEG_INFINITY;
+/// Saturation of the quantised soft inputs: the decoder sees each LLR as
+/// an integer in `±SOFT_MAX` (11-bit soft decisions).
+///
+/// The width comes from the path-metric range. A branch metric
+/// `±l0 ± l1` spans `4·SOFT_MAX`, and every state is reachable from every
+/// other in `K − 1` steps, so the metrics of one step spread by at most
+/// `(K − 1)·4·SOFT_MAX`. A compare adds one more branch span, so two
+/// candidates differ by at most `K·4·SOFT_MAX = 28 644`, inside `i16`'s
+/// `2¹⁵`: the wrapping metrics never need renormalising and the
+/// wrapping difference is always the true one.
+pub const SOFT_MAX: i16 = 1023;
+
+/// The AGC target: a stream's mean |LLR| (over its finite, non-zero
+/// values) is scaled to this many quantisation steps, an eighth of the
+/// range, so LLRs up to eight times the mean keep full resolution and
+/// the rest saturate.
+const AGC_MEAN: f64 = SOFT_MAX as f64 / 8.0;
+
+/// Trellis steps quantised per block into the kernel's stack buffer: a
+/// whole number of periods of every puncturing pattern (1, 2, 3 and 5
+/// steps), so every block starts at pattern phase 0.
+const BLOCK: usize = 60;
+const _: () = assert!(BLOCK.is_multiple_of(30));
 
 /// Half the state count: the butterfly index range.
 const HALF: usize = STATES / 2;
 
-/// Butterflies per add-compare-select chunk in [`butterfly_step`], tuned
-/// for narrow (SSE2-class) baseline targets.
-const LANES: usize = 4;
-
 /// Sign of `l0` in the branch metric of the low branch into state `2j`:
-/// `B[j] = S0[j]*l0 + S1[j]*l1` reproduces `bm[OUTPUT_CODE[2j]]` exactly
-/// (multiplication by ±1.0 is exact in IEEE arithmetic).
-const BF_S0: [f64; HALF] = {
-    let mut s = [0.0; HALF];
+/// `B[j] = S0[j]·l0 + S1[j]·l1` is the metric of output code
+/// `OUTPUT_CODE[2j]`.
+const BF_S0: [i16; HALF] = {
+    let mut s = [0; HALF];
     let mut j = 0;
     while j < HALF {
-        s[j] = if OUTPUT_CODE[2 * j] & 2 == 0 { 1.0 } else { -1.0 };
+        s[j] = if OUTPUT_CODE[2 * j] & 2 == 0 { 1 } else { -1 };
         j += 1;
     }
     s
 };
 
 /// Sign of `l1` in the branch metric of the low branch into state `2j`.
-const BF_S1: [f64; HALF] = {
-    let mut s = [0.0; HALF];
+const BF_S1: [i16; HALF] = {
+    let mut s = [0; HALF];
     let mut j = 0;
     while j < HALF {
-        s[j] = if OUTPUT_CODE[2 * j] & 1 == 0 { 1.0 } else { -1.0 };
+        s[j] = if OUTPUT_CODE[2 * j] & 1 == 0 { 1 } else { -1 };
         j += 1;
     }
     s
 };
 
-/// Reusable Viterbi working memory: ping-pong path-metric arrays plus
-/// survivor storage (one `u64` per trellis step — bit `s` of word
-/// `step` says whether state `s` was reached from its high predecessor).
-/// Hold one per long-lived decoder (e.g. inside a `RxScratch`) so
-/// steady-state decoding allocates nothing beyond the survivor buffer's
-/// high-water mark.
-#[derive(Debug, Clone)]
+/// Reusable Viterbi working memory: the survivor storage, one `u64` per
+/// trellis step. Bit `(s & 1)·32 + (s >> 1)` of word `step` says whether
+/// state `s` was reached from its high predecessor. Hold one per
+/// long-lived decoder (e.g. inside a `RxScratch`) so steady-state
+/// decoding allocates nothing beyond the buffer's high-water mark.
+#[derive(Debug, Clone, Default)]
 pub struct ViterbiScratch {
-    /// Path metrics entering the current step.
-    metrics: [f64; STATES],
-    /// Path metrics being built for the next step.
-    next: [f64; STATES],
-    /// One survivor word per step, one decision bit per state.
     survivors: Vec<u64>,
 }
 
-impl Default for ViterbiScratch {
-    fn default() -> Self {
-        ViterbiScratch { metrics: [NEG_INF; STATES], next: [NEG_INF; STATES], survivors: Vec::new() }
+/// The AGC gain of a soft stream: [`AGC_MEAN`] over the mean |LLR| of
+/// its finite values, zeros excluded. Erasures and the zeros
+/// [`depuncture_into`] writes add nothing to the sum or the count, so a
+/// punctured stream and its depunctured view get the same gain.
+fn agc_gain(llrs: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0u64;
+    for &x in llrs {
+        if x.is_finite() {
+            sum += x.abs();
+            n += (x != 0.0) as u64;
+        }
+    }
+    if n == 0 {
+        1.0
+    } else {
+        AGC_MEAN * n as f64 / sum
     }
 }
 
-/// One trellis step of the butterfly add-compare-select, `LANES`
-/// butterflies at a time. Lane `j` handles the successor pair
-/// `(2j, 2j+1)`, whose predecessors are `j` (low) and `j + 32` (high):
-/// with `B = bm[OUTPUT_CODE[2j]]` the four candidates are
-/// `m_lo + B` / `m_hi − B` into `2j` and `m_lo − B` / `m_hi + B` into
-/// `2j+1`. This is bit-identical to the per-edge table formulation
-/// because `OUTPUT_CODE[r ^ 1] = OUTPUT_CODE[r | 64] = OUTPUT_CODE[r] ^ 3`
-/// (generators 133/171 both have taps on register bits 0 and 6) and
-/// `bm[c ^ 3] = −bm[c]` holds exactly (IEEE rounding is sign-symmetric:
-/// `fl(−a − b) = −fl(a + b)`). The compare is branchless — data-dependent
-/// `hi > lo` branches are unpredictable on noisy LLRs and dominated the
-/// flat kernel's runtime — and the step's decisions are written as bytes
-/// into a 64-byte array so the whole lane loop autovectorises; the
-/// kernel packs that array into the step's survivor word.
+/// Quantise one LLR: scale by `gain`, saturate to `±SOFT_MAX`, round to
+/// the nearest integer (ties to even). NaN becomes 0, an erasure; ±inf
+/// saturates. Adding `1.5·2⁵²` leaves the rounded value in the low
+/// mantissa bits, so the whole map is branch-free and vectorises.
+#[inline(always)]
+fn quantise(x: f64, gain: f64) -> i16 {
+    const MAX: f64 = SOFT_MAX as f64;
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+    let v = x * gain;
+    let v = if v.is_nan() { 0.0 } else { v.clamp(-MAX, MAX) };
+    (v + ROUND).to_bits() as i16
+}
+
+/// The decoder's view of a soft stream: each LLR quantised with the
+/// stream's AGC gain (see [`SOFT_MAX`]). The decoders quantise internally;
+/// this is for tests and references that need the same integers.
+pub fn quantise_llrs(llrs: &[f64]) -> Vec<i16> {
+    let gain = agc_gain(llrs);
+    llrs.iter().map(|&x| quantise(x, gain)).collect()
+}
+
+/// Spread a block's quantised coded values over the mother-stream
+/// positions `pattern` keeps (from phase 0), with erasures (0) at the
+/// dropped ones.
+// lint:no_alloc
+fn spread(kept: &[i16], pattern: &[bool], soft: &mut [i16]) {
+    if kept.len() == soft.len() {
+        soft.copy_from_slice(kept); // rate 1/2: nothing dropped
+        return;
+    }
+    let mut src = kept.iter().copied();
+    for (slot, &keep) in soft.iter_mut().zip(pattern.iter().cycle()) {
+        *slot = if keep { src.next().unwrap_or(0) } else { 0 };
+    }
+}
+
+/// One trellis step of the butterfly add-compare-select on wrapping
+/// `i16` path metrics. Lane `j` handles the successor pair `(2j, 2j+1)`,
+/// whose predecessors are `j` (low) and `j + 32` (high): with
+/// `B = bm[OUTPUT_CODE[2j]]` the four candidates are `m_lo + B` /
+/// `m_hi − B` into `2j` and `m_lo − B` / `m_hi + B` into `2j+1`, because
+/// `OUTPUT_CODE[r ^ 1] = OUTPUT_CODE[r | 64] = OUTPUT_CODE[r] ^ 3`
+/// (generators 133/171 both tap register bits 0 and 6) and
+/// `bm[c ^ 3] = −bm[c]`. The high candidate wins only if the wrapping
+/// difference is strictly positive, so ties keep the low predecessor.
+/// The loop writes even successors' metrics to one array and odd ones'
+/// to another, and their decisions to bytes 0–31 and 32–63, so every
+/// store is contiguous. A second loop interleaves the metrics into state
+/// order eight pairs at a time, writing whole 16-element rows so the
+/// next step's vector loads read back whole stores. The decision bytes
+/// pack into the survivor word in that even/odd order.
 // lint:no_alloc
 #[inline(always)]
-fn butterfly_step(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8; STATES]) {
+fn acs_step(l0: i16, l1: i16, cur: &[i16; STATES], nxt: &mut [i16; STATES]) -> u64 {
     let (m_lo, m_hi) = cur.split_at(HALF);
-    // Pass 1: branch metrics for all butterflies (a pure mul/add sweep the
-    // vectoriser handles without select pressure).
-    let mut b_arr = [0.0f64; HALF];
-    for (j, b) in b_arr.iter_mut().enumerate() {
-        *b = BF_S0[j] * l0 + BF_S1[j] * l1;
+    let mut even = [0i16; HALF];
+    let mut odd = [0i16; HALF];
+    let mut surv = [0u8; STATES];
+    let (d_even, d_odd) = surv.split_at_mut(HALF);
+    for j in 0..HALF {
+        let b = BF_S0[j] * l0 + BF_S1[j] * l1;
+        let lo0 = m_lo[j].wrapping_add(b);
+        let hi0 = m_hi[j].wrapping_sub(b);
+        let lo1 = m_lo[j].wrapping_sub(b);
+        let hi1 = m_hi[j].wrapping_add(b);
+        // The wrapping difference is the true one (see SOFT_MAX), so
+        // `lo + max(hi − lo, 0)` selects the winner.
+        let d0 = hi0.wrapping_sub(lo0);
+        let d1 = hi1.wrapping_sub(lo1);
+        even[j] = lo0.wrapping_add(d0.max(0));
+        odd[j] = lo1.wrapping_add(d1.max(0));
+        d_even[j] = (d0 > 0) as u8;
+        d_odd[j] = (d1 > 0) as u8;
     }
-    // Pass 2: add-compare-select, `LANES` butterflies at a time.
-    for c in 0..HALF / LANES {
-        let base = c * LANES;
-        for k in 0..LANES {
-            let j = base + k;
-            let b = b_arr[j];
-            let lo0 = m_lo[j] + b;
-            let hi0 = m_hi[j] - b;
-            let lo1 = m_lo[j] - b;
-            let hi1 = m_hi[j] + b;
-            // Strict '>' keeps the low predecessor on ties, matching the
-            // ascending-state scan of the reference implementation.
-            let t0 = hi0 > lo0;
-            let t1 = hi1 > lo1;
-            nxt[2 * j] = if t0 { hi0 } else { lo0 };
-            nxt[2 * j + 1] = if t1 { hi1 } else { lo1 };
-            surv[2 * j] = t0 as u8;
-            surv[2 * j + 1] = t1 as u8;
+    for ((dst, e), o) in nxt.chunks_exact_mut(16).zip(even.chunks_exact(8)).zip(odd.chunks_exact(8)) {
+        let mut pairs = [0i16; 16];
+        for k in 0..8 {
+            pairs[2 * k] = e[k];
+            pairs[2 * k + 1] = o[k];
         }
+        dst.copy_from_slice(&pairs);
+    }
+    pack_decisions(&surv)
+}
+
+/// One of the first `K − 1` trellis steps, where only states below
+/// `2^step` are reachable from the start state 0 and no high predecessor
+/// is: every successor takes its low predecessor. Unreachable states get
+/// values that no reachable state ever reads, and by step `K − 1` every
+/// state holds a true path metric.
+// lint:no_alloc
+fn warmup_step(l0: i16, l1: i16, cur: &[i16; STATES], nxt: &mut [i16; STATES]) {
+    for j in 0..HALF {
+        let b = BF_S0[j] * l0 + BF_S1[j] * l1;
+        nxt[2 * j] = cur[j].wrapping_add(b);
+        nxt[2 * j + 1] = cur[j].wrapping_sub(b);
     }
 }
 
 /// Pack one step's decision bytes (each 0 or 1) into a survivor word,
-/// byte `s` to bit `s`. Each group of eight bytes is assembled
+/// byte `i` to bit `i`. Each group of eight bytes is assembled
 /// little-endian with shifts and gathered into eight bits by one
 /// multiply: `GATHER` has one tap per byte, placing byte `i`'s bit at
 /// position `56 + i`; every (byte, tap) pair lands on a distinct bit, so
@@ -291,21 +372,23 @@ fn pack_decisions(surv: &[u8; STATES]) -> u64 {
     word
 }
 
-/// Flat add-compare-select over all trellis steps, reading the punctured
-/// coded stream `coded` in place: mother-stream position `i` is the next
-/// unread `coded` value when `pattern[i % pattern.len()]` keeps it, and an
-/// erasure (`0.0`, exactly what [`depuncture_into`] writes) when it was
-/// dropped. `coded.len()` must equal `punctured_len(pattern, 2 * n_steps)`
-/// (the public entry points assert it). `terminated` selects the
-/// traceback start: state 0 for a terminated trellis (falling back to the
-/// best state when 0 is unreachable), the best-metric state otherwise.
-/// Decoded bits (one per step, tail included) land in `out`.
+/// Fixed-point add-compare-select over all trellis steps, reading the
+/// punctured coded stream `coded` in place: mother-stream position `i` is
+/// the next unread `coded` value when `pattern[i % pattern.len()]` keeps
+/// it, and an erasure (0, exactly what [`depuncture_into`] writes) when
+/// it was dropped. The stream is quantised with its AGC gain
+/// ([`agc_gain`]) [`BLOCK`] steps at a time into a stack buffer.
+/// `coded.len()` must equal `punctured_len(pattern, 2 * n_steps)` (the
+/// public entry points assert it). `terminated` selects the traceback
+/// start: state 0 for a terminated trellis, the best-metric state
+/// otherwise (the last of equals). Decoded bits (one per step, tail
+/// included) land in `out`.
 ///
-/// Bit-identical to the textbook per-edge formulation over the
-/// depunctured stream: branch metrics use the same additions in the same
-/// order (see [`butterfly_step`] for the proof sketch), and ties keep the
-/// low predecessor / the last-scanned best end state, exactly as the
-/// original per-state scan did.
+/// Takes exactly the decisions of the textbook per-edge Viterbi run in
+/// exact arithmetic over the quantised, depunctured stream: integer
+/// metrics are exact, the wrapping compare equals the true one (see
+/// [`SOFT_MAX`]), and ties keep the low predecessor / the last-scanned
+/// best end state, as the per-state scan does.
 // lint:no_alloc
 fn viterbi_kernel(
     coded: &[f64],
@@ -315,57 +398,61 @@ fn viterbi_kernel(
     scratch: &mut ViterbiScratch,
     out: &mut Vec<u8>,
 ) {
-    scratch.metrics = [NEG_INF; STATES];
-    scratch.metrics[0] = 0.0; // encoder starts in state 0
-    scratch.survivors.clear();
-    scratch.survivors.resize(n_steps, 0);
+    let gain = agc_gain(coded);
+    let survivors = &mut scratch.survivors;
+    survivors.clear();
+    survivors.resize(n_steps, 0);
 
-    let ViterbiScratch { metrics, next, survivors } = scratch;
-    let mut cur: &mut [f64; STATES] = metrics;
-    let mut nxt: &mut [f64; STATES] = next;
-    let mut surv = [0u8; STATES];
-    // Pattern cursor (always even: one (A, B) pair per step; every
-    // pattern has even length) and read cursor into `coded`.
-    let mut p = 0usize;
-    let mut next_in = 0usize;
-    for word in survivors.iter_mut() {
-        let l0 = if pattern[p] { // lint:allow(panic_path) p is even and < pattern.len(), wrapped below
-            next_in += 1;
-            coded[next_in - 1] // lint:allow(panic_path) kept positions over 2 * n_steps equal coded.len(), asserted by every entry point
-        } else {
-            0.0
-        };
-        let l1 = if pattern[p + 1] { // lint:allow(panic_path) p + 1 < pattern.len(), which is even
-            next_in += 1;
-            coded[next_in - 1] // lint:allow(panic_path) kept positions over 2 * n_steps equal coded.len(), asserted by every entry point
-        } else {
-            0.0
-        };
-        p += 2;
-        if p == pattern.len() {
-            p = 0;
+    let mut metrics = [[0i16; STATES]; 2];
+    let (a, b) = metrics.split_at_mut(1);
+    let mut cur = &mut a[0];
+    let mut nxt = &mut b[0];
+    let mut soft = [0i16; 2 * BLOCK];
+    let mut kept = [0i16; 2 * BLOCK];
+    let mut rest = coded;
+    let mut step = 0usize;
+    for words in survivors.chunks_mut(BLOCK) {
+        // A block spans whole pattern periods, so it starts at phase 0
+        // and reads its coded values contiguously: quantise them in one
+        // pass, then spread them over the positions the pattern keeps.
+        let soft = &mut soft[..2 * words.len()];
+        let (src, tail) = rest.split_at(punctured_len(pattern, soft.len()).min(rest.len()));
+        rest = tail;
+        let kept = &mut kept[..src.len()];
+        for (q, &x) in kept.iter_mut().zip(src) {
+            *q = quantise(x, gain);
         }
-        butterfly_step(l0, l1, cur, nxt, &mut surv);
-        *word = pack_decisions(&surv);
-        core::mem::swap(&mut cur, &mut nxt);
+        spread(kept, pattern, soft);
+        for (word, pair) in words.iter_mut().zip(soft.chunks_exact(2)) {
+            if step < TAIL_BITS {
+                warmup_step(pair[0], pair[1], cur, nxt);
+            } else {
+                *word = acs_step(pair[0], pair[1], cur, nxt);
+            }
+            step += 1;
+            core::mem::swap(&mut cur, &mut nxt);
+        }
     }
 
-    // Last-scanned best state, mirroring Iterator::max_by tie behaviour.
-    let mut best = NEG_INF;
+    // Last-scanned best reachable state. Metrics wrap, so compare each
+    // against state 0's: the spread bound keeps the differences exact.
+    let reachable = if n_steps < TAIL_BITS { 1 << n_steps } else { STATES };
+    let mut best = i16::MIN;
     let mut best_state = 0usize;
-    for (s, &m) in cur.iter().enumerate() {
-        if m >= best {
-            best = m;
+    for (s, &m) in cur.iter().enumerate().take(reachable) {
+        let d = m.wrapping_sub(cur[0]);
+        if d >= best {
+            best = d;
             best_state = s;
         }
     }
-    let mut state = if terminated && cur[0] > NEG_INF { 0usize } else { best_state };
+    let mut state = if terminated { 0 } else { best_state };
 
     out.clear();
     out.resize(n_steps, 0);
     for (bit, &word) in out.iter_mut().zip(survivors.iter()).rev() {
         *bit = (state & 1) as u8; // input bit is the successor's LSB
-        let from_high = (word >> state) & 1;
+        let from_high = (word >> ((state & 1) * HALF + (state >> 1))) & 1;
         state = (state >> 1) | ((from_high as usize) << (CONSTRAINT - 2));
     }
 }
