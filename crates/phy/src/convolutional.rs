@@ -49,24 +49,38 @@ const OUTPUT_CODE: [u8; 2 * STATES] = {
 /// Encode `data` at the mother rate 1/2, appending [`TAIL_BITS`] zeros to
 /// terminate the trellis. Output length is `2 * (data.len() + TAIL_BITS)`.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * (data.len() + TAIL_BITS));
-    encode_into(data.iter().chain(core::iter::repeat_n(&0u8, TAIL_BITS)), &mut out);
-    out
+    encode_punctured(data, CodeRate::R12)
 }
 
-/// Run the encoder over `bits` from the all-zero state, appending the two
-/// coded bits of each input bit to `out`.
-fn encode_into<'a>(bits: impl IntoIterator<Item = &'a u8>, out: &mut Vec<u8>) {
+/// The one encoder: runs over `bits` and then `tail` zeros from the
+/// all-zero state and keeps the coded bits `rate`'s pattern transmits,
+/// in one pass with no mother-rate stream.
+fn encode_and_puncture(bits: &[u8], tail: usize, rate: CodeRate) -> Vec<u8> {
+    let pattern = puncture_pattern(rate);
+    let n_out = punctured_len(pattern, 2 * (bits.len() + tail));
+    // Branch-free: write both coded bits, advance past the kept ones; two
+    // slack slots take the writes past the last kept bit.
+    let mut out = vec![0u8; n_out + 2];
+    let mut at = 0usize;
     let mut state = 0usize;
-    for &bit in bits {
+    let mut phase = 0usize;
+    for bit in bits.iter().copied().chain(core::iter::repeat_n(0, tail)) {
         debug_assert!(bit <= 1);
         let reg = (state << 1) | bit as usize;
         // The generators tap only the register's low 7 bits.
         let code = OUTPUT_CODE[reg & (2 * STATES - 1)];
-        out.push(code >> 1);
-        out.push(code & 1);
+        out[at] = code >> 1;
+        at += pattern[phase] as usize;
+        out[at] = code & 1;
+        at += pattern[phase + 1] as usize;
+        phase += 2;
+        if phase == pattern.len() {
+            phase = 0;
+        }
         state = reg & (STATES - 1);
     }
+    out.truncate(n_out);
+    out
 }
 
 /// Puncturing pattern: `true` positions are transmitted, `false` dropped.
@@ -162,13 +176,7 @@ pub fn depuncture_into(received: &[f64], rate: CodeRate, mother_len: usize, out:
 /// Number of transmitted coded bits for `info_bits` data bits at `rate`
 /// (including trellis termination).
 pub fn coded_len(info_bits: usize, rate: CodeRate) -> usize {
-    let mother = 2 * (info_bits + TAIL_BITS);
-    let pattern = puncture_pattern(rate);
-    let keep_per_period: usize = pattern.iter().filter(|&&k| k).count();
-    let full = mother / pattern.len();
-    let rem = mother % pattern.len();
-    let rem_keep = pattern[..rem].iter().filter(|&&k| k).count();
-    full * keep_per_period + rem_keep
+    punctured_len(puncture_pattern(rate), 2 * (info_bits + TAIL_BITS))
 }
 
 /// Saturation of the quantised soft inputs: the decoder sees each LLR as
@@ -504,9 +512,14 @@ pub fn viterbi_decode_into(
 /// part of the (scrambled, then re-zeroed) stream itself, followed by pad
 /// bits, so the encoder just runs over everything.
 pub fn encode_stream(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * bits.len());
-    encode_into(bits, &mut out);
-    out
+    encode_stream_punctured(bits, CodeRate::R12)
+}
+
+/// [`encode_stream`] punctured to `rate` in the same pass: exactly
+/// `puncture(&encode_stream(bits), rate)`. This is the DATA-field
+/// encoder of the transmit chains.
+pub fn encode_stream_punctured(bits: &[u8], rate: CodeRate) -> Vec<u8> {
+    encode_and_puncture(bits, 0, rate)
 }
 
 /// Soft-decision Viterbi decode of an *unterminated* mother-rate stream of
@@ -555,9 +568,10 @@ pub fn viterbi_decode_punctured_into(
     viterbi_kernel(coded, pattern, n_bits, false, scratch, out);
 }
 
-/// Convenience: encode + puncture in one call.
+/// [`encode`] punctured to `rate` in the same pass: exactly
+/// `puncture(&encode(data), rate)`.
 pub fn encode_punctured(data: &[u8], rate: CodeRate) -> Vec<u8> {
-    puncture(&encode(data), rate)
+    encode_and_puncture(data, TAIL_BITS, rate)
 }
 
 /// Convenience: Viterbi decode of a terminated, punctured stream in one
@@ -721,6 +735,20 @@ mod tests {
         }
         let decoded = viterbi_decode_stream(&bits_to_llrs(&tx), 300);
         assert_eq!(decoded, data);
+    }
+
+    #[test]
+    fn fused_encoders_equal_encode_then_puncture() {
+        let mut rng = Rng::seed_from_u64(9);
+        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
+            for len in [0usize, 1, 2, 3, 5, 30, 241] {
+                let data = random_bits(&mut rng, len);
+                let want = puncture(&encode_stream(&data), rate);
+                assert_eq!(encode_stream_punctured(&data, rate), want, "{rate:?}/{len}");
+                let want = puncture(&encode(&data), rate);
+                assert_eq!(encode_punctured(&data, rate), want, "{rate:?}/{len}");
+            }
+        }
     }
 
     #[test]

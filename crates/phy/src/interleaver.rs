@@ -56,7 +56,7 @@ impl InterleaverDims {
 
 /// Compute the interleaver permutation for one OFDM symbol: output
 /// position `perm[k]` carries input (code-order) bit `k`.
-fn permutation(d: InterleaverDims) -> Vec<usize> {
+pub(crate) fn permutation(d: InterleaverDims) -> Vec<usize> {
     assert!(
         d.n_cbps.is_multiple_of(d.n_col),
         "N_CBPS {} must divide into {} columns",
@@ -103,18 +103,6 @@ impl InterleaverPerm {
         self.dims
     }
 
-    /// [`interleave`] using the cached table, writing into `out`
-    /// (cleared and resized first).
-    // lint:no_alloc
-    pub fn interleave_into<T: Copy + Default>(&self, items: &[T], out: &mut Vec<T>) {
-        assert_eq!(items.len(), self.dims.n_cbps, "one full symbol at a time");
-        out.clear();
-        out.resize(self.dims.n_cbps, T::default());
-        for (k, &p) in self.perm.iter().enumerate() {
-            out[p] = items[k];
-        }
-    }
-
     /// [`deinterleave`] using the cached table, writing into `out`
     /// (cleared and resized first).
     // lint:no_alloc
@@ -150,8 +138,11 @@ impl InterleaverPerm {
 /// # Panics
 /// Panics if `items.len() != d.n_cbps`.
 pub fn interleave<T: Copy + Default>(items: &[T], d: InterleaverDims) -> Vec<T> {
-    let mut out = Vec::new();
-    InterleaverPerm::new(d).interleave_into(items, &mut out);
+    assert_eq!(items.len(), d.n_cbps, "one full symbol at a time");
+    let mut out = vec![T::default(); d.n_cbps];
+    for (&item, p) in items.iter().zip(permutation(d)) {
+        out[p] = item;
+    }
     out
 }
 

@@ -12,7 +12,7 @@
 //! dimensions.
 
 use crate::complex::Complex64;
-use crate::convolutional::{encode_stream, puncture};
+use crate::convolutional::encode_stream_punctured;
 use crate::interleaver::InterleaverDims;
 use crate::mcs::{CodeRate, Modulation};
 use crate::params::timing;
@@ -140,25 +140,18 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
     assert!(!psdu.is_empty(), "PSDU must be non-empty");
     let layout = LegacyLayout::cached();
     let ndbps = rate.ndbps();
-    let dims = InterleaverDims::legacy(rate.modulation().bits_per_subcarrier());
     let n_sym = (16 + 8 * psdu.len() + 6).div_ceil(ndbps);
 
     let bits = data_field_bits(SCRAMBLER_SEED, psdu, n_sym * ndbps);
-    let coded = puncture(&encode_stream(&bits), rate.code_rate());
-    debug_assert_eq!(coded.len(), n_sym * dims.n_cbps);
-
-    let mut mapper = SymbolMapper::new(
-        dims,
+    let coded = encode_stream_punctured(&bits, rate.code_rate());
+    let symbols = SymbolMapper::new(
+        InterleaverDims::legacy(rate.modulation().bits_per_subcarrier()),
         rate.modulation(),
+        1,
         layout.data_positions(),
         layout.pilot_positions(),
-    );
-    let symbols = coded
-        .chunks(dims.n_cbps)
-        .map(|chunk| OfdmSymbol {
-            streams: vec![mapper.stream_carriers(chunk, 0, 1)],
-        })
-        .collect();
+    )
+    .symbols(&coded);
 
     LegacyPpdu {
         rate,

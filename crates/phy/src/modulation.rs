@@ -72,20 +72,23 @@ pub fn modulate(bits: &[u8], m: Modulation) -> Vec<Complex64> {
     bits.chunks(bpsc).map(|chunk| point(chunk, m, k)).collect()
 }
 
-/// [`modulate`] writing point `i` straight to `out[positions[i]]`: the
-/// transmit chain maps each symbol's bits onto its data subcarriers
-/// without an intermediate point vector. The points are bit-identical.
-///
-/// # Panics
-/// Panics unless `bits` holds exactly one subcarrier's bits per entry of
-/// `positions`, or if a position is out of range for `out`.
-pub(crate) fn modulate_onto(bits: &[u8], m: Modulation, positions: &[usize], out: &mut [Complex64]) {
+/// The constellation point of every `bits_per_subcarrier`-bit pattern,
+/// indexed by the pattern read MSB first (entries past 2^N_BPSCS stay
+/// zero). Each entry is the [`modulate`] point of those bits, so a lookup
+/// is bit-identical to mapping them; the transmit chain builds one table
+/// per PPDU, on the stack.
+pub(crate) fn point_table(m: Modulation) -> [Complex64; 256] {
     let bpsc = m.bits_per_subcarrier();
-    assert_eq!(bits.len(), positions.len() * bpsc, "one point per position");
     let k = k_mod(m);
-    for (&pos, chunk) in positions.iter().zip(bits.chunks_exact(bpsc)) {
-        out[pos] = point(chunk, m, k);
+    let mut table = [Complex64::ZERO; 256];
+    let mut chunk = [0u8; 8];
+    for (v, pt) in table.iter_mut().enumerate().take(1 << bpsc) {
+        for (b, bit) in chunk[..bpsc].iter_mut().enumerate() {
+            *bit = ((v >> (bpsc - 1 - b)) & 1) as u8;
+        }
+        *pt = point(&chunk[..bpsc], m, k);
     }
+    table
 }
 
 /// Max-log LLRs for the `k` Gray-coded bits of one axis observation.
@@ -267,14 +270,8 @@ pub fn demodulate_hard(symbols: &[Complex64], m: Modulation) -> Vec<u8> {
 
 /// Average constellation power (should be ≈1 for every modulation).
 pub fn average_power(m: Modulation) -> f64 {
-    let bpsc = m.bits_per_subcarrier();
-    let n = 1usize << bpsc;
-    let mut total = 0.0;
-    for v in 0..n {
-        let bits: Vec<u8> = (0..bpsc).map(|b| ((v >> (bpsc - 1 - b)) & 1) as u8).collect();
-        total += modulate(&bits, m)[0].norm_sqr();
-    }
-    total / n as f64
+    let n = 1usize << m.bits_per_subcarrier();
+    point_table(m)[..n].iter().map(|pt| pt.norm_sqr()).sum::<f64>() / n as f64
 }
 
 #[cfg(test)]

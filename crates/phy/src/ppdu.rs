@@ -24,10 +24,10 @@
 //! MIMO-agnostic (paper §4) where per-symbol-twiddling designs are not.
 
 use crate::complex::{c64, Complex64};
-use crate::convolutional::{encode_stream, puncture};
-use crate::interleaver::{InterleaverDims, InterleaverPerm};
+use crate::convolutional::encode_stream_punctured;
+use crate::interleaver::{permutation, InterleaverDims};
 use crate::mcs::{Mcs, Modulation};
-use crate::modulation::modulate_onto;
+use crate::modulation::point_table;
 use crate::params::{ht_preamble_duration, Bandwidth, GuardInterval, SubcarrierLayout};
 use crate::scrambler::Scrambler;
 use witag_sim::time::Duration;
@@ -124,25 +124,6 @@ pub struct OfdmSymbol {
     pub streams: Vec<Vec<Complex64>>,
 }
 
-impl OfdmSymbol {
-    /// Mean transmit power across streams and occupied subcarriers.
-    pub fn mean_power(&self) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for stream in &self.streams {
-            for pt in stream {
-                total += pt.norm_sqr();
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-}
-
 /// A PHY frame in frequency-domain baseband form.
 #[derive(Debug, Clone)]
 pub struct Ppdu {
@@ -167,12 +148,6 @@ impl Ppdu {
     pub fn airtime(&self) -> Duration {
         self.config.preamble_duration()
             + self.config.guard.symbol_duration() * (self.symbols.len() as u64)
-    }
-
-    /// Per-DATA-symbol mean transmit power (used by the tag's envelope
-    /// detector model).
-    pub fn symbol_powers(&self) -> Vec<f64> {
-        self.symbols.iter().map(|s| s.mean_power()).collect()
     }
 }
 
@@ -230,28 +205,9 @@ pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// The 802.11n stream parser: one symbol's coded bits are dealt
-/// round-robin across `nss` spatial streams in groups of
-/// `s = max(1, N_BPSCS/2)` bits. Writes stream `ss`'s share into `out`
-/// (cleared first). At `nss = 1` that is the whole symbol.
-pub fn parse_stream_into(coded: &[u8], ss: usize, nss: usize, n_bpscs: usize, out: &mut Vec<u8>) {
-    let s = (n_bpscs / 2).max(1);
-    out.clear();
-    for group in coded.chunks(s).skip(ss).step_by(nss) {
-        out.extend_from_slice(group);
-    }
-}
-
-/// Inverse of [`parse_stream_into`] for receiver-side soft values.
-pub fn deparse_streams(streams: &[Vec<f64>], n_bpscs: usize) -> Vec<f64> {
-    let total: usize = streams.iter().map(|v| v.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    deparse_streams_into(streams, n_bpscs, &mut out);
-    out
-}
-
-/// [`deparse_streams`] appending into a caller-provided buffer (the
-/// receive chain accumulates every symbol's coded LLRs into one stream).
+/// Inverse of the 802.11n stream parser for soft values: takes
+/// `max(1, N_BPSCS/2)` values from each stream in turn and appends them
+/// to `out` (the receive chain accumulates every symbol's coded LLRs).
 // lint:no_alloc
 pub fn deparse_streams_into(streams: &[Vec<f64>], n_bpscs: usize, out: &mut Vec<f64>) {
     let s = (n_bpscs / 2).max(1);
@@ -276,69 +232,103 @@ pub fn deparse_streams_into(streams: &[Vec<f64>], n_bpscs: usize, out: &mut Vec<
 /// `scrambler_seed`, then the 6 tail bits re-zeroed so the trellis
 /// (mostly) terminates. The HT and legacy chains share it.
 pub(crate) fn data_field_bits(scrambler_seed: u8, psdu: &[u8], n_total: usize) -> Vec<u8> {
+    let mut scrambler = Scrambler::new(scrambler_seed);
     let mut bits = Vec::with_capacity(n_total);
-    bits.extend_from_slice(&[0u8; 16]); // SERVICE (scrambler init run-in)
-    bits.extend_from_slice(&bytes_to_bits(psdu));
-    bits.resize(n_total, 0); // tail + pad
-    Scrambler::new(scrambler_seed).apply(&mut bits);
-    let tail_start = 16 + 8 * psdu.len();
-    for bit in bits.iter_mut().skip(tail_start).take(6) {
-        *bit = 0;
+    // SERVICE: 16 zeros, so its bits are the scrambler's run-in.
+    bits.extend((0..16).map(|_| scrambler.next_bit()));
+    for &byte in psdu {
+        bits.extend((0..8).map(|i| ((byte >> i) & 1) ^ scrambler.next_bit()));
     }
+    // Tail and pad: the 6 tail bits are re-zeroed after scrambling.
+    let tail = bits.len();
+    bits.extend((tail..n_total).map(|i| scrambler.next_bit() * u8::from(i >= tail + 6)));
     bits
 }
 
-/// Maps coded bits onto OFDM carriers, one stream-symbol at a time: the
-/// stream parse → interleave → QAM map → data-and-pilot placement step
-/// that the HT and legacy transmit chains share. Everything that is the
-/// same for every symbol of a PPDU (the interleaver table, the tone
-/// plan, the pilot values) is built once, in [`SymbolMapper::new`].
+/// Maps a PPDU's coded bits onto OFDM carriers, for the HT and legacy
+/// chains alike. The stream parse, the interleaver and the QAM bit order
+/// compose into one gather table, built once per PPDU with the
+/// constellation's point table, so a data subcarrier costs N_BPSCS
+/// loads and one table lookup.
 pub(crate) struct SymbolMapper<'a> {
-    perm: InterleaverPerm,
-    modulation: Modulation,
-    n_occupied: usize,
+    /// `gather[ss][j·N_BPSCS + b]`, streams end to end: the index within
+    /// a symbol's coded bits (all streams) of bit `b`, MSB first, of data
+    /// subcarrier `j` on stream `ss`.
+    gather: Vec<u16>,
+    points: [Complex64; 256],
+    n_bpscs: usize,
     data_positions: &'a [usize],
-    pilot_positions: &'a [usize],
-    pilots: Vec<Complex64>,
-    stream_bits: Vec<u8>,
-    tx_order: Vec<u8>,
+    /// Every occupied carrier: the pilots in place, zeros for the data.
+    template: Vec<Complex64>,
 }
 
 impl<'a> SymbolMapper<'a> {
-    /// A mapper for one PPDU's interleaver dimensions, constellation and
-    /// tone plan: `data_positions` carry constellation points,
-    /// `pilot_positions` the pilot pattern, and together they are every
+    /// A mapper for `nss` streams of the per-stream interleaver `dims`,
+    /// on a tone plan whose data and pilot positions cover every
     /// occupied carrier.
     pub(crate) fn new(
         dims: InterleaverDims,
         modulation: Modulation,
+        nss: usize,
         data_positions: &'a [usize],
         pilot_positions: &'a [usize],
     ) -> Self {
+        // At most 4 streams × 234 carriers × 8 bits = 7 488 coded bits.
+        assert!(nss * dims.n_cbps <= 1 << 16, "symbol too wide for the gather table");
+        // The parser deals groups of `s = max(1, N_BPSCS/2)` coded bits
+        // round-robin, so stream bit `k` of stream `ss` is coded bit
+        // `(k/s·nss + ss)·s + k%s`; the interleaver moves it to `perm[k]`.
+        let s = (dims.n_bpscs / 2).max(1);
+        let perm = permutation(dims);
+        let mut gather = vec![0u16; nss * dims.n_cbps];
+        for (ss, table) in gather.chunks_exact_mut(dims.n_cbps).enumerate() {
+            for (k, &p) in perm.iter().enumerate() {
+                table[p] = ((k / s * nss + ss) * s + k % s) as u16;
+            }
+        }
+        let mut template = vec![Complex64::ZERO; data_positions.len() + pilot_positions.len()];
+        for (&pos, pv) in pilot_positions.iter().zip(pilot_values(pilot_positions.len())) {
+            template[pos] = pv;
+        }
         SymbolMapper {
-            perm: InterleaverPerm::new(dims),
-            modulation,
-            n_occupied: data_positions.len() + pilot_positions.len(),
+            gather,
+            points: point_table(modulation),
+            n_bpscs: dims.n_bpscs,
             data_positions,
-            pilot_positions,
-            pilots: pilot_values(pilot_positions.len()),
-            stream_bits: Vec::with_capacity(dims.n_cbps),
-            tx_order: Vec::with_capacity(dims.n_cbps),
+            template,
         }
     }
 
-    /// The carriers of spatial stream `ss` (of `nss`) for one symbol's
-    /// coded bits (all streams).
-    pub(crate) fn stream_carriers(&mut self, coded: &[u8], ss: usize, nss: usize) -> Vec<Complex64> {
-        let n_bpscs = self.modulation.bits_per_subcarrier();
-        parse_stream_into(coded, ss, nss, n_bpscs, &mut self.stream_bits);
-        self.perm.interleave_into(&self.stream_bits, &mut self.tx_order);
-        let mut carriers = vec![Complex64::ZERO; self.n_occupied];
-        modulate_onto(&self.tx_order, self.modulation, self.data_positions, &mut carriers);
-        for (&pos, &pv) in self.pilot_positions.iter().zip(&self.pilots) {
-            carriers[pos] = pv;
+    /// Every OFDM symbol of a DATA field's coded bits.
+    pub(crate) fn symbols(&self, coded: &[u8]) -> Vec<OfdmSymbol> {
+        match self.n_bpscs {
+            1 => self.symbols_of::<1>(coded),
+            2 => self.symbols_of::<2>(coded),
+            4 => self.symbols_of::<4>(coded),
+            6 => self.symbols_of::<6>(coded),
+            _ => self.symbols_of::<8>(coded),
         }
-        carriers
+    }
+
+    /// [`Self::symbols`] with `B` = N_BPSCS fixed, so the gather unrolls.
+    fn symbols_of<const B: usize>(&self, coded: &[u8]) -> Vec<OfdmSymbol> {
+        let width = self.data_positions.len() * B;
+        debug_assert_eq!(coded.len() % self.gather.len(), 0, "puncturing must align to symbols");
+        coded
+            .chunks(self.gather.len())
+            .map(|symbol| OfdmSymbol {
+                streams: (self.gather.chunks_exact(width))
+                    .map(|gather| {
+                        let mut carriers = self.template.clone();
+                        for (&pos, bits) in self.data_positions.iter().zip(gather.chunks_exact(B)) {
+                            let v = bits.iter().fold(0, |v, &i| (v << 1) | symbol[i as usize] as usize);
+                            carriers[pos] = self.points[v & 0xFF];
+                        }
+                        carriers
+                    })
+                    .collect(),
+            })
+            .collect()
     }
 }
 
@@ -350,25 +340,18 @@ pub fn transmit(config: &PhyConfig, psdu: &[u8]) -> Ppdu {
     assert!(!psdu.is_empty(), "PSDU must be non-empty");
     let layout = config.layout();
     let nss = config.mcs.spatial_streams;
-    let ncbps = config.ncbps();
 
     let n_total = config.n_symbols(psdu.len()) * config.ndbps();
     let bits = data_field_bits(config.scrambler_seed, psdu, n_total);
-    let coded = puncture(&encode_stream(&bits), config.mcs.code_rate);
-    debug_assert_eq!(coded.len() % ncbps, 0, "puncturing must align to symbols");
-
-    let mut mapper = SymbolMapper::new(
+    let coded = encode_stream_punctured(&bits, config.mcs.code_rate);
+    let symbols = SymbolMapper::new(
         InterleaverDims::ht(config.bandwidth, config.mcs.modulation.bits_per_subcarrier()),
         config.mcs.modulation,
+        nss,
         layout.data_positions(),
         layout.pilot_positions(),
-    );
-    let symbols = coded
-        .chunks(ncbps)
-        .map(|chunk| OfdmSymbol {
-            streams: (0..nss).map(|ss| mapper.stream_carriers(chunk, ss, nss)).collect(),
-        })
-        .collect();
+    )
+    .symbols(&coded);
 
     Ppdu {
         config: config.clone(),
@@ -441,8 +424,10 @@ mod tests {
     fn symbol_power_is_near_unity() {
         let c = cfg(4); // 16-QAM
         let ppdu = transmit(&c, &[0x3C; 60]);
-        for (i, p) in ppdu.symbol_powers().iter().enumerate() {
-            assert!((*p - 1.0).abs() < 0.5, "symbol {i} power {p} too far from 1");
+        for (i, sym) in ppdu.symbols.iter().enumerate() {
+            let carriers = &sym.streams[0];
+            let p = carriers.iter().map(|pt| pt.norm_sqr()).sum::<f64>() / carriers.len() as f64;
+            assert!((p - 1.0).abs() < 0.5, "symbol {i} power {p} too far from 1");
         }
     }
 
@@ -459,25 +444,37 @@ mod tests {
 
     #[test]
     fn stream_parse_roundtrip() {
+        // The gather table's parse and interleave, undone by the receiver's
+        // deinterleave and deparse.
+        use crate::interleaver::InterleaverPerm;
+        use crate::params::Bandwidth;
+        let data_positions: Vec<usize> = (0..52).collect();
         for nss in 1..=4usize {
-            for n_bpscs in [1usize, 2, 4, 6] {
-                let n = 52 * n_bpscs * nss;
-                let coded: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
-                let streams: Vec<Vec<u8>> = (0..nss)
-                    .map(|ss| {
-                        let mut out = Vec::new();
-                        parse_stream_into(&coded, ss, nss, n_bpscs, &mut out);
-                        out
+            for m in [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+                Modulation::Qam256,
+            ] {
+                let dims = InterleaverDims::ht(Bandwidth::Mhz20, m.bits_per_subcarrier());
+                let mapper = SymbolMapper::new(dims, m, nss, &data_positions, &[]);
+                // Send each coded bit's own index: the receive chain must
+                // put every index back where it came from.
+                let per_stream: Vec<Vec<f64>> = mapper
+                    .gather
+                    .chunks_exact(dims.n_cbps)
+                    .map(|g| {
+                        let on_air: Vec<f64> = g.iter().map(|&i| i as f64).collect();
+                        let mut code_order = Vec::new();
+                        InterleaverPerm::new(dims).deinterleave_into(&on_air, &mut code_order);
+                        code_order
                     })
                     .collect();
-                assert!(streams.iter().all(|s| s.len() == 52 * n_bpscs));
-                let soft: Vec<Vec<f64>> = streams
-                    .iter()
-                    .map(|s| s.iter().map(|&b| b as f64).collect())
-                    .collect();
-                let merged = deparse_streams(&soft, n_bpscs);
-                let back: Vec<u8> = merged.iter().map(|&f| f as u8).collect();
-                assert_eq!(back, coded, "nss={nss} nbpscs={n_bpscs}");
+                let mut merged = Vec::new();
+                deparse_streams_into(&per_stream, dims.n_bpscs, &mut merged);
+                let want: Vec<f64> = (0..nss * dims.n_cbps).map(|i| i as f64).collect();
+                assert_eq!(merged, want, "nss={nss} {m:?}");
             }
         }
     }
