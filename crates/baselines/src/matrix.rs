@@ -4,14 +4,6 @@
 
 use crate::systems::{all_systems, SystemProfile};
 
-/// Column labels, matching the paper's §1 requirement list.
-pub const REQUIREMENT_NAMES: [&str; 4] = [
-    "WiFi-compatible (11n/ac, no mods)",
-    "Works with encryption",
-    "Low-power (uW-class clock)",
-    "Non-interfering",
-];
-
 /// One rendered matrix row.
 #[derive(Debug, Clone)]
 pub struct MatrixRow {

@@ -143,26 +143,37 @@ impl Ray {
     }
 }
 
-/// Radio and environment parameters for a link.
+/// Carrier frequency (Hz): 2.437 GHz, channel 6, the paper's testbed.
+pub(crate) const CARRIER_HZ: f64 = 2.437e9;
+/// Transmit power (dBm): 15 dBm, a typical client NIC.
+pub(crate) const TX_POWER_DBM: f64 = 15.0;
+/// Receiver noise figure (dB).
+pub(crate) const NOISE_FIGURE_DB: f64 = 7.0;
+/// Receiver bandwidth (Hz) for the noise floor.
+pub(crate) const BANDWIDTH_HZ: f64 = 20e6;
+/// Channel coherence time (s); the paper's footnote 2 cites ≈ 100 ms
+/// for indoor WiFi.
+pub(crate) const COHERENCE_TIME_S: f64 = 0.1;
+/// Tag scatterer field gain `g`: antenna gain², re-radiation efficiency
+/// and RCS folded into one calibration constant (e.g. a 3 dBi resonant
+/// patch at ~9 % scattering efficiency). 0.30 puts the phase-flip
+/// channel displacement at the level where 64-QAM 2/3 subframes corrupt
+/// reliably near the link endpoints but marginally at the midpoint —
+/// the paper's Figure 5 regime. See EXPERIMENTS.md for the calibration
+/// sweep.
+pub(crate) const TAG_FIELD_GAIN: f64 = 0.30;
+
+/// Multipath and interference parameters for a link. The radio itself
+/// (carrier, powers, bandwidth, coherence time, tag gain) is the
+/// paper's testbed and fixed by the constants above.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
-    /// Carrier frequency (Hz). Default: 2.437 GHz (channel 6).
-    pub carrier_hz: f64,
-    /// Transmit power (dBm). Default 15 dBm — typical client NIC.
-    pub tx_power_dbm: f64,
-    /// Receiver noise figure (dB).
-    pub noise_figure_db: f64,
-    /// Receiver bandwidth (Hz) for the noise floor.
-    pub bandwidth_hz: f64,
     /// Number of environmental multipath rays to synthesise (in addition
     /// to any floorplan reflectors).
     pub n_env_rays: usize,
     /// Mean power of an environmental ray relative to the direct path (dB,
     /// negative).
     pub env_ray_rel_db: f64,
-    /// Channel coherence time (s); the paper's footnote 2 cites ≈ 100 ms
-    /// for indoor WiFi.
-    pub coherence_time_s: f64,
     /// Ambient interference bursts (microwave ovens, co-channel WiFi…):
     /// Poisson arrival rate (1/s). These are what keep the ambient
     /// subframe error rate above zero (paper §4.1: "we can never
@@ -172,33 +183,16 @@ pub struct LinkConfig {
     pub interference_duration_s: f64,
     /// Interference power relative to the *received* signal (dB).
     pub interference_rel_db: f64,
-    /// Tag scatterer field gain `g` (antenna gain², re-radiation
-    /// efficiency and RCS folded into one calibration constant; see
-    /// EXPERIMENTS.md for the calibration).
-    pub tag_field_gain: f64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
         LinkConfig {
-            carrier_hz: 2.437e9,
-            tx_power_dbm: 15.0,
-            noise_figure_db: 7.0,
-            bandwidth_hz: 20e6,
             n_env_rays: 6,
             env_ray_rel_db: -18.0,
-            coherence_time_s: 0.1,
             interference_rate_hz: 16.0,
             interference_duration_s: 500e-6,
             interference_rel_db: 3.0,
-            // Calibration constant (antenna gain² × re-radiation
-            // efficiency, e.g. a 3 dBi resonant patch at ~9 % scattering
-            // efficiency): 0.35 puts the phase-flip channel displacement
-            // at the level where 64-QAM 2/3 subframes corrupt reliably
-            // near the link endpoints but marginally at the midpoint —
-            // the paper's Figure 5 regime. See EXPERIMENTS.md for the
-            // calibration sweep.
-            tag_field_gain: 0.30,
         }
     }
 }
@@ -223,7 +217,7 @@ pub struct Link {
     /// Complex noise variance per subcarrier relative to unit TX power.
     noise_var: f64,
     /// Coherence-time divisor (fault injection: coherence collapse).
-    /// 1.0 = the configured coherence time; larger = faster fading.
+    /// 1.0 = the nominal `COHERENCE_TIME_S`; larger = faster fading.
     coherence_scale: f64,
     rng: Rng,
 }
@@ -255,7 +249,7 @@ impl Link {
         seed: u64,
     ) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let f = cfg.carrier_hz;
+        let f = CARRIER_HZ;
 
         // Direct path.
         let d = tx.distance(rx);
@@ -301,8 +295,7 @@ impl Link {
             // Penetration on each hop.
             let pen =
                 floorplan.penetration_loss_db(tx, p) + floorplan.penetration_loss_db(p, rx);
-            let amp = backscatter_amplitude(ds, dr, f, cfg.tag_field_gain)
-                * db_to_linear(-pen).sqrt();
+            let amp = backscatter_amplitude(ds, dr, f, TAG_FIELD_GAIN) * db_to_linear(-pen).sqrt();
             let delay = ((ds + dr) / SPEED_OF_LIGHT) - direct_delay;
             let ray = Ray {
                 amplitude: Complex64::from_polar(
@@ -328,8 +321,8 @@ impl Link {
             .collect();
 
         // Noise relative to unit TX power.
-        let noise_mw = dbm_to_mw(noise_floor_dbm(cfg.bandwidth_hz, cfg.noise_figure_db));
-        let tx_mw = dbm_to_mw(cfg.tx_power_dbm);
+        let noise_mw = dbm_to_mw(noise_floor_dbm(BANDWIDTH_HZ, NOISE_FIGURE_DB));
+        let tx_mw = dbm_to_mw(TX_POWER_DBM);
         let noise_var = noise_mw / tx_mw;
 
         Link {
@@ -348,7 +341,7 @@ impl Link {
 
     /// Divide the effective coherence time by `scale` (fault injection:
     /// a coherence collapse — doors slamming, machinery moving through
-    /// the Fresnel zone). `1.0` restores the configured dynamics; the
+    /// the Fresnel zone). `1.0` restores the nominal dynamics; the
     /// nominal path is bit-identical to a link without the hook.
     pub fn set_coherence_scale(&mut self, scale: f64) {
         self.coherence_scale = scale.max(1e-9);
@@ -426,7 +419,7 @@ impl Link {
     /// energy is spread, not increased). Used by the query designer when
     /// sweeping 40/80 MHz operation.
     pub fn snr_db_at(&self, bandwidth_hz: f64) -> f64 {
-        self.snr_db() - 10.0 * (bandwidth_hz / self.cfg.bandwidth_hz).log10()
+        self.snr_db() - 10.0 * (bandwidth_hz / BANDWIDTH_HZ).log10()
     }
 
     /// Link SNR in dB (direct + environmental power over noise).
@@ -439,8 +432,7 @@ impl Link {
     /// Received power at the tag (dBm) during a symbol with mean TX power
     /// `sym_power` (relative to 1.0) — drives the envelope detector.
     pub fn tag_incident_dbm(&self, sym_power: f64) -> f64 {
-        self.cfg.tx_power_dbm
-            + 10.0 * (self.tag_incident_amplitude.powi(2) * sym_power.max(1e-12)).log10()
+        TX_POWER_DBM + 10.0 * (self.tag_incident_amplitude.powi(2) * sym_power.max(1e-12)).log10()
     }
 
     /// TX→tag / tag→RX distances, if a tag is present.
@@ -466,10 +458,11 @@ impl Link {
     }
 
     /// Advance environment time by `dt`: environmental ray phases random-
-    /// walk with the configured coherence time (people moving, doors…).
+    /// walk with the coherence time `COHERENCE_TIME_S` (people moving,
+    /// doors…).
     pub fn advance(&mut self, dt: Duration) {
         let sigma = core::f64::consts::TAU
-            * (dt.as_secs_f64() / self.cfg.coherence_time_s).sqrt()
+            * (dt.as_secs_f64() / COHERENCE_TIME_S).sqrt()
             * 0.5
             * self.coherence_scale.sqrt();
         for ray in &mut self.env {

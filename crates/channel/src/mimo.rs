@@ -7,15 +7,14 @@
 //! `H(f)` rather than a scalar:
 //!
 //! * the **direct paths** carry per-element geometric phases from the
-//!   exact element-to-element distances (λ/2 spacing by default). In pure
-//!   LOS these phases are nearly equal across the array, so the direct
+//!   exact element-to-element distances (λ/2 spacing). In pure LOS
+//!   these phases are nearly equal across the array, so the direct
 //!   matrix is close to rank-1 — the classical reason LOS MIMO is
 //!   ill-conditioned and spatial multiplexing leans on scattering;
 //! * **environmental rays** contribute correlated Rayleigh gains per
 //!   antenna pair: `g_ji = a·(√ρ·c + √(1−ρ)·z_ji)` with a shared complex
-//!   component `c` and i.i.d. per-pair components `z_ji`
-//!   ([`MimoLinkConfig::correlation`] is ρ). These supply the rank that
-//!   makes ZF/MMSE separation possible;
+//!   component `c` and i.i.d. per-pair components `z_ji` (ρ = 0.25).
+//!   These supply the rank that makes ZF/MMSE separation possible;
 //! * the **tag ray** is an *exactly rank-1* perturbation: the tag is one
 //!   physical scatterer, so its contribution factors as an outer product
 //!   `u_j·v_i` of the RX-side and TX-side hop responses (the two-hop
@@ -29,7 +28,10 @@
 //! given `(floorplan, positions, config, seed)` tuple reproduces the same
 //! matrices bit-for-bit.
 
-use crate::link::{LinkConfig, PpduResponses, TagMode, TagSchedule};
+use crate::link::{
+    LinkConfig, PpduResponses, TagMode, TagSchedule, BANDWIDTH_HZ, CARRIER_HZ, COHERENCE_TIME_S,
+    NOISE_FIGURE_DB, TAG_FIELD_GAIN, TX_POWER_DBM,
+};
 use crate::pathloss::{
     db_to_linear, dbm_to_mw, freespace_amplitude, noise_floor_dbm,
     wavelength, SPEED_OF_LIGHT,
@@ -43,29 +45,18 @@ use witag_sim::geom::{Floorplan, Point2};
 use witag_sim::rng::Rng;
 use witag_sim::time::Duration;
 
-/// Radio/array parameters for a [`MimoLink`].
+/// Inter-pair correlation ρ of the environmental Rayleigh gains:
+/// lightly correlated indoor arrays (`0` would be i.i.d. fading per
+/// antenna pair, `1` fully correlated, a keyhole).
+const CORRELATION: f64 = 0.25;
+
+/// Parameters for a [`MimoLink`]: the scalar link's multipath and
+/// interference statistics. Elements sit λ/2 apart at the carrier, at
+/// both ends.
 #[derive(Debug, Clone)]
 pub struct MimoLinkConfig {
-    /// Scalar link parameters (carrier, powers, multipath statistics…).
+    /// Scalar link parameters (multipath statistics, interference).
     pub link: LinkConfig,
-    /// Antenna element spacing in metres at both ends. `0.0` (the
-    /// default) means λ/2 at the configured carrier.
-    pub spacing_m: f64,
-    /// Inter-pair correlation ρ of the environmental Rayleigh gains, in
-    /// `[0, 1]`. `0` = i.i.d. fading per antenna pair, `1` = fully
-    /// correlated (keyhole). Default 0.25 — lightly correlated indoor
-    /// arrays.
-    pub correlation: f64,
-}
-
-impl Default for MimoLinkConfig {
-    fn default() -> Self {
-        MimoLinkConfig {
-            link: LinkConfig::default(),
-            spacing_m: 0.0,
-            correlation: 0.25,
-        }
-    }
 }
 
 impl MimoLinkConfig {
@@ -80,8 +71,6 @@ impl MimoLinkConfig {
                 env_ray_rel_db: -6.0,
                 ..LinkConfig::default()
             },
-            spacing_m: 0.0,
-            correlation: 0.25,
         }
     }
 }
@@ -166,12 +155,8 @@ impl MimoLink {
     ) -> Self {
         assert!((1..=4).contains(&nss), "1–4 antennas per end, got {nss}");
         let mut rng = Rng::seed_from_u64(seed);
-        let f = cfg.link.carrier_hz;
-        let spacing = if cfg.spacing_m > 0.0 {
-            cfg.spacing_m
-        } else {
-            wavelength(f) / 2.0
-        };
+        let f = CARRIER_HZ;
+        let spacing = wavelength(f) / 2.0;
         let axis = (rx.x - tx.x, rx.y - tx.y);
         let tx_el = element_positions(tx, axis, nss, spacing);
         let rx_el = element_positions(rx, axis, nss, spacing);
@@ -200,8 +185,7 @@ impl MimoLink {
         // Environmental rays: floorplan reflectors first, synthetic
         // scatterers after (same recipe as the scalar Link), each with a
         // correlated-Rayleigh gain per antenna pair.
-        let rho = cfg.correlation.clamp(0.0, 1.0);
-        let (wc, wz) = (rho.sqrt(), (1.0 - rho).sqrt());
+        let (wc, wz) = (CORRELATION.sqrt(), (1.0 - CORRELATION).sqrt());
         let mut reflector_points: Vec<Point2> = floorplan.reflectors.clone();
         while reflector_points.len() < cfg.link.n_env_rays {
             let t = rng.f64();
@@ -247,10 +231,7 @@ impl MimoLink {
             Some(p) => {
                 let pen =
                     floorplan.penetration_loss_db(tx, p) + floorplan.penetration_loss_db(p, rx);
-                let k = cfg.link.tag_field_gain
-                    * 4.0
-                    * core::f64::consts::PI
-                    / wavelength(f)
+                let k = TAG_FIELD_GAIN * 4.0 * core::f64::consts::PI / wavelength(f)
                     * db_to_linear(-pen).sqrt();
                 let v = tx_el
                     .iter()
@@ -286,8 +267,8 @@ impl MimoLink {
             None => (None, None),
         };
 
-        let noise_mw = dbm_to_mw(noise_floor_dbm(cfg.link.bandwidth_hz, cfg.link.noise_figure_db));
-        let tx_mw = dbm_to_mw(cfg.link.tx_power_dbm);
+        let noise_mw = dbm_to_mw(noise_floor_dbm(BANDWIDTH_HZ, NOISE_FIGURE_DB));
+        let tx_mw = dbm_to_mw(TX_POWER_DBM);
 
         MimoLink {
             cfg,
@@ -392,13 +373,11 @@ impl MimoLink {
     }
 
     /// Advance environment time by `dt`: each environmental ray's gains
-    /// random-walk in phase with the configured coherence time. The
+    /// random-walk in phase with the coherence time `COHERENCE_TIME_S`. The
     /// rotation is common to all antenna pairs of a ray (the scatterer
     /// moves; the array geometry does not), preserving ρ.
     pub fn advance(&mut self, dt: Duration) {
-        let sigma = core::f64::consts::TAU
-            * (dt.as_secs_f64() / self.cfg.link.coherence_time_s).sqrt()
-            * 0.5;
+        let sigma = core::f64::consts::TAU * (dt.as_secs_f64() / COHERENCE_TIME_S).sqrt() * 0.5;
         for ray in &mut self.env {
             let rot = Complex64::from_polar(1.0, self.rng.normal(0.0, sigma));
             for g in &mut ray.gains {
@@ -596,7 +575,6 @@ mod tests {
                 interference_rate_hz: 0.0,
                 ..MimoLinkConfig::rich_scattering().link
             },
-            ..MimoLinkConfig::rich_scattering()
         }
     }
 

@@ -201,7 +201,6 @@ fn mimo_apply_ppdu_is_pinned() {
             interference_duration_s: 30e-6,
             ..MimoLinkConfig::rich_scattering().link
         },
-        ..MimoLinkConfig::rich_scattering()
     };
     let mut rows = Vec::new();
     for (nss, mcs) in [(2usize, 11usize), (3, 19)] {

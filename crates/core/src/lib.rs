@@ -70,6 +70,6 @@ pub use query::{BuiltQuery, QueryDesign};
 pub use reader::{read_tag_bits, BitErrors, TagReadout};
 pub use tagnet::{
     fountain_session_over_experiment, run_fountain_session, run_session, session_over_experiment,
-    FountainConfig, FountainReport, FountainStats, RoundOutcome, SessionConfig, SessionFailure,
-    SessionOutcome, SessionReport, SessionStats, TagnetError,
+    FountainReport, FountainStats, RoundOutcome, SessionConfig, SessionFailure, SessionOutcome,
+    SessionReport, SessionStats, TagnetError,
 };

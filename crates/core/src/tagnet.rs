@@ -506,10 +506,14 @@ pub(crate) fn base_report_payload(base: usize) -> Vec<u8> {
 
 /// Parse a decoded chunk as a base report; the chunk seq must echo the
 /// reported base mod 16 (a cheap consistency check on top of the CRC).
+/// A payload that is not [`CHUNK_PAYLOAD_BITS`] long is no base report.
 /// Public so external session drivers (the `witag-net` fleet layer)
 /// can interpret slide/resync responses without reimplementing the
 /// framing.
 pub fn parse_base_report(seq: u8, payload: &[u8]) -> Option<usize> {
+    if payload.len() != CHUNK_PAYLOAD_BITS {
+        return None;
+    }
     let magic = payload[..8].iter().fold(0u8, |acc, &b| (acc << 1) | b);
     if magic != BASE_REPORT_MAGIC {
         return None;
@@ -525,20 +529,9 @@ pub struct SessionConfig {
     pub window: usize,
     /// Hard budget of rounds (queries + idle rounds) before giving up.
     pub max_rounds: usize,
-    /// Starting per-chunk redundancy (copies per attempt).
-    pub initial_diversity: usize,
-    /// Redundancy ceiling for rate stepping.
+    /// Redundancy ceiling for rate stepping (copies per attempt; a
+    /// session starts at one).
     pub max_diversity: usize,
-    /// Chunk-attempt outcomes remembered for rate adaptation.
-    pub history_len: usize,
-    /// Error-rate above which redundancy steps up.
-    pub err_high: f64,
-    /// Error-rate below which redundancy steps back down.
-    pub err_low: f64,
-    /// Consecutive failed rounds before the client backs off.
-    pub backoff_threshold: usize,
-    /// Cap on the exponential backoff (idle rounds ≤ 2^cap).
-    pub max_backoff_exp: u32,
 }
 
 impl Default for SessionConfig {
@@ -546,16 +539,23 @@ impl Default for SessionConfig {
         SessionConfig {
             window: 4,
             max_rounds: 4096,
-            initial_diversity: 1,
             max_diversity: 3,
-            history_len: 8,
-            err_high: 0.35,
-            err_low: 0.125,
-            backoff_threshold: 4,
-            max_backoff_exp: 4,
         }
     }
 }
+
+/// Chunk-attempt outcomes remembered for rate adaptation.
+const RATE_HISTORY_LEN: usize = 8;
+/// Error rate over the history above which redundancy steps up.
+const ERR_HIGH: f64 = 0.35;
+/// Error rate over the history below which redundancy steps back down.
+const ERR_LOW: f64 = 0.125;
+/// Consecutive dead rounds before a session driver (ARQ or fountain)
+/// goes quiet.
+const BACKOFF_THRESHOLD: usize = 4;
+/// Cap on the exponential backoff: a quiet period is at most
+/// `2^MAX_BACKOFF_EXP` idle rounds.
+const MAX_BACKOFF_EXP: u32 = 4;
 
 /// Why a session ended without the message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -783,11 +783,10 @@ const SOFT_COPIES_CAP: usize = 12;
 
 impl SessionClient {
     fn new(cfg: SessionConfig) -> Self {
-        let diversity = cfg.initial_diversity.clamp(1, cfg.max_diversity.max(1));
         SessionClient {
             win: ReceiveWindow::new(cfg.window),
             cfg,
-            diversity,
+            diversity: 1,
             history: VecDeque::new(),
             consecutive_losses: 0,
             backoff_exp: 0,
@@ -812,19 +811,19 @@ impl SessionClient {
     /// Record a chunk-attempt outcome and adapt the redundancy level.
     fn adapt_rate(&mut self, success: bool, stats: &mut SessionStats) {
         self.history.push_back(success);
-        if self.history.len() < self.cfg.history_len {
+        if self.history.len() < RATE_HISTORY_LEN {
             return;
         }
-        while self.history.len() > self.cfg.history_len {
+        while self.history.len() > RATE_HISTORY_LEN {
             self.history.pop_front();
         }
         let errs = self.history.iter().filter(|&&ok| !ok).count();
         let err_rate = errs as f64 / self.history.len() as f64;
-        if err_rate > self.cfg.err_high && self.diversity < self.cfg.max_diversity {
+        if err_rate > ERR_HIGH && self.diversity < self.cfg.max_diversity {
             self.diversity += 1;
             stats.rate_downs += 1;
             self.history.clear();
-        } else if err_rate < self.cfg.err_low && self.diversity > 1 {
+        } else if err_rate < ERR_LOW && self.diversity > 1 {
             self.diversity -= 1;
             stats.rate_ups += 1;
             self.history.clear();
@@ -956,8 +955,8 @@ where
 
         // Exponential backoff: after a streak of dead rounds, go quiet
         // and re-establish the window afterwards.
-        if client.consecutive_losses >= cfg.backoff_threshold {
-            let idle = 1usize << client.backoff_exp.min(cfg.max_backoff_exp);
+        if client.consecutive_losses >= BACKOFF_THRESHOLD {
+            let idle = 1usize << client.backoff_exp.min(MAX_BACKOFF_EXP);
             if rec.enabled() {
                 rec.record(&Event::SessionBackoff {
                     round: stats.rounds as u64,
@@ -971,7 +970,7 @@ where
                 }
                 run_one(&mut sender, &mut stats, &SessionQuery::Idle, &mut *rec)?;
             }
-            client.backoff_exp = (client.backoff_exp + 1).min(cfg.max_backoff_exp);
+            client.backoff_exp = (client.backoff_exp + 1).min(MAX_BACKOFF_EXP);
             client.consecutive_losses = 0;
             client.pending_resync = true;
             continue;
@@ -1371,37 +1370,11 @@ fn over_experiment<T>(
     drive(channel_bits, &mut driver_rec, &mut round)
 }
 
-/// Fountain-session tuning knobs — deliberately a small subset of
-/// [`SessionConfig`]: the rateless transport has no window, no
-/// per-chunk diversity and no resync machinery to tune; only the round
-/// budget and the backoff envelope remain.
-#[derive(Debug, Clone)]
-pub struct FountainConfig {
-    /// Hard budget of rounds (queries + idle rounds) before giving up.
-    pub max_rounds: usize,
-    /// Consecutive dead-air rounds before the driver goes quiet. The
-    /// effective threshold halves while the accept EWMA is below
-    /// [`Self::ewma_low`] — the adaptive symbol-rate control: a channel
-    /// that is eating symbols gets them more slowly.
-    pub backoff_threshold: usize,
-    /// Backoff exponent ceiling (idle rounds per quiet period is
-    /// `2^level`).
-    pub max_backoff_exp: u32,
-    /// Accept-EWMA level below which the driver treats the channel as
-    /// degraded and backs off at half the dead-streak threshold.
-    pub ewma_low: f64,
-}
-
-impl Default for FountainConfig {
-    fn default() -> Self {
-        FountainConfig {
-            max_rounds: 4096,
-            backoff_threshold: 4,
-            max_backoff_exp: 4,
-            ewma_low: 0.25,
-        }
-    }
-}
+/// Accept-EWMA level below which the fountain driver treats the channel
+/// as degraded and backs off at half of [`BACKOFF_THRESHOLD`] — the
+/// adaptive symbol-rate control: a channel that is eating symbols gets
+/// them more slowly.
+const ACCEPT_EWMA_LOW: f64 = 0.25;
 
 /// Per-fountain-session counters, the rateless analogue of
 /// [`SessionStats`].
@@ -1473,17 +1446,24 @@ impl FountainReport {
 /// any order until its decoder completes — the block-ACK readouts *are*
 /// the "enough" feedback, so no per-chunk ARQ state exists on either
 /// side. See [`crate::fountain`] for the codec and the protocol state
-/// machines; semantics of `channel` match [`run_session`].
+/// machines; semantics of `channel` match [`run_session`]. The session
+/// gives up after `max_rounds` rounds (queries + idle rounds).
 pub fn run_fountain_session<F>(
     message: &[u8],
     channel_bits: usize,
-    cfg: &FountainConfig,
+    max_rounds: usize,
     channel: F,
 ) -> Result<FountainReport, TagnetError>
 where
     F: FnMut(&FountainQuery, &[u8]) -> RoundOutcome,
 {
-    run_fountain_session_obs(message, channel_bits, cfg, &mut NullRecorder, channel)
+    run_fountain_session_obs(
+        message,
+        channel_bits,
+        max_rounds,
+        &mut NullRecorder,
+        channel,
+    )
 }
 
 /// [`run_fountain_session`] with observability: emits `session_query`
@@ -1496,7 +1476,7 @@ where
 pub fn run_fountain_session_obs<F>(
     message: &[u8],
     channel_bits: usize,
-    cfg: &FountainConfig,
+    max_rounds: usize,
     rec: &mut dyn Recorder,
     mut channel: F,
 ) -> Result<FountainReport, TagnetError>
@@ -1574,7 +1554,7 @@ where
         Ok(FountainReport { outcome, stats })
     };
 
-    while stats.rounds < cfg.max_rounds {
+    while stats.rounds < max_rounds {
         if recv.complete() {
             let outcome = match recv.assemble() {
                 Some(bytes) => SessionOutcome::Delivered(bytes),
@@ -1586,13 +1566,13 @@ where
         // Adaptive backoff: dead air drives the streak, and a low
         // accept EWMA halves the patience — the symbol rate degrades
         // gracefully with the channel instead of burning budget.
-        let threshold = if accept_ewma < cfg.ewma_low {
-            (cfg.backoff_threshold / 2).max(1)
+        let threshold = if accept_ewma < ACCEPT_EWMA_LOW {
+            (BACKOFF_THRESHOLD / 2).max(1)
         } else {
-            cfg.backoff_threshold
+            BACKOFF_THRESHOLD
         };
         if dead_streak >= threshold {
-            let idle = 1usize << backoff_exp.min(cfg.max_backoff_exp);
+            let idle = 1usize << backoff_exp.min(MAX_BACKOFF_EXP);
             if rec.enabled() {
                 rec.record(&Event::SessionBackoff {
                     round: stats.rounds as u64,
@@ -1601,12 +1581,12 @@ where
                 });
             }
             for _ in 0..idle {
-                if stats.rounds >= cfg.max_rounds {
+                if stats.rounds >= max_rounds {
                     break;
                 }
                 run_one(&mut sender, &mut stats, &FountainQuery::Idle, &mut *rec)?;
             }
-            backoff_exp = (backoff_exp + 1).min(cfg.max_backoff_exp);
+            backoff_exp = (backoff_exp + 1).min(MAX_BACKOFF_EXP);
             dead_streak = 0;
             // The quiet period is exactly when counter drift sneaks in
             // (brownouts, missed triggers): re-learn it cheaply.
@@ -1692,9 +1672,9 @@ where
 pub fn fountain_session_over_experiment(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
-    cfg: &FountainConfig,
+    max_rounds: usize,
 ) -> Result<FountainReport, TagnetError> {
-    fountain_session_over_experiment_obs(exp, message, cfg, &mut NullRecorder)
+    fountain_session_over_experiment_obs(exp, message, max_rounds, &mut NullRecorder)
 }
 
 /// [`fountain_session_over_experiment`] with observability: the
@@ -1704,11 +1684,11 @@ pub fn fountain_session_over_experiment(
 pub fn fountain_session_over_experiment_obs(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
-    cfg: &FountainConfig,
+    max_rounds: usize,
     rec: &mut dyn Recorder,
 ) -> Result<FountainReport, TagnetError> {
     over_experiment(exp, rec, |channel_bits, driver_rec, round| {
-        run_fountain_session_obs(message, channel_bits, cfg, driver_rec, |q, tx| {
+        run_fountain_session_obs(message, channel_bits, max_rounds, driver_rec, |q, tx| {
             round(matches!(q, FountainQuery::Idle), tx)
         })
     })
@@ -1907,6 +1887,18 @@ mod tests {
         let tx = s.serve(&SessionQuery::Slot(0), 62).unwrap();
         let (seq, payload) = decode_chunk(&tx, 62).unwrap();
         assert_eq!(parse_base_report(seq, &payload), None);
+    }
+
+    #[test]
+    fn base_report_of_the_wrong_length_is_none() {
+        let report = base_report_payload(20);
+        assert_eq!(parse_base_report(4, &report), Some(20));
+        for len in [0, 1, 8, 12, CHUNK_PAYLOAD_BITS - 1] {
+            assert_eq!(parse_base_report(4, &report[..len]), None, "{len} bits");
+        }
+        let mut long = report.clone();
+        long.push(0);
+        assert_eq!(parse_base_report(4, &long), None);
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl Default for RoundFaults {
     }
 }
 
-/// Fault classes, used as bit positions in the per-round trace mask.
+/// Fault classes, used as bit positions in a `fault` event's class mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FaultClass {
@@ -265,7 +265,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Bit mask for this class in a trace entry.
+    /// Bit mask for this class in a `fault` event's mask.
     pub fn mask(self) -> u8 {
         1 << (self as u8)
     }
@@ -303,7 +303,7 @@ pub struct FaultCounters {
 /// rounds included, so episodic models keep evolving while a client
 /// backs off). Every random draw comes from a private stream seeded by
 /// the plan, so two injectors built from equal plans produce identical
-/// traces.
+/// verdicts.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -314,7 +314,6 @@ pub struct FaultInjector {
     brownout_left: u64,
     collapse_left: u64,
     counters: FaultCounters,
-    trace: Vec<u8>,
 }
 
 impl FaultInjector {
@@ -330,7 +329,6 @@ impl FaultInjector {
             brownout_left: 0,
             collapse_left: 0,
             counters: FaultCounters::default(),
-            trace: Vec::new(),
         }
     }
 
@@ -342,12 +340,6 @@ impl FaultInjector {
     /// Per-class fault counts so far.
     pub fn counters(&self) -> &FaultCounters {
         &self.counters
-    }
-
-    /// One trace byte per round: the OR of [`FaultClass::mask`] for
-    /// every fault active that round. Equal seeds ⇒ equal traces.
-    pub fn trace(&self) -> &[u8] {
-        &self.trace
     }
 
     fn episode_active(rng: &mut Rng, left: &mut u64, ep: &Episode) -> bool {
@@ -366,6 +358,28 @@ impl FaultInjector {
 
     /// Advance every model by one round and return the verdict.
     pub fn begin_round(&mut self) -> RoundFaults {
+        self.judge().0
+    }
+
+    /// [`begin_round`](Self::begin_round) plus observability: when at
+    /// least one class fired and `rec` is attached, emits one
+    /// [`witag_obs::Event::FaultInjected`] stamped with `round` (the
+    /// caller's global round index — the injector's private counter may
+    /// be shard-local). Quiet rounds emit nothing, so hostile traces
+    /// stay sparse. The verdict and every internal draw are identical
+    /// to `begin_round`; a detached recorder makes this a strict
+    /// synonym.
+    pub fn begin_round_obs(&mut self, round: u64, rec: &mut dyn witag_obs::Recorder) -> RoundFaults {
+        let (rf, mask) = self.judge();
+        if mask != 0 && rec.enabled() {
+            rec.record(&witag_obs::Event::FaultInjected { round, mask });
+        }
+        rf
+    }
+
+    /// Advance every model by one round: the verdict, and the OR of
+    /// [`FaultClass::mask`] for every fault active this round.
+    fn judge(&mut self) -> (RoundFaults, u8) {
         let round = self.round;
         self.round += 1;
         self.counters.rounds += 1;
@@ -373,8 +387,7 @@ impl FaultInjector {
         let in_window =
             round >= self.plan.start_round && self.plan.end_round.is_none_or(|e| round < e);
         if !in_window {
-            self.trace.push(0);
-            return RoundFaults::inert();
+            return (RoundFaults::inert(), 0);
         }
 
         let mut rf = RoundFaults::inert();
@@ -427,27 +440,7 @@ impl FaultInjector {
             }
         }
 
-        self.trace.push(mask);
-        rf
-    }
-
-    /// [`begin_round`](Self::begin_round) plus observability: when at
-    /// least one class fired and `rec` is attached, emits one
-    /// [`witag_obs::Event::FaultInjected`] stamped with `round` (the
-    /// caller's global round index — the injector's private counter may
-    /// be shard-local). Quiet rounds emit nothing, so hostile traces
-    /// stay sparse. The verdict and every internal draw are identical
-    /// to `begin_round`; a detached recorder makes this a strict
-    /// synonym.
-    pub fn begin_round_obs(&mut self, round: u64, rec: &mut dyn witag_obs::Recorder) -> RoundFaults {
-        let rf = self.begin_round();
-        if rec.enabled() {
-            let mask = self.trace.last().copied().unwrap_or(0);
-            if mask != 0 {
-                rec.record(&witag_obs::Event::FaultInjected { round, mask });
-            }
-        }
-        rf
+        (rf, mask)
     }
 
     /// Flip each bit of `bits` (values 0/1) with probability `p`,
@@ -472,8 +465,13 @@ mod tests {
         for _ in 0..200 {
             assert_eq!(inj.begin_round(), RoundFaults::inert());
         }
-        assert_eq!(inj.counters().queries_lost, 0);
-        assert!(inj.trace().iter().all(|&m| m == 0));
+        assert_eq!(
+            *inj.counters(),
+            FaultCounters {
+                rounds: 200,
+                ..FaultCounters::default()
+            }
+        );
     }
 
     #[test]
@@ -481,30 +479,20 @@ mod tests {
         let plan = FaultPlan::hostile(42);
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
-        let va: Vec<RoundFaults> = (0..500).map(|_| a.begin_round()).collect();
-        let vb: Vec<RoundFaults> = (0..500).map(|_| b.begin_round()).collect();
+        // Verdicts and class masks, round by round.
+        let va: Vec<(RoundFaults, u8)> = (0..500).map(|_| a.judge()).collect();
+        let vb: Vec<(RoundFaults, u8)> = (0..500).map(|_| b.judge()).collect();
         assert_eq!(va, vb);
-        assert_eq!(a.trace(), b.trace());
         assert_eq!(a.counters(), b.counters());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = FaultInjector::new(FaultPlan::hostile(1));
-        let mut b = FaultInjector::new(FaultPlan::hostile(2));
-        let va: Vec<u8> = {
-            (0..300).for_each(|_| {
-                a.begin_round();
-            });
-            a.trace().to_vec()
+        let masks = |seed: u64| -> Vec<u8> {
+            let mut inj = FaultInjector::new(FaultPlan::hostile(seed));
+            (0..300).map(|_| inj.judge().1).collect()
         };
-        let vb: Vec<u8> = {
-            (0..300).for_each(|_| {
-                b.begin_round();
-            });
-            b.trace().to_vec()
-        };
-        assert_ne!(va, vb);
+        assert_ne!(masks(1), masks(2));
     }
 
     #[test]
@@ -535,15 +523,11 @@ mod tests {
             ..FaultPlan::quiet(3)
         };
         let mut inj = FaultInjector::new(plan);
-        for _ in 0..2000 {
-            inj.begin_round();
-        }
-        // Mean episode ≥ 1 round; with mean 6 the trace should show runs.
-        let trace = inj.trace();
+        // Mean episode ≥ 1 round; with mean 6 the rounds should show runs.
         let mut longest = 0usize;
         let mut cur = 0usize;
-        for &m in trace {
-            if m & FaultClass::Brownout.mask() != 0 {
+        for _ in 0..2000 {
+            if inj.begin_round().brownout {
                 cur += 1;
                 longest = longest.max(cur);
             } else {
@@ -561,12 +545,10 @@ mod tests {
             ..FaultPlan::hostile(11)
         };
         let mut inj = FaultInjector::new(plan);
-        for _ in 0..40 {
-            inj.begin_round();
-        }
-        let trace = inj.trace();
-        assert!(trace[..10].iter().all(|&m| m == 0));
-        assert!(trace[20..].iter().all(|&m| m == 0));
+        let verdicts: Vec<RoundFaults> = (0..40).map(|_| inj.begin_round()).collect();
+        assert!(verdicts[..10].iter().all(|rf| *rf == RoundFaults::inert()));
+        assert!(verdicts[20..].iter().all(|rf| *rf == RoundFaults::inert()));
+        assert_eq!(inj.counters().rounds, 40);
     }
 
     #[test]
@@ -614,28 +596,27 @@ mod tests {
         let plan = FaultPlan::hostile(42);
         let mut plain = FaultInjector::new(plan.clone());
         let mut nulled = FaultInjector::new(plan.clone());
-        let mut traced = FaultInjector::new(plan);
+        let mut traced = FaultInjector::new(plan.clone());
+        let mut judged = FaultInjector::new(plan);
         let mut null = NullRecorder;
         let mut buf = BufferRecorder::new();
+        let mut faulted: Vec<(u64, u8)> = Vec::new();
 
         for round in 0..500u64 {
             let a = plain.begin_round();
             let b = nulled.begin_round_obs(round, &mut null);
             let c = traced.begin_round_obs(round, &mut buf);
+            let (d, mask) = judged.judge();
             assert_eq!(a, b, "round {round}: detached obs must be a synonym");
             assert_eq!(a, c, "round {round}: attached obs must not perturb draws");
+            assert_eq!(a, d, "round {round}: begin_round is the judged verdict");
+            if mask != 0 {
+                faulted.push((round, mask));
+            }
         }
-        assert_eq!(plain.trace(), traced.trace());
         assert_eq!(plain.counters(), traced.counters());
 
-        // One event per nonzero trace byte, stamped with its round.
-        let faulted: Vec<(u64, u8)> = plain
-            .trace()
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m != 0)
-            .map(|(i, &m)| (i as u64, m))
-            .collect();
+        // One event per faulted round, stamped with its round and mask.
         assert!(!faulted.is_empty(), "hostile plan should fire");
         assert_eq!(buf.events().len(), faulted.len());
         for (event, (round, mask)) in buf.events().iter().zip(&faulted) {

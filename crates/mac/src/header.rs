@@ -10,9 +10,6 @@
 pub struct Addr(pub [u8; 6]);
 
 impl Addr {
-    /// The broadcast address FF:FF:FF:FF:FF:FF.
-    pub const BROADCAST: Addr = Addr([0xFF; 6]);
-
     /// A locally administered address derived from a small id (handy for
     /// tests and simulations).
     pub const fn local(id: u8) -> Addr {

@@ -162,11 +162,6 @@ impl BufferRecorder {
         &self.events
     }
 
-    /// Consume the buffer, yielding its events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
     /// Replay every captured event, in order, into another recorder.
     /// No-op when `rec` is detached.
     pub fn replay_into(&self, rec: &mut dyn Recorder) {

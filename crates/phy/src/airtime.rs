@@ -66,9 +66,6 @@ pub fn legacy_ppdu_airtime(len: usize, rate: LegacyRate) -> Duration {
 /// 6 TA + 2 BA control + 2 SSC + 8 bitmap + 4 FCS = 32 bytes.
 pub const BLOCK_ACK_BYTES: usize = 32;
 
-/// On-air size of a block ACK request: 2+2+6+6+2+2+4 = 24 bytes.
-pub const BAR_BYTES: usize = 24;
-
 /// Airtime of a compressed block ACK at the given basic rate.
 pub fn block_ack_airtime(rate: LegacyRate) -> Duration {
     legacy_ppdu_airtime(BLOCK_ACK_BYTES, rate)

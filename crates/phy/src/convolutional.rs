@@ -482,29 +482,23 @@ fn assert_punctured_len(coded: &[f64], pattern: &[bool], mother_len: usize) {
 /// `llrs.len()` must equal `2 * (info_bits + TAIL_BITS)`. Returns the
 /// `info_bits` decoded data bits (tail stripped).
 pub fn viterbi_decode(llrs: &[f64], info_bits: usize) -> Vec<u8> {
-    let mut scratch = ViterbiScratch::default();
-    let mut bits = Vec::new();
-    viterbi_decode_into(llrs, info_bits, &mut scratch, &mut bits);
-    bits
-}
-
-/// [`viterbi_decode`] with caller-provided scratch and output buffers
-/// (allocation-free once both are warm).
-// lint:no_alloc
-pub fn viterbi_decode_into(
-    llrs: &[f64],
-    info_bits: usize,
-    scratch: &mut ViterbiScratch,
-    out: &mut Vec<u8>,
-) {
     let total_steps = info_bits + TAIL_BITS;
     assert_eq!(
         llrs.len(),
         2 * total_steps,
         "LLR stream length must be 2*(info+tail)"
     );
-    viterbi_kernel(llrs, puncture_pattern(CodeRate::R12), total_steps, true, scratch, out);
-    out.truncate(info_bits);
+    let mut bits = Vec::new();
+    viterbi_kernel(
+        llrs,
+        puncture_pattern(CodeRate::R12),
+        total_steps,
+        true,
+        &mut ViterbiScratch::default(),
+        &mut bits,
+    );
+    bits.truncate(info_bits);
+    bits
 }
 
 /// Encode a bit stream at the mother rate 1/2 **without** appending tail

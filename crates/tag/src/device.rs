@@ -124,20 +124,6 @@ pub struct TagConfig {
     pub encoding: BitEncoding,
 }
 
-impl TagConfig {
-    /// The paper's prototype configuration: 50 kHz crystal, phase-flip
-    /// encoding, default marker signature.
-    pub fn paper_prototype(profile: QueryProfile) -> Self {
-        TagConfig {
-            oscillator: Oscillator::witag_crystal(),
-            temperature_delta: 0.0,
-            detector: EnvelopeDetector::default(),
-            profile,
-            encoding: BitEncoding::PhaseFlip,
-        }
-    }
-}
-
 /// The planned switch activity for one query PPDU.
 #[derive(Debug, Clone)]
 pub struct PlannedModulation {

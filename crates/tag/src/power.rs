@@ -102,11 +102,6 @@ impl EnergyBank {
         true
     }
 
-    /// Fraction of capacity remaining.
-    pub fn fill_fraction(&self) -> f64 {
-        self.level_uj / self.capacity_uj
-    }
-
     /// Steady-state duty cycle achievable for a load of `power_uw`:
     /// min(1, harvest/load).
     pub fn sustainable_duty_cycle(&self, power_uw: f64) -> f64 {

@@ -17,7 +17,7 @@
 #![allow(dead_code)]
 
 use witag::tagnet::RoundOutcome;
-use witag_faults::{FaultInjector, FaultPlan};
+use witag_faults::{FaultInjector, FaultPlan, RoundFaults};
 use witag_sim::Rng;
 
 /// Flip probability applied while an oscillator-drift episode is live:
@@ -32,6 +32,7 @@ pub struct SyntheticChannel {
     inj: FaultInjector,
     noise: Rng,
     channel_bits: usize,
+    verdicts: Vec<RoundFaults>,
 }
 
 impl SyntheticChannel {
@@ -41,6 +42,7 @@ impl SyntheticChannel {
             inj: FaultInjector::new(plan),
             noise,
             channel_bits,
+            verdicts: Vec::new(),
         }
     }
 
@@ -48,6 +50,7 @@ impl SyntheticChannel {
     /// whether it heard the trigger and what the client read back.
     pub fn round(&mut self, tx: &[u8]) -> RoundOutcome {
         let rf = self.inj.begin_round();
+        self.verdicts.push(rf);
         if rf.query_lost {
             return RoundOutcome {
                 tag_heard: false,
@@ -89,9 +92,9 @@ impl SyntheticChannel {
         self.inj.counters().rounds
     }
 
-    /// The fault trace accumulated so far.
-    pub fn trace(&self) -> Vec<u8> {
-        self.inj.trace().to_vec()
+    /// The fault verdict of every round so far.
+    pub fn verdicts(&self) -> Vec<RoundFaults> {
+        self.verdicts.clone()
     }
 }
 

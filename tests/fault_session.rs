@@ -24,7 +24,6 @@ fn hostile_session(message: &[u8], seed: u64) -> witag::tagnet::SessionReport {
         max_rounds: BUDGET,
         window: 8,
         max_diversity: 4,
-        ..SessionConfig::default()
     };
     run_session(message, CHANNEL_BITS, &cfg, |_q, tx| ch.round(tx)).expect("valid session setup")
 }

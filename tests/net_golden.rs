@@ -14,8 +14,8 @@
 
 use witag::fountain::FountainQuery;
 use witag::tagnet::{
-    run_fountain_session_obs, run_session_obs, FountainConfig, RoundOutcome, SessionConfig,
-    SessionOutcome, SessionQuery,
+    run_fountain_session_obs, run_session_obs, RoundOutcome, SessionConfig, SessionOutcome,
+    SessionQuery,
 };
 use witag_faults::FaultPlan;
 use witag_mac::dcf::{simulate, DcfStation};
@@ -263,7 +263,7 @@ fn lossy_sessions_are_pinned() {
         let rep = run_fountain_session_obs(
             SESSION_MESSAGE,
             62,
-            &FountainConfig::default(),
+            4096,
             &mut rec,
             |_q: &FountainQuery, tx| ch.round(tx),
         )

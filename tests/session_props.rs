@@ -12,7 +12,7 @@ use witag::tagnet::{
     CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
 };
 use witag::FecLayout;
-use witag_faults::FaultPlan;
+use witag_faults::{FaultPlan, RoundFaults};
 
 const CHANNEL_BITS: usize = 62;
 
@@ -26,12 +26,12 @@ fn cfg() -> SessionConfig {
     }
 }
 
-fn run(message: &[u8], plan: FaultPlan) -> (witag::tagnet::SessionReport, Vec<u8>, u64) {
+fn run(message: &[u8], plan: FaultPlan) -> (witag::tagnet::SessionReport, Vec<RoundFaults>, u64) {
     let mut ch = SyntheticChannel::new(plan, CHANNEL_BITS);
     let report =
         run_session(message, CHANNEL_BITS, &cfg(), |_q, tx| ch.round(tx)).expect("valid setup");
-    let trace = ch.trace();
-    (report, trace, ch.rounds())
+    let verdicts = ch.verdicts();
+    (report, verdicts, ch.rounds())
 }
 
 proptest! {
@@ -60,7 +60,7 @@ proptest! {
 
     /// The whole stack — fault models, channel noise, session control
     /// loop — replays bit-identically from the seeds: same outcome,
-    /// same statistics, same per-round fault trace.
+    /// same statistics, same per-round fault verdicts.
     #[test]
     fn same_seed_same_trace_same_outcome(
         seed in any::<u64>(),

@@ -7,8 +7,8 @@
 
 use witag::experiment::{Experiment, ExperimentConfig, ExperimentStats, PARALLEL_SHARD_ROUNDS};
 use witag::tagnet::{
-    fountain_session_over_experiment_obs, session_over_experiment_obs, FountainConfig,
-    SessionConfig, SessionOutcome,
+    fountain_session_over_experiment_obs, session_over_experiment_obs, SessionConfig,
+    SessionOutcome,
 };
 use witag_faults::FaultPlan;
 use witag_net::{run_replicas, FleetConfig, SchedulerKind, Transport};
@@ -162,10 +162,9 @@ fn fountain_session_trace_is_reproducible_and_counts_add_up() {
     let run_once = || {
         let mut exp = Experiment::new(quiet_cfg(42)).unwrap();
         exp.attach_faults(FaultPlan::hostile_scaled(7, 0.6));
-        let cfg = FountainConfig::default();
         let mut rec = JsonlRecorder::in_memory();
         let report =
-            fountain_session_over_experiment_obs(&mut exp, b"obs trace", &cfg, &mut rec).unwrap();
+            fountain_session_over_experiment_obs(&mut exp, b"obs trace", 4096, &mut rec).unwrap();
         (rec.finish().unwrap(), report)
     };
     let (bytes_a, report_a) = run_once();
