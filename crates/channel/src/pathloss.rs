@@ -57,7 +57,9 @@ pub fn noise_floor_dbm(bw_hz: f64, nf_db: f64) -> f64 {
 pub fn backscatter_amplitude(ds_m: f64, dr_m: f64, f_hz: f64, g: f64) -> f64 {
     // Each hop contributes λ/(4πd); re-radiation aperture-to-gain factors
     // are absorbed into g (units: dimensionless field gain).
-    g * freespace_amplitude(ds_m, f_hz) * freespace_amplitude(dr_m, f_hz) * 4.0
+    g * freespace_amplitude(ds_m, f_hz)
+        * freespace_amplitude(dr_m, f_hz)
+        * 4.0
         * core::f64::consts::PI
         / wavelength(f_hz)
 }
@@ -101,10 +103,11 @@ mod tests {
         // Field amplitude halves when Ds doubles => power drops 4x.
         assert!((a1 / a2 - 2.0).abs() < 1e-9);
         // Symmetric in the two hops.
-        assert!((backscatter_amplitude(3.0, 5.0, F24, g)
-            - backscatter_amplitude(5.0, 3.0, F24, g))
-            .abs()
-            < 1e-15);
+        assert!(
+            (backscatter_amplitude(3.0, 5.0, F24, g) - backscatter_amplitude(5.0, 3.0, F24, g))
+                .abs()
+                < 1e-15
+        );
     }
 
     #[test]
@@ -121,10 +124,7 @@ mod tests {
 
     #[test]
     fn near_field_clamped() {
-        assert_eq!(
-            freespace_amplitude(0.0, F24),
-            freespace_amplitude(0.1, F24)
-        );
+        assert_eq!(freespace_amplitude(0.0, F24), freespace_amplitude(0.1, F24));
         assert!(freespace_amplitude(0.05, F24).is_finite());
     }
 
