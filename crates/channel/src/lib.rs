@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod link;
+mod medium;
 pub mod mimo;
 pub mod pathloss;
 

@@ -25,14 +25,19 @@
 //! trace family (docs/OBS_SCHEMA.md) plus [`MoxPointResult`]; the
 //! `witag-cli mox` subcommand sweeps streams × MCS × tag distance.
 
-use witag_channel::{MimoLink, MimoLinkConfig, TagMode, TagSchedule};
-use witag_mac::header::FrameKind;
+use witag_channel::{LinkConfig, MimoLink, TagMode, TagSchedule};
+use witag_mac::ampdu::MAX_MPDU_LEN;
+use witag_mac::header::{FrameKind, QOS_HEADER_LEN};
 use witag_mac::{aggregate, deaggregate, Addr, BlockAck, MacHeader, Mpdu, SubframeExtent};
 use witag_obs::{Event, Recorder};
 use witag_phy::mimo::MimoEqualiser;
 use witag_phy::ppdu::PhyConfig;
 use witag_phy::{receive_mu, transmit_mu, Mcs};
 use witag_sim::geom::Floorplan;
+
+/// The largest MPDU payload one subframe carries: a QoS data header, the
+/// payload and a 4-byte FCS must fit the delimiter's length field.
+pub const MAX_PAYLOAD_BYTES: usize = MAX_MPDU_LEN - QOS_HEADER_LEN - 4;
 
 /// Parameters of one MOXcatter run (fixed across a sweep's points).
 #[derive(Debug, Clone)]
@@ -44,7 +49,7 @@ pub struct MoxConfig {
     pub base_mcs: usize,
     /// Subframes per stream's A-MPDU (1–64, the block-ACK window).
     pub subframes: usize,
-    /// MPDU payload bytes per subframe.
+    /// MPDU payload bytes per subframe (at most [`MAX_PAYLOAD_BYTES`]).
     pub payload_bytes: usize,
     /// Joint equaliser the receiver runs.
     pub equaliser: MimoEqualiser,
@@ -195,7 +200,7 @@ pub fn run_point(
     // and interference draws. The only difference between the runs is
     // the tag's switch coefficient, so any bitmap difference is the
     // tag's doing.
-    let link_cfg = MimoLinkConfig::rich_scattering();
+    let link_cfg = LinkConfig::rich_scattering();
     let mut link = MimoLink::new(
         &fp,
         client,

@@ -170,8 +170,8 @@ impl Mcs {
         // per stream is bookkeeping for the ZF/MMSE separation cost; the
         // `stream_count_heuristic_matches_measured_penalty` test in
         // `witag-channel::mimo` checks it against the measured post-
-        // equalisation SNR on scattering channels, and `MimoLink::best_mcs`
-        // uses the measured figure directly instead of this constant.
+        // equalisation SNR (`MimoLink::post_eq_snr_db`) on scattering
+        // channels.
         base + 3.0 * (self.spatial_streams as f64 - 1.0)
     }
 }
