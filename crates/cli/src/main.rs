@@ -53,7 +53,7 @@ use std::process::ExitCode;
 
 use args::{ArgError, Args};
 use witag::experiment::{Experiment, ExperimentConfig, SecurityMode};
-use witag::moxcatter::{run_point, MoxConfig};
+use witag::moxcatter::{run_point, MoxConfig, MAX_PAYLOAD_BYTES};
 use witag::query::QueryDesign;
 use witag::tagnet::{
     deliver, session_over_experiment, session_over_experiment_obs, SessionConfig, SessionOutcome,
@@ -384,7 +384,23 @@ fn cmd_mox(a: &Args) -> Result<(), CliError> {
         .into());
     }
     let subframes = a.usize_or("subframes", 16)?;
+    if !(1..=witag_phy::MAX_AMPDU_SUBFRAMES).contains(&subframes) {
+        return Err(ArgError::BadValue {
+            key: "subframes".into(),
+            value: subframes.to_string(),
+            expected: "subframes per stream 1-64",
+        }
+        .into());
+    }
     let payload = a.usize_or("payload", 64)?;
+    if payload > MAX_PAYLOAD_BYTES {
+        return Err(ArgError::BadValue {
+            key: "payload".into(),
+            value: payload.to_string(),
+            expected: "MPDU payload bytes 0-4065",
+        }
+        .into());
+    }
     let eq = match a.str_or("eq", "mmse") {
         "zf" => witag_phy::MimoEqualiser::Zf,
         "mmse" => witag_phy::MimoEqualiser::Mmse,

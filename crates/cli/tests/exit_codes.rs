@@ -30,6 +30,9 @@ fn a_bad_flag_exits_2() {
     assert_fails_with(&["run", "--rounds", "abc"], 2);
     assert_fails_with(&["run", "--no-such-option", "1"], 2);
     assert_fails_with(&["nlos", "--location", "c"], 2);
+    assert_fails_with(&["mox", "--subframes", "0"], 2);
+    assert_fails_with(&["mox", "--subframes", "65"], 2);
+    assert_fails_with(&["mox", "--payload", "4066"], 2);
     assert_fails_with(&["no-such-subcommand"], 2);
     assert_fails_with(&[], 2);
     assert_fails_with(&["report"], 2);
