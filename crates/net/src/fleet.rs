@@ -855,7 +855,7 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
                 }
             }
         }
-        predictor.observe(picks.len() > 1, busy);
+        predictor.observe(picks.len() > 1);
         fleet_round += 1;
         elapsed = t_end.min(end) - Instant::ZERO;
         now = t_end;

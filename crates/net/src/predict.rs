@@ -6,7 +6,7 @@
 //! "ambient traffic" is inter-client contention — the same medium
 //! accesses the `net.collision` / `net.grant` obs events record — so
 //! the [`TrafficPredictor`] learns from exactly that stream: one
-//! busy/idle observation per medium access, with the access's airtime.
+//! busy/idle observation per medium access.
 //!
 //! The estimator is deliberately tiny and fully deterministic:
 //!
@@ -24,8 +24,6 @@
 //! serialisation, which is the right trade exactly when collisions are
 //! the dominant loss (the regime the predictor detects).
 
-use witag_sim::time::Duration;
-
 /// EWMA smoothing factor for the busy indicator (weight of the newest
 /// observation).
 const EWMA_ALPHA: f64 = 0.125;
@@ -38,11 +36,10 @@ const EWMA_ALPHA: f64 = 0.125;
 ///
 /// ```
 /// use witag_net::TrafficPredictor;
-/// use witag_sim::time::Duration;
 /// let mut p = TrafficPredictor::new();
 /// assert_eq!(p.forecast(), 0.0); // optimistic before any evidence
 /// for _ in 0..8 {
-///     p.observe(true, Duration::micros(2400));
+///     p.observe(true);
 /// }
 /// assert!(p.forecast() > 0.7, "a solid busy run must forecast busy");
 /// ```
@@ -56,8 +53,6 @@ pub struct TrafficPredictor {
     trans: [[u64; 2]; 2],
     /// Total observations absorbed.
     observed: u64,
-    /// EWMA of per-access busy airtime, microseconds.
-    airtime_ewma_us: f64,
 }
 
 impl Default for TrafficPredictor {
@@ -75,24 +70,20 @@ impl TrafficPredictor {
             state: 0,
             trans: [[0; 2]; 2],
             observed: 0,
-            airtime_ewma_us: 0.0,
         }
     }
 
     /// Absorb one medium access: whether it was contended (≥ 2
-    /// simultaneous transmitters) and how long the medium stayed busy.
-    pub fn observe(&mut self, contended: bool, airtime: Duration) {
+    /// simultaneous transmitters).
+    pub fn observe(&mut self, contended: bool) {
         let next = usize::from(contended);
         if self.observed == 0 {
-            // Seed both estimators from the first sample instead of the
+            // Seed the EWMA from the first sample instead of the
             // arbitrary zero prior.
             self.ewma = next as f64;
-            self.airtime_ewma_us = airtime.as_micros() as f64;
         } else {
             self.trans[self.state][next] += 1; // lint:allow(panic_path) state/next are usize::from(bool), trans is 2x2
             self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA * next as f64;
-            self.airtime_ewma_us = (1.0 - EWMA_ALPHA) * self.airtime_ewma_us
-                + EWMA_ALPHA * airtime.as_micros() as f64;
         }
         self.state = next;
         self.observed += 1;
@@ -122,12 +113,6 @@ impl TrafficPredictor {
         }
     }
 
-    /// EWMA of per-access busy airtime, microseconds (0 before the
-    /// first observation).
-    pub fn airtime_ewma_us(&self) -> f64 {
-        self.airtime_ewma_us
-    }
-
     /// Medium accesses absorbed so far.
     pub fn observations(&self) -> u64 {
         self.observed
@@ -137,10 +122,6 @@ impl TrafficPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn us(n: u64) -> Duration {
-        Duration::micros(n)
-    }
 
     #[test]
     fn cold_predictor_forecasts_calm() {
@@ -154,7 +135,7 @@ mod tests {
     fn sustained_contention_forecasts_busy() {
         let mut p = TrafficPredictor::new();
         for _ in 0..32 {
-            p.observe(true, us(2000));
+            p.observe(true);
         }
         assert!(p.forecast() > 0.85, "forecast {}", p.forecast());
         assert!(p.busy_ewma() > 0.9);
@@ -164,11 +145,11 @@ mod tests {
     fn calm_run_after_burst_decays_the_forecast() {
         let mut p = TrafficPredictor::new();
         for _ in 0..16 {
-            p.observe(true, us(2000));
+            p.observe(true);
         }
         let busy = p.forecast();
         for _ in 0..32 {
-            p.observe(false, us(1000));
+            p.observe(false);
         }
         assert!(p.forecast() < 0.35, "forecast {} after calm run", p.forecast());
         assert!(p.forecast() < busy);
@@ -179,12 +160,12 @@ mod tests {
         // Alternating idle/busy: 50% level, but P(busy | busy) is low.
         let mut alt = TrafficPredictor::new();
         for i in 0..64 {
-            alt.observe(i % 2 == 0, us(1500));
+            alt.observe(i % 2 == 0);
         }
         // Clustered: same 50% level in busy/idle runs of 8.
         let mut runs = TrafficPredictor::new();
         for i in 0..64 {
-            runs.observe((i / 8) % 2 == 0, us(1500));
+            runs.observe((i / 8) % 2 == 0);
         }
         // Both end on an idle state; the run-structured chain must
         // rate "stay idle" likelier than the alternating one.
@@ -195,7 +176,7 @@ mod tests {
     fn identical_observation_streams_give_identical_state() {
         let feed = |p: &mut TrafficPredictor| {
             for i in 0..40u64 {
-                p.observe(i % 3 == 0, us(900 + 17 * i));
+                p.observe(i % 3 == 0);
             }
         };
         let mut a = TrafficPredictor::new();
@@ -204,6 +185,5 @@ mod tests {
         feed(&mut b);
         assert_eq!(a.forecast().to_bits(), b.forecast().to_bits());
         assert_eq!(a.busy_ewma().to_bits(), b.busy_ewma().to_bits());
-        assert_eq!(a.airtime_ewma_us().to_bits(), b.airtime_ewma_us().to_bits());
     }
 }
