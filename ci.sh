@@ -14,6 +14,10 @@ cargo test -q
 cargo test -q --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Formatting ratchet: crates listed here are rustfmt-clean and must stay
+# so. Add a crate once it has been formatted in a commit of its own.
+cargo fmt --check -p witag-channel
+
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
