@@ -83,7 +83,9 @@ impl<E> CalendarQueue<E> {
     /// exchange airtimes — can skip the first few adaptive resizes.
     pub fn with_width(width: Duration) -> Self {
         CalendarQueue {
-            buckets: std::iter::repeat_with(Vec::new).take(INITIAL_BUCKETS).collect(),
+            buckets: std::iter::repeat_with(Vec::new)
+                .take(INITIAL_BUCKETS)
+                .collect(),
             width_ns: width.as_nanos().max(1),
             day: 0,
             size: 0,
@@ -210,7 +212,10 @@ impl<E> CalendarQueue<E> {
     fn take(&mut self, b: usize, i: usize) -> ScheduledEvent<E> {
         let entry = self.buckets[b].swap_remove(i); // lint:allow(panic_path) caller located (b, i) in a scan
         self.size -= 1;
-        debug_assert!(entry.at >= self.now, "calendar returned an event in the past");
+        debug_assert!(
+            entry.at >= self.now,
+            "calendar returned an event in the past"
+        );
         self.now = entry.at;
         if self.size * 4 < self.buckets.len() && self.buckets.len() > INITIAL_BUCKETS {
             self.resize(self.buckets.len() / 2);
@@ -241,8 +246,7 @@ impl<E> CalendarQueue<E> {
             .collect();
         sample.sort_unstable();
         if sample.len() >= 2 {
-            let span = sample.last().copied().unwrap_or(0)
-                - sample.first().copied().unwrap_or(0);
+            let span = sample.last().copied().unwrap_or(0) - sample.first().copied().unwrap_or(0);
             let mean_gap = span / (sample.len() as u64 - 1);
             // Three "typical gaps" per day keeps buckets a few deep.
             self.width_ns = (mean_gap.saturating_mul(3)).clamp(1, 1_000_000_000);

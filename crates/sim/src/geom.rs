@@ -197,25 +197,36 @@ impl Floorplan {
     pub fn paper_testbed() -> Self {
         let mut fp = Floorplan::default();
         // Exterior shell (concrete) — mostly cosmetic, nothing crosses it.
-        fp.obstacles.push(Obstacle::new(0.0, 0.0, 18.0, 0.0, Material::Concrete));
-        fp.obstacles.push(Obstacle::new(0.0, 7.0, 18.0, 7.0, Material::Concrete));
-        fp.obstacles.push(Obstacle::new(0.0, 0.0, 0.0, 7.0, Material::Concrete));
-        fp.obstacles.push(Obstacle::new(18.0, 0.0, 18.0, 7.0, Material::Concrete));
+        fp.obstacles
+            .push(Obstacle::new(0.0, 0.0, 18.0, 0.0, Material::Concrete));
+        fp.obstacles
+            .push(Obstacle::new(0.0, 7.0, 18.0, 7.0, Material::Concrete));
+        fp.obstacles
+            .push(Obstacle::new(0.0, 0.0, 0.0, 7.0, Material::Concrete));
+        fp.obstacles
+            .push(Obstacle::new(18.0, 0.0, 18.0, 7.0, Material::Concrete));
         // Interior wooden wall in the lower half of the lab (stops short of
         // the corridor along y = 3.5 that the LOS experiment uses).
-        fp.obstacles.push(Obstacle::new(4.0, 0.0, 4.0, 3.0, Material::Wood));
+        fp.obstacles
+            .push(Obstacle::new(4.0, 0.0, 4.0, 3.0, Material::Wood));
         // Metal cabinet row further in, also below the LOS corridor.
-        fp.obstacles.push(Obstacle::new(6.0, 0.5, 6.0, 2.8, Material::MetalCabinet));
+        fp.obstacles
+            .push(Obstacle::new(6.0, 0.5, 6.0, 2.8, Material::MetalCabinet));
         // Lab / office partition at x = 9.5 (wooden wall with a door).
-        fp.obstacles.push(Obstacle::new(9.5, 0.0, 9.5, 7.0, Material::Wood));
+        fp.obstacles
+            .push(Obstacle::new(9.5, 0.0, 9.5, 7.0, Material::Wood));
         // Metal cabinets along the partition on the lab side.
-        fp.obstacles.push(Obstacle::new(9.0, 1.0, 9.0, 3.0, Material::MetalCabinet));
+        fp.obstacles
+            .push(Obstacle::new(9.0, 1.0, 9.0, 3.0, Material::MetalCabinet));
         // Drywall partition inside the office area.
-        fp.obstacles.push(Obstacle::new(12.0, 0.0, 12.0, 7.0, Material::Drywall));
+        fp.obstacles
+            .push(Obstacle::new(12.0, 0.0, 12.0, 7.0, Material::Drywall));
         // Second partition at x = 14 (concrete) separating location B.
-        fp.obstacles.push(Obstacle::new(14.0, 0.0, 14.0, 7.0, Material::Concrete));
+        fp.obstacles
+            .push(Obstacle::new(14.0, 0.0, 14.0, 7.0, Material::Concrete));
         // A wooden door segment inside the far office.
-        fp.obstacles.push(Obstacle::new(14.0, 4.5, 15.5, 4.5, Material::Wood));
+        fp.obstacles
+            .push(Obstacle::new(14.0, 4.5, 15.5, 4.5, Material::Wood));
         // Environmental reflectors: corners, cabinets, desks.
         fp.reflectors = vec![
             Point2::new(0.5, 0.5),
@@ -300,8 +311,14 @@ mod tests {
         let fp = Floorplan::paper_testbed();
         let ap = Floorplan::ap_position();
         let client = Floorplan::los_client_position();
-        assert!((ap.distance(client) - 8.0).abs() < 1e-9, "AP-client must be 8 m");
-        assert!(fp.line_of_sight(ap, client), "LOS pair must be unobstructed");
+        assert!(
+            (ap.distance(client) - 8.0).abs() < 1e-9,
+            "AP-client must be 8 m"
+        );
+        assert!(
+            fp.line_of_sight(ap, client),
+            "LOS pair must be unobstructed"
+        );
     }
 
     #[test]
@@ -312,8 +329,16 @@ mod tests {
         let b = Floorplan::nlos_b_client_position();
         assert!(!fp.line_of_sight(ap, a), "location A must be NLOS");
         assert!(!fp.line_of_sight(ap, b), "location B must be NLOS");
-        assert!((ap.distance(a) - 7.0).abs() < 0.3, "A ≈ 7 m from AP, got {}", ap.distance(a));
-        assert!((ap.distance(b) - 17.0).abs() < 0.3, "B ≈ 17 m from AP, got {}", ap.distance(b));
+        assert!(
+            (ap.distance(a) - 7.0).abs() < 0.3,
+            "A ≈ 7 m from AP, got {}",
+            ap.distance(a)
+        );
+        assert!(
+            (ap.distance(b) - 17.0).abs() < 0.3,
+            "B ≈ 17 m from AP, got {}",
+            ap.distance(b)
+        );
         // B crosses at least as many obstacles as A, and its total link
         // budget (free-space + penetration) is clearly worse — the paper's
         // "more obstacles blocking the line of sight" for location B.
@@ -339,7 +364,9 @@ mod tests {
 
     #[test]
     fn material_losses_ordered_sensibly() {
-        assert!(Material::MetalCabinet.penetration_loss_db() > Material::Concrete.penetration_loss_db());
+        assert!(
+            Material::MetalCabinet.penetration_loss_db() > Material::Concrete.penetration_loss_db()
+        );
         assert!(Material::Concrete.penetration_loss_db() > Material::Wood.penetration_loss_db());
         assert!(Material::Wood.penetration_loss_db() > Material::Glass.penetration_loss_db());
     }

@@ -41,8 +41,8 @@ pub mod time;
 
 pub use calendar::CalendarQueue;
 pub use event::{EventQueue, ScheduledEvent};
-pub use parallel::{available_threads, par_map};
 pub use geom::{Floorplan, Material, Obstacle, Point2, Segment};
+pub use parallel::{available_threads, par_map};
 pub use rng::Rng;
 pub use stats::{wilson_interval_95, Cdf, Histogram, RunningStats, SampleSet};
 pub use time::{Duration, Instant};

@@ -433,7 +433,9 @@ mod tests {
         let cdf = s.cdf();
         let steps: Vec<_> = cdf.steps().collect();
         assert_eq!(steps.len(), 3);
-        assert!(steps.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
+        assert!(steps
+            .windows(2)
+            .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
         assert!((steps.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 

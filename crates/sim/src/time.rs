@@ -107,7 +107,10 @@ impl Duration {
     /// Construct from floating-point seconds, rounding to the nearest
     /// nanosecond. Intended for configuration values like coherence time.
     pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "duration must be finite and non-negative");
+        assert!(
+            s >= 0.0 && s.is_finite(),
+            "duration must be finite and non-negative"
+        );
         Duration((s * 1e9).round() as u64)
     }
 
