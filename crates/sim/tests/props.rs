@@ -187,13 +187,15 @@ proptest! {
     }
 
     #[test]
-    fn gaussian_pairs_not_correlated_with_seed_parity(seed in any::<u64>()) {
-        // Smoke property: consecutive gaussians from one stream are not
-        // identical (Box–Muller spare must not repeat).
-        let mut rng = Rng::seed_from_u64(seed);
-        let a = rng.gaussian();
-        let b = rng.gaussian();
-        let c = rng.gaussian();
-        prop_assert!(a != b || b != c);
+    fn gaussian_stream_is_fixed_by_seed_and_forks_differ(seed in any::<u64>(), stream in any::<u64>()) {
+        // The normal deviates are a function of the seed alone, and two
+        // forks of one parent draw different deviates.
+        let draw = |rng: &mut Rng| (0..8).map(|_| rng.gaussian().to_bits()).collect::<Vec<_>>();
+        let (mut a, mut b) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+        prop_assert_eq!(draw(&mut a), draw(&mut b));
+        let mut parent = Rng::seed_from_u64(seed);
+        let mut c = parent.clone().fork(stream);
+        let mut d = parent.fork(stream ^ 1);
+        prop_assert_ne!(draw(&mut c), draw(&mut d));
     }
 }
