@@ -935,12 +935,22 @@ mod tests {
         assert_eq!(exp.decrypt_failures, 0);
     }
 
+    /// The U-shape, pooled over four channel realisations (seeds 8–11)
+    /// per position: at a single seed, about one in ten, a deep fade on
+    /// the near-client link or a strong tag ray at the midpoint reverses
+    /// the order.
     #[test]
     fn fig5_midpoint_worse_than_edges() {
-        let mut near = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 8))).unwrap();
-        let mut mid = Experiment::new(quiet(ExperimentConfig::fig5(4.0, 8))).unwrap();
-        let near_ber = near.run(40).ber();
-        let mid_ber = mid.run(40).ber();
+        let pooled_ber = |dist: f64| {
+            let mut errors = BitErrors::default();
+            for seed in 8..12 {
+                let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(dist, seed))).unwrap();
+                errors.merge(&exp.run(40).errors);
+            }
+            errors.ber()
+        };
+        let near_ber = pooled_ber(1.0);
+        let mid_ber = pooled_ber(4.0);
         assert!(
             mid_ber >= near_ber,
             "midpoint BER {mid_ber} must be ≥ near-client BER {near_ber}"
