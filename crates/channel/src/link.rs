@@ -23,7 +23,7 @@
 //! synthesis, noise and interference (`medium.rs`).
 
 use crate::medium::{
-    Medium, PpduResponses, Ray, BANDWIDTH_HZ, CARRIER_HZ, TAG_FIELD_GAIN, TX_POWER_DBM,
+    check_shape, Medium, PpduResponses, Ray, BANDWIDTH_HZ, CARRIER_HZ, TAG_FIELD_GAIN, TX_POWER_DBM,
 };
 use crate::pathloss::{backscatter_amplitude, db_to_linear, freespace_amplitude, SPEED_OF_LIGHT};
 use witag_phy::complex::{c64, Complex64};
@@ -137,8 +137,6 @@ pub struct Link {
     env: Vec<Ray>,
     /// Geometric tag ray (before the switch coefficient).
     tag: Option<Ray>,
-    /// TX→tag and tag→RX distances (diagnostics & tests).
-    tag_distances: Option<(f64, f64)>,
     /// Field amplitude of the TX→tag hop (for the tag's envelope
     /// detector).
     tag_incident_amplitude: f64,
@@ -183,7 +181,7 @@ impl Link {
         );
 
         // Tag ray.
-        let (tag, tag_distances, tag_incident_amplitude) = match tag_pos {
+        let (tag, tag_incident_amplitude) = match tag_pos {
             Some(p) => {
                 let ds = tx.distance(p);
                 let dr = p.distance(rx);
@@ -201,9 +199,9 @@ impl Link {
                 };
                 let incident = freespace_amplitude(ds, f)
                     * db_to_linear(-floorplan.penetration_loss_db(tx, p)).sqrt();
-                (Some(ray), Some((ds, dr)), incident)
+                (Some(ray), incident)
             }
-            None => (None, None, 0.0),
+            None => (None, 0.0),
         };
 
         Link {
@@ -211,7 +209,6 @@ impl Link {
             direct,
             env,
             tag,
-            tag_distances,
             tag_incident_amplitude,
         }
     }
@@ -287,11 +284,6 @@ impl Link {
         TX_POWER_DBM + 10.0 * (self.tag_incident_amplitude.powi(2) * sym_power.max(1e-12)).log10()
     }
 
-    /// TX→tag / tag→RX distances, if a tag is present.
-    pub fn tag_distances(&self) -> Option<(f64, f64)> {
-        self.tag_distances
-    }
-
     /// Advance environment time by `dt`: environmental ray phases random-
     /// walk with the channel's coherence time (people moving, doors…).
     pub fn advance(&mut self, dt: Duration) {
@@ -305,6 +297,11 @@ impl Link {
     /// schedule, returning what the receiver sees (channel applied +
     /// noise + interference bursts). `schedule.data` must cover every
     /// DATA symbol.
+    ///
+    /// # Panics
+    ///
+    /// If the PPDU is not single-stream, if `schedule` is short, or if a
+    /// symbol does not carry one sample per occupied tone.
     pub fn apply_ppdu(&mut self, ppdu: &Ppdu, schedule: &TagSchedule) -> Ppdu {
         let h = PpduResponses::new(ppdu, schedule, |mode, freqs| self.response_at(mode, freqs));
         self.medium
@@ -315,8 +312,13 @@ impl Link {
     /// in a constant state — how control responses like block ACKs travel.
     /// Short control frames get AWGN only (an interference burst hitting
     /// the 32 µs BA is folded into the data-frame interference process).
+    ///
+    /// # Panics
+    ///
+    /// If a symbol does not carry one stream of the legacy tone count.
     pub fn apply_legacy(&mut self, ppdu: &LegacyPpdu, mode: TagMode) -> LegacyPpdu {
         let h = self.response_at(mode, LegacyLayout::cached().freq_offsets_hz());
+        check_shape(core::iter::once(&ppdu.ltf).chain(&ppdu.symbols), &h, 1);
         LegacyPpdu {
             rate: ppdu.rate,
             psdu_len: ppdu.psdu_len,
@@ -406,6 +408,16 @@ mod tests {
         let rx = link.apply_ppdu(&tx, &schedule);
         let decoded = receive(&rx, link.noise_var());
         assert_eq!(decoded.bytes, psdu, "quiet LOS link must decode cleanly");
+    }
+
+    #[test]
+    #[should_panic(expected = "every symbol must carry 1 streams of 56 tones")]
+    fn a_short_stream_is_rejected_before_the_pass() {
+        let mut link = los_link(None, quiet_cfg(), 3);
+        let mut tx = transmit(&PhyConfig::new(Mcs::ht(7)), &[0xC3u8; 64]);
+        tx.symbols[1].streams[0].pop();
+        let schedule = TagSchedule::constant(TagMode::Absent, tx.symbols.len());
+        link.apply_ppdu(&tx, &schedule);
     }
 
     #[test]

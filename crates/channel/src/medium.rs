@@ -190,6 +190,12 @@ impl Medium {
     /// interference bursts. A burst lands on every RX antenna, at
     /// `interference_rel_db` over the mean direct-path power; one during
     /// the preamble corrupts the channel estimate itself.
+    ///
+    /// # Panics
+    ///
+    /// If the PPDU's stream count `n` does not match the array, or if a
+    /// training or DATA symbol does not carry `n` streams of the
+    /// response's tone count.
     pub(crate) fn apply_ppdu(&mut self, ppdu: &Ppdu, h: &PpduResponses, direct: &[Ray]) -> Ppdu {
         let n = ppdu.config.mcs.spatial_streams;
         assert_eq!(
@@ -197,6 +203,7 @@ impl Medium {
             n * n,
             "PPDU stream count must match the array"
         );
+        check_shape(ppdu.ltfs.iter().chain(&ppdu.symbols), h.slot(0), n);
 
         // Interference bursts overlapping this PPDU (Poisson arrivals).
         let airtime = ppdu.airtime().as_secs_f64();
@@ -249,7 +256,8 @@ impl Medium {
 
     /// One symbol through the `n × n` response `h`: per RX antenna and
     /// tone, `Σ_i H_ji·x_i`, then AWGN, then a burst sample of deviation
-    /// `burst_std` per rail when it is nonzero.
+    /// `burst_std` per rail when it is nonzero. The caller has checked
+    /// the symbol's shape against `h` with [`check_shape`].
     pub(crate) fn mix(
         &mut self,
         sym: &OfdmSymbol,
@@ -266,7 +274,7 @@ impl Medium {
                     .map(|(pos, block)| {
                         let mut y = Complex64::ZERO;
                         for (hji, s) in block[j * n..].iter().zip(&sym.streams) {
-                            y += *hji * s[pos];
+                            y += *hji * s[pos]; // lint:allow(panic_path) pos < h.len()/n², the tone count check_shape holds every stream to
                         }
                         y += c64(rng.gaussian() * noise_std, rng.gaussian() * noise_std);
                         if burst_std > 0.0 {
@@ -279,4 +287,25 @@ impl Medium {
             .collect();
         OfdmSymbol { streams }
     }
+}
+
+/// Check what [`Medium::mix`] indexes: every symbol carries `n` streams,
+/// each with one sample per tone of the `n × n` response `h`. `n` is at
+/// least 1.
+///
+/// # Panics
+///
+/// If a symbol has another shape.
+pub(crate) fn check_shape<'a>(
+    symbols: impl IntoIterator<Item = &'a OfdmSymbol>,
+    h: &[Complex64],
+    n: usize,
+) {
+    let tones = h.len() / (n * n);
+    assert!(
+        symbols
+            .into_iter()
+            .all(|s| s.streams.len() == n && s.streams.iter().all(|t| t.len() == tones)),
+        "every symbol must carry {n} streams of {tones} tones"
+    );
 }

@@ -334,10 +334,15 @@ impl MimoLink {
 
     /// Pass a PPDU through the matrix channel with the given tag
     /// schedule: `y_j = Σ_i H_ji·x_i + AWGN` per subcarrier, with
-    /// Poisson interference bursts as in the scalar link. The PPDU's
-    /// stream count must match the array size. The tag holds
+    /// Poisson interference bursts as in the scalar link. The tag holds
     /// `schedule.ltf` across the entire training field (it cannot see
     /// HT-LTF symbol boundaries).
+    ///
+    /// # Panics
+    ///
+    /// If the PPDU's stream count does not match the array size, if
+    /// `schedule` is short, or if a symbol does not carry one sample per
+    /// occupied tone on every stream.
     pub fn apply_ppdu(&mut self, ppdu: &Ppdu, schedule: &TagSchedule) -> Ppdu {
         let h = PpduResponses::new(ppdu, schedule, |mode, freqs| self.response_at(mode, freqs));
         self.medium.apply_ppdu(ppdu, &h, &self.direct)
