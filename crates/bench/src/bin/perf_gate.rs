@@ -1,8 +1,9 @@
 //! PERF GATE — the repository's performance baseline, as machine-readable
-//! JSON (`witag-phy-bench-v5`).
+//! JSON (`witag-phy-bench-v6`).
 //!
 //! Measures the PHY hot path (transmit, receive with and without scratch
-//! reuse, the chunked Viterbi kernel, and the multi-stream `receive_mu`
+//! reuse, the chunked Viterbi kernel, the channel's PPDU pass through a
+//! default `Link`, and the multi-stream `receive_mu`
 //! joint-equaliser chain at 1/2/3 spatial streams under ZF and MMSE) in
 //! ns/op and the full end-to-end query round in
 //! rounds/sec, serial vs the sharded parallel runner, then writes
@@ -17,7 +18,8 @@
 //! v4 removed v3's batched-decode burst rows along with the batched
 //! decode; v5 removed the per-build `configs` matrix (the Viterbi has one
 //! kernel, so there is one build to record) and the `obs` traced-round
-//! section. Schema honesty rules:
+//! section; v6 added `phy.channel_apply_ppdu_1664B_mcs5_ns`. Schema
+//! honesty rules:
 //!
 //! - `available_parallelism` is recorded, and `round.parallel_speedup`
 //!   is the string `"skipped_single_core"` on a 1-core machine instead
@@ -43,6 +45,7 @@
 use std::time::Instant;
 
 use witag::experiment::{Experiment, ExperimentConfig};
+use witag_channel::{Link, LinkConfig, TagMode, TagSchedule};
 use witag_faults::FaultPlan;
 use witag_net::{run_fleet, run_metro, FleetConfig, MetroConfig, SchedulerKind, Transport};
 use witag_phy::convolutional::{bits_to_llrs, encode_stream, viterbi_decode_stream};
@@ -53,6 +56,7 @@ use witag_phy::receiver::{
     receive, receive_mu_with_scratch, receive_with_scratch, RxScratch,
 };
 use witag_obs::NullRecorder;
+use witag_sim::geom::Floorplan;
 use witag_sim::time::Duration;
 use witag_sim::Rng;
 
@@ -110,6 +114,21 @@ fn main() {
     let mut scratch = RxScratch::new();
     let receive_scratch_ns = time_ns(iters, || {
         std::hint::black_box(receive_with_scratch(&ppdu, 1e-6, &mut scratch));
+    });
+
+    // The same PPDU through the channel: a default `Link` (the LOS
+    // testbed, interference on, no tag), two normal draws per tone.
+    let mut link = Link::new(
+        &Floorplan::paper_testbed(),
+        Floorplan::los_client_position(),
+        Floorplan::ap_position(),
+        None,
+        LinkConfig::default(),
+        1,
+    );
+    let schedule = TagSchedule::constant(TagMode::Absent, ppdu.symbols.len());
+    let channel_ns = time_ns(iters, || {
+        std::hint::black_box(link.apply_ppdu(&ppdu, &schedule));
     });
 
     let mut rng = Rng::seed_from_u64(1);
@@ -194,7 +213,7 @@ fn main() {
     let config_name = if wide { "native" } else { "portable" };
 
     let json = format!(
-        "{{\n  \"schema\": \"witag-phy-bench-v5\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row runs the same core as receive_scratch\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }}\n}}",
+        "{{\n  \"schema\": \"witag-phy-bench-v6\",\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"build\": {{\n    \"wide_vectors\": {wide},\n    \"config\": \"{config_name}\"\n  }},\n  \"phy\": {{\n    \"note\": \"measured under build.config\",\n    \"transmit_1664B_mcs5_ns\": {transmit_ns:.0},\n    \"receive_fresh_1664B_mcs5_ns\": {receive_fresh_ns:.0},\n    \"receive_scratch_1664B_mcs5_ns\": {receive_scratch_ns:.0},\n    \"viterbi_stream_4096_bits_ns\": {viterbi_ns:.0},\n    \"channel_apply_ppdu_1664B_mcs5_ns\": {channel_ns:.0}\n  }},\n  \"mimo\": {{\n    \"note\": \"receive_mu joint-equaliser chain, MCS base 5, 256 B per stream; the 1-stream row runs the same core as receive_scratch\",\n    \"rows\": [\n{mimo_json}\n    ]\n  }},\n  \"round\": {{\n    \"rounds\": {rounds},\n    \"serial_rounds_per_s\": {serial_per_s:.2},\n    \"parallel_rounds_per_s\": {parallel_per_s:.2},\n    \"parallel_faulted_rounds_per_s\": {faulted_per_s:.2},\n    \"parallel_speedup\": {parallel_speedup}\n  }},\n  \"seed_baseline_us\": {{\n    \"note\": \"criterion µs/iter at the pre-optimisation seed commit, same container\",\n    \"receive_1664B_mcs5\": {SEED_RECEIVE_1664B_MCS5_US},\n    \"transmit_1664B_mcs5\": {SEED_TRANSMIT_1664B_MCS5_US},\n    \"viterbi_decode_1000_bits_r23\": {SEED_VITERBI_1000_BITS_R23_US},\n    \"query_round_64_subframes\": {SEED_QUERY_ROUND_US}\n  }},\n  \"pr2_baseline_us\": {{\n    \"note\": \"committed PR-2 gate numbers, same container: allocation-free scratch path, flat Viterbi\",\n    \"receive_scratch_1664B_mcs5\": {PR2_RECEIVE_SCRATCH_1664B_MCS5_US},\n    \"viterbi_stream_4096_bits\": {PR2_VITERBI_STREAM_4096_BITS_US}\n  }},\n  \"speedup_vs_seed\": {{\n    \"receive_chain\": {speedup_seed_rx:.2},\n    \"transmit\": {:.2},\n    \"round_throughput_serial\": {:.2},\n    \"round_throughput_parallel\": {:.2}\n  }},\n  \"speedup_vs_pr2\": {{\n    \"receive_chain\": {speedup_pr2_rx:.2},\n    \"viterbi\": {speedup_pr2_vit:.2}\n  }},\n  \"check\": {{\n    \"serial_ber\": {:.6},\n    \"parallel_ber\": {:.6},\n    \"parallel_shards\": {}\n  }}\n}}",
         SEED_TRANSMIT_1664B_MCS5_US * 1e3 / transmit_ns,
         serial_per_s * SEED_QUERY_ROUND_US / 1e6,
         parallel_per_s * SEED_QUERY_ROUND_US / 1e6,
