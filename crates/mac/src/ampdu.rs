@@ -160,7 +160,11 @@ pub fn deaggregate(psdu: &[u8]) -> Vec<SubframeOutcome> {
             _ => {
                 // Scan forward to the next 4-byte boundary and retry —
                 // §9.7.3 receiver behaviour.
-                pos = if pos.is_multiple_of(4) { pos + 4 } else { pos + (4 - pos % 4) };
+                pos = if pos.is_multiple_of(4) {
+                    pos + 4
+                } else {
+                    pos + (4 - pos % 4)
+                };
             }
         }
     }
@@ -241,7 +245,12 @@ mod tests {
 
     #[test]
     fn mixed_sizes_aggregate() {
-        let mpdus = vec![data_mpdu(0, 13), null_mpdu(1), data_mpdu(2, 777), null_mpdu(3)];
+        let mpdus = vec![
+            data_mpdu(0, 13),
+            null_mpdu(1),
+            data_mpdu(2, 777),
+            null_mpdu(3),
+        ];
         let (psdu, _) = aggregate(&mpdus);
         let outcomes = deaggregate(&psdu);
         assert_eq!(outcomes.len(), 4);
@@ -285,7 +294,10 @@ mod tests {
             .collect();
         assert!(seqs.contains(&0) && seqs.contains(&1));
         for s in 3..8u16 {
-            assert!(seqs.contains(&s), "subframe {s} must be recovered, got {seqs:?}");
+            assert!(
+                seqs.contains(&s),
+                "subframe {s} must be recovered, got {seqs:?}"
+            );
         }
         assert!(!seqs.contains(&2));
     }

@@ -35,7 +35,13 @@ impl BlockAck {
     /// Outcomes whose sequence number falls outside the 64-frame window
     /// are ignored (out-of-window frames are unacknowledged, as per the
     /// standard).
-    pub fn from_outcomes(ra: Addr, ta: Addr, tid: u8, ssn: u16, outcomes: &[SubframeOutcome]) -> Self {
+    pub fn from_outcomes(
+        ra: Addr,
+        ta: Addr,
+        tid: u8,
+        ssn: u16,
+        outcomes: &[SubframeOutcome],
+    ) -> Self {
         let mut bitmap = 0u64;
         for o in outcomes {
             if let Some(mpdu) = &o.mpdu {
@@ -206,7 +212,8 @@ mod tests {
             })
             .collect();
         let (psdu, _) = aggregate(&mpdus);
-        let ba = BlockAck::from_outcomes(Addr::local(2), Addr::local(1), 0, 100, &deaggregate(&psdu));
+        let ba =
+            BlockAck::from_outcomes(Addr::local(2), Addr::local(1), 0, 100, &deaggregate(&psdu));
         assert_eq!(ba.tag_bits(8), vec![1; 8]);
     }
 

@@ -240,7 +240,10 @@ mod tests {
     fn nonzero_version_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] |= 0b01;
-        assert_eq!(MacHeader::from_bytes(&bytes), Err(MacParseError::FieldRange));
+        assert_eq!(
+            MacHeader::from_bytes(&bytes),
+            Err(MacParseError::FieldRange)
+        );
     }
 
     #[test]

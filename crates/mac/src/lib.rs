@@ -28,14 +28,14 @@
 
 pub mod access;
 pub mod ampdu;
-pub mod dcf;
 pub mod blockack;
+pub mod dcf;
 pub mod header;
 pub mod security;
 
 pub use access::{exchange_timing, Contention, ExchangeTiming};
-pub use dcf::{airtime_share, simulate as simulate_dcf, DcfOutcome, DcfStation};
 pub use ampdu::{aggregate, deaggregate, Mpdu, SubframeExtent, SubframeOutcome};
 pub use blockack::BlockAck;
+pub use dcf::{airtime_share, simulate as simulate_dcf, DcfOutcome, DcfStation};
 pub use header::{Addr, FrameKind, MacHeader, MacParseError};
 pub use security::{Security, SecurityError};

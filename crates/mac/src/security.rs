@@ -68,7 +68,11 @@ impl Security {
     }
 
     /// Recover the plaintext payload of a received MPDU.
-    pub fn decrypt(&mut self, header: &MacHeader, payload: &[u8]) -> Result<Vec<u8>, SecurityError> {
+    pub fn decrypt(
+        &mut self,
+        header: &MacHeader,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, SecurityError> {
         match self {
             Security::Open => Ok(payload.to_vec()),
             Security::Wep(key) => key.decrypt(payload).map_err(SecurityError::Wep),
@@ -124,12 +128,7 @@ mod tests {
 
     /// Encrypt with `tx`, decrypt with `rx`, assert plaintext recovered;
     /// returns the ciphertext.
-    fn sec_roundtrip(
-        tx: &mut Security,
-        rx: &mut Security,
-        h: &MacHeader,
-        pt: &[u8],
-    ) -> Vec<u8> {
+    fn sec_roundtrip(tx: &mut Security, rx: &mut Security, h: &MacHeader, pt: &[u8]) -> Vec<u8> {
         let ct = tx.encrypt(h, pt);
         assert_eq!(rx.decrypt(h, &ct).unwrap(), pt);
         ct

@@ -47,14 +47,13 @@ pub mod predict;
 pub mod scheduler;
 
 pub use fleet::{
-    run_fleet, run_replicas, DutyCycle, FleetConfig, FleetReport, NetError, TagOutcome,
-    TagProfile, Transport, MARKER_AIRTIME,
+    run_fleet, run_replicas, DutyCycle, FleetConfig, FleetReport, NetError, TagOutcome, TagProfile,
+    Transport, MARKER_AIRTIME,
 };
 pub use metro::{
     run_metro, CellSummary, MetroConfig, MetroReport, CELL_SIZE_M, INTERFERENCE_RANGE_M,
 };
 pub use predict::TrafficPredictor;
 pub use scheduler::{
-    Candidate, EdfScheduler, FairScheduler, RrScheduler, Scheduler, SchedulerKind,
-    SerialScheduler,
+    Candidate, EdfScheduler, FairScheduler, RrScheduler, Scheduler, SchedulerKind, SerialScheduler,
 };

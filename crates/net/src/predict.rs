@@ -151,7 +151,11 @@ mod tests {
         for _ in 0..32 {
             p.observe(false);
         }
-        assert!(p.forecast() < 0.35, "forecast {} after calm run", p.forecast());
+        assert!(
+            p.forecast() < 0.35,
+            "forecast {} after calm run",
+            p.forecast()
+        );
         assert!(p.forecast() < busy);
     }
 

@@ -129,10 +129,7 @@ impl RrScheduler {
 impl Scheduler for RrScheduler {
     fn pick(&mut self, candidates: &[Candidate]) -> usize {
         let pos = match self.last {
-            Some(last) => candidates
-                .iter()
-                .position(|c| c.tag > last)
-                .unwrap_or(0),
+            Some(last) => candidates.iter().position(|c| c.tag > last).unwrap_or(0),
             None => 0,
         };
         self.last = Some(candidates[pos].tag); // lint:allow(panic_path) pick() contract: candidates non-empty, pos from position() or 0
@@ -194,7 +191,8 @@ impl Scheduler for FairScheduler {
             for off in 0..candidates.len() {
                 let pos = (start + off) % candidates.len();
                 let c = &candidates[pos]; // lint:allow(panic_path) pos is taken modulo candidates.len()
-                if self.deficit[c.tag] >= c.round_airtime.as_nanos() { // lint:allow(panic_path) deficit grown to cover every candidate tag on entry
+                let deficit = self.deficit[c.tag]; // lint:allow(panic_path) deficit grown to cover every candidate tag on entry
+                if deficit >= c.round_airtime.as_nanos() {
                     self.cursor = c.tag + 1;
                     return pos;
                 }
