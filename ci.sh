@@ -18,6 +18,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # so. Add a crate once it has been formatted in a commit of its own.
 cargo fmt --check -p witag-channel
 cargo fmt --check -p witag-sim
+cargo fmt --check -p witag-mac
+cargo fmt --check -p witag-net
 
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.

@@ -33,7 +33,8 @@
 //! Failures print one `error:` line on stderr and exit with the code of
 //! their class ([`CliError`]): 2 for a bad subcommand, flag or value, 1
 //! when a file cannot be read or written (or holds no trace), and 3 when
-//! the simulation cannot set up or does not deliver.
+//! the simulation cannot set up or does not deliver. A reader that
+//! closes stdout early (`| head -1`) ends the command quietly with 0.
 //! `--trace` streams a `witag-obs/2` JSONL event trace (schema:
 //! `docs/OBS_SCHEMA.md`); `report` aggregates such a trace into a
 //! summary table. The trace bytes are independent of `--threads`.
@@ -47,7 +48,7 @@
 mod args;
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -78,6 +79,9 @@ enum CliError {
     Io(String),
     /// A simulation that cannot set up or does not deliver (exit 3).
     Sim(String),
+    /// The reader closed standard output; the command stops silently
+    /// (exit 0).
+    Closed,
 }
 
 impl CliError {
@@ -86,6 +90,17 @@ impl CliError {
             CliError::Usage(_) => 2,
             CliError::Io(_) => 1,
             CliError::Sim(_) => 3,
+            CliError::Closed => 0,
+        }
+    }
+
+    /// A failed write to standard output: a closed pipe ends the
+    /// command quietly, any other error is an I/O failure.
+    fn stdout(e: std::io::Error) -> Self {
+        if e.kind() == ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::Io(format!("cannot write to stdout: {e}"))
         }
     }
 }
@@ -94,6 +109,7 @@ impl core::fmt::Display for CliError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             CliError::Usage(m) | CliError::Io(m) | CliError::Sim(m) => f.write_str(m),
+            CliError::Closed => f.write_str("stdout closed"),
         }
     }
 }
@@ -104,14 +120,27 @@ impl From<ArgError> for CliError {
     }
 }
 
+/// `println!` onto a command's stdout handle: a failed write returns
+/// [`CliError::stdout`] from the enclosing function instead of
+/// panicking.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::stdout)?
+    };
+}
+
 /// A simulation error, prefixed with what failed.
 fn sim(what: &str, e: impl core::fmt::Display) -> CliError {
     CliError::Sim(format!("{what}: {e}"))
 }
 
 fn main() -> ExitCode {
-    match run(std::env::args().skip(1).collect()) {
-        Ok(()) => ExitCode::SUCCESS,
+    let mut out = std::io::stdout().lock();
+    let done = run(std::env::args().skip(1).collect(), &mut out)
+        .and_then(|()| out.flush().map_err(CliError::stdout));
+    match done {
+        // A reader that stops early (`| head`) is not a failure.
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(e.exit_code())
@@ -119,7 +148,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(mut argv: Vec<String>) -> Result<(), CliError> {
+fn run(mut argv: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
     if argv.is_empty() {
         usage();
         return Err(CliError::Usage("no subcommand given".into()));
@@ -127,16 +156,16 @@ fn run(mut argv: Vec<String>) -> Result<(), CliError> {
     let cmd = argv.remove(0);
     let parsed = Args::parse(argv)?;
     match cmd.as_str() {
-        "run" => cmd_run(&parsed),
-        "nlos" => cmd_nlos(&parsed),
-        "sweep" => cmd_sweep(&parsed),
-        "design" => cmd_design(&parsed),
-        "send" => cmd_send(&parsed),
-        "faults" => cmd_faults(&parsed),
-        "net" => cmd_net(&parsed),
-        "mox" => cmd_mox(&parsed),
-        "report" => cmd_report(&parsed),
-        "floorplan" => cmd_floorplan(&parsed),
+        "run" => cmd_run(&parsed, out),
+        "nlos" => cmd_nlos(&parsed, out),
+        "sweep" => cmd_sweep(&parsed, out),
+        "design" => cmd_design(&parsed, out),
+        "send" => cmd_send(&parsed, out),
+        "faults" => cmd_faults(&parsed, out),
+        "net" => cmd_net(&parsed, out),
+        "mox" => cmd_mox(&parsed, out),
+        "report" => cmd_report(&parsed, out),
+        "floorplan" => cmd_floorplan(&parsed, out),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
@@ -217,12 +246,13 @@ fn scenario(a: &Args) -> Result<ExperimentConfig, ArgError> {
     Ok(cfg)
 }
 
-fn cmd_run(a: &Args) -> Result<(), CliError> {
+fn cmd_run(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let cfg = scenario(a)?;
     let rounds = a.usize_or("rounds", 150)?;
     a.reject_unknown()?;
     let mut exp = Experiment::new(cfg).map_err(|e| sim("scenario not viable", e))?;
-    println!(
+    outln!(
+        out,
         "link SNR {:.1} dB; query: {:?}-{:?}, {} B subframes x {}",
         exp.snr_db(),
         exp.design.phy.mcs.modulation,
@@ -231,7 +261,8 @@ fn cmd_run(a: &Args) -> Result<(), CliError> {
         exp.design.n_subframes
     );
     let stats = exp.run(rounds);
-    println!(
+    outln!(
+        out,
         "{} rounds: BER {:.4} (false0 {}, false1 {}), throughput {:.1} Kbps, \
          missed triggers {}, lost BAs {}",
         stats.rounds,
@@ -245,16 +276,17 @@ fn cmd_run(a: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_nlos(a: &Args) -> Result<(), CliError> {
+fn cmd_nlos(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let seed = a.u64_or("seed", 7)?;
     let windows = a.usize_or("windows", 10)?;
     let rounds = a.usize_or("rounds", 40)?;
     let loc = a.str_or("location", "both").to_string();
     a.reject_unknown()?;
-    let run = |name: &str, cfg: ExperimentConfig| -> Result<(), CliError> {
+    let mut run = |name: &str, cfg: ExperimentConfig| -> Result<(), CliError> {
         let mut exp = Experiment::new(cfg).map_err(|e| sim("NLOS scenario not viable", e))?;
         let mut stats = exp.run_windows(windows, rounds);
-        println!(
+        outln!(
+            out,
             "location {name}: SNR {:.1} dB, mean BER {:.4}, p90 window BER {:.4}, tput {:.1} Kbps",
             exp.snr_db(),
             stats.ber(),
@@ -302,7 +334,7 @@ fn close_trace(rec: JsonlRecorder<BufWriter<File>>, path: &str) -> Result<(), Cl
     Ok(())
 }
 
-fn cmd_sweep(a: &Args) -> Result<(), CliError> {
+fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let from = a.f64_or("from", 1.0)?;
     let to = a.f64_or("to", 7.0)?;
     let step = a.f64_or("step", 1.0)?;
@@ -311,7 +343,7 @@ fn cmd_sweep(a: &Args) -> Result<(), CliError> {
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
-    println!("{:>10} {:>10} {:>14}", "dist (m)", "BER", "tput (Kbps)");
+    outln!(out, "{:>10} {:>10} {:>14}", "dist (m)", "BER", "tput (Kbps)");
     // Sweep points are independent experiments, so they parallelise with
     // no change in output: each point's seed and round sequence are
     // exactly what the serial loop used, and results print in distance
@@ -339,7 +371,7 @@ fn cmd_sweep(a: &Args) -> Result<(), CliError> {
     .collect::<Result<Vec<_>, witag::ExperimentError>>()
     .map_err(|e| sim("sweep point not viable", e))?;
     for (d, (stats, _)) in distances.iter().zip(results.iter()) {
-        println!("{d:>10.2} {:>10.4} {:>14.1}", stats.ber(), stats.throughput_kbps());
+        outln!(out, "{d:>10.2} {:>10.4} {:>14.1}", stats.ber(), stats.throughput_kbps());
     }
     if let Some(path) = trace {
         let mut rec = open_trace(&path)?;
@@ -360,7 +392,7 @@ fn cmd_sweep(a: &Args) -> Result<(), CliError> {
 /// `witag mox` — the MOXcatter MIMO sweep: multiplexed per-stream
 /// A-MPDUs through a matrix channel with one modulating tag, reporting
 /// how the corruption lands on every stream's block-ACK bitmap.
-fn cmd_mox(a: &Args) -> Result<(), CliError> {
+fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let streams_raw = a.str_or("streams", "2").to_string();
     let streams_list: Vec<usize> = streams_raw
         .split(',')
@@ -455,7 +487,8 @@ fn cmd_mox(a: &Args) -> Result<(), CliError> {
         }
     });
 
-    println!(
+    outln!(
+        out,
         "{:>7} {:>4} {:>8} {:>9} {:>9} {:>12} {:>5}",
         "streams", "mcs", "dist (m)", "snr min", "snr max", "acked", "hit"
     );
@@ -465,7 +498,8 @@ fn cmd_mox(a: &Args) -> Result<(), CliError> {
             .iter()
             .map(|s| format!("{}/{}", s.acked, s.subframes))
             .collect();
-        println!(
+        outln!(
+            out,
             "{:>7} {:>4} {:>8.2} {:>9.1} {:>9.1} {:>12} {:>3}/{}",
             n,
             8 * (n - 1) + base_mcs,
@@ -489,7 +523,7 @@ fn cmd_mox(a: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_design(a: &Args) -> Result<(), CliError> {
+fn cmd_design(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let distance = a.f64_or("distance", 1.0)?;
     let khz = a.f64_or("clock-khz", 250.0)?;
     let subframes = a.usize_or("subframes", 64)?;
@@ -502,32 +536,36 @@ fn cmd_design(a: &Args) -> Result<(), CliError> {
     let clock = Oscillator::Crystal { freq_hz: khz * 1e3 };
     let d = QueryDesign::best(&link, &clock, subframes, 2)
         .map_err(|e| sim("no feasible corruptible design", e))?;
-    println!("link SNR:         {:.1} dB", link.snr_db());
-    println!(
+    outln!(out, "link SNR:         {:.1} dB", link.snr_db());
+    outln!(
+        out,
         "query MCS:        {:?} {:?} ({} MHz)",
         d.phy.mcs.modulation,
         d.phy.mcs.code_rate,
         d.phy.bandwidth.hertz() / 1_000_000
     );
-    println!(
+    outln!(
+        out,
         "subframe:         {} bytes = {} OFDM symbols = {}",
         d.subframe_bytes,
         d.symbols_per_subframe,
         d.subframe_airtime()
     );
-    println!("bits per query:   {}", d.bits_per_query());
-    println!(
+    outln!(out, "bits per query:   {}", d.bits_per_query());
+    outln!(
+        out,
         "marker signature: {:?} (gap {})",
         d.signature.bursts, d.marker_gap
     );
-    println!(
+    outln!(
+        out,
         "est. tag rate:    {:.1} Kbps",
         d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64() / 1e3
     );
     Ok(())
 }
 
-fn cmd_send(a: &Args) -> Result<(), CliError> {
+fn cmd_send(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let message = a.str_or("message", "hello from the tag").to_string();
     let distance = a.f64_or("distance", 2.0)?;
     let seed = a.u64_or("seed", 42)?;
@@ -539,7 +577,8 @@ fn cmd_send(a: &Args) -> Result<(), CliError> {
     let (got, queries) =
         deliver(message.as_bytes(), n_bits, max_queries, |tx| exp.run_round(tx).readout.bits)
             .ok_or_else(|| CliError::Sim(format!("gave up after {max_queries} queries")))?;
-    println!(
+    outln!(
+        out,
         "delivered {} bytes in {queries} queries: {:?}",
         got.len(),
         String::from_utf8_lossy(&got)
@@ -547,7 +586,7 @@ fn cmd_send(a: &Args) -> Result<(), CliError> {
     check_integrity(&got, &message)
 }
 
-fn cmd_faults(a: &Args) -> Result<(), CliError> {
+fn cmd_faults(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let message = a.str_or("message", "sensor frame 0042: 21.5C 40%RH ok").to_string();
     let distance = a.f64_or("distance", 1.0)?;
     let seed = a.u64_or("seed", 42)?;
@@ -573,20 +612,24 @@ fn cmd_faults(a: &Args) -> Result<(), CliError> {
     };
     let report = outcome.map_err(|e| sim("session setup failed", e))?;
     let s = &report.stats;
-    println!(
+    outln!(
+        out,
         "fault plan: hostile x{intensity:.2}, seed {plan_seed}; budget {budget} rounds"
     );
     if let Some(c) = exp.fault_counters() {
-        println!(
+        outln!(
+            out,
             "injected:   {} lost queries, {} lost block ACKs, {} burst / {} drift / {} brownout rounds",
             c.queries_lost, c.block_acks_lost, c.burst_rounds, c.drift_rounds, c.brownout_rounds
         );
     }
-    println!(
+    outln!(
+        out,
         "session:    {} rounds ({} idle), {} retransmissions, {} resyncs, {} desync events",
         s.rounds, s.idle_rounds, s.retransmissions, s.resyncs, s.desync_events
     );
-    println!(
+    outln!(
+        out,
         "            goodput {:.3} ({} payload bits over {} raw)",
         s.goodput_ratio(),
         s.payload_bits,
@@ -594,7 +637,8 @@ fn cmd_faults(a: &Args) -> Result<(), CliError> {
     );
     match report.outcome {
         SessionOutcome::Delivered(bytes) => {
-            println!(
+            outln!(
+                out,
                 "delivered:  {} bytes: {:?}",
                 bytes.len(),
                 String::from_utf8_lossy(&bytes)
@@ -616,9 +660,9 @@ fn check_integrity(got: &[u8], sent: &str) -> Result<(), CliError> {
     }
 }
 
-fn cmd_net(a: &Args) -> Result<(), CliError> {
+fn cmd_net(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if a.raw("cells").is_some() {
-        return cmd_net_metro(a);
+        return cmd_net_metro(a, out);
     }
     let clients = a.usize_or("clients", 2)?;
     let tags = a.usize_or("tags", 8)?;
@@ -676,25 +720,27 @@ fn cmd_net(a: &Args) -> Result<(), CliError> {
         run_replicas(&cfg, replicas, threads, &mut NullRecorder)
     };
     let reports = outcome.map_err(|e| sim("fleet not viable", e))?;
-    println!(
+    outln!(
+        out,
         "fleet: {clients} client(s) x {tags} tag(s) | scheduler {} | transport {} | horizon {horizon_ms} ms | seed {seed}",
         scheduler.name(),
         transport.name()
     );
     if duty > 0.0 {
-        println!(
+        outln!(
+            out,
             "duty cycle: {duty:.2} ON fraction over {duty_period_ms} ms periods (phases spread)"
         );
     }
     for (i, rep) in reports.iter().enumerate() {
-        print_fleet_report(i, tags, rep);
+        print_fleet_report(out, i, tags, rep)?;
     }
     Ok(())
 }
 
 /// `witag net --cells …`: the metro-scale engine (spatial cells,
 /// channel reuse, batched grants, hierarchical scheduling).
-fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
+fn cmd_net_metro(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let cells = a.usize_or("cells", 4)?;
     let readers = a.usize_or("readers", cells)?;
     let tags = a.usize_or("tags", 1000)?;
@@ -743,17 +789,20 @@ fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
         run_metro(&cfg, threads, &mut NullRecorder)
     };
     let rep = outcome.map_err(|e| sim("metro not viable", e))?;
-    println!(
+    outln!(
+        out,
         "metro: {cells} cell(s) x {readers} reader(s) x {tags} tag(s) | scheduler {} | {} channel(s) -> {} contention domain(s)",
         scheduler.name(),
         channels,
         rep.domains
     );
-    println!(
+    outln!(
+        out,
         "       batch {batch} | epoch {epoch_ms} ms | horizon {horizon_ms} ms | seed {seed}"
     );
     if duty > 0.0 {
-        println!(
+        outln!(
+            out,
             "duty cycle: {duty:.2} ON fraction over {duty_period_ms} ms periods (phases spread)"
         );
     }
@@ -761,7 +810,8 @@ fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
         rep.latency_percentile(p)
             .map_or_else(|| "-".to_string(), |us| format!("{:.1}", us / 1000.0))
     };
-    println!(
+    outln!(
+        out,
         "delivered {}/{tags} | grants {} | collisions {} (rate {:.3}) | probe rounds {} | elapsed {:.1} ms",
         rep.delivered,
         rep.grants,
@@ -770,7 +820,8 @@ fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
         rep.probe_rounds,
         rep.elapsed.as_secs_f64() * 1e3
     );
-    println!(
+    outln!(
+        out,
         "goodput {:.1} Kbps | read latency ms p50 {} p90 {} p99 {} | airtime {:.1} ms across cells | deadlines met {}/{}",
         rep.goodput_bps() / 1e3,
         pct(50.0),
@@ -785,7 +836,8 @@ fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
         .iter()
         .max_by_key(|c| c.grants)
         .map_or(0, |c| c.cell);
-    println!(
+    outln!(
+        out,
         "cells: busiest cell {} | per-cell delivery min {} max {}",
         busiest,
         rep.cell_summaries.iter().map(|c| c.delivered).min().unwrap_or(0),
@@ -795,7 +847,12 @@ fn cmd_net_metro(a: &Args) -> Result<(), CliError> {
 }
 
 /// Render one replica's fleet report in the CLI's fixed format.
-fn print_fleet_report(replica: usize, tags: usize, rep: &FleetReport) {
+fn print_fleet_report(
+    out: &mut dyn Write,
+    replica: usize,
+    tags: usize,
+    rep: &FleetReport,
+) -> Result<(), CliError> {
     let shares = rep.airtime_shares();
     let min_share = shares.iter().copied().fold(f64::MAX, f64::min);
     let max_share = shares.iter().copied().fold(0.0, f64::max);
@@ -803,7 +860,8 @@ fn print_fleet_report(replica: usize, tags: usize, rep: &FleetReport) {
         rep.latency_percentile(p)
             .map_or_else(|| "-".to_string(), |us| format!("{:.1}", us / 1000.0))
     };
-    println!(
+    outln!(
+        out,
         "replica {replica}: delivered {}/{tags} | grants {} | collisions {} (rate {:.3}) | elapsed {:.1} ms",
         rep.delivered(),
         rep.grants,
@@ -811,7 +869,8 @@ fn print_fleet_report(replica: usize, tags: usize, rep: &FleetReport) {
         rep.collision_rate(),
         rep.elapsed.as_secs_f64() * 1e3
     );
-    println!(
+    outln!(
+        out,
         "          goodput {:.1} Kbps | read latency ms p50 {} p90 {} p99 {} | airtime share min {:.3} max {:.3} | deadlines met {}/{}",
         rep.goodput_bps() / 1e3,
         pct(50.0),
@@ -822,9 +881,10 @@ fn print_fleet_report(replica: usize, tags: usize, rep: &FleetReport) {
         rep.deadline_hits(),
         rep.delivered()
     );
+    Ok(())
 }
 
-fn cmd_report(a: &Args) -> Result<(), CliError> {
+fn cmd_report(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     a.reject_unknown()?;
     let path = a
         .positionals()
@@ -841,21 +901,22 @@ fn cmd_report(a: &Args) -> Result<(), CliError> {
     if summary.events() == 0 && summary.schema().is_none() {
         return Err(CliError::Io(format!("'{path}' contains no witag-obs events")));
     }
-    print!("{}", summary.render());
+    write!(out, "{}", summary.render()).map_err(CliError::stdout)?;
     Ok(())
 }
 
-fn cmd_floorplan(a: &Args) -> Result<(), CliError> {
+fn cmd_floorplan(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     a.reject_unknown()?;
     let fp = Floorplan::paper_testbed();
-    println!("testbed reconstruction of the paper's Figure 4 (18 m x 7 m):\n");
-    println!("  AP          at {:?}", Floorplan::ap_position());
-    println!("  LOS client  at {:?}  (8 m from the AP)", Floorplan::los_client_position());
-    println!("  NLOS A      at {:?}  (~7 m)", Floorplan::nlos_a_client_position());
-    println!("  NLOS B      at {:?}  (~17 m)", Floorplan::nlos_b_client_position());
-    println!("\nobstacles:");
+    outln!(out, "testbed reconstruction of the paper's Figure 4 (18 m x 7 m):\n");
+    outln!(out, "  AP          at {:?}", Floorplan::ap_position());
+    outln!(out, "  LOS client  at {:?}  (8 m from the AP)", Floorplan::los_client_position());
+    outln!(out, "  NLOS A      at {:?}  (~7 m)", Floorplan::nlos_a_client_position());
+    outln!(out, "  NLOS B      at {:?}  (~17 m)", Floorplan::nlos_b_client_position());
+    outln!(out, "\nobstacles:");
     for o in &fp.obstacles {
-        println!(
+        outln!(
+            out,
             "  {:?} from ({:.1},{:.1}) to ({:.1},{:.1})  [{:.0} dB/crossing]",
             o.material,
             o.segment.a.x,
@@ -865,6 +926,6 @@ fn cmd_floorplan(a: &Args) -> Result<(), CliError> {
             o.material.penetration_loss_db()
         );
     }
-    println!("\nreflectors: {:?}", fp.reflectors);
+    outln!(out, "\nreflectors: {:?}", fp.reflectors);
     Ok(())
 }

@@ -15,7 +15,7 @@
 //! retry until delivered) since saturated fairness and collision
 //! probability — what the tests pin — do not depend on them.
 
-use crate::access::{contend, Station};
+use crate::access::{contend, Round, Station};
 use witag_phy::params::timing;
 use witag_sim::rng::Rng;
 use witag_sim::time::{Duration, Instant};
@@ -131,6 +131,9 @@ pub fn simulate(stations: &mut [DcfStation], horizon: Duration, seed: u64) -> Dc
         }
     }
 
+    // Per-access buffers, cleared and refilled each pass.
+    let mut contenders: Vec<usize> = Vec::with_capacity(stations.len());
+    let mut round = Round::default();
     while now < end {
         // Deliver arrivals up to `now`.
         for s in stations.iter_mut() {
@@ -146,12 +149,14 @@ pub fn simulate(stations: &mut [DcfStation], horizon: Duration, seed: u64) -> Dc
 
         // Stations with frames contend: everyone waits DIFS, then counts
         // down together.
-        let contenders: Vec<usize> = stations
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.has_frame())
-            .map(|(i, _)| i)
-            .collect();
+        contenders.clear();
+        contenders.extend(
+            stations
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.has_frame())
+                .map(|(i, _)| i),
+        );
         if contenders.is_empty() {
             // Idle until the next arrival.
             let next = stations
@@ -163,7 +168,7 @@ pub fn simulate(stations: &mut [DcfStation], horizon: Duration, seed: u64) -> Dc
             continue;
         }
 
-        let round = contend(stations, &contenders, &mut rng);
+        contend(stations, &contenders, &mut rng, &mut round);
         now += round.wait();
 
         if let [w] = round.winners[..] {

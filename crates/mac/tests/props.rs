@@ -4,7 +4,7 @@
 //! station states.
 
 use proptest::prelude::*;
-use witag_mac::access::{contend, Station};
+use witag_mac::access::{contend, Round, Station};
 use witag_mac::ampdu::{aggregate, deaggregate, Mpdu};
 use witag_mac::blockack::BlockAck;
 use witag_mac::header::{Addr, FrameKind, MacHeader};
@@ -161,12 +161,16 @@ proptest! {
     ) {
         // Warm-up rounds over random subsets leave a random mix of
         // windows and frozen counters: losers hold one, winners and
-        // stations that never contended do not.
+        // stations that never contended do not. Every round, the
+        // checked one included, goes through one caller-held `Round`,
+        // so a winner left over from a warm-up round fails the
+        // exact-winners check below.
         let mut rng = Rng::seed_from_u64(seed);
         let mut stations = vec![Station::default(); stations_n];
+        let mut round = Round::default();
         for _ in 0..warmup {
             let subset: Vec<usize> = (0..stations_n).filter(|_| rng.chance(0.6)).collect();
-            contend(&mut stations, &subset, &mut rng);
+            contend(&mut stations, &subset, &mut rng, &mut round);
         }
         let contenders: Vec<usize> = (0..stations_n).filter(|&i| joins[i]).collect();
         let before = stations.clone();
@@ -183,7 +187,7 @@ proptest! {
                     .unwrap_or_else(|| reference.below(before[i].window() as u64 + 1))
             })
             .collect();
-        let round = contend(&mut stations, &contenders, &mut rng);
+        contend(&mut stations, &contenders, &mut rng, &mut round);
         prop_assert_eq!(rng.next_u64(), reference.next_u64(), "only stations without a counter draw");
 
         let min = counters.iter().copied().min().unwrap_or(0);
