@@ -20,6 +20,10 @@ cargo fmt --check -p witag-channel
 cargo fmt --check -p witag-sim
 cargo fmt --check -p witag-mac
 cargo fmt --check -p witag-net
+cargo fmt --check -p witag
+cargo fmt --check -p witag-faults
+cargo fmt --check -p witag-cli
+cargo fmt --check -p witag-obs
 
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.

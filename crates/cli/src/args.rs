@@ -38,7 +38,11 @@ impl core::fmt::Display for ArgError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
-            ArgError::BadValue { key, value, expected } => {
+            ArgError::BadValue {
+                key,
+                value,
+                expected,
+            } => {
                 write!(f, "option --{key}: '{value}' is not a valid {expected}")
             }
             ArgError::Unknown(keys) => {

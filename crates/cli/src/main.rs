@@ -59,12 +59,12 @@ use witag::query::QueryDesign;
 use witag::tagnet::{
     deliver, session_over_experiment, session_over_experiment_obs, SessionConfig, SessionOutcome,
 };
+use witag_channel::{Link, LinkConfig};
 use witag_faults::FaultPlan;
 use witag_net::{
     run_metro, run_replicas, FleetConfig, FleetReport, MetroConfig, SchedulerKind, Transport,
 };
 use witag_obs::{BufferRecorder, Event, JsonlRecorder, NullRecorder, Recorder, TraceSummary};
-use witag_channel::{Link, LinkConfig};
 use witag_sim::geom::Floorplan;
 use witag_sim::time::Duration;
 use witag_tag::device::BitEncoding;
@@ -343,7 +343,13 @@ fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
-    outln!(out, "{:>10} {:>10} {:>14}", "dist (m)", "BER", "tput (Kbps)");
+    outln!(
+        out,
+        "{:>10} {:>10} {:>14}",
+        "dist (m)",
+        "BER",
+        "tput (Kbps)"
+    );
     // Sweep points are independent experiments, so they parallelise with
     // no change in output: each point's seed and round sequence are
     // exactly what the serial loop used, and results print in distance
@@ -371,7 +377,12 @@ fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     .collect::<Result<Vec<_>, witag::ExperimentError>>()
     .map_err(|e| sim("sweep point not viable", e))?;
     for (d, (stats, _)) in distances.iter().zip(results.iter()) {
-        outln!(out, "{d:>10.2} {:>10.4} {:>14.1}", stats.ber(), stats.throughput_kbps());
+        outln!(
+            out,
+            "{d:>10.2} {:>10.4} {:>14.1}",
+            stats.ber(),
+            stats.throughput_kbps()
+        );
     }
     if let Some(path) = trace {
         let mut rec = open_trace(&path)?;
@@ -397,13 +408,15 @@ fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let streams_list: Vec<usize> = streams_raw
         .split(',')
         .map(|t| {
-            t.trim().parse::<usize>().ok().filter(|n| (1..=4).contains(n)).ok_or_else(|| {
-                ArgError::BadValue {
+            t.trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|n| (1..=4).contains(n))
+                .ok_or_else(|| ArgError::BadValue {
                     key: "streams".into(),
                     value: streams_raw.clone(),
                     expected: "comma list of stream counts 1-4",
-                }
-            })
+                })
         })
         .collect::<Result<_, _>>()?;
     let base_mcs = a.usize_or("mcs", 7)?;
@@ -490,7 +503,13 @@ fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     outln!(
         out,
         "{:>7} {:>4} {:>8} {:>9} {:>9} {:>12} {:>5}",
-        "streams", "mcs", "dist (m)", "snr min", "snr max", "acked", "hit"
+        "streams",
+        "mcs",
+        "dist (m)",
+        "snr min",
+        "snr max",
+        "acked",
+        "hit"
     );
     for ((n, d), (r, _)) in points.iter().zip(results.iter()) {
         let acked: Vec<String> = r
@@ -555,7 +574,8 @@ fn cmd_design(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     outln!(
         out,
         "marker signature: {:?} (gap {})",
-        d.signature.bursts, d.marker_gap
+        d.signature.bursts,
+        d.marker_gap
     );
     outln!(
         out,
@@ -574,9 +594,10 @@ fn cmd_send(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut exp = Experiment::new(ExperimentConfig::fig5(distance, seed))
         .map_err(|e| sim("scenario not viable", e))?;
     let n_bits = exp.design.bits_per_query();
-    let (got, queries) =
-        deliver(message.as_bytes(), n_bits, max_queries, |tx| exp.run_round(tx).readout.bits)
-            .ok_or_else(|| CliError::Sim(format!("gave up after {max_queries} queries")))?;
+    let (got, queries) = deliver(message.as_bytes(), n_bits, max_queries, |tx| {
+        exp.run_round(tx).readout.bits
+    })
+    .ok_or_else(|| CliError::Sim(format!("gave up after {max_queries} queries")))?;
     outln!(
         out,
         "delivered {} bytes in {queries} queries: {:?}",
@@ -587,7 +608,9 @@ fn cmd_send(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_faults(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let message = a.str_or("message", "sensor frame 0042: 21.5C 40%RH ok").to_string();
+    let message = a
+        .str_or("message", "sensor frame 0042: 21.5C 40%RH ok")
+        .to_string();
     let distance = a.f64_or("distance", 1.0)?;
     let seed = a.u64_or("seed", 42)?;
     let plan_seed = a.u64_or("plan-seed", 7)?;
@@ -626,7 +649,11 @@ fn cmd_faults(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     outln!(
         out,
         "session:    {} rounds ({} idle), {} retransmissions, {} resyncs, {} desync events",
-        s.rounds, s.idle_rounds, s.retransmissions, s.resyncs, s.desync_events
+        s.rounds,
+        s.idle_rounds,
+        s.retransmissions,
+        s.resyncs,
+        s.desync_events
     );
     outln!(
         out,
@@ -645,9 +672,9 @@ fn cmd_faults(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             );
             check_integrity(&bytes, &message)
         }
-        SessionOutcome::Failed(f) => {
-            Err(CliError::Sim(format!("failed: {f:?} — the plan won this time")))
-        }
+        SessionOutcome::Failed(f) => Err(CliError::Sim(format!(
+            "failed: {f:?} — the plan won this time"
+        ))),
     }
 }
 
@@ -656,7 +683,9 @@ fn check_integrity(got: &[u8], sent: &str) -> Result<(), CliError> {
     if got == sent.as_bytes() {
         Ok(())
     } else {
-        Err(CliError::Sim("transport integrity: delivered bytes differ from the message".into()))
+        Err(CliError::Sim(
+            "transport integrity: delivered bytes differ from the message".into(),
+        ))
     }
 }
 
@@ -699,13 +728,8 @@ fn cmd_net(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
-    let mut cfg = FleetConfig::inventory(
-        clients,
-        tags,
-        scheduler,
-        Duration::millis(horizon_ms),
-        seed,
-    );
+    let mut cfg =
+        FleetConfig::inventory(clients, tags, scheduler, Duration::millis(horizon_ms), seed);
     cfg.window = window;
     cfg = cfg.with_transport(transport);
     if duty > 0.0 {
@@ -840,8 +864,16 @@ fn cmd_net_metro(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         out,
         "cells: busiest cell {} | per-cell delivery min {} max {}",
         busiest,
-        rep.cell_summaries.iter().map(|c| c.delivered).min().unwrap_or(0),
-        rep.cell_summaries.iter().map(|c| c.delivered).max().unwrap_or(0)
+        rep.cell_summaries
+            .iter()
+            .map(|c| c.delivered)
+            .min()
+            .unwrap_or(0),
+        rep.cell_summaries
+            .iter()
+            .map(|c| c.delivered)
+            .max()
+            .unwrap_or(0)
     );
     Ok(())
 }
@@ -899,7 +931,9 @@ fn cmd_report(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         summary.ingest_line(&String::from_utf8_lossy(line));
     }
     if summary.events() == 0 && summary.schema().is_none() {
-        return Err(CliError::Io(format!("'{path}' contains no witag-obs events")));
+        return Err(CliError::Io(format!(
+            "'{path}' contains no witag-obs events"
+        )));
     }
     write!(out, "{}", summary.render()).map_err(CliError::stdout)?;
     Ok(())
@@ -908,11 +942,26 @@ fn cmd_report(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_floorplan(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     a.reject_unknown()?;
     let fp = Floorplan::paper_testbed();
-    outln!(out, "testbed reconstruction of the paper's Figure 4 (18 m x 7 m):\n");
+    outln!(
+        out,
+        "testbed reconstruction of the paper's Figure 4 (18 m x 7 m):\n"
+    );
     outln!(out, "  AP          at {:?}", Floorplan::ap_position());
-    outln!(out, "  LOS client  at {:?}  (8 m from the AP)", Floorplan::los_client_position());
-    outln!(out, "  NLOS A      at {:?}  (~7 m)", Floorplan::nlos_a_client_position());
-    outln!(out, "  NLOS B      at {:?}  (~17 m)", Floorplan::nlos_b_client_position());
+    outln!(
+        out,
+        "  LOS client  at {:?}  (8 m from the AP)",
+        Floorplan::los_client_position()
+    );
+    outln!(
+        out,
+        "  NLOS A      at {:?}  (~7 m)",
+        Floorplan::nlos_a_client_position()
+    );
+    outln!(
+        out,
+        "  NLOS B      at {:?}  (~17 m)",
+        Floorplan::nlos_b_client_position()
+    );
     outln!(out, "\nobstacles:");
     for o in &fp.obstacles {
         outln!(

@@ -315,9 +315,7 @@ impl ExperimentStats {
         if self.elapsed.is_zero() {
             return 0.0;
         }
-        (self.errors.total - self.errors.errors()) as f64
-            / self.elapsed.as_secs_f64()
-            / 1000.0
+        (self.errors.total - self.errors.errors()) as f64 / self.elapsed.as_secs_f64() / 1000.0
     }
 
     /// Fold another run's statistics into this one. Counters add, elapsed
@@ -613,20 +611,22 @@ impl Experiment {
         // fault-injected brownout means the rail is down outright.
         let can_afford = !rf.brownout
             && match &mut self.energy {
-            Some(bank) => {
-                let active_s = (design.marker_airtime()
-                    + design.marker_gap
-                    + ppdu_airtime)
-                    .as_secs_f64();
-                let ok = bank.try_spend(PowerBudget::witag().total_uw(), active_s);
-                if !ok {
-                    self.energy_skips += 1;
+                Some(bank) => {
+                    let active_s =
+                        (design.marker_airtime() + design.marker_gap + ppdu_airtime).as_secs_f64();
+                    let ok = bank.try_spend(PowerBudget::witag().total_uw(), active_s);
+                    if !ok {
+                        self.energy_skips += 1;
+                    }
+                    ok
                 }
-                ok
-            }
-            None => true,
+                None => true,
+            };
+        let plan = if can_afford {
+            self.tag.respond(&trace)
+        } else {
+            None
         };
-        let plan = if can_afford { self.tag.respond(&trace) } else { None };
         let triggered = plan.is_some();
         let n_symbols = self.built.ppdu.symbols.len();
         let (schedule, sent_bits) = match plan {
@@ -669,23 +669,14 @@ impl Experiment {
             // frames).
             for o in &outcomes {
                 if let Some(mpdu) = &o.mpdu {
-                    if self
-                        .rx_sec
-                        .decrypt(&mpdu.header, &mpdu.payload)
-                        .is_err()
-                    {
+                    if self.rx_sec.decrypt(&mpdu.header, &mpdu.payload).is_err() {
                         self.decrypt_failures += 1;
                     }
                 }
             }
 
-            let ba = BlockAck::from_outcomes(
-                Addr::local(1),
-                Addr::local(2),
-                0,
-                self.seq,
-                &outcomes,
-            );
+            let ba =
+                BlockAck::from_outcomes(Addr::local(1), Addr::local(2), 0, self.seq, &outcomes);
             if rec.enabled() {
                 rec.record(&ba.assembly_event(obs_round, design.n_subframes));
             }
@@ -748,11 +739,8 @@ impl Experiment {
 
         // Advance simulated time across the whole exchange.
         let markers = design.marker_airtime() + design.marker_gap;
-        let round_air = contention
-            + markers
-            + ppdu_airtime
-            + timing::SIFS
-            + block_ack_airtime(LegacyRate::M24);
+        let round_air =
+            contention + markers + ppdu_airtime + timing::SIFS + block_ack_airtime(LegacyRate::M24);
         self.now = ppdu_start + ppdu_airtime + timing::SIFS + block_ack_airtime(LegacyRate::M24);
         if let Some(bank) = &mut self.energy {
             bank.charge(round_air.as_secs_f64());
@@ -1028,7 +1016,10 @@ mod tests {
             "foreign bursts must not confuse the trigger: BER {}",
             b.ber()
         );
-        assert_eq!(b.missed_triggers, 0, "markers are protected by SIFS spacing");
+        assert_eq!(
+            b.missed_triggers, 0,
+            "markers are protected by SIFS spacing"
+        );
     }
 
     #[test]
@@ -1144,7 +1135,11 @@ mod tests {
             stats.missed_triggers as u64 >= 1,
             "brownouts must show up as missed triggers"
         );
-        assert!(stats.ber() > 0.05, "hostile plan must hurt, BER {}", stats.ber());
+        assert!(
+            stats.ber() > 0.05,
+            "hostile plan must hurt, BER {}",
+            stats.ber()
+        );
     }
 
     #[test]

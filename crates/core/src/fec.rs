@@ -157,7 +157,9 @@ mod tests {
     fn interleaved_roundtrip() {
         let mut rng = Rng::seed_from_u64(1);
         let l = FecLayout::fit(62);
-        let data: Vec<u8> = (0..l.data_bits()).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let data: Vec<u8> = (0..l.data_bits())
+            .map(|_| (rng.next_u64() & 1) as u8)
+            .collect();
         let channel = l.encode(&data);
         assert_eq!(channel.len(), 56);
         let (decoded, corrected) = l.decode(&channel);
@@ -171,7 +173,9 @@ mod tests {
         // error in each codeword — all corrected.
         let mut rng = Rng::seed_from_u64(2);
         let l = FecLayout::fit(62);
-        let data: Vec<u8> = (0..l.data_bits()).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let data: Vec<u8> = (0..l.data_bits())
+            .map(|_| (rng.next_u64() & 1) as u8)
+            .collect();
         let mut channel = l.encode(&data);
         for bit in channel.iter_mut().skip(16).take(l.codewords) {
             *bit ^= 1;

@@ -183,7 +183,7 @@ impl DegreeDistribution {
             *p += s / ((d0 + 1) as f64 * kf);
         }
         pdf[spike - 1] += s * (s / ROBUST_SOLITON_DELTA).ln().max(0.0) / kf; // lint:allow(panic_path) spike is clamped to 1..=k == pdf.len()
-        // Normalise and integrate.
+                                                                             // Normalise and integrate.
         let beta: f64 = pdf.iter().sum();
         let mut cdf = Vec::with_capacity(k);
         let mut acc = 0.0;
@@ -463,7 +463,10 @@ impl FountainDecoder {
                 self.solve(idx, bits);
                 self.peel_from(idx);
             }
-            _ => self.pending.push(PendingSymbol { neighbors, payload: bits }),
+            _ => self.pending.push(PendingSymbol {
+                neighbors,
+                payload: bits,
+            }),
         }
         if self.solved_count < self.solved.len() {
             self.try_inactivation();
@@ -539,8 +542,9 @@ impl FountainDecoder {
 
     // Callers pass chunk ids validated against `solved.len()` on ingest.
     fn solve(&mut self, idx: usize, bits: Vec<u8>) {
-        if self.solved[idx].is_none() { // lint:allow(panic_path) idx < k validated on symbol ingest
-            self.solved[idx] = Some(bits); // lint:allow(panic_path) same bound as the check above
+        let slot = &mut self.solved[idx]; // lint:allow(panic_path) idx < k validated on symbol ingest
+        if slot.is_none() {
+            *slot = Some(bits);
             self.solved_count += 1;
         }
     }
@@ -553,7 +557,8 @@ impl FountainDecoder {
         while let Some(idx) = work.pop() {
             // Panic-free by construction: `idx` only enters the worklist
             // after `solve` stored the chunk.
-            let known = match self.solved[idx].clone() { // lint:allow(panic_path) worklist only holds ids stored via solve()
+            let slot = self.solved[idx].clone(); // lint:allow(panic_path) worklist only holds ids stored via solve()
+            let known = match slot {
                 Some(k) => k,
                 None => continue,
             };
@@ -571,7 +576,8 @@ impl FountainDecoder {
                         1 => {
                             let row = self.pending.swap_remove(i);
                             let target = row.neighbors[0];
-                            if self.solved[target].is_none() { // lint:allow(panic_path) neighbor ids validated on symbol ingest
+                            let unsolved = self.solved[target].is_none(); // lint:allow(panic_path) neighbor ids validated on symbol ingest
+                            if unsolved {
                                 self.solve(target, row.payload);
                                 work.push(target);
                             }
@@ -723,7 +729,11 @@ impl FountainSender {
     /// Build the response to one query. Pure: call
     /// [`commit`](Self::commit) afterwards iff the tag heard the
     /// trigger.
-    pub fn serve(&self, query: &FountainQuery, channel_bits: usize) -> Result<Vec<u8>, TagnetError> {
+    pub fn serve(
+        &self,
+        query: &FountainQuery,
+        channel_bits: usize,
+    ) -> Result<Vec<u8>, TagnetError> {
         match *query {
             FountainQuery::Symbol => encode_chunk(
                 (self.esi % 16) as u8,
@@ -865,7 +875,9 @@ impl FountainReceiver {
 
     /// Source chunks recovered so far.
     pub fn solved_count(&self) -> usize {
-        self.decoder.as_ref().map_or(0, FountainDecoder::solved_count)
+        self.decoder
+            .as_ref()
+            .map_or(0, FountainDecoder::solved_count)
     }
 
     /// Distinct coded symbols absorbed so far.
@@ -1031,11 +1043,15 @@ impl FountainReceiver {
                 let counter = counter as u64;
                 let center = self.center();
                 let base = center - (center % SYNC_ESI_MOD);
-                let candidate = [base.checked_sub(SYNC_ESI_MOD), Some(base), base.checked_add(SYNC_ESI_MOD)]
-                    .into_iter()
-                    .flatten()
-                    .map(|b| b + counter)
-                    .min_by_key(|&e| e.abs_diff(center));
+                let candidate = [
+                    base.checked_sub(SYNC_ESI_MOD),
+                    Some(base),
+                    base.checked_add(SYNC_ESI_MOD),
+                ]
+                .into_iter()
+                .flatten()
+                .map(|b| b + counter)
+                .min_by_key(|&e| e.abs_diff(center));
                 let Some(esi) = candidate else { return miss };
                 self.esi_lo = esi;
                 self.ambiguity = 0;

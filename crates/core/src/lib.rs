@@ -69,11 +69,11 @@ pub use experiment::{
     RoundResult, SecurityMode,
 };
 pub use fec::FecLayout;
-pub use moxcatter::{MoxConfig, MoxPointResult, MoxStreamResult};
 pub use fountain::{
     DegreeDistribution, FountainDecoder, FountainEncoder, FountainQuery, FountainReceiver,
     FountainSender,
 };
+pub use moxcatter::{MoxConfig, MoxPointResult, MoxStreamResult};
 pub use query::{BuiltQuery, QueryDesign};
 pub use reader::{read_tag_bits, BitErrors, TagReadout};
 pub use tagnet::{

@@ -111,11 +111,7 @@ impl MoxPointResult {
 /// carries: odd subframes get the 180° path, even ones the 0° reference.
 /// `ndbps1` is the per-stream data bits per symbol; the 16-bit SERVICE
 /// field shifts every PSDU byte by two bytes' worth of bits.
-fn subframe_schedule(
-    extents: &[SubframeExtent],
-    n_symbols: usize,
-    ndbps1: usize,
-) -> Vec<TagMode> {
+fn subframe_schedule(extents: &[SubframeExtent], n_symbols: usize, ndbps1: usize) -> Vec<TagMode> {
     (0..n_symbols)
         .map(|s| {
             let bit_lo = s * ndbps1;

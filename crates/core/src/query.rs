@@ -136,7 +136,13 @@ impl QueryDesign {
         n_subframes: usize,
         guard_subframes: usize,
     ) -> Result<QueryDesign, ExperimentError> {
-        Self::best_in(link, clock, n_subframes, guard_subframes, DesignSpace::default())
+        Self::best_in(
+            link,
+            clock,
+            n_subframes,
+            guard_subframes,
+            DesignSpace::default(),
+        )
     }
 
     /// [`QueryDesign::best`] over an explicit design space (channel
@@ -222,8 +228,7 @@ impl QueryDesign {
                 // corruptible* scheme (denser constellation, weaker
                 // code) — equal-rate designs differ a lot in how easily
                 // the tag can break a subframe.
-                let density = mcs.modulation.bits_per_subcarrier() as f64
-                    + mcs.code_rate.as_f64();
+                let density = mcs.modulation.bits_per_subcarrier() as f64 + mcs.code_rate.as_f64();
                 let better = match &best {
                     None => true,
                     Some((r, d)) => {
@@ -301,8 +306,7 @@ impl QueryDesign {
     /// Rough airtime of one full query round (markers + gaps + PPDU +
     /// SIFS + block ACK + mean contention) for throughput ranking.
     pub fn round_airtime_estimate(&self) -> Duration {
-        let ppdu = self.phy.preamble_duration()
-            + self.subframe_airtime() * self.n_subframes as u64;
+        let ppdu = self.phy.preamble_duration() + self.subframe_airtime() * self.n_subframes as u64;
         self.marker_airtime()
             + self.marker_gap
             + ppdu
@@ -512,7 +516,10 @@ mod tests {
         for i in [0usize, 1, 31, 63] {
             let e = built.extents[i];
             let (lo, hi) = d.phy.symbols_for_byte_range(e.start, e.end);
-            assert!(lo >= k * i && hi < k * (i + 1) + 1, "subframe {i}: symbols {lo}..{hi}");
+            assert!(
+                lo >= k * i && hi < k * (i + 1) + 1,
+                "subframe {i}: symbols {lo}..{hi}"
+            );
         }
     }
 
@@ -566,9 +573,8 @@ mod tests {
         )
         .unwrap();
         // Tag rate identical (airtime-bound)…
-        let rate = |d: &QueryDesign| {
-            d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64()
-        };
+        let rate =
+            |d: &QueryDesign| d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64();
         assert!((rate(&d20) - rate(&d80)).abs() / rate(&d20) < 0.05);
         // …but the query burns ~4.5x the bytes per subframe at 80 MHz.
         assert!(d80.subframe_bytes > 4 * d20.subframe_bytes);
@@ -610,9 +616,7 @@ mod tests {
     fn throughput_estimate_in_expected_range() {
         let link = los_link();
         let d = QueryDesign::best(&link, &clock250(), 64, 2).unwrap();
-        let kbps = d.bits_per_query() as f64
-            / d.round_airtime_estimate().as_secs_f64()
-            / 1000.0;
+        let kbps = d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64() / 1000.0;
         // The paper reports ~40 Kbps; our optimiser lands the same order.
         assert!((20.0..120.0).contains(&kbps), "got {kbps} Kbps");
     }

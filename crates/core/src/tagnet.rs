@@ -221,7 +221,10 @@ impl TagSender {
         let n = bits.len().div_ceil(CHUNK_PAYLOAD_BITS).max(1);
         bits.resize(n * CHUNK_PAYLOAD_BITS, 0);
         TagSender {
-            chunks: bits.chunks(CHUNK_PAYLOAD_BITS).map(|c| c.to_vec()).collect(),
+            chunks: bits
+                .chunks(CHUNK_PAYLOAD_BITS)
+                .map(|c| c.to_vec())
+                .collect(),
             cursor: 0,
             served: false,
         }
@@ -464,7 +467,11 @@ impl SessionSender {
             }
             SessionQuery::Slide => {
                 let target = self.slide_target();
-                encode_chunk((target % 16) as u8, &base_report_payload(target), channel_bits)
+                encode_chunk(
+                    (target % 16) as u8,
+                    &base_report_payload(target),
+                    channel_bits,
+                )
             }
             SessionQuery::Resync => encode_chunk(
                 (self.base % 16) as u8,
@@ -518,7 +525,9 @@ pub fn parse_base_report(seq: u8, payload: &[u8]) -> Option<usize> {
     if magic != BASE_REPORT_MAGIC {
         return None;
     }
-    let base = payload[8..20].iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+    let base = payload[8..20]
+        .iter()
+        .fold(0usize, |acc, &b| (acc << 1) | b as usize);
     (seq == (base % 16) as u8).then_some(base)
 }
 
@@ -712,11 +721,14 @@ impl ReceiveWindow {
         if self.got.len() <= abs {
             self.got.resize(abs + 1, None);
         }
-        if self.got[abs].is_some() { // lint:allow(panic_path) resized to abs + 1 above
-            return 0; // duplicate
+        let duplicate = self.got[abs].is_some(); // lint:allow(panic_path) resized to abs + 1 above
+        if duplicate {
+            return 0;
         }
         if abs == 0 {
-            let len = payload[..12].iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+            let len = payload[..12]
+                .iter()
+                .fold(0usize, |acc, &b| (acc << 1) | b as usize);
             let hcrc = payload[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
             self.header = Some((len, hcrc));
             self.n_chunks = Some(1 + (len * 8).div_ceil(CHUNK_PAYLOAD_BITS));
@@ -1003,8 +1015,7 @@ where
         // noisy regime a lone valid decode (direct or combined) is only
         // a *candidate* — acceptance waits for a second decode, fed by
         // at least one fresh copy, to reproduce the identical payload.
-        let needs_confirm_pre =
-            client.diversity > 1 || client.history.iter().any(|&ok| !ok);
+        let needs_confirm_pre = client.diversity > 1 || client.history.iter().any(|&ok| !ok);
         let slot_abs = match q {
             SessionQuery::Slot(k) => Some(client.win.base() + k as usize),
             _ => None,
@@ -1053,9 +1064,10 @@ where
                     if valid {
                         let confirmed = match slot_abs {
                             Some(abs) => {
+                                let stashed = client.unconfirmed[abs].as_ref() == Some(&payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
                                 !needs_confirm_pre
                                     || candidate.as_ref().is_some_and(|(_, p)| *p == payload)
-                                    || client.unconfirmed[abs].as_ref() == Some(&payload) // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                                    || stashed
                             }
                             // Control reports carry ~20 check bits
                             // (CRC + magic + seq): strong enough to
@@ -1175,8 +1187,9 @@ where
                 // candidate gets stashed until a later decode agrees.
                 if unconfirmed_decode {
                     let payload = decoded.as_ref().map(|(_, p)| p.clone());
-                    if payload.is_some() && client.unconfirmed[abs] != payload { // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                        client.unconfirmed[abs] = payload; // lint:allow(panic_path) same bound as the check above
+                    let slot = &mut client.unconfirmed[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                    if payload.is_some() && *slot != payload {
+                        *slot = payload;
                         decoded = None;
                     }
                 }
@@ -1726,14 +1739,17 @@ mod tests {
         for b in tx.iter_mut().take(20) {
             *b ^= 1;
         }
-        assert_eq!(decode_chunk(&tx, 62), None, "CRC must catch what FEC cannot fix");
+        assert_eq!(
+            decode_chunk(&tx, 62),
+            None,
+            "CRC must catch what FEC cannot fix"
+        );
     }
 
     #[test]
     fn clean_channel_delivers_in_minimum_queries() {
         let message = b"hello, witag transport!";
-        let (got, queries) =
-            deliver(message, 62, 100, |tx| tx.to_vec()).expect("must deliver");
+        let (got, queries) = deliver(message, 62, 100, |tx| tx.to_vec()).expect("must deliver");
         assert_eq!(&got, message);
         // 23 bytes = 184 bits -> 10 chunks; one query per chunk + final.
         assert!(queries <= 12, "took {queries} queries");
@@ -1753,7 +1769,10 @@ mod tests {
         })
         .expect("ARQ must push the message through");
         assert_eq!(&got, message);
-        assert!(queries >= 4, "damage must have cost retransmissions: {queries}");
+        assert!(
+            queries >= 4,
+            "damage must have cost retransmissions: {queries}"
+        );
     }
 
     #[test]
@@ -1785,7 +1804,10 @@ mod tests {
         );
         assert!(matches!(
             encode_chunk(0, &payload, 7).unwrap_err(),
-            TagnetError::QueryTooSmall { channel_bits: 7, .. }
+            TagnetError::QueryTooSmall {
+                channel_bits: 7,
+                ..
+            }
         ));
         assert!(matches!(
             SessionSender::new(&[0u8; MAX_MESSAGE_BYTES + 1], 4).unwrap_err(),
@@ -1806,9 +1828,7 @@ mod tests {
     }
 
     /// A perfect channel: tag always hears, client always reads truth.
-    fn clean_channel(
-        sender_bits: &[u8],
-    ) -> RoundOutcome {
+    fn clean_channel(sender_bits: &[u8]) -> RoundOutcome {
         RoundOutcome {
             tag_heard: true,
             readout: Some(sender_bits.to_vec()),
@@ -1831,8 +1851,10 @@ mod tests {
 
     #[test]
     fn session_delivers_empty_message() {
-        let report =
-            run_session(b"", 62, &SessionConfig::default(), |_q, tx| clean_channel(tx)).unwrap();
+        let report = run_session(b"", 62, &SessionConfig::default(), |_q, tx| {
+            clean_channel(tx)
+        })
+        .unwrap();
         assert_eq!(report.delivered(), Some(&[][..]));
     }
 
@@ -1863,8 +1885,8 @@ mod tests {
         assert_eq!(win.store(0, vec![0; 5]), 0, "a short payload is ignored");
         assert_eq!(win.assemble(), None);
         for abs in 0..sender.chunk_count() {
-            let (_, payload) = decode_chunk(&encode_chunk(0, &sender.chunks[abs], 62).unwrap(), 62)
-                .unwrap();
+            let (_, payload) =
+                decode_chunk(&encode_chunk(0, &sender.chunks[abs], 62).unwrap(), 62).unwrap();
             assert_eq!(win.store(abs, payload.clone()), CHUNK_PAYLOAD_BITS);
             assert_eq!(win.store(abs, payload), 0, "a duplicate recovers nothing");
         }
@@ -2013,7 +2035,11 @@ mod tests {
             ..SessionConfig::default()
         };
         let report = run_session(message, 62, &cfg, |_q, tx| {
-            let bits = if rng.chance(0.2) { wrong.clone() } else { tx.to_vec() };
+            let bits = if rng.chance(0.2) {
+                wrong.clone()
+            } else {
+                tx.to_vec()
+            };
             RoundOutcome {
                 tag_heard: true,
                 readout: Some(bits),

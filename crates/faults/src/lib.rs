@@ -369,7 +369,11 @@ impl FaultInjector {
     /// stay sparse. The verdict and every internal draw are identical
     /// to `begin_round`; a detached recorder makes this a strict
     /// synonym.
-    pub fn begin_round_obs(&mut self, round: u64, rec: &mut dyn witag_obs::Recorder) -> RoundFaults {
+    pub fn begin_round_obs(
+        &mut self,
+        round: u64,
+        rec: &mut dyn witag_obs::Recorder,
+    ) -> RoundFaults {
         let (rf, mask) = self.judge();
         if mask != 0 && rec.enabled() {
             rec.record(&witag_obs::Event::FaultInjected { round, mask });
@@ -620,7 +624,13 @@ mod tests {
         assert!(!faulted.is_empty(), "hostile plan should fire");
         assert_eq!(buf.events().len(), faulted.len());
         for (event, (round, mask)) in buf.events().iter().zip(&faulted) {
-            assert_eq!(event, &Event::FaultInjected { round: *round, mask: *mask });
+            assert_eq!(
+                event,
+                &Event::FaultInjected {
+                    round: *round,
+                    mask: *mask
+                }
+            );
         }
     }
 }

@@ -580,7 +580,10 @@ impl Event {
                 esi,
                 accepted,
             } => {
-                let _ = write!(out, ",\"round\":{round},\"esi\":{esi},\"accepted\":{accepted}");
+                let _ = write!(
+                    out,
+                    ",\"round\":{round},\"esi\":{esi},\"accepted\":{accepted}"
+                );
             }
             Event::TagnetDecodeProgress {
                 round,
@@ -822,7 +825,10 @@ mod tests {
         for e in all_sample_events() {
             let mut s = String::new();
             e.write_json(&mut s);
-            assert!(s.starts_with(&format!("{{\"kind\":\"{}\"", e.kind())), "{s}");
+            assert!(
+                s.starts_with(&format!("{{\"kind\":\"{}\"", e.kind())),
+                "{s}"
+            );
             assert!(s.ends_with('}'), "{s}");
             // Balanced quotes: even count means every string closed.
             assert_eq!(s.matches('"').count() % 2, 0, "{s}");
@@ -831,7 +837,10 @@ mod tests {
 
     #[test]
     fn fault_classes_render_as_names() {
-        let e = Event::FaultInjected { round: 9, mask: 0b10010 };
+        let e = Event::FaultInjected {
+            round: 9,
+            mask: 0b10010,
+        };
         let mut s = String::new();
         e.write_json(&mut s);
         assert!(s.contains("\"classes\":\"ba_loss|brownout\""), "{s}");

@@ -332,7 +332,10 @@ mod tests {
         for kind in KINDS {
             assert!(rendered.contains(kind), "{kind} missing from:\n{rendered}");
         }
-        assert!(rendered.contains("1 sweep point(s), 1 shard(s)"), "{rendered}");
+        assert!(
+            rendered.contains("1 sweep point(s), 1 shard(s)"),
+            "{rendered}"
+        );
         assert!(rendered.contains("BER"), "{rendered}");
     }
 
@@ -350,8 +353,14 @@ mod tests {
     #[test]
     fn fault_masks_aggregate_per_class() {
         let s = summarise(&[
-            crate::Event::FaultInjected { round: 0, mask: 0b11 },
-            crate::Event::FaultInjected { round: 1, mask: 0b10 },
+            crate::Event::FaultInjected {
+                round: 0,
+                mask: 0b11,
+            },
+            crate::Event::FaultInjected {
+                round: 1,
+                mask: 0b10,
+            },
         ]);
         let r = s.render();
         assert!(r.contains("query_loss"), "{r}");
@@ -366,10 +375,29 @@ mod tests {
     #[test]
     fn net_lines_aggregate_into_the_fleet_sections() {
         let s = summarise(&[
-            crate::Event::NetEnqueue { round: 0, client: 0, tag: 0, deadline_us: 1000 },
-            crate::Event::NetEnqueue { round: 0, client: 1, tag: 1, deadline_us: 2000 },
-            crate::Event::NetGrant { round: 0, client: 0, tag: 0, airtime_us: 1200 },
-            crate::Event::NetCollision { round: 1, clients: 2, airtime_us: 1800 },
+            crate::Event::NetEnqueue {
+                round: 0,
+                client: 0,
+                tag: 0,
+                deadline_us: 1000,
+            },
+            crate::Event::NetEnqueue {
+                round: 0,
+                client: 1,
+                tag: 1,
+                deadline_us: 2000,
+            },
+            crate::Event::NetGrant {
+                round: 0,
+                client: 0,
+                tag: 0,
+                airtime_us: 1200,
+            },
+            crate::Event::NetCollision {
+                round: 1,
+                clients: 2,
+                airtime_us: 1800,
+            },
             crate::Event::NetSessionDone {
                 round: 2,
                 tag: 0,
