@@ -10,6 +10,7 @@
 use witag::experiment::{Experiment, ExperimentConfig};
 use witag_bench::{header, rounds_from_env};
 use witag_channel::{Link, LinkConfig, TagMode};
+use witag_obs::NullRecorder;
 use witag_phy::params::{Bandwidth, SubcarrierLayout};
 use witag_sim::geom::Floorplan;
 use witag_tag::device::BitEncoding;
@@ -66,7 +67,7 @@ fn main() {
             let mut cfg = ExperimentConfig::fig5(dist, 0x334);
             cfg.encoding = encoding;
             let mut exp = Experiment::new(cfg).unwrap();
-            bers.push(exp.run(rounds).ber());
+            bers.push(exp.run(rounds, &mut NullRecorder).ber());
         }
         println!("{:>10.1} {:>14.4} {:>14.4}", dist, bers[0], bers[1]);
     }

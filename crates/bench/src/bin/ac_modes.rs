@@ -14,6 +14,7 @@
 use witag::experiment::{Experiment, ExperimentConfig};
 use witag::query::DesignSpace;
 use witag_bench::{header, rounds_from_env};
+use witag_obs::NullRecorder;
 use witag_phy::params::Bandwidth;
 
 fn main() {
@@ -57,7 +58,7 @@ fn main() {
         cfg.design_space = space;
         let mut exp = Experiment::new(cfg).unwrap();
         let snr = exp.snr_db();
-        let stats = exp.run(rounds);
+        let stats = exp.run(rounds, &mut NullRecorder);
         println!(
             "{:>14} {:>10.1} {:>10?}-{:?} {:>12} {:>10.4} {:>12.1}",
             label,

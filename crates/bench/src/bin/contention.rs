@@ -9,6 +9,7 @@
 
 use witag::experiment::{CrossTraffic, Experiment, ExperimentConfig};
 use witag_bench::{header, rounds_from_env};
+use witag_obs::NullRecorder;
 use witag_sim::time::Duration;
 
 fn main() {
@@ -45,7 +46,7 @@ fn main() {
         let mut cfg = ExperimentConfig::fig5(1.0, 0xD01);
         cfg.cross_traffic = traffic;
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(rounds);
+        let stats = exp.run(rounds, &mut NullRecorder);
         println!(
             "{:>18} {:>12.1} {:>10.4} {:>16} {:>14}",
             label,

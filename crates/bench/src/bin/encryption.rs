@@ -8,6 +8,7 @@
 use witag::experiment::{Experiment, ExperimentConfig, SecurityMode};
 use witag_baselines::dsss::{deliver_modified_frame, HitchhikeDelivery};
 use witag_bench::{header, rounds_from_env};
+use witag_obs::NullRecorder;
 
 fn main() {
     header("ENC", "§4 (operation over open / WEP / WPA2 networks)");
@@ -26,7 +27,7 @@ fn main() {
         let mut cfg = ExperimentConfig::fig5(1.0, 0x901);
         cfg.security = mode;
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(rounds);
+        let stats = exp.run(rounds, &mut NullRecorder);
         println!(
             "{:>8} {:>10.4} {:>14.1} {:>18}",
             name,

@@ -20,6 +20,7 @@ use witag::experiment::{Experiment, ExperimentConfig};
 use witag::tagnet::{deliver, session_over_experiment, SessionConfig, SessionOutcome};
 use witag_bench::{header, rounds_from_env};
 use witag_faults::FaultPlan;
+use witag_obs::NullRecorder;
 use witag_sim::Rng;
 
 const SCENARIO_SEED: u64 = 0xFA01;
@@ -67,7 +68,7 @@ fn main() {
             ..SessionConfig::default()
         };
         let report =
-            session_over_experiment(&mut exp, &message, &cfg).expect("valid session setup");
+            session_over_experiment(&mut exp, &message, &cfg, &mut NullRecorder).expect("valid session setup");
         let stats = &report.stats;
         let session_cell = match &report.outcome {
             SessionOutcome::Delivered(bytes) => {

@@ -8,6 +8,7 @@
 
 use witag::experiment::{Experiment, ExperimentConfig};
 use witag_bench::{header, rounds_from_env};
+use witag_obs::NullRecorder;
 use witag_sim::stats::RunningStats;
 
 fn main() {
@@ -38,7 +39,7 @@ fn main() {
             let cfg = ExperimentConfig::fig5(dist, 0x515 + run * 7919 + dist as u64);
             let mut exp = Experiment::new(cfg).expect("LOS link must admit a design");
             let snr = exp.snr_db();
-            (exp.run(rounds), snr)
+            (exp.run(rounds, &mut NullRecorder), snr)
         },
     );
 

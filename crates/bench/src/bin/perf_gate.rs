@@ -173,21 +173,26 @@ fn main() {
     let t0 = Instant::now();
     let serial_stats = {
         let mut exp = Experiment::new(cfg.clone()).expect("viable scenario");
-        exp.run(rounds)
+        exp.run(rounds, &mut NullRecorder)
     };
     let serial_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let parallel_stats = Experiment::run_parallel(&cfg, None, rounds, threads)
+    let parallel_stats = Experiment::run_parallel(&cfg, None, rounds, threads, &mut NullRecorder)
         .expect("viable scenario");
     let parallel_s = t0.elapsed().as_secs_f64();
 
     // A faulted parallel run exercises the per-shard fault re-seeding
     // path so the gate covers it too.
     let t0 = Instant::now();
-    let faulted_stats =
-        Experiment::run_parallel(&cfg, Some(&FaultPlan::hostile(7)), rounds, threads)
-            .expect("viable scenario");
+    let faulted_stats = Experiment::run_parallel(
+        &cfg,
+        Some(&FaultPlan::hostile(7)),
+        rounds,
+        threads,
+        &mut NullRecorder,
+    )
+    .expect("viable scenario");
     let faulted_s = t0.elapsed().as_secs_f64();
 
     let serial_per_s = serial_stats.rounds as f64 / serial_s.max(1e-9);
@@ -272,7 +277,10 @@ fn main() {
     // apples-to-apples point against the fleet engine's old ceiling:
     // spatial reuse plus batching is what lifts the goodput ratio well
     // past the single-medium 2.34. The 1M-tag/1000-reader row is the
-    // metro-inventory headline the acceptance criteria gate on.
+    // metro-inventory headline the acceptance criteria gate on. The
+    // rows run on one worker whatever the host offers, so every field
+    // but the wall times is the same on any machine.
+    const METRO_THREADS: usize = 1;
     let metro_sizes: &[(usize, usize, usize, u64)] = if quick {
         // (tags, cells, readers, horizon_s)
         &[(1000, 4, 4, 60), (10_000, 16, 16, 60)]
@@ -298,7 +306,7 @@ fn main() {
             .with_duty_cycle(Duration::secs(4), 0.08);
             let t0 = Instant::now();
             let rep =
-                run_metro(&cfg, threads, &mut NullRecorder).expect("viable metro");
+                run_metro(&cfg, METRO_THREADS, &mut NullRecorder).expect("viable metro");
             (rep, t0.elapsed().as_secs_f64() * 1e3)
         };
         let (fair, fair_wall_ms) = bench(SchedulerKind::Fair);
@@ -357,7 +365,7 @@ fn main() {
         }
     }
     let net_json = format!(
-        "{{\n  \"schema\": \"witag-net-scale-v4\",\n  \"quick\": {quick},\n  \"duty\": {{ \"period_s\": 4, \"on_fraction\": 0.08 }},\n  \"scale\": [\n{}\n  ],\n  \"metro\": {{\n    \"note\": \"metro engine: reuse-3 cells, batch 8, 1 s epochs, duty-cycled fair vs serial; wall times are single-process at {threads} threads\",\n    \"rows\": [\n{}\n    ]\n  }},\n  \"transport\": {{\n    \"note\": \"2 clients x {t_tags} tags, fair scheduler, horizon {:.0} s; per row, every link runs FaultPlan::hostile(0xBE^i) at the stated intensity (1.0 = stock PR-1 hostile plan)\",\n    \"rows\": [\n{}\n    ]\n  }}\n}}",
+        "{{\n  \"schema\": \"witag-net-scale-v4\",\n  \"quick\": {quick},\n  \"duty\": {{ \"period_s\": 4, \"on_fraction\": 0.08 }},\n  \"scale\": [\n{}\n  ],\n  \"metro\": {{\n    \"note\": \"metro engine: reuse-3 cells, batch 8, 1 s epochs, duty-cycled fair vs serial; wall times are single-process at {METRO_THREADS} threads\",\n    \"rows\": [\n{}\n    ]\n  }},\n  \"transport\": {{\n    \"note\": \"2 clients x {t_tags} tags, fair scheduler, horizon {:.0} s; per row, every link runs FaultPlan::hostile(0xBE^i) at the stated intensity (1.0 = stock PR-1 hostile plan)\",\n    \"rows\": [\n{}\n    ]\n  }}\n}}",
         rows.join(",\n"),
         metro_rows.join(",\n"),
         t_horizon.as_secs_f64(),

@@ -9,6 +9,7 @@
 
 use witag::experiment::{Experiment, ExperimentConfig};
 use witag_bench::{header, rounds_from_env};
+use witag_obs::NullRecorder;
 use witag_tag::oscillator::Oscillator;
 use witag_tag::power::{rf_harvest_uw, PowerBudget};
 
@@ -23,7 +24,7 @@ fn battery_free_part(rounds: usize) {
         cfg.link.interference_rate_hz = 0.0;
         cfg.energy_capacity_uj = Some(cap);
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(rounds);
+        let stats = exp.run(rounds, &mut NullRecorder);
         // Overall BER includes skipped rounds (each skip scores its
         // 0-bits as errors), so it tracks the duty cycle directly.
         println!(
@@ -72,7 +73,7 @@ fn main() {
                 cfg.clock = Oscillator::Ring { freq_hz: 250e3 };
             }
             let mut exp = Experiment::new(cfg).unwrap();
-            bers.push(exp.run(rounds).ber());
+            bers.push(exp.run(rounds, &mut NullRecorder).ber());
         }
         println!("{:>10.1} {:>18.4} {:>18.4}", dt, bers[0], bers[1]);
     }

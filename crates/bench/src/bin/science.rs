@@ -490,7 +490,7 @@ fn fig5_rows(rows: &mut Vec<Row>) {
             let cfg = ExperimentConfig::fig5(dist, fig5_seed(dist, (i % seeds) as u64));
             Experiment::new(cfg)
                 .expect("LOS link must admit a design")
-                .run(FIG5_ROUNDS)
+                .run(FIG5_ROUNDS, &mut NullRecorder)
         },
     );
     let mut ber = Vec::new();
@@ -541,7 +541,7 @@ fn fig6_rows(rows: &mut Vec<Row>) {
             };
             let s = Experiment::new(cfg)
                 .expect("NLOS link must admit a design")
-                .run(FIG6_ROUNDS);
+                .run(FIG6_ROUNDS, &mut NullRecorder);
             (s.errors.errors() as u64, s.errors.total as u64)
         },
     );

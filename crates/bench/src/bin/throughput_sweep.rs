@@ -13,6 +13,7 @@ use witag::experiment::{Experiment, ExperimentConfig};
 use witag::query::{QueryDesign, SUBFRAME_OVERHEAD};
 use witag_bench::{header, rounds_from_env};
 use witag_channel::{Link, LinkConfig};
+use witag_obs::NullRecorder;
 use witag_phy::mcs::{Mcs, Modulation};
 use witag_phy::ppdu::PhyConfig;
 use witag_sim::geom::Floorplan;
@@ -98,7 +99,7 @@ fn main() {
     // The sharded runner splits the rounds across cores; its statistics
     // are thread-count invariant (see Experiment::run_parallel docs).
     let stats =
-        Experiment::run_parallel(&cfg, None, rounds, witag_sim::available_threads()).unwrap();
+        Experiment::run_parallel(&cfg, None, rounds, witag_sim::available_threads(), &mut NullRecorder).unwrap();
     println!(
         "design {:?} x {} symbols -> measured {:.1} Kbps at BER {:.4} ({} shards)",
         exp.design.phy.mcs.modulation,

@@ -47,24 +47,22 @@
 
 mod args;
 
-use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use args::{ArgError, Args};
 use witag::experiment::{Experiment, ExperimentConfig, SecurityMode};
+use witag::fanout::par_map_traced;
 use witag::moxcatter::{run_point, MoxConfig, MAX_PAYLOAD_BYTES};
 use witag::query::QueryDesign;
-use witag::tagnet::{
-    deliver, session_over_experiment, session_over_experiment_obs, SessionConfig, SessionOutcome,
-};
+use witag::tagnet::{deliver, session_over_experiment, SessionConfig, SessionOutcome};
 use witag_channel::{Link, LinkConfig};
 use witag_faults::FaultPlan;
 use witag_net::{
     run_metro, run_replicas, FleetConfig, FleetReport, MetroConfig, SchedulerKind, Transport,
 };
-use witag_obs::{BufferRecorder, Event, JsonlRecorder, NullRecorder, Recorder, TraceSummary};
+use witag_obs::{Event, JsonlRecorder, NullRecorder, Recorder, TraceSummary};
 use witag_sim::geom::Floorplan;
 use witag_sim::time::Duration;
 use witag_tag::device::BitEncoding;
@@ -260,7 +258,7 @@ fn cmd_run(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         exp.design.subframe_bytes,
         exp.design.n_subframes
     );
-    let stats = exp.run(rounds);
+    let stats = exp.run(rounds, &mut NullRecorder);
     outln!(
         out,
         "{} rounds: BER {:.4} (false0 {}, false1 {}), throughput {:.1} Kbps, \
@@ -319,19 +317,26 @@ fn trace_arg(a: &Args) -> Result<Option<String>, ArgError> {
     }
 }
 
-/// Open a JSONL trace sink at `path`.
-fn open_trace(path: &str) -> Result<JsonlRecorder<BufWriter<File>>, CliError> {
-    JsonlRecorder::create(Path::new(path))
-        .map_err(|e| CliError::Io(format!("cannot create trace file '{path}': {e}")))
-}
-
-/// Flush a trace sink and report how many events landed on disk.
-fn close_trace(rec: JsonlRecorder<BufWriter<File>>, path: &str) -> Result<(), CliError> {
+/// Run `body` against the `--trace` sink: a JSONL file at `trace`
+/// (opened before and flushed after, reporting how many events landed
+/// on disk), or a [`NullRecorder`] when no trace was asked for. A sink
+/// that cannot be written fails with [`CliError::Io`], ahead of any
+/// error from `body`.
+fn with_trace<T>(
+    trace: Option<String>,
+    body: impl FnOnce(&mut dyn Recorder) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let Some(path) = trace else {
+        return body(&mut NullRecorder);
+    };
+    let mut rec = JsonlRecorder::create(Path::new(&path))
+        .map_err(|e| CliError::Io(format!("cannot create trace file '{path}': {e}")))?;
+    let out = body(&mut rec);
     let events = rec.lines();
     rec.finish()
         .map_err(|e| CliError::Io(format!("trace file '{path}' is incomplete: {e}")))?;
     eprintln!("trace: {events} events -> {path}");
-    Ok(())
+    out
 }
 
 fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -353,49 +358,36 @@ fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Sweep points are independent experiments, so they parallelise with
     // no change in output: each point's seed and round sequence are
     // exactly what the serial loop used, and results print in distance
-    // order regardless of completion order. When tracing, each worker
-    // buffers its point's events and the buffers are replayed in point
-    // order, so the trace bytes are thread-count-invariant too.
+    // order regardless of completion order. The trace replays each
+    // point's events in point order behind a `sweep_point` marker, so
+    // its bytes are thread-count-invariant too.
     let mut distances = Vec::new();
     let mut d = from;
     while d <= to + 1e-9 {
         distances.push(d);
         d += step.max(0.01);
     }
-    let tracing = trace.is_some();
-    let results = witag_sim::par_map(distances.len(), threads, |i| {
-        let mut exp = Experiment::new(ExperimentConfig::fig5(distances[i], seed))?;
-        Ok(if tracing {
-            let mut buf = BufferRecorder::new();
-            let stats = exp.run_obs(rounds, &mut buf);
-            (stats, Some(buf))
-        } else {
-            (exp.run(rounds), None)
-        })
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, witag::ExperimentError>>()
-    .map_err(|e| sim("sweep point not viable", e))?;
-    for (d, (stats, _)) in distances.iter().zip(results.iter()) {
+    let results = with_trace(trace, |rec| {
+        let work = |i: usize, rec: &mut dyn Recorder| {
+            let mut exp = Experiment::new(ExperimentConfig::fig5(distances[i], seed))?;
+            Ok(exp.run(rounds, rec))
+        };
+        let marker = |i: usize, _: &witag::ExperimentStats| {
+            Some(Event::SweepPoint {
+                index: i as u32,
+                distance_m: distances[i],
+            })
+        };
+        par_map_traced(distances.len(), threads, rec, work, marker)
+            .map_err(|e: witag::ExperimentError| sim("sweep point not viable", e))
+    })?;
+    for (d, stats) in distances.iter().zip(results.iter()) {
         outln!(
             out,
             "{d:>10.2} {:>10.4} {:>14.1}",
             stats.ber(),
             stats.throughput_kbps()
         );
-    }
-    if let Some(path) = trace {
-        let mut rec = open_trace(&path)?;
-        for (i, (d, (_, buf))) in distances.iter().zip(results.iter()).enumerate() {
-            rec.record(&Event::SweepPoint {
-                index: i as u32,
-                distance_m: *d,
-            });
-            if let Some(buf) = buf {
-                buf.replay_into(&mut rec);
-            }
-        }
-        close_trace(rec, &path)?;
     }
     Ok(())
 }
@@ -478,27 +470,24 @@ fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .iter()
         .flat_map(|&n| distances.iter().map(move |&d| (n, d)))
         .collect();
-    let tracing = trace.is_some();
-    // Points are independent; parallelise like `sweep` with per-point
-    // buffers replayed in point order for thread-count-invariant traces.
-    let results = witag_sim::par_map(points.len(), threads, |i| {
-        let (n, d) = points[i];
-        let cfg = MoxConfig {
-            streams: n,
-            base_mcs,
-            subframes,
-            payload_bytes: payload,
-            equaliser: eq,
-            seed,
+    // Points are independent; parallelise like `sweep`, with each
+    // point's events replayed in point order (no marker: the point's
+    // own `phy.mimo.sound` carries its index).
+    let results = with_trace(trace, |rec| {
+        let work = |i: usize, rec: &mut dyn Recorder| {
+            let (n, d) = points[i];
+            let cfg = MoxConfig {
+                streams: n,
+                base_mcs,
+                subframes,
+                payload_bytes: payload,
+                equaliser: eq,
+                seed,
+            };
+            Ok(run_point(i as u32, d, &cfg, rec))
         };
-        if tracing {
-            let mut buf = BufferRecorder::new();
-            let r = run_point(i as u32, d, &cfg, &mut buf);
-            (r, Some(buf))
-        } else {
-            (run_point(i as u32, d, &cfg, &mut NullRecorder), None)
-        }
-    });
+        par_map_traced(points.len(), threads, rec, work, |_, _| None)
+    })?;
 
     outln!(
         out,
@@ -511,7 +500,7 @@ fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "acked",
         "hit"
     );
-    for ((n, d), (r, _)) in points.iter().zip(results.iter()) {
+    for ((n, d), r) in points.iter().zip(results.iter()) {
         let acked: Vec<String> = r
             .streams
             .iter()
@@ -529,15 +518,6 @@ fn cmd_mox(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             r.streams_hit(),
             n
         );
-    }
-    if let Some(path) = trace {
-        let mut rec = open_trace(&path)?;
-        for (_, buf) in &results {
-            if let Some(buf) = buf {
-                buf.replay_into(&mut rec);
-            }
-        }
-        close_trace(rec, &path)?;
     }
     Ok(())
 }
@@ -625,15 +605,10 @@ fn cmd_faults(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         max_rounds: budget,
         ..SessionConfig::default()
     };
-    let outcome = if let Some(path) = &trace {
-        let mut rec = open_trace(path)?;
-        let r = session_over_experiment_obs(&mut exp, message.as_bytes(), &cfg, &mut rec);
-        close_trace(rec, path)?;
-        r
-    } else {
-        session_over_experiment(&mut exp, message.as_bytes(), &cfg)
-    };
-    let report = outcome.map_err(|e| sim("session setup failed", e))?;
+    let report = with_trace(trace, |rec| {
+        session_over_experiment(&mut exp, message.as_bytes(), &cfg, rec)
+            .map_err(|e| sim("session setup failed", e))
+    })?;
     let s = &report.stats;
     outln!(
         out,
@@ -735,15 +710,9 @@ fn cmd_net(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if duty > 0.0 {
         cfg = cfg.with_duty_cycle(Duration::millis(duty_period_ms), duty);
     }
-    let outcome = if let Some(path) = &trace {
-        let mut rec = open_trace(path)?;
-        let r = run_replicas(&cfg, replicas, threads, &mut rec);
-        close_trace(rec, path)?;
-        r
-    } else {
-        run_replicas(&cfg, replicas, threads, &mut NullRecorder)
-    };
-    let reports = outcome.map_err(|e| sim("fleet not viable", e))?;
+    let reports = with_trace(trace, |rec| {
+        run_replicas(&cfg, replicas, threads, rec).map_err(|e| sim("fleet not viable", e))
+    })?;
     outln!(
         out,
         "fleet: {clients} client(s) x {tags} tag(s) | scheduler {} | transport {} | horizon {horizon_ms} ms | seed {seed}",
@@ -804,15 +773,9 @@ fn cmd_net_metro(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if duty > 0.0 {
         cfg = cfg.with_duty_cycle(Duration::millis(duty_period_ms), duty);
     }
-    let outcome = if let Some(path) = &trace {
-        let mut rec = open_trace(path)?;
-        let r = run_metro(&cfg, threads, &mut rec);
-        close_trace(rec, path)?;
-        r
-    } else {
-        run_metro(&cfg, threads, &mut NullRecorder)
-    };
-    let rep = outcome.map_err(|e| sim("metro not viable", e))?;
+    let rep = with_trace(trace, |rec| {
+        run_metro(&cfg, threads, rec).map_err(|e| sim("metro not viable", e))
+    })?;
     outln!(
         out,
         "metro: {cells} cell(s) x {readers} reader(s) x {tags} tag(s) | scheduler {} | {} channel(s) -> {} contention domain(s)",

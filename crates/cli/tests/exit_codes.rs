@@ -54,6 +54,18 @@ fn an_io_failure_exits_1() {
         ],
         1,
     );
+    assert_fails_with(
+        &[
+            "sweep",
+            "--rounds",
+            "1",
+            "--threads",
+            "1",
+            "--trace",
+            "/nonexistent-dir/t.jsonl",
+        ],
+        1,
+    );
 }
 
 #[test]

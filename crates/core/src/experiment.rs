@@ -26,6 +26,7 @@
 //! simulated time still advances by the true round airtime so channel
 //! drift statistics are honest. EXPERIMENTS.md discusses the effect.
 
+use crate::fanout::par_map_traced;
 use crate::query::{BuiltQuery, DesignSpace, QueryDesign};
 use crate::reader::{read_tag_bits, BitErrors, TagReadout};
 use witag_channel::{Link, LinkConfig, TagSchedule};
@@ -34,13 +35,12 @@ use witag_faults::{FaultCounters, FaultInjector, FaultPlan, RoundFaults};
 use witag_mac::access::Contention;
 use witag_mac::header::Addr;
 use witag_mac::{deaggregate, BlockAck, Security};
-use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
+use witag_obs::{Event, NullRecorder, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit};
 use witag_phy::params::timing;
 use witag_phy::receiver::{receive_with_scratch, RxScratch};
 use witag_sim::geom::{Floorplan, Point2};
-use witag_sim::parallel::par_map;
 use witag_sim::stats::SampleSet;
 use witag_sim::time::{Duration, Instant};
 use witag_sim::Rng;
@@ -485,20 +485,16 @@ impl Experiment {
     /// resilient session backing off from a fault burst). Fault models
     /// keep evolving, links keep fading and the tag's harvester keeps
     /// charging — but no query is sent and no bits move.
-    pub fn run_idle(&mut self) -> Duration {
-        self.run_idle_obs(&mut NullRecorder)
-    }
-
-    /// [`run_idle`](Self::run_idle) with observability: fault verdicts
-    /// that fire during the quiet period still emit `fault` events (so a
-    /// trace shows what a backing-off client sat out), and the round
-    /// stamp advances to keep trace numbering continuous. Detached
-    /// recorder ⇒ bit-identical to `run_idle`.
-    pub fn run_idle_obs(&mut self, rec: &mut dyn Recorder) -> Duration {
+    ///
+    /// Fault verdicts that fire during the quiet period still emit
+    /// `fault` events into `rec` (so a trace shows what a backing-off
+    /// client sat out), and the round stamp advances to keep trace
+    /// numbering continuous.
+    pub fn run_idle(&mut self, rec: &mut dyn Recorder) -> Duration {
         let obs_round = self.trace_round;
         self.trace_round += 1;
         if let Some(inj) = self.faults.as_mut() {
-            let _ = inj.begin_round_obs(obs_round, rec);
+            let _ = inj.begin_round(obs_round, rec);
         }
         let dt = self.design.round_airtime_estimate();
         self.now += dt;
@@ -512,17 +508,21 @@ impl Experiment {
 
     /// Run one query round with the given tag bits (length must be
     /// `design.bits_per_query()`; shorter is padded with 1s by the tag).
+    ///
+    /// The one quiet twin left in the workspace: it is
+    /// [`run_round_obs`](Self::run_round_obs) with a [`NullRecorder`],
+    /// kept because the repository benchmark (`perfbench/src/fig5.rs`)
+    /// calls both names.
     pub fn run_round(&mut self, bits: &[u8]) -> RoundResult {
         self.run_round_obs(bits, &mut NullRecorder)
     }
 
-    /// [`run_round`](Self::run_round) with observability: emits `fault`
-    /// (when the injector fires), `phy_rx` (forward-link decode quality),
-    /// `ba` (bitmap assembly) and `round` (the per-round scoreboard)
-    /// events, all stamped with this round's trace index. Every emission
-    /// is gated on [`Recorder::enabled`], so a detached recorder costs
-    /// one branch per seam and the result is bit-identical to
-    /// `run_round`.
+    /// Run one query round, tracing into `rec`: emits `fault` (when the
+    /// injector fires), `phy_rx` (forward-link decode quality), `ba`
+    /// (bitmap assembly) and `round` (the per-round scoreboard) events,
+    /// all stamped with this round's trace index. Every emission is
+    /// gated on [`Recorder::enabled`], so a detached recorder costs one
+    /// branch per seam and the result is bit-identical to `run_round`.
     pub fn run_round_obs(&mut self, bits: &[u8], rec: &mut dyn Recorder) -> RoundResult {
         let obs_round = self.trace_round;
         self.trace_round += 1;
@@ -531,7 +531,7 @@ impl Experiment {
 
         // -- 0. Fault verdict for this round. ---------------------------
         let rf = match self.faults.as_mut() {
-            Some(inj) => inj.begin_round_obs(obs_round, rec),
+            Some(inj) => inj.begin_round(obs_round, rec),
             None => RoundFaults::inert(),
         };
         // Persistent fault state (oscillator drift, coherence collapse):
@@ -771,15 +771,10 @@ impl Experiment {
     }
 
     /// Run `rounds` rounds of random tag data, accumulating statistics.
-    pub fn run(&mut self, rounds: usize) -> ExperimentStats {
-        self.run_obs(rounds, &mut NullRecorder)
-    }
-
-    /// [`run`](Self::run) with observability: every round goes through
-    /// [`run_round_obs`](Self::run_round_obs), so an attached recorder
-    /// sees the full per-round event stream. Statistics are identical to
-    /// `run` whatever the recorder does.
-    pub fn run_obs(&mut self, rounds: usize, rec: &mut dyn Recorder) -> ExperimentStats {
+    /// Every round goes through [`run_round_obs`](Self::run_round_obs),
+    /// so an attached `rec` sees the full per-round event stream; the
+    /// statistics are the same whatever the recorder does.
+    pub fn run(&mut self, rounds: usize, rec: &mut dyn Recorder) -> ExperimentStats {
         let mut stats = ExperimentStats::default();
         let n_bits = self.design.bits_per_query();
         for _ in 0..rounds {
@@ -819,40 +814,29 @@ impl Experiment {
     /// for every `threads >= 1` (`tests/parallel_determinism.rs`). When a
     /// `plan` is given, each shard re-seeds it from the same shard
     /// stream, so fault schedules are thread-count invariant too.
+    ///
+    /// Tracing goes through [`par_map_traced`]: each shard's round
+    /// stamps are rebased to its first global round, and its events
+    /// replay into `rec` in shard order behind a `shard` marker, so the
+    /// merged trace is byte-identical for every `threads >= 1`
+    /// (`tests/trace_determinism.rs`).
     pub fn run_parallel(
-        cfg: &ExperimentConfig,
-        plan: Option<&FaultPlan>,
-        rounds: usize,
-        threads: usize,
-    ) -> Result<ExperimentStats, ExperimentError> {
-        Self::run_parallel_traced(cfg, plan, rounds, threads, &mut NullRecorder)
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with observability. Each
-    /// shard records into a private in-memory buffer while running (its
-    /// round stamps rebased to the shard's first global round); after
-    /// the fork-join the buffers are replayed into `rec` **in shard
-    /// order**, each prefixed by a `shard` marker event — so the merged
-    /// trace is byte-identical for every `threads >= 1`
-    /// (`tests/trace_determinism.rs`). A detached recorder skips the
-    /// buffering entirely and behaves exactly like `run_parallel`.
-    pub fn run_parallel_traced(
         cfg: &ExperimentConfig,
         plan: Option<&FaultPlan>,
         rounds: usize,
         threads: usize,
         rec: &mut dyn Recorder,
     ) -> Result<ExperimentStats, ExperimentError> {
-        let tracing = rec.enabled();
         let n_shards = rounds.div_ceil(PARALLEL_SHARD_ROUNDS).max(1);
-        let shard_results = par_map(n_shards, threads, |shard| {
+        let shard_rounds = |shard: usize| {
+            PARALLEL_SHARD_ROUNDS.min(rounds - (shard * PARALLEL_SHARD_ROUNDS).min(rounds))
+        };
+        let work = |shard: usize, rec: &mut dyn Recorder| {
             // Derive the shard's seed (and fault stream) from the master
             // seed only — never from thread identity or completion order.
             let mut stream = Rng::seed_from_u64(cfg.seed).fork(shard as u64);
             let mut shard_cfg = cfg.clone();
             shard_cfg.seed = stream.next_u64();
-            let shard_rounds =
-                PARALLEL_SHARD_ROUNDS.min(rounds - (shard * PARALLEL_SHARD_ROUNDS).min(rounds));
             let mut exp = Experiment::new(shard_cfg)?;
             exp.set_trace_base((shard * PARALLEL_SHARD_ROUNDS) as u64);
             if let Some(p) = plan {
@@ -860,25 +844,17 @@ impl Experiment {
                 shard_plan.seed = stream.next_u64();
                 exp.attach_faults(shard_plan);
             }
-            let mut buf = BufferRecorder::new();
-            let stats = if tracing {
-                exp.run_obs(shard_rounds, &mut buf)
-            } else {
-                exp.run(shard_rounds)
-            };
-            Ok((stats, buf, shard_rounds))
-        });
+            Ok(exp.run(shard_rounds(shard), rec))
+        };
+        let marker = |shard: usize, _: &ExperimentStats| {
+            Some(Event::Shard {
+                index: shard as u32,
+                base_round: (shard * PARALLEL_SHARD_ROUNDS) as u64,
+                rounds: shard_rounds(shard) as u32,
+            })
+        };
         let mut total = ExperimentStats::default();
-        for (shard, r) in shard_results.into_iter().enumerate() {
-            let (s, buf, shard_rounds) = r?;
-            if tracing {
-                rec.record(&Event::Shard {
-                    index: shard as u32,
-                    base_round: (shard * PARALLEL_SHARD_ROUNDS) as u64,
-                    rounds: shard_rounds as u32,
-                });
-                buf.replay_into(rec);
-            }
+        for s in par_map_traced(n_shards, threads, rec, work, marker)? {
             if s.rounds > 0 {
                 total.window_bers.push(s.ber());
             }
@@ -893,7 +869,7 @@ impl Experiment {
     pub fn run_windows(&mut self, windows: usize, rounds_per_window: usize) -> ExperimentStats {
         let mut total = ExperimentStats::default();
         for _ in 0..windows {
-            let w = self.run(rounds_per_window);
+            let w = self.run(rounds_per_window, &mut NullRecorder);
             total.merge(&w);
             total.window_bers.push(w.ber());
         }
@@ -904,6 +880,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use witag_obs::BufferRecorder;
 
     fn quiet(mut cfg: ExperimentConfig) -> ExperimentConfig {
         cfg.link.interference_rate_hz = 0.0;
@@ -913,7 +890,7 @@ mod tests {
     #[test]
     fn fig5_near_client_low_ber() {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 7))).unwrap();
-        let stats = exp.run(30);
+        let stats = exp.run(30, &mut NullRecorder);
         assert_eq!(stats.missed_triggers, 0, "crystal tag must always trigger");
         assert!(
             stats.ber() < 0.02,
@@ -933,7 +910,7 @@ mod tests {
             let mut errors = BitErrors::default();
             for seed in 8..12 {
                 let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(dist, seed))).unwrap();
-                errors.merge(&exp.run(40).errors);
+                errors.merge(&exp.run(40, &mut NullRecorder).errors);
             }
             errors.ber()
         };
@@ -948,7 +925,7 @@ mod tests {
     #[test]
     fn throughput_in_tens_of_kbps() {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 9))).unwrap();
-        let stats = exp.run(30);
+        let stats = exp.run(30, &mut NullRecorder);
         let kbps = stats.throughput_kbps();
         assert!(
             (15.0..120.0).contains(&kbps),
@@ -961,7 +938,7 @@ mod tests {
         let mut cfg = quiet(ExperimentConfig::fig5(1.0, 10));
         cfg.security = SecurityMode::Wpa2;
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(20);
+        let stats = exp.run(20, &mut NullRecorder);
         assert!(stats.ber() < 0.02, "WPA2 must not affect the tag channel");
         assert_eq!(exp.decrypt_failures, 0, "surviving frames must decrypt");
     }
@@ -971,7 +948,7 @@ mod tests {
         let mut cfg = quiet(ExperimentConfig::fig5(1.0, 11));
         cfg.security = SecurityMode::Wep;
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(20);
+        let stats = exp.run(20, &mut NullRecorder);
         assert!(stats.ber() < 0.02);
         assert_eq!(exp.decrypt_failures, 0);
     }
@@ -980,7 +957,7 @@ mod tests {
     fn nlos_scenarios_construct_and_run() {
         for cfg in [ExperimentConfig::nlos_a(12), ExperimentConfig::nlos_b(12)] {
             let mut exp = Experiment::new(quiet(cfg)).unwrap();
-            let stats = exp.run(10);
+            let stats = exp.run(10, &mut NullRecorder);
             assert_eq!(stats.rounds, 10);
             assert!(stats.ber() < 0.5);
         }
@@ -1003,8 +980,8 @@ mod tests {
             mean_airtime: Duration::micros(800),
         });
         let mut busy_exp = Experiment::new(busy_cfg).unwrap();
-        let q = quiet_exp.run(25);
-        let b = busy_exp.run(25);
+        let q = quiet_exp.run(25, &mut NullRecorder);
+        let b = busy_exp.run(25, &mut NullRecorder);
         assert!(
             b.throughput_kbps() < q.throughput_kbps() * 0.9,
             "foreign traffic must cost airtime: {} vs {} Kbps",
@@ -1025,7 +1002,7 @@ mod tests {
     #[test]
     fn ba_loss_negligible_on_strong_links() {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 16))).unwrap();
-        let stats = exp.run(30);
+        let stats = exp.run(30, &mut NullRecorder);
         assert_eq!(stats.lost_block_acks, 0, "50 dB link must not drop BAs");
     }
 
@@ -1038,7 +1015,7 @@ mod tests {
         let mut cfg = quiet(ExperimentConfig::fig5(1.0, 19));
         cfg.energy_capacity_uj = Some(0.05); // tiny capacitor
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(40);
+        let stats = exp.run(40, &mut NullRecorder);
         assert!(
             exp.energy_skips > 0,
             "a tiny capacitor must force duty cycling"
@@ -1051,7 +1028,7 @@ mod tests {
         let mut cfg2 = quiet(ExperimentConfig::fig5(1.0, 19));
         cfg2.energy_capacity_uj = Some(500.0);
         let mut exp2 = Experiment::new(cfg2).unwrap();
-        let _ = exp2.run(40);
+        let _ = exp2.run(40, &mut NullRecorder);
         assert!(exp2.energy_skips < exp.energy_skips);
     }
 
@@ -1064,8 +1041,8 @@ mod tests {
         let mut cfg = quiet(ExperimentConfig::fig5(2.0, 17));
         cfg.origin = QueryOrigin::Ap;
         let mut ap_led = Experiment::new(cfg).unwrap();
-        let c = client_led.run(25);
-        let a = ap_led.run(25);
+        let c = client_led.run(25, &mut NullRecorder);
+        let a = ap_led.run(25, &mut NullRecorder);
         assert!(c.ber() < 0.02, "client-led BER {}", c.ber());
         assert!(a.ber() < 0.02, "AP-led BER {}", a.ber());
         // Same design emerges (the link budget is reciprocal).
@@ -1083,7 +1060,7 @@ mod tests {
             let mut cfg = quiet(ExperimentConfig::fig5(1.0, 18));
             cfg.design_space = DesignSpace { bandwidth: bw, vht };
             let mut exp = Experiment::new(cfg).unwrap();
-            let stats = exp.run(15);
+            let stats = exp.run(15, &mut NullRecorder);
             assert!(
                 stats.ber() < 0.02,
                 "{bw:?}/vht={vht}: BER {} — corruption must work across widths",
@@ -1099,8 +1076,8 @@ mod tests {
         let mut a = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 21))).unwrap();
         let mut b = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 21))).unwrap();
         b.attach_faults(FaultPlan::quiet(99));
-        let sa = a.run(12);
-        let sb = b.run(12);
+        let sa = a.run(12, &mut NullRecorder);
+        let sb = b.run(12, &mut NullRecorder);
         assert_eq!(sa.errors, sb.errors);
         assert_eq!(sa.elapsed, sb.elapsed);
         assert_eq!(sa.missed_triggers, sb.missed_triggers);
@@ -1119,7 +1096,7 @@ mod tests {
     fn hostile_plan_surfaces_every_fault_class() {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 22))).unwrap();
         exp.attach_faults(FaultPlan::hostile(7));
-        let stats = exp.run(160);
+        let stats = exp.run(160, &mut NullRecorder);
         let c = *exp.fault_counters().unwrap();
         assert_eq!(c.rounds, 160);
         assert!(c.block_acks_lost > 0, "{c:?}");
@@ -1150,7 +1127,7 @@ mod tests {
             // The recorder sees one `fault` event (round, class mask) per
             // faulted round.
             let mut buf = BufferRecorder::new();
-            let stats = exp.run_obs(30, &mut buf);
+            let stats = exp.run(30, &mut buf);
             (
                 stats.errors,
                 stats.elapsed,
@@ -1165,7 +1142,7 @@ mod tests {
     fn idle_rounds_advance_time_and_fault_models() {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(1.0, 24))).unwrap();
         exp.attach_faults(FaultPlan::hostile(3));
-        let dt = exp.run_idle();
+        let dt = exp.run_idle(&mut NullRecorder);
         assert!(!dt.is_zero());
         assert_eq!(exp.fault_counters().unwrap().rounds, 1);
     }
@@ -1179,7 +1156,7 @@ mod tests {
         // smears its schedule): BER collapses toward 0.25+ (half the 0s
         // unanswered). This is the §7 temperature argument end-to-end.
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(20);
+        let stats = exp.run(20, &mut NullRecorder);
         assert!(
             stats.ber() > 0.1,
             "hot ring oscillator must fail, BER {}",

@@ -14,6 +14,9 @@
 //! * [`experiment`] — the full evaluation loop (client ⇄ AP ⇄ tag over
 //!   the geometric channel) with presets for every scenario in the
 //!   paper's §6,
+//! * [`fanout`] — the one traced fan-out ([`fanout::par_map_traced`])
+//!   behind every parallel runner: results in index order and a trace
+//!   that does not depend on the thread count,
 //! * [`tagnet`] — reliable chunked transports layered on the raw bit
 //!   channel: CRC-framed chunks with stop-and-wait ARQ via dual trigger
 //!   signatures ([`tagnet::deliver`]), and a resilient session layer
@@ -32,8 +35,12 @@
 //! [`experiment::Experiment::attach_faults`]; without a plan attached,
 //! results are bit-identical to a build without the fault layer.
 //!
+//! Every traced operation has one entry point that takes a
+//! `&mut dyn witag_obs::Recorder`; a quiet run passes `&mut NullRecorder`.
+//!
 //! ```
 //! use witag::experiment::{Experiment, ExperimentConfig};
+//! use witag_obs::NullRecorder;
 //! // Paper Figure 5 operating point: tag 1 m from the client. The
 //! // figure's BER is an average over runs, and a seed is one channel
 //! // realisation (one room), so the bound is on the mean over four: at
@@ -43,7 +50,7 @@
 //!         let mut cfg = ExperimentConfig::fig5(1.0, seed);
 //!         cfg.link.interference_rate_hz = 0.0; // quiet channel for the doctest
 //!         let mut exp = Experiment::new(cfg).unwrap();
-//!         exp.run(5).ber()
+//!         exp.run(5, &mut NullRecorder).ber()
 //!     })
 //!     .sum::<f64>()
 //!     / 4.0;
@@ -57,6 +64,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiment;
+pub mod fanout;
 pub mod fec;
 pub mod fountain;
 pub mod moxcatter;

@@ -22,11 +22,10 @@
 
 use crate::fec::FecLayout;
 use crate::fountain::{FountainQuery, FountainReceiver, FountainSender};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use witag_crypto::crc8;
-use witag_obs::{Event, NullRecorder, Recorder, SharedRecorder};
+use witag_obs::{Event, Recorder};
 
 /// Payload bits carried per chunk.
 pub const CHUNK_PAYLOAD_BITS: usize = 20;
@@ -862,11 +861,20 @@ fn majority_combine(copies: &[Vec<u8>]) -> Vec<u8> {
 
 /// Drive a complete message through the resilient session transport.
 ///
-/// `channel` executes one physical round: it receives the query flavour
-/// and the tag's channel bits, and reports whether the tag heard the
-/// trigger plus what the client read back (`None` = nothing at all).
-/// For [`SessionQuery::Idle`] the driver still calls `channel` so the
-/// simulation can advance time; the readout is ignored.
+/// `channel` executes one physical round: it receives the query flavour,
+/// the tag's channel bits and the session's recorder (lent for the
+/// round, so the channel's own events land in order), and reports
+/// whether the tag heard the trigger plus what the client read back
+/// (`None` = nothing at all). For [`SessionQuery::Idle`] the driver
+/// still calls `channel` so the simulation can advance time; the
+/// readout is ignored.
+///
+/// The driver emits `session_query` (every physical round, idle
+/// included, after the channel's events), `session_backoff` (each quiet
+/// period), `session_chunk` (each accepted chunk), `session_resync`
+/// (each window-base update) and exactly one `session_done` event into
+/// `rec`, all stamped with the session's 0-based round counter.
+/// Emission is gated on [`Recorder::enabled`].
 ///
 /// The returned report never contains silently corrupted bytes: either
 /// the end-to-end CRC verified, or the outcome says why not.
@@ -874,30 +882,11 @@ pub fn run_session<F>(
     message: &[u8],
     channel_bits: usize,
     cfg: &SessionConfig,
-    channel: F,
-) -> Result<SessionReport, TagnetError>
-where
-    F: FnMut(&SessionQuery, &[u8]) -> RoundOutcome,
-{
-    run_session_obs(message, channel_bits, cfg, &mut NullRecorder, channel)
-}
-
-/// [`run_session`] with observability: emits `session_query` (every
-/// physical round, idle included), `session_backoff` (each quiet
-/// period), `session_chunk` (each accepted chunk), `session_resync`
-/// (each window-base update) and exactly one `session_done` event, all
-/// stamped with the session's 0-based round counter. Emission is gated
-/// on [`Recorder::enabled`], so a detached recorder makes this a strict
-/// synonym of `run_session`.
-pub fn run_session_obs<F>(
-    message: &[u8],
-    channel_bits: usize,
-    cfg: &SessionConfig,
     rec: &mut dyn Recorder,
     mut channel: F,
 ) -> Result<SessionReport, TagnetError>
 where
-    F: FnMut(&SessionQuery, &[u8]) -> RoundOutcome,
+    F: FnMut(&SessionQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
     let mut sender = SessionSender::new(message, cfg.window)?;
     // Surface an undersized query once, up front, instead of per round.
@@ -915,7 +904,7 @@ where
      -> Result<RoundOutcome, TagnetError> {
         let round = stats.rounds as u64;
         let tx = sender.serve(q, channel_bits)?;
-        let out = channel(q, &tx);
+        let out = channel(q, &tx, &mut *rec);
         stats.rounds += 1;
         if matches!(q, SessionQuery::Idle) {
             stats.idle_rounds += 1;
@@ -1318,69 +1307,45 @@ where
 /// * [`SessionQuery::Idle`] burns real airtime via
 ///   [`run_idle`](crate::experiment::Experiment::run_idle) so fault
 ///   episodes and energy harvesting progress while the client is quiet.
+///
+/// The session driver's events (`session_*`) and the experiment rounds'
+/// events (`fault`, `phy_rx`, `ba`, `round`) interleave into `rec` in
+/// execution order, sharing the session's round numbering (the
+/// experiment's trace base is reset to 0 so both stamps line up).
 pub fn session_over_experiment(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
     cfg: &SessionConfig,
-) -> Result<SessionReport, TagnetError> {
-    session_over_experiment_obs(exp, message, cfg, &mut NullRecorder)
-}
-
-/// [`session_over_experiment`] with observability: the session driver's
-/// events (`session_*`) and the experiment rounds' events (`fault`,
-/// `phy_rx`, `ba`, `round`) interleave into one recorder in execution
-/// order, sharing the session's round numbering (the experiment's trace
-/// base is reset to 0 so both stamps line up).
-pub fn session_over_experiment_obs(
-    exp: &mut crate::experiment::Experiment,
-    message: &[u8],
-    cfg: &SessionConfig,
     rec: &mut dyn Recorder,
 ) -> Result<SessionReport, TagnetError> {
-    over_experiment(exp, rec, |channel_bits, driver_rec, round| {
-        run_session_obs(message, channel_bits, cfg, driver_rec, |q, tx| {
-            round(matches!(q, SessionQuery::Idle), tx)
-        })
+    let channel_bits = exp.design.bits_per_query();
+    exp.set_trace_base(0);
+    run_session(message, channel_bits, cfg, rec, |q, tx, rec| {
+        experiment_round(exp, matches!(q, SessionQuery::Idle), tx, rec)
     })
 }
 
 /// The channel glue both session drivers share over an
-/// [`Experiment`](crate::experiment::Experiment): `drive` gets the
-/// query width, the driver's recorder and a `round(idle, tx)` callback
-/// that burns one idle round ([`run_idle_obs`]) or plays `tx` as one
-/// query round and maps it to a [`RoundOutcome`].
-///
-/// The one `rec` feeds two call paths (the driver and the per-round
-/// callback), which borrow rules forbid directly; a [`SharedRecorder`]
-/// cell routes both mutable paths through one sink.
-///
-/// [`run_idle_obs`]: crate::experiment::Experiment::run_idle_obs
-fn over_experiment<T>(
+/// [`Experiment`](crate::experiment::Experiment): burn one idle round
+/// or play `tx` as one query round, and map it to a [`RoundOutcome`].
+fn experiment_round(
     exp: &mut crate::experiment::Experiment,
+    idle: bool,
+    tx: &[u8],
     rec: &mut dyn Recorder,
-    drive: impl FnOnce(usize, &mut dyn Recorder, &mut dyn FnMut(bool, &[u8]) -> RoundOutcome) -> T,
-) -> T {
-    let channel_bits = exp.design.bits_per_query();
-    exp.set_trace_base(0);
-    let cell = RefCell::new(rec);
-    let dyn_cell: &RefCell<dyn Recorder + '_> = &cell;
-    let mut driver_rec = SharedRecorder::new(dyn_cell);
-    let mut channel_rec = SharedRecorder::new(dyn_cell);
-    let mut round = |idle: bool, tx: &[u8]| {
-        if idle {
-            exp.run_idle_obs(&mut channel_rec);
-            return RoundOutcome {
-                tag_heard: false,
-                readout: None,
-            };
-        }
-        let r = exp.run_round_obs(tx, &mut channel_rec);
-        RoundOutcome {
-            tag_heard: r.triggered,
-            readout: (!r.ba_lost).then_some(r.readout.bits),
-        }
-    };
-    drive(channel_bits, &mut driver_rec, &mut round)
+) -> RoundOutcome {
+    if idle {
+        exp.run_idle(rec);
+        return RoundOutcome {
+            tag_heard: false,
+            readout: None,
+        };
+    }
+    let r = exp.run_round_obs(tx, rec);
+    RoundOutcome {
+        tag_heard: r.triggered,
+        readout: (!r.ba_lost).then_some(r.readout.bits),
+    }
 }
 
 /// Accept-EWMA level below which the fountain driver treats the channel
@@ -1459,34 +1424,16 @@ impl FountainReport {
 /// any order until its decoder completes — the block-ACK readouts *are*
 /// the "enough" feedback, so no per-chunk ARQ state exists on either
 /// side. See [`crate::fountain`] for the codec and the protocol state
-/// machines; semantics of `channel` match [`run_session`]. The session
-/// gives up after `max_rounds` rounds (queries + idle rounds).
+/// machines; semantics of `channel` (the recorder lent for each round
+/// included) match [`run_session`]. The session gives up after
+/// `max_rounds` rounds (queries + idle rounds).
+///
+/// Into `rec` the driver emits `session_query` (every round, with the
+/// fountain vocabulary `"symbol"` / `"info"` / `"sync"` / `"idle"`),
+/// `tagnet.symbol` (every SYMBOL round), `tagnet.decode_progress` (every
+/// solve), `session_backoff` (each quiet period) and exactly one
+/// `session_done`. Emission is gated on [`Recorder::enabled`].
 pub fn run_fountain_session<F>(
-    message: &[u8],
-    channel_bits: usize,
-    max_rounds: usize,
-    channel: F,
-) -> Result<FountainReport, TagnetError>
-where
-    F: FnMut(&FountainQuery, &[u8]) -> RoundOutcome,
-{
-    run_fountain_session_obs(
-        message,
-        channel_bits,
-        max_rounds,
-        &mut NullRecorder,
-        channel,
-    )
-}
-
-/// [`run_fountain_session`] with observability: emits `session_query`
-/// (every round, with the fountain vocabulary `"symbol"` / `"info"` /
-/// `"sync"` / `"idle"`), `tagnet.symbol` (every SYMBOL round),
-/// `tagnet.decode_progress` (every solve), `session_backoff` (each
-/// quiet period) and exactly one `session_done`. Emission is gated on
-/// [`Recorder::enabled`], so a detached recorder makes this a strict
-/// synonym of `run_fountain_session`.
-pub fn run_fountain_session_obs<F>(
     message: &[u8],
     channel_bits: usize,
     max_rounds: usize,
@@ -1494,7 +1441,7 @@ pub fn run_fountain_session_obs<F>(
     mut channel: F,
 ) -> Result<FountainReport, TagnetError>
 where
-    F: FnMut(&FountainQuery, &[u8]) -> RoundOutcome,
+    F: FnMut(&FountainQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
     let mut sender = FountainSender::new(message)?;
     // Surface an undersized query once, up front, instead of per round.
@@ -1514,7 +1461,7 @@ where
      -> Result<RoundOutcome, TagnetError> {
         let round = stats.rounds as u64;
         let tx = sender.serve(q, channel_bits)?;
-        let out = channel(q, &tx);
+        let out = channel(q, &tx, &mut *rec);
         stats.rounds += 1;
         if matches!(q, FountainQuery::Idle) {
             stats.idle_rounds += 1;
@@ -1681,35 +1628,25 @@ where
 /// [`Experiment`](crate::experiment::Experiment) — the fountain
 /// analogue of [`session_over_experiment`], with identical channel
 /// semantics (trigger match = tag heard, lost block ACK = no readout,
-/// idle rounds burn real airtime).
+/// idle rounds burn real airtime) and the same interleaving of driver
+/// and round events in `rec`.
 pub fn fountain_session_over_experiment(
-    exp: &mut crate::experiment::Experiment,
-    message: &[u8],
-    max_rounds: usize,
-) -> Result<FountainReport, TagnetError> {
-    fountain_session_over_experiment_obs(exp, message, max_rounds, &mut NullRecorder)
-}
-
-/// [`fountain_session_over_experiment`] with observability: the
-/// driver's events and the experiment rounds' events interleave into
-/// one recorder in execution order, sharing the session's round
-/// numbering (the same channel glue as [`session_over_experiment_obs`]).
-pub fn fountain_session_over_experiment_obs(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],
     max_rounds: usize,
     rec: &mut dyn Recorder,
 ) -> Result<FountainReport, TagnetError> {
-    over_experiment(exp, rec, |channel_bits, driver_rec, round| {
-        run_fountain_session_obs(message, channel_bits, max_rounds, driver_rec, |q, tx| {
-            round(matches!(q, FountainQuery::Idle), tx)
-        })
+    let channel_bits = exp.design.bits_per_query();
+    exp.set_trace_base(0);
+    run_fountain_session(message, channel_bits, max_rounds, rec, |q, tx, rec| {
+        experiment_round(exp, matches!(q, FountainQuery::Idle), tx, rec)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use witag_obs::NullRecorder;
     use witag_sim::Rng;
 
     #[test]
@@ -1839,7 +1776,10 @@ mod tests {
     fn session_delivers_on_clean_channel() {
         let message = b"selective repeat over block-ACK bitmaps";
         let cfg = SessionConfig::default();
-        let report = run_session(message, 62, &cfg, |_q, tx| clean_channel(tx)).unwrap();
+        let report = run_session(message, 62, &cfg, &mut NullRecorder, |_q, tx, _rec| {
+            clean_channel(tx)
+        })
+        .unwrap();
         assert_eq!(report.delivered(), Some(message.as_slice()));
         // 39 bytes = 312 bits -> 16 data chunks + header = 17 chunks,
         // plus one slide per 4-chunk window.
@@ -1851,9 +1791,13 @@ mod tests {
 
     #[test]
     fn session_delivers_empty_message() {
-        let report = run_session(b"", 62, &SessionConfig::default(), |_q, tx| {
-            clean_channel(tx)
-        })
+        let report = run_session(
+            b"",
+            62,
+            &SessionConfig::default(),
+            &mut NullRecorder,
+            |_q, tx, _rec| clean_channel(tx),
+        )
         .unwrap();
         assert_eq!(report.delivered(), Some(&[][..]));
     }
@@ -1933,7 +1877,7 @@ mod tests {
             max_rounds: 2000,
             ..SessionConfig::default()
         };
-        let report = run_session(message, 62, &cfg, |_q, tx| {
+        let report = run_session(message, 62, &cfg, &mut NullRecorder, |_q, tx, _rec| {
             if rng.chance(0.3) {
                 RoundOutcome {
                     tag_heard: false,
@@ -1958,7 +1902,7 @@ mod tests {
             max_rounds: 3000,
             ..SessionConfig::default()
         };
-        let report = run_session(message, 62, &cfg, |_q, tx| {
+        let report = run_session(message, 62, &cfg, &mut NullRecorder, |_q, tx, _rec| {
             round += 1;
             if (10..60).contains(&round) {
                 RoundOutcome {
@@ -1987,7 +1931,7 @@ mod tests {
             max_rounds: 6000,
             ..SessionConfig::default()
         };
-        let report = run_session(message, 62, &cfg, |_q, tx| {
+        let report = run_session(message, 62, &cfg, &mut NullRecorder, |_q, tx, _rec| {
             let bits = tx
                 .iter()
                 .map(|&b| if rng.chance(0.04) { b ^ 1 } else { b })
@@ -2009,10 +1953,16 @@ mod tests {
             max_rounds: 200,
             ..SessionConfig::default()
         };
-        let report = run_session(b"unreachable", 62, &cfg, |_q, _tx| RoundOutcome {
-            tag_heard: false,
-            readout: None,
-        })
+        let report = run_session(
+            b"unreachable",
+            62,
+            &cfg,
+            &mut NullRecorder,
+            |_q, _tx, _rec| RoundOutcome {
+                tag_heard: false,
+                readout: None,
+            },
+        )
         .unwrap();
         assert_eq!(
             report.outcome,
@@ -2034,7 +1984,7 @@ mod tests {
             max_rounds: 1500,
             ..SessionConfig::default()
         };
-        let report = run_session(message, 62, &cfg, |_q, tx| {
+        let report = run_session(message, 62, &cfg, &mut NullRecorder, |_q, tx, _rec| {
             let bits = if rng.chance(0.2) {
                 wrong.clone()
             } else {

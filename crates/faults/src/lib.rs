@@ -357,23 +357,14 @@ impl FaultInjector {
     }
 
     /// Advance every model by one round and return the verdict.
-    pub fn begin_round(&mut self) -> RoundFaults {
-        self.judge().0
-    }
-
-    /// [`begin_round`](Self::begin_round) plus observability: when at
-    /// least one class fired and `rec` is attached, emits one
+    ///
+    /// When at least one class fired and `rec` is attached, emits one
     /// [`witag_obs::Event::FaultInjected`] stamped with `round` (the
     /// caller's global round index — the injector's private counter may
     /// be shard-local). Quiet rounds emit nothing, so hostile traces
-    /// stay sparse. The verdict and every internal draw are identical
-    /// to `begin_round`; a detached recorder makes this a strict
-    /// synonym.
-    pub fn begin_round_obs(
-        &mut self,
-        round: u64,
-        rec: &mut dyn witag_obs::Recorder,
-    ) -> RoundFaults {
+    /// stay sparse. The verdict and every internal draw are the same
+    /// whatever the recorder does.
+    pub fn begin_round(&mut self, round: u64, rec: &mut dyn witag_obs::Recorder) -> RoundFaults {
         let (rf, mask) = self.judge();
         if mask != 0 && rec.enabled() {
             rec.record(&witag_obs::Event::FaultInjected { round, mask });
@@ -462,12 +453,13 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use witag_obs::NullRecorder;
 
     #[test]
     fn quiet_plan_is_inert() {
         let mut inj = FaultInjector::new(FaultPlan::quiet(7));
         for _ in 0..200 {
-            assert_eq!(inj.begin_round(), RoundFaults::inert());
+            assert_eq!(inj.begin_round(0, &mut NullRecorder), RoundFaults::inert());
         }
         assert_eq!(
             *inj.counters(),
@@ -504,7 +496,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::hostile(9));
         let n = 4000u64;
         for _ in 0..n {
-            inj.begin_round();
+            inj.begin_round(0, &mut NullRecorder);
         }
         let c = inj.counters();
         let ba_rate = c.block_acks_lost as f64 / n as f64;
@@ -531,7 +523,7 @@ mod tests {
         let mut longest = 0usize;
         let mut cur = 0usize;
         for _ in 0..2000 {
-            if inj.begin_round().brownout {
+            if inj.begin_round(0, &mut NullRecorder).brownout {
                 cur += 1;
                 longest = longest.max(cur);
             } else {
@@ -549,7 +541,9 @@ mod tests {
             ..FaultPlan::hostile(11)
         };
         let mut inj = FaultInjector::new(plan);
-        let verdicts: Vec<RoundFaults> = (0..40).map(|_| inj.begin_round()).collect();
+        let verdicts: Vec<RoundFaults> = (0..40)
+            .map(|_| inj.begin_round(0, &mut NullRecorder))
+            .collect();
         assert!(verdicts[..10].iter().all(|rf| *rf == RoundFaults::inert()));
         assert!(verdicts[20..].iter().all(|rf| *rf == RoundFaults::inert()));
         assert_eq!(inj.counters().rounds, 40);
@@ -607,9 +601,9 @@ mod tests {
         let mut faulted: Vec<(u64, u8)> = Vec::new();
 
         for round in 0..500u64 {
-            let a = plain.begin_round();
-            let b = nulled.begin_round_obs(round, &mut null);
-            let c = traced.begin_round_obs(round, &mut buf);
+            let a = plain.begin_round(round, &mut NullRecorder);
+            let b = nulled.begin_round(round, &mut null);
+            let c = traced.begin_round(round, &mut buf);
             let (d, mask) = judged.judge();
             assert_eq!(a, b, "round {round}: detached obs must be a synonym");
             assert_eq!(a, c, "round {round}: attached obs must not perturb draws");

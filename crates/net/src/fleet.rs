@@ -24,10 +24,11 @@
 //!   scheduler serves whoever is awake.
 //!
 //! Every run is a pure function of [`FleetConfig::seed`];
-//! [`run_replicas`] fans independent replicas over threads with
-//! buffered per-replica traces replayed in replica order, so traces and
-//! stats are byte-identical at any thread count.
+//! [`run_replicas`] fans independent replicas over threads through
+//! [`par_map_traced`], so traces and stats are byte-identical at any
+//! thread count.
 
+use witag::fanout::par_map_traced;
 use witag::fountain::{FountainQuery, FountainReceiver, FountainSender};
 use witag::tagnet::{
     decode_chunk, parse_base_report, ReceiveWindow, SessionQuery, SessionSender, TagnetError,
@@ -35,14 +36,14 @@ use witag::tagnet::{
 };
 use witag_faults::{FaultInjector, FaultPlan, RoundFaults};
 use witag_mac::access::{contend, Round, Station};
-use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
+use witag_obs::{Event, NullRecorder, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::mcs::Mcs;
 use witag_phy::params::timing;
 use witag_phy::ppdu::PhyConfig;
 use witag_sim::stats::SampleSet;
 use witag_sim::time::{Duration, Instant};
-use witag_sim::{par_map, Rng};
+use witag_sim::Rng;
 
 use crate::predict::TrafficPredictor;
 use crate::scheduler::{Candidate, Scheduler, SchedulerKind};
@@ -554,7 +555,7 @@ impl TagLink {
     ) -> Result<bool, NetError> {
         let (q, tx) = self.proto.serve(self.channel_bits)?;
         let rf = match self.injector.as_mut() {
-            Some(inj) => inj.begin_round(),
+            Some(inj) => inj.begin_round(self.rounds.into(), &mut NullRecorder),
             None => RoundFaults::inert(),
         };
         let asleep = self.duty.is_some_and(|d| !d.awake(start));
@@ -743,7 +744,6 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
             let cands = &mut per_client[link.client]; // lint:allow(panic_path) link.client < cfg.clients, per_client sized cfg.clients
             cands.push(Candidate {
                 tag,
-                airtime_used: link.airtime_used,
                 round_airtime: link.exchange,
                 deadline: link.deadline,
             });
@@ -900,9 +900,9 @@ fn record_session_done(rec: &mut dyn Recorder, round: u64, tag: usize, link: &Ta
 
 /// Run `replicas` statistically independent copies of the fleet
 /// (per-replica seeds forked from [`FleetConfig::seed`]) across up to
-/// `threads` workers. Reports come back in replica order and, when
-/// `rec` is attached, each replica's buffered trace is replayed in
-/// replica order behind a `shard` marker — so the full trace is
+/// `threads` workers ([`par_map_traced`]). Reports come back in replica
+/// order and, when `rec` is attached, each replica's trace is replayed
+/// in replica order behind a `shard` marker — so the full trace is
 /// byte-identical for every thread count.
 pub fn run_replicas(
     cfg: &FleetConfig,
@@ -910,41 +910,25 @@ pub fn run_replicas(
     threads: usize,
     rec: &mut dyn Recorder,
 ) -> Result<Vec<FleetReport>, NetError> {
-    if replicas == 0 {
-        return Ok(Vec::new());
-    }
-    let tracing = rec.enabled();
-    let results = par_map(replicas, threads, |r| {
+    let work = |r: usize, rec: &mut dyn Recorder| {
         let mut root = Rng::seed_from_u64(cfg.seed);
-        let rcfg = cfg.reseeded(root.fork(r as u64).next_u64());
-        let mut buf = BufferRecorder::new();
-        let rep = if tracing {
-            run_fleet(&rcfg, &mut buf)
-        } else {
-            run_fleet(&rcfg, &mut NullRecorder)
-        };
-        (rep, buf)
-    });
-    let mut reports = Vec::with_capacity(replicas);
-    for (r, (rep, buf)) in results.into_iter().enumerate() {
-        let rep = rep?;
-        if rec.enabled() {
-            rec.record(&Event::Shard {
-                index: r as u32,
-                base_round: 0,
-                rounds: (rep.grants + rep.collisions) as u32,
-            });
-            buf.replay_into(rec);
-        }
-        reports.push(rep);
-    }
-    Ok(reports)
+        run_fleet(&cfg.reseeded(root.fork(r as u64).next_u64()), rec)
+    };
+    let marker = |r: usize, rep: &FleetReport| {
+        Some(Event::Shard {
+            index: r as u32,
+            base_round: 0,
+            rounds: (rep.grants + rep.collisions) as u32,
+        })
+    };
+    par_map_traced(replicas, threads, rec, work, marker)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use witag_faults::FaultPlan;
+    use witag_obs::BufferRecorder;
 
     fn small(clients: usize, tags: usize, kind: SchedulerKind) -> FleetConfig {
         FleetConfig::inventory(clients, tags, kind, Duration::secs(5), 42)

@@ -51,9 +51,10 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use witag::fanout::par_map_traced;
 use witag::tagnet::{CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS};
 use witag_mac::access::{contend, Round, Station};
-use witag_obs::{BufferRecorder, Event, NullRecorder, Recorder};
+use witag_obs::{Event, Recorder};
 use witag_phy::airtime::{block_ack_airtime, LegacyRate};
 use witag_phy::mcs::Mcs;
 use witag_phy::params::timing;
@@ -61,7 +62,7 @@ use witag_phy::ppdu::PhyConfig;
 use witag_sim::geom::Point2;
 use witag_sim::stats::SampleSet;
 use witag_sim::time::{Duration, Instant};
-use witag_sim::{par_map, CalendarQueue, Rng};
+use witag_sim::{CalendarQueue, Rng};
 
 use crate::fleet::{cooldown, DutyCycle, NetError, MARKER_AIRTIME};
 use crate::scheduler::SchedulerKind;
@@ -553,13 +554,19 @@ struct DomainOut {
     collisions: u64,
     probe_rounds: u64,
     elapsed: Duration,
-    buf: BufferRecorder,
 }
 
-/// Simulate one contention domain over the full horizon.
-fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: bool) -> DomainOut {
-    let mut buf = BufferRecorder::new();
-    let mut null = NullRecorder;
+/// Simulate one contention domain over the full horizon, tracing into
+/// `rec`.
+fn simulate_domain(
+    cfg: &MetroConfig,
+    topo: &Topology,
+    domain: usize,
+    rec: &mut dyn Recorder,
+) -> DomainOut {
+    // Read once: a metro round costs tens of nanoseconds, so the trace
+    // gates below stay plain branches, not calls.
+    let tracing = rec.enabled();
     let store = &mut build_store(cfg, topo, domain);
     let duty = cfg.duty;
     let duty_ref = duty.as_ref();
@@ -658,8 +665,7 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
         // Epoch rollover: close finished epochs, re-divide the
         // domain's airtime among its cells proportional to backlog.
         while now >= epoch_end {
-            let rec: &mut dyn Recorder = if tracing { &mut buf } else { &mut null };
-            if rec.enabled() {
+            if tracing {
                 for cs in cells.iter() {
                     rec.record(&Event::NetCellEpoch {
                         cell: cs.cell as u32,
@@ -777,8 +783,7 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
                     cs.delivered += 1;
                 }
                 remaining_total -= 1;
-                let rec: &mut dyn Recorder = if tracing { &mut buf } else { &mut null };
-                if rec.enabled() {
+                if tracing {
                     rec.record(&Event::NetSessionDone {
                         round: access_round,
                         tag: store.global.get(t).copied().unwrap_or(0) as u32,
@@ -806,8 +811,7 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
                 }
                 requeue(store, &mut cells, ci, t, policy);
             }
-            let rec: &mut dyn Recorder = if tracing { &mut buf } else { &mut null };
-            if rec.enabled() && !collided {
+            if tracing && !collided {
                 rec.record(&Event::NetGrant {
                     round: access_round,
                     client: reader_global as u32,
@@ -821,8 +825,7 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
         let busy = t_end.saturating_since(t_access);
         if collided {
             collisions += 1;
-            let rec: &mut dyn Recorder = if tracing { &mut buf } else { &mut null };
-            if rec.enabled() {
+            if tracing {
                 rec.record(&Event::NetCollision {
                     round: access_round,
                     clients: round.winners.len() as u32,
@@ -855,9 +858,9 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
 
     // Close the in-progress epoch so every traced run documents the
     // budgets it ran under, even when it finishes inside epoch 0.
-    if tracing && buf.enabled() {
+    if tracing {
         for cs in cells.iter() {
-            buf.record(&Event::NetCellEpoch {
+            rec.record(&Event::NetCellEpoch {
                 cell: cs.cell as u32,
                 epoch: epoch_idx as u32,
                 budget_us: (cs.budget_ns.max(0) as u64) / 1_000,
@@ -898,7 +901,6 @@ fn simulate_domain(cfg: &MetroConfig, topo: &Topology, domain: usize, tracing: b
         collisions,
         probe_rounds,
         elapsed,
-        buf,
     }
 }
 
@@ -1018,10 +1020,10 @@ fn requeue(
 /// Run one metro-scale inventory across up to `threads` workers.
 ///
 /// Contention domains are simulated independently (their mediums
-/// cannot interfere) and merged in domain order; when `rec` is
-/// attached each domain's buffered trace replays behind a `shard`
-/// marker, preceded by one `net.cell_assign` per cell — so the full
-/// trace and the report are byte-identical at any thread count.
+/// cannot interfere) through [`par_map_traced`] and merged in domain
+/// order; when `rec` is attached each domain's trace replays behind a
+/// `shard` marker, preceded by one `net.cell_assign` per cell — so the
+/// full trace and the report are byte-identical at any thread count.
 pub fn run_metro(
     cfg: &MetroConfig,
     threads: usize,
@@ -1053,10 +1055,16 @@ pub fn run_metro(
             });
         }
     }
-    let tracing = rec.enabled();
-    let results = par_map(topo.domains, threads, |d| {
-        simulate_domain(cfg, &topo, d, tracing)
-    });
+    let work =
+        |d: usize, rec: &mut dyn Recorder| Ok::<_, NetError>(simulate_domain(cfg, &topo, d, rec));
+    let marker = |d: usize, out: &DomainOut| {
+        Some(Event::Shard {
+            index: d as u32,
+            base_round: 0,
+            rounds: (out.grants + out.collisions) as u32,
+        })
+    };
+    let results = par_map_traced(topo.domains, threads, rec, work, marker)?;
 
     let mut delivered = 0usize;
     let mut delivered_bits = 0u64;
@@ -1068,15 +1076,7 @@ pub fn run_metro(
     let mut elapsed = Duration::ZERO;
     let mut latencies_us: Vec<f64> = Vec::new();
     let mut cell_summaries: Vec<CellSummary> = Vec::with_capacity(cfg.cells);
-    for (d, out) in results.into_iter().enumerate() {
-        if rec.enabled() {
-            rec.record(&Event::Shard {
-                index: d as u32,
-                base_round: 0,
-                rounds: (out.grants + out.collisions) as u32,
-            });
-            out.buf.replay_into(rec);
-        }
+    for out in results {
         grants += out.grants;
         collisions += out.collisions;
         probe_rounds += out.probe_rounds;
@@ -1118,6 +1118,7 @@ pub fn run_metro(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use witag_obs::{BufferRecorder, NullRecorder};
 
     fn small(cells: usize, readers: usize, tags: usize, kind: SchedulerKind) -> MetroConfig {
         MetroConfig::inventory(cells, readers, tags, kind, Duration::secs(30), 0xC0FFEE)

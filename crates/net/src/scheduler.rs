@@ -92,8 +92,6 @@ impl SchedulerKind {
 pub struct Candidate {
     /// Fleet-wide tag index.
     pub tag: usize,
-    /// Airtime this tag's session has consumed so far.
-    pub airtime_used: Duration,
     /// Airtime one more query round of this tag will cost.
     pub round_airtime: Duration,
     /// Absolute freshness deadline for this tag's read.
@@ -248,10 +246,9 @@ impl Scheduler for SerialScheduler {
 mod tests {
     use super::*;
 
-    fn cand(tag: usize, used_us: u64, round_us: u64) -> Candidate {
+    fn cand(tag: usize, round_us: u64) -> Candidate {
         Candidate {
             tag,
-            airtime_used: Duration::micros(used_us),
             round_airtime: Duration::micros(round_us),
             deadline: Instant::ZERO + Duration::millis(tag as u64 + 1),
         }
@@ -260,7 +257,7 @@ mod tests {
     #[test]
     fn rr_cycles_in_tag_order() {
         let mut rr = RrScheduler::new();
-        let c = [cand(0, 0, 100), cand(2, 0, 100), cand(5, 0, 100)];
+        let c = [cand(0, 100), cand(2, 100), cand(5, 100)];
         let picks: Vec<usize> = (0..6).map(|_| c[rr.pick(&c)].tag).collect();
         assert_eq!(picks, vec![0, 2, 5, 0, 2, 5]);
     }
@@ -268,9 +265,9 @@ mod tests {
     #[test]
     fn rr_skips_missing_tags_without_stalling() {
         let mut rr = RrScheduler::new();
-        assert_eq!(rr.pick(&[cand(3, 0, 100)]), 0);
+        assert_eq!(rr.pick(&[cand(3, 100)]), 0);
         // Tag 3 vanished (completed); the cursor wraps cleanly.
-        let c = [cand(0, 0, 100), cand(1, 0, 100)];
+        let c = [cand(0, 100), cand(1, 100)];
         assert_eq!(c[rr.pick(&c)].tag, 0);
     }
 
@@ -278,7 +275,7 @@ mod tests {
     fn fair_equalises_airtime_against_a_heavy_tag() {
         // Tag 0 costs 8x per round; DRR must grant it ~8x less often.
         let mut fair = FairScheduler::new();
-        let c = [cand(0, 0, 800), cand(1, 0, 100), cand(2, 0, 100)];
+        let c = [cand(0, 800), cand(1, 100), cand(2, 100)];
         let mut airtime = [0u64; 3];
         for _ in 0..200 {
             let pos = fair.pick(&c);
@@ -299,7 +296,7 @@ mod tests {
     #[test]
     fn edf_picks_nearest_deadline() {
         let mut edf = EdfScheduler;
-        let mut c = vec![cand(0, 0, 100), cand(1, 0, 100), cand(2, 0, 100)];
+        let mut c = vec![cand(0, 100), cand(1, 100), cand(2, 100)];
         c[2].deadline = Instant::ZERO + Duration::micros(1);
         assert_eq!(c[edf.pick(&c)].tag, 2);
     }

@@ -25,9 +25,8 @@
 //!    a schema-coverage test keeps code and document in lockstep.
 //!
 //! Recorders shipped here: [`NullRecorder`] (detached default),
-//! [`JsonlRecorder`] (streaming JSON lines), [`BufferRecorder`] (event
-//! capture for shard merging and tests) and [`SharedRecorder`]
-//! (interior-mutability adapter when two seams feed one sink).
+//! [`JsonlRecorder`] (streaming JSON lines) and [`BufferRecorder`]
+//! (event capture for shard merging and tests).
 //! [`TraceSummary`] folds a finished JSONL trace into per-kind counts
 //! and roll-ups (`witag-cli report`).
 //!
@@ -44,8 +43,6 @@ pub mod report;
 pub use event::{Event, RxQuality, FAULT_CLASS_NAMES, KINDS, SCHEMA};
 pub use jsonl::JsonlRecorder;
 pub use report::TraceSummary;
-
-use std::cell::RefCell;
 
 /// A sink for observability [`Event`]s.
 ///
@@ -111,10 +108,9 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 /// The zero-cost detached recorder: reports `enabled() == false` and
 /// drops anything recorded anyway.
 ///
-/// Instrumented entry points take `&mut NullRecorder` on their plain
-/// (un-suffixed) variants, so an uninstrumented caller pays one branch
-/// per seam per round — nothing else. The perf gate
-/// (`witag-bench --bin perf_gate`) measures this path.
+/// Every instrumented entry point takes a `&mut dyn Recorder`; a quiet
+/// run passes `&mut NullRecorder` and pays one branch per seam per
+/// round — nothing else.
 ///
 /// ```
 /// use witag_obs::{NullRecorder, Recorder};
@@ -180,49 +176,6 @@ impl Recorder for BufferRecorder {
     }
 }
 
-/// An adapter that lets two mutable call paths feed one underlying
-/// recorder.
-///
-/// The session driver and the experiment channel closure both want
-/// `&mut dyn Recorder`, but borrow rules forbid two live mutable
-/// borrows. `SharedRecorder` routes both through a [`RefCell`]: cheap,
-/// single-threaded, and panic-free as long as `record` implementations
-/// never re-enter the same cell (none of this crate's do).
-///
-/// ```
-/// use std::cell::RefCell;
-/// use witag_obs::{BufferRecorder, Event, Recorder, SharedRecorder};
-///
-/// let cell = RefCell::new(BufferRecorder::new());
-/// let dyn_cell: &RefCell<dyn Recorder> = &cell;
-/// let mut a = SharedRecorder::new(dyn_cell);
-/// let mut b = SharedRecorder::new(dyn_cell);
-/// a.record(&Event::SessionChunk { round: 0, chunk: 0 });
-/// b.record(&Event::SessionChunk { round: 1, chunk: 1 });
-/// assert_eq!(cell.borrow().events().len(), 2);
-/// ```
-pub struct SharedRecorder<'a> {
-    inner: &'a RefCell<dyn Recorder + 'a>,
-}
-
-impl<'a> SharedRecorder<'a> {
-    /// Wrap a shared cell; clones of the wrapper (more `new` calls on
-    /// the same cell) all feed the same recorder.
-    pub fn new(inner: &'a RefCell<dyn Recorder + 'a>) -> Self {
-        SharedRecorder { inner }
-    }
-}
-
-impl Recorder for SharedRecorder<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.borrow().enabled()
-    }
-
-    fn record(&mut self, event: &Event) {
-        self.inner.borrow_mut().record(event)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +208,5 @@ mod tests {
         assert_eq!(dst.events(), src.events());
         let mut null = NullRecorder;
         src.replay_into(&mut null); // must be a no-op, not a panic
-    }
-
-    #[test]
-    fn shared_recorder_reports_inner_enabled() {
-        let cell = RefCell::new(NullRecorder);
-        let dyn_cell: &RefCell<dyn Recorder> = &cell;
-        let shared = SharedRecorder::new(dyn_cell);
-        assert!(!shared.enabled());
     }
 }

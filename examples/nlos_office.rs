@@ -12,6 +12,7 @@
 //! ```
 
 use witag::experiment::{Experiment, ExperimentConfig, ExperimentError};
+use witag_obs::NullRecorder;
 use witag_sim::geom::{Floorplan, Point2};
 
 fn describe(name: &str, cfg: ExperimentConfig) {
@@ -31,7 +32,7 @@ fn describe(name: &str, cfg: ExperimentConfig) {
                 exp.design.phy.mcs.code_rate,
                 exp.design.subframe_bytes
             );
-            let stats = exp.run(120);
+            let stats = exp.run(120, &mut NullRecorder);
             println!(
                 "  120 queries: BER {:.4}, throughput {:.1} Kbps, {} missed triggers",
                 stats.ber(),

@@ -9,6 +9,7 @@
 //! ```
 
 use witag::experiment::{Experiment, ExperimentConfig};
+use witag_obs::NullRecorder;
 
 fn main() {
     // The paper's Figure 5 operating point, tag 1 m from the client.
@@ -56,7 +57,7 @@ fn main() {
     );
 
     // And a short run for aggregate statistics.
-    let stats = exp.run(50);
+    let stats = exp.run(50, &mut NullRecorder);
     println!();
     println!(
         "50 more rounds:  BER {:.4}, throughput {:.1} Kbps",

@@ -12,6 +12,7 @@
 //! ```
 
 use witag::experiment::{Experiment, ExperimentConfig};
+use witag_obs::NullRecorder;
 use witag_sim::geom::Point2;
 use witag_sim::time::Duration;
 use witag_tag::trigger::TriggerSignature;
@@ -81,7 +82,7 @@ fn main() {
         // A real reader would retry on disagreement; the example flags it.
         let read_back = if first == second { first } else { u16::MAX };
 
-        let stats = exp.run(40);
+        let stats = exp.run(40, &mut NullRecorder);
         println!(
             "{:<12} {:>12} {:>#10x} {:>#10x} {:>10.4}",
             s.name,

@@ -18,6 +18,7 @@
 
 use witag::tagnet::RoundOutcome;
 use witag_faults::{FaultInjector, FaultPlan, RoundFaults};
+use witag_obs::NullRecorder;
 use witag_sim::Rng;
 
 /// Flip probability applied while an oscillator-drift episode is live:
@@ -49,7 +50,7 @@ impl SyntheticChannel {
     /// One physical round: the tag wants to modulate `tx`; returns
     /// whether it heard the trigger and what the client read back.
     pub fn round(&mut self, tx: &[u8]) -> RoundOutcome {
-        let rf = self.inj.begin_round();
+        let rf = self.inj.begin_round(self.verdicts.len() as u64, &mut NullRecorder);
         self.verdicts.push(rf);
         if rf.query_lost {
             return RoundOutcome {

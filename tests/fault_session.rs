@@ -11,6 +11,7 @@ use witag::tagnet::{
     deliver, run_session, SessionConfig, SessionOutcome,
 };
 use witag_faults::FaultPlan;
+use witag_obs::NullRecorder;
 
 const CHANNEL_BITS: usize = 62;
 const KIB: usize = 1024;
@@ -25,7 +26,7 @@ fn hostile_session(message: &[u8], seed: u64) -> witag::tagnet::SessionReport {
         window: 8,
         max_diversity: 4,
     };
-    run_session(message, CHANNEL_BITS, &cfg, |_q, tx| ch.round(tx)).expect("valid session setup")
+    run_session(message, CHANNEL_BITS, &cfg, &mut NullRecorder, |_q, tx, _rec| ch.round(tx)).expect("valid session setup")
 }
 
 /// Stop-and-wait over the same synthetic hostile channel. A lost block

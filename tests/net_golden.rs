@@ -14,7 +14,7 @@
 
 use witag::fountain::FountainQuery;
 use witag::tagnet::{
-    run_fountain_session_obs, run_session_obs, RoundOutcome, SessionConfig, SessionOutcome,
+    run_fountain_session, run_session, RoundOutcome, SessionConfig, SessionOutcome,
     SessionQuery,
 };
 use witag_faults::FaultPlan;
@@ -237,7 +237,7 @@ fn lossy_sessions_are_pinned() {
         let mut ch = LossyChannel::new(seed);
         let cfg = SessionConfig { max_rounds: 3000, ..SessionConfig::default() };
         let mut rec = JsonlRecorder::in_memory();
-        let rep = run_session_obs(SESSION_MESSAGE, 62, &cfg, &mut rec, |_q: &SessionQuery, tx| {
+        let rep = run_session(SESSION_MESSAGE, 62, &cfg, &mut rec, |_q: &SessionQuery, tx, _rec| {
             ch.round(tx)
         })
         .expect("valid session");
@@ -260,12 +260,12 @@ fn lossy_sessions_are_pinned() {
 
         let mut ch = LossyChannel::new(seed);
         let mut rec = JsonlRecorder::in_memory();
-        let rep = run_fountain_session_obs(
+        let rep = run_fountain_session(
             SESSION_MESSAGE,
             62,
             4096,
             &mut rec,
-            |_q: &FountainQuery, tx| ch.round(tx),
+            |_q: &FountainQuery, tx, _rec| ch.round(tx),
         )
         .expect("valid fountain session");
         let s = rep.stats;

@@ -3,6 +3,7 @@
 //! reproduce" tests; the per-figure numbers live in the bench binaries.
 
 use witag::experiment::{Experiment, ExperimentConfig, SecurityMode};
+use witag_obs::NullRecorder;
 use witag_tag::device::BitEncoding;
 use witag_tag::oscillator::Oscillator;
 
@@ -17,7 +18,7 @@ fn quiet(mut cfg: ExperimentConfig) -> ExperimentConfig {
 fn figure5_u_shape() {
     let ber_at = |dist: f64| {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(dist, 51))).unwrap();
-        exp.run(60).ber()
+        exp.run(60, &mut NullRecorder).ber()
     };
     let near = ber_at(1.0);
     let mid = ber_at(4.0);
@@ -36,7 +37,7 @@ fn figure5_u_shape() {
 fn figure5_throughput_stability() {
     for dist in [1.0, 4.0, 7.0] {
         let mut exp = Experiment::new(quiet(ExperimentConfig::fig5(dist, 52))).unwrap();
-        let kbps = exp.run(40).throughput_kbps();
+        let kbps = exp.run(40, &mut NullRecorder).throughput_kbps();
         assert!(
             (30.0..60.0).contains(&kbps),
             "throughput {kbps} Kbps at {dist} m out of band"
@@ -75,7 +76,7 @@ fn encryption_equivalence() {
         let mut cfg = quiet(ExperimentConfig::fig5(1.0, 54));
         cfg.security = mode;
         let mut exp = Experiment::new(cfg).unwrap();
-        let stats = exp.run(30);
+        let stats = exp.run(30, &mut NullRecorder);
         assert_eq!(exp.decrypt_failures, 0, "{mode:?}: surviving frames must decrypt");
         bers.push(stats.ber());
     }
@@ -93,7 +94,7 @@ fn phase_flip_beats_ook() {
         let mut cfg = quiet(ExperimentConfig::fig5(4.0, 55));
         cfg.encoding = encoding;
         let mut exp = Experiment::new(cfg).unwrap();
-        exp.run(60).ber()
+        exp.run(60, &mut NullRecorder).ber()
     };
     let flip = ber_with(BitEncoding::PhaseFlip);
     let ook = ber_with(BitEncoding::OnOffKeying);
@@ -112,7 +113,7 @@ fn ring_oscillator_temperature_failure() {
         cfg.clock = clock;
         cfg.temperature_delta = dt;
         let mut exp = Experiment::new(cfg).unwrap();
-        exp.run(25).ber()
+        exp.run(25, &mut NullRecorder).ber()
     };
     let crystal_hot = ber_with(Oscillator::Crystal { freq_hz: 250e3 }, 20.0);
     let ring_hot = ber_with(Oscillator::Ring { freq_hz: 250e3 }, 20.0);
@@ -140,7 +141,7 @@ fn idle_tag_is_invisible() {
 fn experiments_are_deterministic() {
     let run = || {
         let mut exp = Experiment::new(ExperimentConfig::fig5(3.0, 58)).unwrap();
-        let stats = exp.run(20);
+        let stats = exp.run(20, &mut NullRecorder);
         (stats.errors.false_zeros, stats.errors.false_ones, stats.elapsed)
     };
     assert_eq!(run(), run());

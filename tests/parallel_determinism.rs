@@ -7,6 +7,7 @@
 
 use witag::experiment::{Experiment, ExperimentConfig, ExperimentStats, PARALLEL_SHARD_ROUNDS};
 use witag_faults::FaultPlan;
+use witag_obs::NullRecorder;
 
 fn quiet_cfg(seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::fig5(1.0, seed);
@@ -29,10 +30,10 @@ fn fingerprint(s: &ExperimentStats) -> (usize, usize, usize, usize, u64, Vec<u64
 fn parallel_stats_are_thread_count_invariant() {
     let cfg = quiet_cfg(41);
     let rounds = 3 * PARALLEL_SHARD_ROUNDS + 7; // force a ragged last shard
-    let baseline = Experiment::run_parallel(&cfg, None, rounds, 1).unwrap();
+    let baseline = Experiment::run_parallel(&cfg, None, rounds, 1, &mut NullRecorder).unwrap();
     assert_eq!(baseline.rounds, rounds);
     for threads in [2, 4, 16] {
-        let run = Experiment::run_parallel(&cfg, None, rounds, threads).unwrap();
+        let run = Experiment::run_parallel(&cfg, None, rounds, threads, &mut NullRecorder).unwrap();
         assert_eq!(
             fingerprint(&run),
             fingerprint(&baseline),
@@ -48,13 +49,13 @@ fn parallel_stats_are_thread_count_invariant_under_faults() {
     let cfg = quiet_cfg(43);
     let plan = FaultPlan::hostile(17);
     let rounds = 2 * PARALLEL_SHARD_ROUNDS;
-    let baseline = Experiment::run_parallel(&cfg, Some(&plan), rounds, 1).unwrap();
+    let baseline = Experiment::run_parallel(&cfg, Some(&plan), rounds, 1, &mut NullRecorder).unwrap();
     assert!(
         baseline.errors.errors() > 0,
         "a hostile plan must actually inject faults"
     );
     for threads in [3, 8] {
-        let run = Experiment::run_parallel(&cfg, Some(&plan), rounds, threads).unwrap();
+        let run = Experiment::run_parallel(&cfg, Some(&plan), rounds, threads, &mut NullRecorder).unwrap();
         assert_eq!(
             fingerprint(&run),
             fingerprint(&baseline),
@@ -67,8 +68,8 @@ fn parallel_stats_are_thread_count_invariant_under_faults() {
 fn shards_depend_on_master_seed() {
     // Different master seeds must produce different shard streams — the
     // derivation cannot collapse to a constant.
-    let a = Experiment::run_parallel(&quiet_cfg(1), None, PARALLEL_SHARD_ROUNDS, 2).unwrap();
-    let b = Experiment::run_parallel(&quiet_cfg(2), None, PARALLEL_SHARD_ROUNDS, 2).unwrap();
+    let a = Experiment::run_parallel(&quiet_cfg(1), None, PARALLEL_SHARD_ROUNDS, 2, &mut NullRecorder).unwrap();
+    let b = Experiment::run_parallel(&quiet_cfg(2), None, PARALLEL_SHARD_ROUNDS, 2, &mut NullRecorder).unwrap();
     assert_ne!(
         a.elapsed, b.elapsed,
         "different seeds must draw different backoffs/fading"
@@ -84,9 +85,9 @@ fn parallel_results_are_statistically_consistent_with_serial() {
     let rounds = 2 * PARALLEL_SHARD_ROUNDS;
     let serial = {
         let mut exp = Experiment::new(cfg.clone()).unwrap();
-        exp.run(rounds)
+        exp.run(rounds, &mut NullRecorder)
     };
-    let parallel = Experiment::run_parallel(&cfg, None, rounds, 4).unwrap();
+    let parallel = Experiment::run_parallel(&cfg, None, rounds, 4, &mut NullRecorder).unwrap();
     assert_eq!(parallel.rounds, serial.rounds);
     assert!(serial.ber() < 0.02, "serial BER {}", serial.ber());
     assert!(parallel.ber() < 0.02, "parallel BER {}", parallel.ber());

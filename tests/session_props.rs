@@ -13,6 +13,7 @@ use witag::tagnet::{
 };
 use witag::FecLayout;
 use witag_faults::{FaultPlan, RoundFaults};
+use witag_obs::NullRecorder;
 
 const CHANNEL_BITS: usize = 62;
 
@@ -29,7 +30,7 @@ fn cfg() -> SessionConfig {
 fn run(message: &[u8], plan: FaultPlan) -> (witag::tagnet::SessionReport, Vec<RoundFaults>, u64) {
     let mut ch = SyntheticChannel::new(plan, CHANNEL_BITS);
     let report =
-        run_session(message, CHANNEL_BITS, &cfg(), |_q, tx| ch.round(tx)).expect("valid setup");
+        run_session(message, CHANNEL_BITS, &cfg(), &mut NullRecorder, |_q, tx, _rec| ch.round(tx)).expect("valid setup");
     let verdicts = ch.verdicts();
     (report, verdicts, ch.rounds())
 }

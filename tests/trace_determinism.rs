@@ -7,12 +7,12 @@
 
 use witag::experiment::{Experiment, ExperimentConfig, ExperimentStats, PARALLEL_SHARD_ROUNDS};
 use witag::tagnet::{
-    fountain_session_over_experiment_obs, session_over_experiment_obs, SessionConfig,
+    fountain_session_over_experiment, session_over_experiment, SessionConfig,
     SessionOutcome,
 };
 use witag_faults::FaultPlan;
 use witag_net::{run_replicas, FleetConfig, SchedulerKind, Transport};
-use witag_obs::{jsonl, BufferRecorder, JsonlRecorder, Recorder, TraceSummary, SCHEMA};
+use witag_obs::{jsonl, BufferRecorder, JsonlRecorder, NullRecorder, Recorder, TraceSummary, SCHEMA};
 use witag_sim::time::Duration;
 
 fn quiet_cfg(seed: u64) -> ExperimentConfig {
@@ -30,7 +30,7 @@ fn traced_parallel(
     threads: usize,
 ) -> (Vec<u8>, ExperimentStats) {
     let mut rec = JsonlRecorder::in_memory();
-    let stats = Experiment::run_parallel_traced(cfg, plan, rounds, threads, &mut rec).unwrap();
+    let stats = Experiment::run_parallel(cfg, plan, rounds, threads, &mut rec).unwrap();
     (rec.finish().unwrap(), stats)
 }
 
@@ -91,23 +91,23 @@ fn faulted_parallel_trace_is_byte_identical_at_1_and_4_threads() {
 fn attaching_a_recorder_does_not_perturb_stats() {
     let cfg = quiet_cfg(47);
     let rounds = 2 * PARALLEL_SHARD_ROUNDS;
-    let plain = Experiment::run_parallel(&cfg, None, rounds, 2).unwrap();
+    let plain = Experiment::run_parallel(&cfg, None, rounds, 2, &mut NullRecorder).unwrap();
     let (_, traced) = traced_parallel(&cfg, None, rounds, 2);
     assert_eq!(traced.rounds, plain.rounds);
     assert_eq!(traced.errors.total, plain.errors.total);
     assert_eq!(traced.errors.errors(), plain.errors.errors());
     assert_eq!(traced.elapsed, plain.elapsed);
 
-    // Serial path too: run() is run_obs() with a NullRecorder, so a
-    // BufferRecorder run must reproduce it exactly.
+    // Serial path too: a run with a BufferRecorder must reproduce the
+    // run with a NullRecorder exactly.
     let serial = {
         let mut exp = Experiment::new(cfg.clone()).unwrap();
-        exp.run(rounds)
+        exp.run(rounds, &mut NullRecorder)
     };
     let buffered = {
         let mut exp = Experiment::new(cfg.clone()).unwrap();
         let mut buf = BufferRecorder::new();
-        let stats = exp.run_obs(rounds, &mut buf);
+        let stats = exp.run(rounds, &mut buf);
         assert!(!buf.events().is_empty());
         stats
     };
@@ -126,7 +126,7 @@ fn session_trace_is_reproducible_and_complete() {
             ..SessionConfig::default()
         };
         let mut rec = JsonlRecorder::in_memory();
-        let report = session_over_experiment_obs(&mut exp, b"obs trace", &cfg, &mut rec).unwrap();
+        let report = session_over_experiment(&mut exp, b"obs trace", &cfg, &mut rec).unwrap();
         (rec.finish().unwrap(), report)
     };
     let (bytes_a, report_a) = run_once();
@@ -164,7 +164,7 @@ fn fountain_session_trace_is_reproducible_and_counts_add_up() {
         exp.attach_faults(FaultPlan::hostile_scaled(7, 0.6));
         let mut rec = JsonlRecorder::in_memory();
         let report =
-            fountain_session_over_experiment_obs(&mut exp, b"obs trace", 4096, &mut rec).unwrap();
+            fountain_session_over_experiment(&mut exp, b"obs trace", 4096, &mut rec).unwrap();
         (rec.finish().unwrap(), report)
     };
     let (bytes_a, report_a) = run_once();
