@@ -348,13 +348,6 @@ fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
-    outln!(
-        out,
-        "{:>10} {:>10} {:>14}",
-        "dist (m)",
-        "BER",
-        "tput (Kbps)"
-    );
     // Sweep points are independent experiments, so they parallelise with
     // no change in output: each point's seed and round sequence are
     // exactly what the serial loop used, and results print in distance
@@ -381,6 +374,13 @@ fn cmd_sweep(a: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         par_map_traced(distances.len(), threads, rec, work, marker)
             .map_err(|e: witag::ExperimentError| sim("sweep point not viable", e))
     })?;
+    outln!(
+        out,
+        "{:>10} {:>10} {:>14}",
+        "dist (m)",
+        "BER",
+        "tput (Kbps)"
+    );
     for (d, stats) in distances.iter().zip(results.iter()) {
         outln!(
             out,
