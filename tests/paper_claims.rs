@@ -56,9 +56,10 @@ fn figure6_nlos_ordering() {
     assert!(sa.ber() < 0.05, "location A BER {}", sa.ber());
     assert!(sb.ber() < 0.05, "location B BER {}", sb.ber());
     // B's link budget is worse, so B must not be *clearly better* than A.
-    // (The strict ordering holds in expectation — the fig6 binary shows it
-    // over 60 windows — but 8 windows of 1,550 bits carry sampling noise,
-    // so the unit test only rejects a reversed gap beyond noise.)
+    // The strict ordering is not reproduced over rooms: the science
+    // suite's per-seed FIG6 rows give a paired t of 0.56. And 8 windows
+    // of 1,550 bits carry sampling noise, so the test only rejects a
+    // reversed gap beyond noise.
     assert!(
         sb.ber() + 0.004 >= sa.ber(),
         "B ({}) must not clearly beat A ({})",
