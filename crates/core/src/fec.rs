@@ -14,33 +14,79 @@
 //! With 62 data subframes per query, 8 interleaved codewords (56 bits)
 //! carry 32 payload bits, a rate-0.52 outer code on top of the raw tag
 //! channel. The `fec` benchmark compares raw vs coded error rates.
+//!
+//! Codewords are packed: a nibble holds 4 data bits (the first bit in
+//! bit 3) and a `u8` holds 7 code bits (position `j` in bit `j`). The
+//! bit-vector [`FecLayout::encode`] / [`FecLayout::decode`] and the
+//! tagnet chunk framing share this one code and one interleaver.
 
-/// Encode 4 data bits into a Hamming(7,4) codeword (bits are 0/1).
+/// Encode a data nibble (`d1` in bit 3 … `d4` in bit 0) into a
+/// Hamming(7,4) codeword.
 ///
-/// Layout: `[p1, p2, d1, p3, d2, d3, d4]` (classic positions 1..7 with
-/// parity at the powers of two).
-pub fn hamming74_encode(data: &[u8; 4]) -> [u8; 7] {
-    let [d1, d2, d3, d4] = *data;
+/// Layout: positions `[p1, p2, d1, p3, d2, d3, d4]` (classic positions
+/// 1..7 with parity at the powers of two), position `j` in bit `j`.
+// lint:no_alloc
+pub const fn hamming74_encode(nibble: u8) -> u8 {
+    let d1 = (nibble >> 3) & 1;
+    let d2 = (nibble >> 2) & 1;
+    let d3 = (nibble >> 1) & 1;
+    let d4 = nibble & 1;
     let p1 = d1 ^ d2 ^ d4;
     let p2 = d1 ^ d3 ^ d4;
     let p3 = d2 ^ d3 ^ d4;
-    [p1, p2, d1, p3, d2, d3, d4]
+    p1 | (p2 << 1) | (d1 << 2) | (p3 << 3) | (d2 << 4) | (d3 << 5) | (d4 << 6)
 }
 
-/// Decode a Hamming(7,4) codeword, correcting up to one flipped bit.
-/// Returns the 4 data bits and whether a correction was applied.
-pub fn hamming74_decode(cw: &[u8; 7]) -> ([u8; 4], bool) {
-    let mut w = *cw;
+/// Decode a Hamming(7,4) codeword (position `j` in bit `j`), correcting
+/// up to one flipped bit. Returns the data nibble and whether a
+/// correction was applied.
+// lint:no_alloc
+pub fn hamming74_decode(cw: u8) -> (u8, bool) {
+    let w = |j: u8| (cw >> j) & 1;
     // Syndrome: which parity checks fail (1-indexed position).
-    let s1 = w[0] ^ w[2] ^ w[4] ^ w[6];
-    let s2 = w[1] ^ w[2] ^ w[5] ^ w[6];
-    let s3 = w[3] ^ w[4] ^ w[5] ^ w[6];
-    let syndrome = (s1 as usize) | ((s2 as usize) << 1) | ((s3 as usize) << 2);
+    let s1 = w(0) ^ w(2) ^ w(4) ^ w(6);
+    let s2 = w(1) ^ w(2) ^ w(5) ^ w(6);
+    let s3 = w(3) ^ w(4) ^ w(5) ^ w(6);
+    let syndrome = s1 | (s2 << 1) | (s3 << 2);
     let corrected = syndrome != 0;
-    if corrected {
-        w[syndrome - 1] ^= 1; // lint:allow(panic_path) syndrome is 3 nonzero bits: 1..=7 indexes [u8; 7]
+    let fixed = if corrected {
+        cw ^ (1 << (syndrome - 1))
+    } else {
+        cw
+    };
+    let d = |j: u8| (fixed >> j) & 1;
+    ((d(2) << 3) | (d(4) << 2) | (d(5) << 1) | d(6), corrected)
+}
+
+/// Interleave `n` codewords into `out[..7 * n]`: bit `j` of every
+/// codeword before bit `j + 1` of any, so `out[j * n + i]` is bit `j`
+/// of codeword `i`. Codeword `i` is `cws[i]`, or `pad` past the end of
+/// `cws`.
+// lint:no_alloc
+pub(crate) fn interleave(cws: &[u8], pad: u8, n: usize, out: &mut [u8]) {
+    if n == 0 {
+        return;
     }
-    ([w[2], w[4], w[5], w[6]], corrected)
+    for (j, row) in out.chunks_exact_mut(n).take(7).enumerate() {
+        for (i, o) in row.iter_mut().enumerate() {
+            *o = (cws.get(i).copied().unwrap_or(pad) >> j) & 1;
+        }
+    }
+}
+
+/// Gather codewords `0..cws.len()` of an `n`-codeword interleaved block
+/// (the inverse of [`interleave`]); channel bits are 0/1.
+// lint:no_alloc
+pub(crate) fn deinterleave(channel: &[u8], n: usize, cws: &mut [u8]) {
+    cws.fill(0);
+    if n == 0 {
+        return;
+    }
+    for (j, row) in channel.chunks_exact(n).take(7).enumerate() {
+        for (cw, &b) in cws.iter_mut().zip(row) {
+            *cw |= (b & 1) << j;
+        }
+    }
 }
 
 /// Parameters of one query's worth of FEC.
@@ -74,18 +120,12 @@ impl FecLayout {
     /// Panics unless `data.len() == self.data_bits()`.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
         assert_eq!(data.len(), self.data_bits(), "payload size mismatch");
-        let n = self.codewords;
-        let mut codewords = Vec::with_capacity(n);
-        for chunk in data.chunks(4) {
-            codewords.push(hamming74_encode(&[chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
-        // Interleave: emit bit j of every codeword before bit j+1 of any.
-        let mut out = Vec::with_capacity(self.channel_bits());
-        for j in 0..7 {
-            for cw in &codewords {
-                out.push(cw[j]);
-            }
-        }
+        let codewords: Vec<u8> = data
+            .chunks_exact(4)
+            .map(|c| hamming74_encode(c.iter().fold(0, |acc, &b| (acc << 1) | (b & 1))))
+            .collect();
+        let mut out = vec![0u8; self.channel_bits()];
+        interleave(&codewords, 0, self.codewords, &mut out);
         out
     }
 
@@ -96,19 +136,14 @@ impl FecLayout {
     /// Panics unless `channel.len() == self.channel_bits()`.
     pub fn decode(&self, channel: &[u8]) -> (Vec<u8>, usize) {
         assert_eq!(channel.len(), self.channel_bits(), "channel size mismatch");
-        let n = self.codewords;
+        let mut codewords = vec![0u8; self.codewords];
+        deinterleave(channel, self.codewords, &mut codewords);
         let mut corrected = 0usize;
         let mut data = Vec::with_capacity(self.data_bits());
-        for i in 0..n {
-            let mut cw = [0u8; 7];
-            for (j, slot) in cw.iter_mut().enumerate() {
-                *slot = channel[j * n + i]; // lint:allow(panic_path) j < 7, i < n, channel.len() == 7*n (checked by caller)
-            }
-            let (d, fixed) = hamming74_decode(&cw);
-            if fixed {
-                corrected += 1;
-            }
-            data.extend_from_slice(&d);
+        for &cw in &codewords {
+            let (nibble, fixed) = hamming74_decode(cw);
+            corrected += usize::from(fixed);
+            data.extend((0..4).rev().map(|i| (nibble >> i) & 1));
         }
         (data, corrected)
     }
@@ -122,10 +157,10 @@ mod tests {
     #[test]
     fn hamming_all_codewords_roundtrip() {
         for v in 0..16u8 {
-            let data = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1];
-            let cw = hamming74_encode(&data);
-            let (decoded, corrected) = hamming74_decode(&cw);
-            assert_eq!(decoded, data);
+            let cw = hamming74_encode(v);
+            assert!(cw < 0x80, "seven code bits");
+            let (decoded, corrected) = hamming74_decode(cw);
+            assert_eq!(decoded, v);
             assert!(!corrected);
         }
     }
@@ -133,16 +168,21 @@ mod tests {
     #[test]
     fn hamming_corrects_every_single_error() {
         for v in 0..16u8 {
-            let data = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1];
-            let cw = hamming74_encode(&data);
+            let cw = hamming74_encode(v);
             for flip in 0..7 {
-                let mut bad = cw;
-                bad[flip] ^= 1;
-                let (decoded, corrected) = hamming74_decode(&bad);
-                assert_eq!(decoded, data, "flip at {flip}");
+                let (decoded, corrected) = hamming74_decode(cw ^ (1 << flip));
+                assert_eq!(decoded, v, "flip at {flip}");
                 assert!(corrected);
             }
         }
+    }
+
+    #[test]
+    fn hamming_positions_follow_the_classic_layout() {
+        // d1 alone sets position 2 and the parities that cover it
+        // (p1 at 0, p2 at 1); d4 alone sets position 6 and every parity.
+        assert_eq!(hamming74_encode(0b1000), 0b000_0111);
+        assert_eq!(hamming74_encode(0b0001), 0b100_1011);
     }
 
     #[test]

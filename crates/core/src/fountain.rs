@@ -33,11 +33,9 @@
 //! the ARQ transport unchanged.
 
 use crate::tagnet::{
-    base_report_payload, decode_chunk, encode_chunk, parse_base_report, TagnetError,
-    CHUNK_PAYLOAD_BITS, MAX_MESSAGE_BYTES,
+    assemble_message, base_report_payload, decode_chunk, encode_chunk, message_verifies,
+    parse_base_report, source_block, TagnetError, CHUNK_PAYLOAD_BITS,
 };
-use std::collections::BTreeSet;
-use witag_crypto::crc8;
 use witag_sim::Rng;
 
 /// Robust-soliton spike parameter `c` (controls how much probability
@@ -218,93 +216,46 @@ impl DegreeDistribution {
         }
     }
 
-    /// The source-chunk neighbour set of symbol `esi`, in ascending
-    /// order. The code is **systematic**: the first `k` symbols are the
+    /// Write the source-chunk neighbour set of symbol `esi` into `out`
+    /// (cleared first), in ascending order. The code is **systematic**: the first `k` symbols are the
     /// source chunks verbatim (`esi < k → {esi}`), so a loss-free pass
     /// costs exactly `k` symbols and coding overhead is only paid on
     /// the repair symbols that follow. Repair symbols (`esi ≥ k`) use
     /// dense random rows up to [`DENSE_REPAIR_MAX`] chunks and a seeded
     /// robust-soliton degree draw with partial Fisher–Yates selection
     /// beyond that. Deterministic in `(k, esi)` — this is the whole
-    /// "negotiation" of the code.
-    pub fn neighbors(&self, esi: u64) -> Vec<usize> {
-        if (esi as u128) < self.k as u128 {
-            return vec![esi as usize];
+    /// "negotiation" of the code. `out` is the caller's buffer, so a
+    /// held one makes the call allocation-free once it has grown to
+    /// `k`.
+    // lint:no_alloc
+    pub fn neighbors_into(&self, esi: u64, out: &mut Vec<usize>) {
+        out.clear();
+        if esi < self.k as u64 {
+            out.push(esi as usize);
+            return;
         }
         let mut rng = Rng::seed_from_u64(symbol_seed(self.k, esi));
         if self.k <= DENSE_REPAIR_MAX {
             // Dense repair: each chunk joins with probability ½. A row
             // that comes up empty falls back to the chunk a fresh draw
             // names, so every symbol carries information.
-            let picked: Vec<usize> = (0..self.k).filter(|_| rng.chance(0.5)).collect();
-            if picked.is_empty() {
-                return vec![rng.below(self.k as u64) as usize];
+            out.extend((0..self.k).filter(|_| rng.chance(0.5)));
+            if out.is_empty() {
+                out.push(rng.below(self.k as u64) as usize);
             }
-            return picked;
+            return;
         }
+        // Soliton repair: a partial Fisher–Yates draw of `degree`
+        // chunks, in place over the identity pool.
         let degree = self.sample(rng.f64());
-        let mut pool: Vec<usize> = (0..self.k).collect();
+        out.extend(0..self.k);
         for i in 0..degree {
             let j = i + rng.below((self.k - i) as u64) as usize;
-            pool.swap(i, j);
+            out.swap(i, j);
         }
-        let mut picked = pool[..degree].to_vec();
-        picked.sort_unstable();
-        picked
+        out.truncate(degree);
+        out.sort_unstable();
     }
-}
-
-/// Split a message into the fountain source block: header chunk
-/// (`[len(12) ‖ crc8(8)]`, zero-padded to 20 bits) followed by 20-bit
-/// payload chunks — byte-identical to the session transport's chunking.
-fn source_chunks(message: &[u8]) -> Result<Vec<Vec<u8>>, TagnetError> {
-    if message.len() > MAX_MESSAGE_BYTES {
-        return Err(TagnetError::MessageTooLong {
-            bytes: message.len(),
-            max: MAX_MESSAGE_BYTES,
-        });
-    }
-    let len = message.len() as u16;
-    let hcrc = crc8(message);
-    let mut header = Vec::with_capacity(CHUNK_PAYLOAD_BITS);
-    for i in (0..12).rev() {
-        header.push(((len >> i) & 1) as u8);
-    }
-    for i in (0..8).rev() {
-        header.push((hcrc >> i) & 1);
-    }
-    let mut chunks = vec![header];
-    let mut bits: Vec<u8> = message
-        .iter()
-        .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1))
-        .collect();
-    let n = bits.len().div_ceil(CHUNK_PAYLOAD_BITS);
-    bits.resize(n * CHUNK_PAYLOAD_BITS, 0);
-    chunks.extend(bits.chunks(CHUNK_PAYLOAD_BITS).map(|c| c.to_vec()));
-    Ok(chunks)
-}
-
-/// Reassemble message bytes from a fully solved source block and verify
-/// the header's end-to-end CRC. `None` on any inconsistency.
-fn assemble_chunks(chunks: &[Option<Vec<u8>>], k: usize) -> Option<Vec<u8>> {
-    let header = chunks.first()?.as_deref()?;
-    let len = header[..12]
-        .iter()
-        .fold(0usize, |acc, &b| (acc << 1) | b as usize);
-    let hcrc = header[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
-    if source_count_for_len(len) != k {
-        return None; // header decoded to a block size we did not solve
-    }
-    let mut bits = Vec::with_capacity(k.saturating_sub(1) * CHUNK_PAYLOAD_BITS);
-    for abs in 1..k {
-        bits.extend_from_slice(chunks.get(abs)?.as_deref()?);
-    }
-    let bytes: Vec<u8> = bits
-        .chunks(8)
-        .take(len)
-        .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-        .collect();
-    (bytes.len() == len && crc8(&bytes) == hcrc).then_some(bytes)
 }
 
 /// Rateless encoder: produces coded symbol `esi` as the XOR of that
@@ -312,20 +263,25 @@ fn assemble_chunks(chunks: &[Option<Vec<u8>>], k: usize) -> Option<Vec<u8>> {
 /// (unbounded) symbol stream is useful to the decoder.
 #[derive(Debug, Clone)]
 pub struct FountainEncoder {
-    chunks: Vec<Vec<u8>>,
+    chunks: Vec<u32>,
     dist: DegreeDistribution,
     len: usize,
+    /// Scratch: the neighbour set of the symbol being encoded.
+    nbrs: Vec<usize>,
 }
 
 impl FountainEncoder {
-    /// Frame a message as a fountain source block.
+    /// Frame a message as a fountain source block: the header chunk
+    /// (`[len(12) ‖ crc8(8)]`) followed by 20-bit payload chunks —
+    /// identical to the session transport's chunking.
     pub fn new(message: &[u8]) -> Result<FountainEncoder, TagnetError> {
-        let chunks = source_chunks(message)?;
+        let chunks = source_block(message)?;
         let dist = DegreeDistribution::robust_soliton(chunks.len());
         Ok(FountainEncoder {
             chunks,
             dist,
             len: message.len(),
+            nbrs: Vec::new(),
         })
     }
 
@@ -340,23 +296,24 @@ impl FountainEncoder {
     }
 
     /// Coded symbol `esi`: XOR of its neighbour chunks, 20 bits.
-    pub fn symbol(&self, esi: u64) -> Vec<u8> {
-        let mut out = vec![0u8; CHUNK_PAYLOAD_BITS];
-        for idx in self.dist.neighbors(esi) {
-            for (o, &b) in out.iter_mut().zip(self.chunks[idx].iter()) {
-                *o ^= b;
-            }
-        }
-        out
+    // lint:no_alloc
+    pub fn symbol(&mut self, esi: u64) -> u32 {
+        self.dist.neighbors_into(esi, &mut self.nbrs);
+        let chunks = &self.chunks;
+        self.nbrs
+            .iter()
+            .fold(0, |acc, &i| acc ^ chunks.get(i).copied().unwrap_or(0))
     }
 }
 
 /// One undecoded coded symbol: its payload with every already-solved
-/// neighbour XORed out, plus the still-unsolved neighbour set.
-#[derive(Debug, Clone)]
+/// neighbour XORed out, and how many neighbours it still names. The
+/// neighbour set itself is the symbol's row of
+/// [`FountainDecoder`]'s `masks`.
+#[derive(Debug, Clone, Copy)]
 struct PendingSymbol {
-    neighbors: Vec<usize>,
-    payload: Vec<u8>,
+    degree: usize,
+    payload: u32,
 }
 
 /// Peeling (belief-propagation) fountain decoder with a
@@ -369,17 +326,33 @@ struct PendingSymbol {
 /// decoder falls back to dense GF(2) elimination over the stalled tail
 /// — the "inactivation" step that buys the last few percent of
 /// overhead efficiency.
+///
+/// Each pending symbol's unsolved neighbours are one row of a bit
+/// matrix (`words` 64-bit words per row, bit `i` for chunk `i`), and
+/// every buffer the steady state touches is held by the decoder, so
+/// absorbing a symbol allocates only when a buffer grows.
 #[derive(Debug, Clone)]
 pub struct FountainDecoder {
     dist: DegreeDistribution,
-    solved: Vec<Option<Vec<u8>>>,
+    solved: Vec<Option<u32>>,
     pending: Vec<PendingSymbol>,
-    seen: BTreeSet<u64>,
-    raw: Vec<(u64, Vec<u8>)>,
+    /// Row `i` is `pending[i]`'s unsolved-neighbour set.
+    masks: Vec<u64>,
+    words: usize,
+    /// Symbol ids absorbed so far, ascending.
+    seen: Vec<u64>,
+    raw: Vec<(u64, u32)>,
     repair: bool,
     poisoned: bool,
     received: usize,
     solved_count: usize,
+    /// Scratch: the neighbour set of the symbol being absorbed.
+    nbrs: Vec<usize>,
+    /// Scratch: the peeling worklist.
+    work: Vec<usize>,
+    /// Scratch: the elimination system `[masks | payloads]`.
+    elim: Vec<u64>,
+    elim_payload: Vec<u32>,
 }
 
 impl FountainDecoder {
@@ -390,12 +363,18 @@ impl FountainDecoder {
             dist: DegreeDistribution::robust_soliton(k),
             solved: vec![None; k],
             pending: Vec::new(),
-            seen: BTreeSet::new(),
+            masks: Vec::new(),
+            words: k.div_ceil(64),
+            seen: Vec::new(),
             raw: Vec::new(),
             repair: true,
             poisoned: false,
             received: 0,
             solved_count: 0,
+            nbrs: Vec::new(),
+            work: Vec::new(),
+            elim: Vec::new(),
+            elim_payload: Vec::new(),
         }
     }
 
@@ -432,52 +411,84 @@ impl FountainDecoder {
         self.solved.len() <= DENSE_REPAIR_MAX && self.raw.len() <= REPAIR_SYMBOL_MAX
     }
 
+    /// The solved header chunk, if it names a block of this size.
+    fn header(&self) -> Option<u32> {
+        let header = self.solved.first().copied().flatten()?;
+        (source_count_for_len((header >> 8) as usize) == self.solved.len()).then_some(header)
+    }
+
     /// End-to-end CRC over the solved block, ignoring the poisoned
     /// flag — the internal check that *sets* it.
-    fn check_crc(&self) -> Option<Vec<u8>> {
-        assemble_chunks(&self.solved, self.solved.len())
+    fn verifies(&self) -> bool {
+        let body = self.solved.get(1..).unwrap_or_default();
+        self.header()
+            .is_some_and(|header| message_verifies(header, body))
     }
 
     /// Absorb coded symbol `esi`; returns the number of source chunks
     /// newly solved by this symbol (directly or via propagation).
     /// Duplicate symbol ids are ignored.
-    pub fn absorb(&mut self, esi: u64, payload: &[u8]) -> usize {
-        if payload.len() != CHUNK_PAYLOAD_BITS || self.complete() || !self.seen.insert(esi) {
+    pub fn absorb(&mut self, esi: u64, payload: u32) -> usize {
+        let before = self.solved_count;
+        if !self.fold(esi, payload) {
             return 0;
         }
+        if self.solved_count == self.solved.len() {
+            if self.repair && !self.verifies() {
+                self.try_repair();
+            }
+            self.poisoned = !self.verifies();
+        }
+        self.solved_count - before
+    }
+
+    /// Fold one symbol into the equations: peel it against the solved
+    /// chunks, solve or queue it, and try inactivation on a stalled
+    /// tail. `false` for a payload wider than [`CHUNK_PAYLOAD_BITS`], a
+    /// complete block or a duplicate id.
+    // lint:no_alloc
+    fn fold(&mut self, esi: u64, payload: u32) -> bool {
+        if payload >> CHUNK_PAYLOAD_BITS != 0 || self.complete() {
+            return false;
+        }
+        let Err(at) = self.seen.binary_search(&esi) else {
+            return false;
+        };
+        self.seen.insert(at, esi);
         self.received += 1;
-        self.raw.push((esi, payload.to_vec()));
-        let before = self.solved_count;
-        let mut neighbors = Vec::new();
-        let mut bits = payload.to_vec();
-        for idx in self.dist.neighbors(esi) {
-            match self.solved[idx].as_deref() {
-                Some(known) => xor_into(&mut bits, known),
-                None => neighbors.push(idx),
+        self.raw.push((esi, payload));
+        self.dist.neighbors_into(esi, &mut self.nbrs);
+        let row = self.pending.len() * self.words;
+        self.masks.resize(row + self.words, 0);
+        let (mut bits, mut degree, mut last) = (payload, 0usize, 0usize);
+        for &idx in &self.nbrs {
+            match self.solved.get(idx).copied().flatten() {
+                Some(known) => bits ^= known,
+                None => {
+                    if let Some(w) = self.masks.get_mut(row + idx / 64) {
+                        *w |= 1 << (idx % 64);
+                    }
+                    degree += 1;
+                    last = idx;
+                }
             }
         }
-        match neighbors.len() {
-            0 => {} // fully redundant
+        match degree {
+            0 => self.masks.truncate(row), // fully redundant
             1 => {
-                let idx = neighbors[0];
-                self.solve(idx, bits);
-                self.peel_from(idx);
+                self.masks.truncate(row);
+                self.solve(last, bits);
+                self.peel_from(last);
             }
             _ => self.pending.push(PendingSymbol {
-                neighbors,
+                degree,
                 payload: bits,
             }),
         }
         if self.solved_count < self.solved.len() {
             self.try_inactivation();
         }
-        if self.solved_count == self.solved.len() {
-            if self.repair && self.check_crc().is_none() {
-                self.try_repair();
-            }
-            self.poisoned = self.check_crc().is_none();
-        }
-        self.solved_count - before
+        true
     }
 
     /// Leave-out repair: the block solved to a full rank but the
@@ -526,9 +537,9 @@ impl FountainDecoder {
     fn rebuild_without(&self, skips: &[usize]) -> Option<FountainDecoder> {
         let mut cand = FountainDecoder::new(self.solved.len());
         cand.repair = false;
-        for (i, (esi, payload)) in self.raw.iter().enumerate() {
+        for (i, &(esi, payload)) in self.raw.iter().enumerate() {
             if !skips.contains(&i) {
-                cand.absorb(*esi, payload);
+                cand.absorb(esi, payload);
             }
         }
         if cand.complete() && cand.assemble().is_some() {
@@ -541,45 +552,74 @@ impl FountainDecoder {
     }
 
     // Callers pass chunk ids validated against `solved.len()` on ingest.
-    fn solve(&mut self, idx: usize, bits: Vec<u8>) {
-        let slot = &mut self.solved[idx]; // lint:allow(panic_path) idx < k validated on symbol ingest
-        if slot.is_none() {
-            *slot = Some(bits);
-            self.solved_count += 1;
+    // lint:no_alloc
+    fn solve(&mut self, idx: usize, bits: u32) {
+        if let Some(slot) = self.solved.get_mut(idx) {
+            if slot.is_none() {
+                *slot = Some(bits);
+                self.solved_count += 1;
+            }
         }
+    }
+
+    /// Remove pending symbol `i` and its mask row (swap-remove: the last
+    /// symbol takes slot `i`).
+    // lint:no_alloc
+    fn remove_pending(&mut self, i: usize) -> PendingSymbol {
+        let w = self.words;
+        let last = self.pending.len() - 1;
+        if i != last {
+            self.masks.copy_within(last * w..(last + 1) * w, i * w);
+        }
+        self.masks.truncate(last * w);
+        self.pending.swap_remove(i)
     }
 
     /// Propagate one newly solved chunk through the pending set,
     /// cascading any follow-on solves (iterative worklist, no
     /// recursion).
+    // lint:no_alloc
     fn peel_from(&mut self, first: usize) {
-        let mut work = vec![first];
-        while let Some(idx) = work.pop() {
-            // Panic-free by construction: `idx` only enters the worklist
-            // after `solve` stored the chunk.
-            let slot = self.solved[idx].clone(); // lint:allow(panic_path) worklist only holds ids stored via solve()
-            let known = match slot {
-                Some(k) => k,
-                None => continue,
+        let w = self.words;
+        self.work.clear();
+        self.work.push(first);
+        while let Some(idx) = self.work.pop() {
+            // `idx` only enters the worklist after `solve` stored it.
+            let Some(known) = self.solved.get(idx).copied().flatten() else {
+                continue;
             };
+            let (wi, bit) = (idx / 64, 1u64 << (idx % 64));
             let mut i = 0;
             while i < self.pending.len() {
-                if let Some(pos) = self.pending[i].neighbors.iter().position(|&n| n == idx) {
-                    self.pending[i].neighbors.swap_remove(pos);
-                    let payload = &mut self.pending[i].payload;
-                    xor_into(payload, &known);
-                    match self.pending[i].neighbors.len() {
+                let Some(m) = self.masks.get_mut(i * w + wi) else {
+                    break;
+                };
+                if *m & bit != 0 {
+                    *m &= !bit;
+                    let Some(p) = self.pending.get_mut(i) else {
+                        break;
+                    };
+                    p.degree -= 1;
+                    p.payload ^= known;
+                    match p.degree {
                         0 => {
-                            self.pending.swap_remove(i);
+                            self.remove_pending(i);
                             continue; // don't advance: swapped row takes slot i
                         }
                         1 => {
-                            let row = self.pending.swap_remove(i);
-                            let target = row.neighbors[0];
-                            let unsolved = self.solved[target].is_none(); // lint:allow(panic_path) neighbor ids validated on symbol ingest
+                            let target = self
+                                .masks
+                                .get(i * w..(i + 1) * w)
+                                .and_then(|row| {
+                                    let (k, m) = row.iter().enumerate().find(|(_, m)| **m != 0)?;
+                                    Some(k * 64 + m.trailing_zeros() as usize)
+                                })
+                                .unwrap_or(usize::MAX);
+                            let sym = self.remove_pending(i);
+                            let unsolved = self.solved.get(target).is_some_and(Option::is_none);
                             if unsolved {
-                                self.solve(target, row.payload);
-                                work.push(target);
+                                self.solve(target, sym.payload);
+                                self.work.push(target);
                             }
                             continue;
                         }
@@ -595,64 +635,66 @@ impl FountainDecoder {
     /// when the pending equations could plausibly span the unsolved
     /// chunks; solves everything or nothing (full-rank check), then
     /// lets the ordinary peeling path observe the new solves.
+    // lint:no_alloc
     fn try_inactivation(&mut self) {
-        let unsolved: Vec<usize> = (0..self.solved.len())
-            .filter(|&i| self.solved[i].is_none())
-            .collect();
-        let u = unsolved.len();
+        let u = self.solved.len() - self.solved_count;
         if u == 0 || self.pending.len() < u {
             return;
         }
-        // Column index per chunk id.
-        let mut col_of = vec![usize::MAX; self.solved.len()];
-        for (c, &idx) in unsolved.iter().enumerate() {
-            col_of[idx] = c;
-        }
-        let words = u.div_ceil(64);
-        // Build the augmented system [mask | payload].
-        let mut rows: Vec<(Vec<u64>, Vec<u8>)> = self
-            .pending
+        let (w, rows) = (self.words, self.pending.len());
+        // The augmented system [mask | payload], over the unsolved
+        // chunks in ascending order: pending masks name only those.
+        self.elim.clear();
+        self.elim.extend_from_slice(&self.masks);
+        self.elim_payload.clear();
+        self.elim_payload
+            .extend(self.pending.iter().map(|p| p.payload));
+        let (elim, pay) = (&mut self.elim, &mut self.elim_payload);
+        // Forward elimination: one pivot row per column. The c-th
+        // unsolved column's pivot always lands in row c (a missing
+        // pivot aborts the whole pass), so no separate pivot
+        // bookkeeping is needed.
+        let unsolved = self
+            .solved
             .iter()
-            .map(|p| {
-                let mut mask = vec![0u64; words];
-                for &n in &p.neighbors {
-                    let c = col_of[n];
-                    mask[c / 64] |= 1u64 << (c % 64);
-                }
-                (mask, p.payload.clone())
-            })
-            .collect();
-        // Forward elimination: one pivot row per column. Column c's
-        // pivot always lands in row c (a missing pivot aborts the
-        // whole pass), so no separate pivot bookkeeping is needed.
-        for c in 0..u {
-            let (w, b) = (c / 64, 1u64 << (c % 64));
-            let Some(p) = (c..rows.len()).find(|&r| rows[r].0[w] & b != 0) else {
+            .enumerate()
+            .filter_map(|(idx, s)| s.is_none().then_some(idx));
+        for (c, idx) in unsolved.enumerate() {
+            let (wi, b) = (idx / 64, 1u64 << (idx % 64));
+            let has = |elim: &[u64], r: usize| elim.get(r * w + wi).is_some_and(|m| m & b != 0);
+            let Some(p) = (c..rows).find(|&r| has(elim.as_slice(), r)) else {
                 return; // rank-deficient: wait for more symbols
             };
-            rows.swap(c, p);
-            for r in 0..rows.len() {
-                if r != c && rows[r].0[w] & b != 0 {
-                    let (head, tail) = rows.split_at_mut(r.max(c));
-                    let (src, dst) = if r > c {
-                        (&head[c], &mut tail[0])
-                    } else {
-                        (&tail[0], &mut head[r])
-                    };
-                    for (d, s) in dst.0.iter_mut().zip(src.0.iter()) {
-                        *d ^= s;
+            if p != c {
+                for t in 0..w {
+                    elim.swap(c * w + t, p * w + t);
+                }
+                pay.swap(c, p);
+            }
+            for r in 0..rows {
+                if r != c && has(elim.as_slice(), r) {
+                    for t in 0..w {
+                        let src = elim.get(c * w + t).copied().unwrap_or(0);
+                        if let Some(d) = elim.get_mut(r * w + t) {
+                            *d ^= src;
+                        }
                     }
-                    let src_payload = src.1.clone();
-                    xor_into(&mut dst.1, &src_payload);
+                    let src = pay.get(c).copied().unwrap_or(0);
+                    if let Some(d) = pay.get_mut(r) {
+                        *d ^= src;
+                    }
                 }
             }
         }
-        // Full rank: row c now holds exactly one unknown — column c's.
-        for (c, &idx) in unsolved.iter().enumerate() {
-            let bits = rows[c].1.clone();
-            self.solve(idx, bits);
+        // Full rank: row c now holds exactly one unknown — the c-th
+        // unsolved chunk.
+        let mut solved = self.elim_payload.iter();
+        for slot in self.solved.iter_mut().filter(|s| s.is_none()) {
+            *slot = solved.next().copied();
+            self.solved_count += 1;
         }
         self.pending.clear();
+        self.masks.clear();
     }
 
     /// Reassemble the message once [`complete`](Self::complete); `None`
@@ -662,14 +704,7 @@ impl FountainDecoder {
         if !self.complete() {
             return None;
         }
-        assemble_chunks(&self.solved, self.solved.len())
-    }
-}
-
-/// XOR `src` into `dst` element-wise over the common prefix.
-fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= s;
+        assemble_message(self.header()?, self.solved.get(1..)?)
     }
 }
 
@@ -726,33 +761,28 @@ impl FountainSender {
         self.enc.source_count()
     }
 
-    /// Build the response to one query. Pure: call
+    /// Write the response to one query into `out` (the query's channel
+    /// bits). It changes no protocol state: call
     /// [`commit`](Self::commit) afterwards iff the tag heard the
     /// trigger.
-    pub fn serve(
-        &self,
-        query: &FountainQuery,
-        channel_bits: usize,
-    ) -> Result<Vec<u8>, TagnetError> {
+    pub fn serve(&mut self, query: &FountainQuery, out: &mut [u8]) -> Result<(), TagnetError> {
         match *query {
-            FountainQuery::Symbol => encode_chunk(
-                (self.esi % 16) as u8,
-                &self.enc.symbol(self.esi),
-                channel_bits,
-            ),
+            FountainQuery::Symbol => {
+                let symbol = self.enc.symbol(self.esi);
+                encode_chunk((self.esi % 16) as u8, symbol, out)
+            }
             FountainQuery::Info => {
                 let len = self.enc.message_len();
-                encode_chunk((len % 16) as u8, &base_report_payload(len), channel_bits)
+                encode_chunk((len % 16) as u8, base_report_payload(len), out)
             }
             FountainQuery::Sync => {
                 let counter = (self.esi % SYNC_ESI_MOD) as usize;
-                encode_chunk(
-                    (counter % 16) as u8,
-                    &base_report_payload(counter),
-                    channel_bits,
-                )
+                encode_chunk((counter % 16) as u8, base_report_payload(counter), out)
             }
-            FountainQuery::Idle => Ok(vec![1u8; channel_bits]),
+            FountainQuery::Idle => {
+                out.fill(1);
+                Ok(())
+            }
         }
     }
 
@@ -797,7 +827,7 @@ pub struct FountainReceiver {
     idles_since_anchor: u64,
     sync_pending: bool,
     sync_flip: bool,
-    placed: Vec<(u64, Vec<u8>)>,
+    placed: Vec<(u64, u32)>,
 }
 
 /// What one absorbed round did, for stats and observability.
@@ -948,7 +978,7 @@ impl FountainReceiver {
         let mut dec = FountainDecoder::new(source_count_for_len(len));
         let mut solved = 0;
         for (esi, payload) in std::mem::take(&mut self.placed) {
-            solved += dec.absorb(esi, &payload);
+            solved += dec.absorb(esi, payload);
         }
         self.decoder = Some(dec);
         solved
@@ -1018,7 +1048,7 @@ impl FountainReceiver {
         self.idle_streak = 0;
         match *query {
             FountainQuery::Info => {
-                let Some(len) = parse_base_report(seq, &payload) else {
+                let Some(len) = parse_base_report(seq, payload) else {
                     return miss;
                 };
                 let solved = if self.len.is_none() {
@@ -1032,7 +1062,7 @@ impl FountainReceiver {
                 }
             }
             FountainQuery::Sync => {
-                let Some(counter) = parse_base_report(seq, &payload) else {
+                let Some(counter) = parse_base_report(seq, payload) else {
                     return miss;
                 };
                 // A CRC-valid SYNC report is authoritative: it carries
@@ -1089,23 +1119,16 @@ impl FountainReceiver {
                     return miss;
                 };
                 let solved = match self.decoder.as_mut() {
-                    Some(dec) => dec.absorb(esi, &payload),
+                    Some(dec) => dec.absorb(esi, payload),
                     None => {
                         // Pre-length: hold exactly-placed symbols for
                         // replay, and read the length straight out of
                         // the header chunk if this *is* symbol 0.
                         if self.placed.len() < PLACED_SYMBOL_CAP {
-                            self.placed.push((esi, payload.clone()));
+                            self.placed.push((esi, payload));
                         }
                         if esi == 0 {
-                            let len = payload[..12]
-                                .iter()
-                                .fold(0usize, |acc, &b| (acc << 1) | b as usize);
-                            if len <= MAX_MESSAGE_BYTES {
-                                self.install_decoder(len)
-                            } else {
-                                0
-                            }
+                            self.install_decoder((payload >> 8) as usize)
                         } else {
                             0
                         }
@@ -1132,6 +1155,13 @@ mod tests {
     use super::*;
     use witag_sim::Rng;
 
+    /// The bits `sender` modulates for `q` on a 62-bit query.
+    fn served(sender: &mut FountainSender, q: &FountainQuery) -> Vec<u8> {
+        let mut tx = vec![0u8; 62];
+        sender.serve(q, &mut tx).unwrap();
+        tx
+    }
+
     #[test]
     fn degree_distribution_is_normalised() {
         for k in [1usize, 2, 3, 7, 20, 100, 1000] {
@@ -1146,10 +1176,11 @@ mod tests {
     #[test]
     fn neighbor_selection_is_deterministic_and_in_range() {
         let d = DegreeDistribution::robust_soliton(17);
+        let (mut a, mut b) = (Vec::new(), vec![99; 40]);
         for esi in 0..200u64 {
-            let a = d.neighbors(esi);
-            let b = d.neighbors(esi);
-            assert_eq!(a, b);
+            d.neighbors_into(esi, &mut a);
+            d.neighbors_into(esi, &mut b);
+            assert_eq!(a, b, "a held buffer is cleared first");
             assert!(!a.is_empty() && a.len() <= 17);
             assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
             assert!(a.iter().all(|&i| i < 17));
@@ -1159,11 +1190,11 @@ mod tests {
     #[test]
     fn encoder_decoder_roundtrip_in_order() {
         let message = b"fountain codes need no feedback per chunk";
-        let enc = FountainEncoder::new(message).unwrap();
+        let mut enc = FountainEncoder::new(message).unwrap();
         let mut dec = FountainDecoder::new(enc.source_count());
         let mut esi = 0u64;
         while !dec.complete() {
-            dec.absorb(esi, &enc.symbol(esi));
+            dec.absorb(esi, enc.symbol(esi));
             esi += 1;
             assert!(esi < 10_000, "decoder must converge");
         }
@@ -1175,7 +1206,7 @@ mod tests {
     #[test]
     fn decoder_survives_loss_and_reordering() {
         let message = b"any k(1+e) symbols will do, in any order";
-        let enc = FountainEncoder::new(message).unwrap();
+        let mut enc = FountainEncoder::new(message).unwrap();
         let mut rng = Rng::seed_from_u64(77);
         // Drop 40% of the first 4k symbols, shuffle the survivors.
         let mut esis: Vec<u64> = (0..4 * enc.source_count() as u64)
@@ -1187,7 +1218,7 @@ mod tests {
             if dec.complete() {
                 break;
             }
-            dec.absorb(esi, &enc.symbol(esi));
+            dec.absorb(esi, enc.symbol(esi));
         }
         assert!(dec.complete());
         assert_eq!(dec.assemble().unwrap(), message);
@@ -1199,15 +1230,17 @@ mod tests {
         // a singleton): pure peeling cannot start, so completion proves
         // the Gaussian fallback engaged.
         let message = b"stalls happen";
-        let enc = FountainEncoder::new(message).unwrap();
+        let mut enc = FountainEncoder::new(message).unwrap();
         let dist = DegreeDistribution::robust_soliton(enc.source_count());
         let mut dec = FountainDecoder::new(enc.source_count());
         let mut fed = 0;
+        let mut nbrs = Vec::new();
         for esi in 0..20_000u64 {
-            if dist.neighbors(esi).len() < 2 {
+            dist.neighbors_into(esi, &mut nbrs);
+            if nbrs.len() < 2 {
                 continue;
             }
-            dec.absorb(esi, &enc.symbol(esi));
+            dec.absorb(esi, enc.symbol(esi));
             fed += 1;
             if dec.complete() {
                 break;
@@ -1219,10 +1252,10 @@ mod tests {
 
     #[test]
     fn duplicate_symbols_are_ignored() {
-        let enc = FountainEncoder::new(b"dup").unwrap();
+        let mut enc = FountainEncoder::new(b"dup").unwrap();
         let mut dec = FountainDecoder::new(enc.source_count());
-        let first = dec.absorb(3, &enc.symbol(3));
-        let again = dec.absorb(3, &enc.symbol(3));
+        let first = dec.absorb(3, enc.symbol(3));
+        let again = dec.absorb(3, enc.symbol(3));
         assert_eq!(again, 0);
         let _ = first;
         assert_eq!(dec.received(), 1);
@@ -1230,12 +1263,12 @@ mod tests {
 
     #[test]
     fn empty_message_roundtrips() {
-        let enc = FountainEncoder::new(b"").unwrap();
+        let mut enc = FountainEncoder::new(b"").unwrap();
         assert_eq!(enc.source_count(), 1);
         let mut dec = FountainDecoder::new(1);
         let mut esi = 0;
         while !dec.complete() {
-            dec.absorb(esi, &enc.symbol(esi));
+            dec.absorb(esi, enc.symbol(esi));
             esi += 1;
         }
         assert_eq!(dec.assemble().unwrap(), b"");
@@ -1252,7 +1285,7 @@ mod tests {
             // Header-first: symbol 0 carries the length, so a clean
             // start never needs an INFO round.
             assert_ne!(q, FountainQuery::Info);
-            let tx = sender.serve(&q, 62).unwrap();
+            let tx = served(&mut sender, &q);
             sender.commit(&q);
             let out = recv.absorb(&q, Some(&tx), 62);
             assert!(out.accepted, "clean channel must accept every round");
@@ -1272,7 +1305,7 @@ mod tests {
         let mut recv = FountainReceiver::new();
         // Learn the length from the header symbol.
         let q = recv.next_query();
-        let tx = sender.serve(&q, 62).unwrap();
+        let tx = served(&mut sender, &q);
         sender.commit(&q);
         recv.absorb(&q, Some(&tx), 62);
         // A collision corrupts an *idle* readout into modulated
@@ -1292,7 +1325,7 @@ mod tests {
         // The next clean symbol is placed at the residue candidate
         // nearest the belief — one *below* it — re-anchoring exactly.
         let q = recv.next_query();
-        let tx = sender.serve(&q, 62).unwrap();
+        let tx = served(&mut sender, &q);
         sender.commit(&q);
         let out = recv.absorb(&q, Some(&tx), 62);
         assert!(out.accepted);
@@ -1302,26 +1335,23 @@ mod tests {
     #[test]
     fn leave_one_out_repair_heals_a_poisoned_block() {
         let message = b"one corrupt symbol cannot hold the block hostage";
-        let enc = FountainEncoder::new(message).unwrap();
+        let mut enc = FountainEncoder::new(message).unwrap();
         let k = enc.source_count() as u64;
         let mut dec = FountainDecoder::new(enc.source_count());
         // A corrupt symbol claiming esi 2 lands first; the real symbol
         // 2 (and a few others) never arrive, so chunk 2's only clean
         // coverage is the dense repair rows.
-        let mut bad = enc.symbol(2);
-        for b in bad.iter_mut().take(6) {
-            *b ^= 1;
-        }
-        dec.absorb(2, &bad);
+        let bad = enc.symbol(2) ^ (0x3F << 14); // its first six bits flipped
+        dec.absorb(2, bad);
         let skip = [2u64, 5, 9, 13];
         for esi in 0..k {
             if !skip.contains(&esi) {
-                dec.absorb(esi, &enc.symbol(esi));
+                dec.absorb(esi, enc.symbol(esi));
             }
         }
         let mut esi = k;
         while !dec.complete() && esi < k + 200 {
-            dec.absorb(esi, &enc.symbol(esi));
+            dec.absorb(esi, enc.symbol(esi));
             esi += 1;
         }
         // Completion triggered the CRC check, the check failed, and
@@ -1343,7 +1373,7 @@ mod tests {
         let mut rounds = 0;
         while !recv.complete() && rounds < 5000 {
             let q = recv.next_query();
-            let tx = sender.serve(&q, 62).unwrap();
+            let tx = served(&mut sender, &q);
             let heard = !rng.chance(0.3); // tag misses 30% of triggers
             if heard {
                 sender.commit(&q);
@@ -1371,7 +1401,7 @@ mod tests {
         // Learn the length from the header symbol.
         let q = recv.next_query();
         assert_eq!(q, FountainQuery::Symbol);
-        let tx = sender.serve(&q, 62).unwrap();
+        let tx = served(&mut sender, &q);
         sender.commit(&q);
         recv.absorb(&q, Some(&tx), 62);
         // Burn SYMBOL rounds with lost readouts (tag hears, client
@@ -1382,14 +1412,14 @@ mod tests {
             let q = recv.next_query();
             if q == FountainQuery::Sync {
                 saw_sync = true;
-                let tx = sender.serve(&q, 62).unwrap();
+                let tx = served(&mut sender, &q);
                 sender.commit(&q);
                 let out = recv.absorb(&q, Some(&tx), 62);
                 assert!(out.accepted);
                 break;
             }
             assert_eq!(q, FountainQuery::Symbol);
-            let _ = sender.serve(&q, 62).unwrap();
+            let _ = served(&mut sender, &q);
             sender.commit(&q);
             recv.absorb(&q, None, 62);
         }

@@ -6,7 +6,8 @@
 //! * **Chunk framing** — each query carries one chunk: a 4-bit sequence
 //!   number, 20 payload bits and a CRC-8 over both, all wrapped in the
 //!   interleaved-Hamming FEC from [`crate::fec`] (56 channel bits of the
-//!   62 available).
+//!   62 available). The three fields form one 32-bit data word, and a
+//!   chunk payload is a `u32` from the message to the channel and back.
 //! * **Stop-and-wait ARQ** — the tag has no receiver, but the *client*
 //!   controls which trigger signature each query carries, and tags
 //!   already decode signatures (that is how they are addressed). Giving
@@ -20,8 +21,8 @@
 //! The transport is exercised against the full simulation stack in the
 //! workspace integration tests (`tests/tagnet_transport.rs`).
 
-use crate::fec::FecLayout;
-use crate::fountain::{FountainQuery, FountainReceiver, FountainSender};
+use crate::fec::{deinterleave, hamming74_decode, hamming74_encode, interleave, FecLayout};
+use crate::fountain::{source_count_for_len, FountainQuery, FountainReceiver, FountainSender};
 use std::collections::VecDeque;
 use std::fmt;
 use witag_crypto::crc8;
@@ -31,7 +32,7 @@ use witag_obs::{Event, Recorder};
 pub const CHUNK_PAYLOAD_BITS: usize = 20;
 /// Sequence-number bits per chunk.
 pub const CHUNK_SEQ_BITS: usize = 4;
-/// Data bits per chunk before FEC: seq + payload + CRC-8.
+/// Data bits per chunk before FEC: seq + payload + CRC-8, one `u32`.
 pub const CHUNK_DATA_BITS: usize = CHUNK_SEQ_BITS + CHUNK_PAYLOAD_BITS + 8;
 /// Smallest query (channel bits) that can carry one chunk:
 /// `CHUNK_DATA_BITS` data bits through Hamming(7,4) blocks.
@@ -46,6 +47,13 @@ pub const MAX_WINDOW: usize = 8;
 /// responses) so it can never be mistaken for message payload metadata.
 pub const BASE_REPORT_MAGIC: u8 = 0xB5;
 
+/// The largest chunk payload: [`CHUNK_PAYLOAD_BITS`] ones.
+const PAYLOAD_MAX: u32 = (1 << CHUNK_PAYLOAD_BITS) - 1;
+/// Hamming codewords the chunk's data word fills.
+const CHUNK_CODEWORDS: usize = CHUNK_DATA_BITS / 4;
+/// Every codeword past the data word encodes an all-ones pad nibble.
+const PAD_CODEWORD: u8 = hamming74_encode(0xF);
+
 /// Typed errors for the tagnet transport. These replace the asserts the
 /// framing layer used to carry: misuse now surfaces as a value the
 /// caller can match on instead of a panic in library code.
@@ -56,12 +64,10 @@ pub enum TagnetError {
         /// The offending sequence number.
         seq: u8,
     },
-    /// Chunk payload is not exactly [`CHUNK_PAYLOAD_BITS`] long.
-    PayloadSizeMismatch {
-        /// Required payload length in bits.
-        expected: usize,
-        /// Length actually supplied.
-        got: usize,
+    /// Chunk payload does not fit [`CHUNK_PAYLOAD_BITS`] bits.
+    PayloadTooWide {
+        /// The offending payload.
+        payload: u32,
     },
     /// The query cannot carry even one chunk after FEC.
     QueryTooSmall {
@@ -97,8 +103,11 @@ impl fmt::Display for TagnetError {
             TagnetError::SeqOutOfRange { seq } => {
                 write!(f, "sequence number {seq} does not fit 4 bits")
             }
-            TagnetError::PayloadSizeMismatch { expected, got } => {
-                write!(f, "chunk payload must be {expected} bits, got {got}")
+            TagnetError::PayloadTooWide { payload } => {
+                write!(
+                    f,
+                    "chunk payload {payload:#x} does not fit {CHUNK_PAYLOAD_BITS} bits"
+                )
             }
             TagnetError::QueryTooSmall {
                 channel_bits,
@@ -131,78 +140,173 @@ pub enum QueryKind {
     Repeat,
 }
 
-/// Encode a chunk: `[seq(4) ‖ payload(20) ‖ crc8(8)]` → FEC → channel
-/// bits, padded with idle 1s to `channel_bits` (the query's capacity).
-pub fn encode_chunk(seq: u8, payload: &[u8], channel_bits: usize) -> Result<Vec<u8>, TagnetError> {
+/// Encode a chunk into `out`, one query's `out.len()` channel bits. The
+/// data word `[seq(4) ‖ payload(20) ‖ crc8(8)]` (first bit in bit 31)
+/// fills eight interleaved Hamming(7,4) codewords; every further
+/// codeword the query fits carries an all-ones pad nibble, and the bits
+/// past `7 · codewords` are idle 1s.
+// lint:no_alloc
+pub fn encode_chunk(seq: u8, payload: u32, out: &mut [u8]) -> Result<(), TagnetError> {
     if seq >= 16 {
         return Err(TagnetError::SeqOutOfRange { seq });
     }
-    if payload.len() != CHUNK_PAYLOAD_BITS {
-        return Err(TagnetError::PayloadSizeMismatch {
-            expected: CHUNK_PAYLOAD_BITS,
-            got: payload.len(),
-        });
+    if payload > PAYLOAD_MAX {
+        return Err(TagnetError::PayloadTooWide { payload });
     }
-    let layout = FecLayout::fit(channel_bits);
+    let layout = FecLayout::fit(out.len());
     if layout.data_bits() < CHUNK_DATA_BITS {
         return Err(TagnetError::QueryTooSmall {
-            channel_bits,
+            channel_bits: out.len(),
             needed: MIN_CHANNEL_BITS,
         });
     }
-    let mut data = Vec::with_capacity(layout.data_bits());
-    for i in (0..CHUNK_SEQ_BITS).rev() {
-        data.push((seq >> i) & 1);
+    let word = (u32::from(seq) << 28) | (payload << 8) | u32::from(chunk_crc(seq, payload));
+    let mut cws = [0u8; CHUNK_CODEWORDS];
+    for (i, cw) in cws.iter_mut().enumerate() {
+        *cw = hamming74_encode((word >> (28 - 4 * i)) as u8 & 0xF);
     }
-    data.extend_from_slice(payload);
-    // CRC-8 over the packed (seq ‖ payload) bits, MSB-first packing.
-    let crc = chunk_crc(seq, payload);
-    for i in (0..8).rev() {
-        data.push((crc >> i) & 1);
-    }
-    data.resize(layout.data_bits(), 1); // pad data field
-    let mut channel = layout.encode(&data);
-    channel.resize(channel_bits, 1); // idle-pad the query
-    Ok(channel)
+    let (coded, idle) = out.split_at_mut(layout.channel_bits());
+    interleave(&cws, PAD_CODEWORD, layout.codewords, coded);
+    idle.fill(1);
+    Ok(())
 }
 
-/// Decode a chunk from received channel bits. Returns `(seq, payload)`
-/// if the CRC verifies.
-pub fn decode_chunk(received: &[u8], channel_bits: usize) -> Option<(u8, Vec<u8>)> {
+/// Decode a chunk from received channel bits (0/1). Returns
+/// `(seq, payload)` if the CRC verifies.
+// lint:no_alloc
+pub fn decode_chunk(received: &[u8], channel_bits: usize) -> Option<(u8, u32)> {
     let layout = FecLayout::fit(channel_bits);
     if received.len() < layout.channel_bits() || layout.data_bits() < CHUNK_DATA_BITS {
         return None;
     }
-    let (data, _corrected) = layout.decode(&received[..layout.channel_bits()]);
-    let seq = data[..CHUNK_SEQ_BITS]
+    let mut cws = [0u8; CHUNK_CODEWORDS];
+    deinterleave(received, layout.codewords, &mut cws);
+    let word = cws
         .iter()
-        .fold(0u8, |acc, &b| (acc << 1) | b);
-    let payload: Vec<u8> = data[CHUNK_SEQ_BITS..CHUNK_SEQ_BITS + CHUNK_PAYLOAD_BITS].to_vec();
-    let rx_crc = data[CHUNK_SEQ_BITS + CHUNK_PAYLOAD_BITS..CHUNK_DATA_BITS]
-        .iter()
-        .fold(0u8, |acc, &b| (acc << 1) | b);
-    (chunk_crc(seq, &payload) == rx_crc).then_some((seq, payload))
+        .fold(0u32, |w, &cw| (w << 4) | u32::from(hamming74_decode(cw).0));
+    let seq = (word >> 28) as u8;
+    let payload = (word >> 8) & PAYLOAD_MAX;
+    (chunk_crc(seq, payload) == word as u8).then_some((seq, payload))
 }
 
-/// CRC-8 over the chunk header+payload (packed MSB-first).
-fn chunk_crc(seq: u8, payload: &[u8]) -> u8 {
-    let mut bits = Vec::with_capacity(CHUNK_SEQ_BITS + CHUNK_PAYLOAD_BITS);
-    for i in (0..CHUNK_SEQ_BITS).rev() {
-        bits.push((seq >> i) & 1);
+/// CRC-8 over the chunk's `seq ‖ payload`, packed MSB-first into three
+/// bytes.
+// lint:no_alloc
+fn chunk_crc(seq: u8, payload: u32) -> u8 {
+    let [_, a, b, c] = ((u32::from(seq) << CHUNK_PAYLOAD_BITS) | payload).to_be_bytes();
+    crc8(&[a, b, c])
+}
+
+/// Append `message`'s bits, MSB first, to `chunks` as 20-bit payloads
+/// (the last one zero-padded).
+fn push_message_chunks(message: &[u8], chunks: &mut Vec<u32>) {
+    let (mut acc, mut nbits) = (0u32, 0u32);
+    for &b in message {
+        acc = (acc << 8) | u32::from(b);
+        nbits += 8;
+        if nbits >= CHUNK_PAYLOAD_BITS as u32 {
+            nbits -= CHUNK_PAYLOAD_BITS as u32;
+            chunks.push(acc >> nbits);
+            acc &= (1 << nbits) - 1;
+        }
     }
-    bits.extend_from_slice(payload);
-    let bytes: Vec<u8> = bits
-        .chunks(8)
-        .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-        .collect();
-    crc8(&bytes)
+    if nbits > 0 {
+        chunks.push(acc << (CHUNK_PAYLOAD_BITS as u32 - nbits));
+    }
+}
+
+/// A message's source block, shared by the session and fountain
+/// transports: the header chunk `[len(12) ‖ crc8(message)(8)]`, then
+/// the message in 20-bit chunks.
+pub(crate) fn source_block(message: &[u8]) -> Result<Vec<u32>, TagnetError> {
+    if message.len() > MAX_MESSAGE_BYTES {
+        return Err(TagnetError::MessageTooLong {
+            bytes: message.len(),
+            max: MAX_MESSAGE_BYTES,
+        });
+    }
+    let mut chunks = Vec::with_capacity(source_count_for_len(message.len()));
+    chunks.push(((message.len() as u32) << 8) | u32::from(crc8(message)));
+    push_message_chunks(message, &mut chunks);
+    Ok(chunks)
+}
+
+/// The bytes a run of 20-bit chunk payloads spells, MSB first. A final
+/// partial byte carries its remaining bits right-aligned.
+struct ChunkBytes<I> {
+    chunks: I,
+    acc: u32,
+    nbits: u32,
+}
+
+impl<I: Iterator<Item = u32>> ChunkBytes<I> {
+    fn new(chunks: I) -> Self {
+        ChunkBytes {
+            chunks,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+}
+
+impl<I: Iterator<Item = u32>> Iterator for ChunkBytes<I> {
+    type Item = u8;
+
+    fn next(&mut self) -> Option<u8> {
+        while self.nbits < 8 {
+            match self.chunks.next() {
+                Some(c) => {
+                    self.acc = (self.acc << CHUNK_PAYLOAD_BITS) | c;
+                    self.nbits += CHUNK_PAYLOAD_BITS as u32;
+                }
+                None if self.nbits > 0 => {
+                    self.nbits = 0;
+                    return Some(std::mem::take(&mut self.acc) as u8);
+                }
+                None => return None,
+            }
+        }
+        self.nbits -= 8;
+        let byte = (self.acc >> self.nbits) as u8;
+        self.acc &= (1 << self.nbits) - 1;
+        Some(byte)
+    }
+}
+
+/// The body bytes of a source block, if it holds every chunk.
+fn body_bytes(body: &[Option<u32>]) -> Option<impl Iterator<Item = u8> + '_> {
+    body.iter()
+        .all(Option::is_some)
+        .then(|| ChunkBytes::new(body.iter().flatten().copied()))
+}
+
+/// Whether `body` spells a message of exactly the length and end-to-end
+/// CRC the `header` chunk names, without allocating.
+pub(crate) fn message_verifies(header: u32, body: &[Option<u32>]) -> bool {
+    let (len, hcrc) = ((header >> 8) as usize, header as u8);
+    let Some(bytes) = body_bytes(body) else {
+        return false;
+    };
+    let (n, crc) = bytes
+        .take(len)
+        .fold((0usize, 0u8), |(n, crc), b| (n + 1, crc8(&[crc ^ b])));
+    n == len && crc == hcrc
+}
+
+/// The message a header chunk and its body spell, if it verifies
+/// ([`message_verifies`]).
+pub(crate) fn assemble_message(header: u32, body: &[Option<u32>]) -> Option<Vec<u8>> {
+    if !message_verifies(header, body) {
+        return None;
+    }
+    Some(body_bytes(body)?.take((header >> 8) as usize).collect())
 }
 
 /// Tag-side transport: chops a message into chunks and serves them under
 /// ADVANCE/REPEAT control.
 #[derive(Debug, Clone)]
 pub struct TagSender {
-    chunks: Vec<Vec<u8>>, // payload bit chunks
+    chunks: Vec<u32>,
     cursor: usize,
     /// Whether the current chunk has been transmitted at least once (an
     /// ADVANCE only moves the window after that).
@@ -211,19 +315,15 @@ pub struct TagSender {
 
 impl TagSender {
     /// Queue a message (bytes, MSB-first bits, zero-padded into 20-bit
-    /// chunks).
+    /// chunks; an empty message is one zero chunk).
     pub fn new(message: &[u8]) -> Self {
-        let mut bits: Vec<u8> = message
-            .iter()
-            .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1))
-            .collect();
-        let n = bits.len().div_ceil(CHUNK_PAYLOAD_BITS).max(1);
-        bits.resize(n * CHUNK_PAYLOAD_BITS, 0);
+        let mut chunks = Vec::new();
+        push_message_chunks(message, &mut chunks);
+        if chunks.is_empty() {
+            chunks.push(0);
+        }
         TagSender {
-            chunks: bits
-                .chunks(CHUNK_PAYLOAD_BITS)
-                .map(|c| c.to_vec())
-                .collect(),
+            chunks,
             cursor: 0,
             served: false,
         }
@@ -239,22 +339,23 @@ impl TagSender {
         self.cursor >= self.chunks.len()
     }
 
-    /// Answer one query of the given kind with the channel bits to
-    /// modulate. An ADVANCE acknowledges the chunk served so far and
-    /// moves the window; the first query (nothing served yet) starts
-    /// chunk 0 regardless of kind.
-    pub fn answer(&mut self, kind: QueryKind, channel_bits: usize) -> Result<Vec<u8>, TagnetError> {
+    /// Answer one query of the given kind: write the channel bits to
+    /// modulate into `out` (the query's capacity). An ADVANCE
+    /// acknowledges the chunk served so far and moves the window; the
+    /// first query (nothing served yet) starts chunk 0 regardless of
+    /// kind.
+    pub fn answer(&mut self, kind: QueryKind, out: &mut [u8]) -> Result<(), TagnetError> {
         if kind == QueryKind::Advance && self.served {
             self.cursor += 1;
             self.served = false;
         }
-        if self.done() {
+        let Some(&chunk) = self.chunks.get(self.cursor) else {
             // Idle fill once complete.
-            return Ok(vec![1u8; channel_bits]);
-        }
+            out.fill(1);
+            return Ok(());
+        };
         self.served = true;
-        let seq = (self.cursor % 16) as u8;
-        encode_chunk(seq, &self.chunks[self.cursor], channel_bits) // lint:allow(panic_path) done() above guarantees cursor < chunks.len()
+        encode_chunk((self.cursor % 16) as u8, chunk, out)
     }
 
     /// Index of the chunk currently being served.
@@ -266,8 +367,8 @@ impl TagSender {
 /// Client-side transport: validates chunks and drives the ARQ.
 #[derive(Debug, Clone, Default)]
 pub struct ArqReader {
-    /// Payload bits accepted so far.
-    pub received: Vec<u8>,
+    /// Chunk payloads accepted so far, in order.
+    pub received: Vec<u32>,
     expected_seq: u8,
 }
 
@@ -282,7 +383,7 @@ impl ArqReader {
     pub fn process(&mut self, readout_bits: &[u8], channel_bits: usize) -> QueryKind {
         match decode_chunk(readout_bits, channel_bits) {
             Some((seq, payload)) if seq == self.expected_seq => {
-                self.received.extend_from_slice(&payload);
+                self.received.push(payload);
                 self.expected_seq = (self.expected_seq + 1) % 16;
                 QueryKind::Advance
             }
@@ -297,10 +398,8 @@ impl ArqReader {
 
     /// Recover the message bytes (trailing pad dropped to `len` bytes).
     pub fn message(&self, len: usize) -> Vec<u8> {
-        self.received
-            .chunks(8)
+        ChunkBytes::new(self.received.iter().copied())
             .take(len)
-            .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
             .collect()
     }
 }
@@ -322,16 +421,17 @@ where
     let mut tag = TagSender::new(message);
     let mut reader = ArqReader::new();
     let mut kind = QueryKind::Advance;
+    let mut tx = vec![0u8; channel_bits];
     for q in 1..=max_queries {
-        let tx = tag.answer(kind, channel_bits).ok()?;
-        if tag.done() && reader.received.len() >= tag.chunk_count() * CHUNK_PAYLOAD_BITS {
+        tag.answer(kind, &mut tx).ok()?;
+        if tag.done() && reader.received.len() >= tag.chunk_count() {
             return Some((reader.message(message.len()), q - 1));
         }
         let rx = channel(&tx);
         kind = reader.process(&rx, channel_bits);
     }
     // One last check after the loop.
-    (reader.received.len() >= tag.chunk_count() * CHUNK_PAYLOAD_BITS)
+    (reader.received.len() >= tag.chunk_count())
         .then(|| (reader.message(message.len()), max_queries))
 }
 
@@ -382,7 +482,7 @@ pub struct RoundOutcome {
 /// heard leaves it exactly where it was.
 #[derive(Debug, Clone)]
 pub struct SessionSender {
-    chunks: Vec<Vec<u8>>,
+    chunks: Vec<u32>,
     window: usize,
     base: usize,
     /// A SLIDE has been applied and no SLOT has been served since. Makes
@@ -394,33 +494,10 @@ pub struct SessionSender {
 impl SessionSender {
     /// Frame a message for a session with the given window (1..=[`MAX_WINDOW`]).
     pub fn new(message: &[u8], window: usize) -> Result<Self, TagnetError> {
-        if message.len() > MAX_MESSAGE_BYTES {
-            return Err(TagnetError::MessageTooLong {
-                bytes: message.len(),
-                max: MAX_MESSAGE_BYTES,
-            });
-        }
+        let chunks = source_block(message)?;
         if window == 0 || window > MAX_WINDOW {
             return Err(TagnetError::WindowOutOfRange { window });
         }
-        // Header chunk: 12-bit byte length ‖ 8-bit CRC over the bytes.
-        let len = message.len() as u16;
-        let hcrc = crc8(message);
-        let mut header = Vec::with_capacity(CHUNK_PAYLOAD_BITS);
-        for i in (0..12).rev() {
-            header.push(((len >> i) & 1) as u8);
-        }
-        for i in (0..8).rev() {
-            header.push((hcrc >> i) & 1);
-        }
-        let mut chunks = vec![header];
-        let mut bits: Vec<u8> = message
-            .iter()
-            .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1))
-            .collect();
-        let n = bits.len().div_ceil(CHUNK_PAYLOAD_BITS);
-        bits.resize(n * CHUNK_PAYLOAD_BITS, 0);
-        chunks.extend(bits.chunks(CHUNK_PAYLOAD_BITS).map(|c| c.to_vec()));
         Ok(SessionSender {
             chunks,
             window,
@@ -447,9 +524,10 @@ impl SessionSender {
         }
     }
 
-    /// Build the response to one query. Pure: call [`commit`](Self::commit)
-    /// afterwards iff the tag actually decoded the trigger.
-    pub fn serve(&self, query: &SessionQuery, channel_bits: usize) -> Result<Vec<u8>, TagnetError> {
+    /// Write the response to one query into `out` (the query's channel
+    /// bits). Pure: call [`commit`](Self::commit) afterwards iff the tag
+    /// actually decoded the trigger.
+    pub fn serve(&self, query: &SessionQuery, out: &mut [u8]) -> Result<(), TagnetError> {
         match *query {
             SessionQuery::Slot(k) => {
                 if (k as usize) >= self.window {
@@ -459,25 +537,25 @@ impl SessionSender {
                     });
                 }
                 let abs = self.base + k as usize;
-                if abs >= self.chunks.len() {
-                    return Ok(vec![1u8; channel_bits]); // idle fill past the end
+                match self.chunks.get(abs) {
+                    Some(&chunk) => encode_chunk((abs % 16) as u8, chunk, out),
+                    None => {
+                        out.fill(1); // idle fill past the end
+                        Ok(())
+                    }
                 }
-                encode_chunk((abs % 16) as u8, &self.chunks[abs], channel_bits) // lint:allow(panic_path) guarded by the early idle-fill return above
             }
             SessionQuery::Slide => {
                 let target = self.slide_target();
-                encode_chunk(
-                    (target % 16) as u8,
-                    &base_report_payload(target),
-                    channel_bits,
-                )
+                encode_chunk((target % 16) as u8, base_report_payload(target), out)
             }
-            SessionQuery::Resync => encode_chunk(
-                (self.base % 16) as u8,
-                &base_report_payload(self.base),
-                channel_bits,
-            ),
-            SessionQuery::Idle => Ok(vec![1u8; channel_bits]),
+            SessionQuery::Resync => {
+                encode_chunk((self.base % 16) as u8, base_report_payload(self.base), out)
+            }
+            SessionQuery::Idle => {
+                out.fill(1);
+                Ok(())
+            }
         }
     }
 
@@ -496,37 +574,25 @@ impl SessionSender {
     }
 }
 
-/// Base-report payload: `[BASE_REPORT_MAGIC(8) ‖ base(12)]`. Crate-wide
-/// so the fountain transport reuses the same control-report framing for
-/// its INFO/SYNC responses.
-pub(crate) fn base_report_payload(base: usize) -> Vec<u8> {
-    let mut p = Vec::with_capacity(CHUNK_PAYLOAD_BITS);
-    for i in (0..8).rev() {
-        p.push((BASE_REPORT_MAGIC >> i) & 1);
-    }
-    for i in (0..12).rev() {
-        p.push(((base >> i) & 1) as u8);
-    }
-    p
+/// Base-report payload: `[BASE_REPORT_MAGIC(8) ‖ base mod 4096(12)]`.
+/// Crate-wide so the fountain transport reuses the same control-report
+/// framing for its INFO/SYNC responses.
+pub(crate) fn base_report_payload(base: usize) -> u32 {
+    (u32::from(BASE_REPORT_MAGIC) << 12) | (base as u32 & 0xFFF)
 }
 
-/// Parse a decoded chunk as a base report; the chunk seq must echo the
-/// reported base mod 16 (a cheap consistency check on top of the CRC).
-/// A payload that is not [`CHUNK_PAYLOAD_BITS`] long is no base report.
-/// Public so external session drivers (the `witag-net` fleet layer)
-/// can interpret slide/resync responses without reimplementing the
-/// framing.
-pub fn parse_base_report(seq: u8, payload: &[u8]) -> Option<usize> {
-    if payload.len() != CHUNK_PAYLOAD_BITS {
+/// Parse a decoded chunk payload as a base report; the chunk seq must
+/// echo the reported base mod 16 (a cheap consistency check on top of
+/// the CRC). A payload wider than [`CHUNK_PAYLOAD_BITS`] is no base
+/// report. Public so external session drivers (the `witag-net` fleet
+/// layer) can interpret slide/resync responses without reimplementing
+/// the framing.
+// lint:no_alloc
+pub fn parse_base_report(seq: u8, payload: u32) -> Option<usize> {
+    if payload >> 12 != u32::from(BASE_REPORT_MAGIC) {
         return None;
     }
-    let magic = payload[..8].iter().fold(0u8, |acc, &b| (acc << 1) | b);
-    if magic != BASE_REPORT_MAGIC {
-        return None;
-    }
-    let base = payload[8..20]
-        .iter()
-        .fold(0usize, |acc, &b| (acc << 1) | b as usize);
+    let base = (payload & 0xFFF) as usize;
     (seq == (base % 16) as u8).then_some(base)
 }
 
@@ -647,8 +713,8 @@ impl SessionReport {
 }
 
 /// Client side of the selective-repeat window: the client's belief of
-/// the tag's window base, the chunks decoded so far, and the header
-/// (message length and end-to-end CRC) once chunk 0 has decoded.
+/// the tag's window base and the chunks decoded so far, chunk 0 (the
+/// header: message length and end-to-end CRC) included.
 ///
 /// [`run_session`] drives one per session; an external driver that
 /// multiplexes many sessions (the `witag-net` fleet engine) steps one
@@ -659,12 +725,9 @@ pub struct ReceiveWindow {
     /// Only ever updated from decoded base reports (or a slide the
     /// client saw the tag serve), so it cannot silently diverge.
     base: usize,
-    /// Decoded chunk payloads by absolute index (grown on demand).
-    got: Vec<Option<Vec<u8>>>,
-    /// Chunk count once the header has decoded.
-    n_chunks: Option<usize>,
-    /// Message byte length and end-to-end CRC from the header.
-    header: Option<(usize, u8)>,
+    /// Decoded chunk payloads by absolute index: the header slot alone
+    /// until chunk 0 decodes, then every chunk the header announces.
+    got: Vec<Option<u32>>,
 }
 
 impl ReceiveWindow {
@@ -674,8 +737,6 @@ impl ReceiveWindow {
             window,
             base: 0,
             got: vec![None],
-            n_chunks: None,
-            header: None,
         }
     }
 
@@ -690,9 +751,15 @@ impl ReceiveWindow {
         self.base = base;
     }
 
+    /// The header chunk, once it has decoded.
+    fn header(&self) -> Option<u32> {
+        self.got.first().copied().flatten()
+    }
+
     /// Total chunks, header included, once the header has decoded.
     pub fn chunk_count(&self) -> Option<usize> {
-        self.n_chunks
+        self.header()
+            .map(|h| source_count_for_len((h >> 8) as usize))
     }
 
     fn have(&self, abs: usize) -> bool {
@@ -702,61 +769,45 @@ impl ReceiveWindow {
     /// First missing slot in the current window, if any. Before the
     /// header decodes only chunk 0 is actionable.
     pub fn next_missing_slot(&self) -> Option<u8> {
-        let end = self.n_chunks.unwrap_or(1);
+        let end = self.chunk_count().unwrap_or(1);
         (0..self.window as u8).find(|&k| {
             let abs = self.base + k as usize;
             abs < end && !self.have(abs)
         })
     }
 
-    /// Store chunk `abs`'s payload ([`CHUNK_PAYLOAD_BITS`] bits, as
-    /// [`decode_chunk`] returns it); chunk 0 is decoded as the header.
-    /// Returns the freshly recovered payload bits: 0 for a duplicate or
-    /// a payload of any other length.
-    pub fn store(&mut self, abs: usize, payload: Vec<u8>) -> usize {
-        if payload.len() != CHUNK_PAYLOAD_BITS {
+    /// Store chunk `abs`'s payload (as [`decode_chunk`] returns it);
+    /// chunk 0 is the header, and storing it sizes the window to the
+    /// chunk count it announces (the window's one allocation). Returns
+    /// the freshly recovered payload bits: 0 for a duplicate, a payload
+    /// wider than [`CHUNK_PAYLOAD_BITS`], or a chunk the window does not
+    /// hold (any but chunk 0 before the header, or one past the count
+    /// the header announces).
+    // lint:no_alloc
+    pub fn store(&mut self, abs: usize, payload: u32) -> usize {
+        if payload > PAYLOAD_MAX {
             return 0;
         }
-        if self.got.len() <= abs {
-            self.got.resize(abs + 1, None);
-        }
-        let duplicate = self.got[abs].is_some(); // lint:allow(panic_path) resized to abs + 1 above
-        if duplicate {
-            return 0;
+        match self.got.get_mut(abs) {
+            Some(slot) if slot.is_none() => *slot = Some(payload),
+            _ => return 0,
         }
         if abs == 0 {
-            let len = payload[..12]
-                .iter()
-                .fold(0usize, |acc, &b| (acc << 1) | b as usize);
-            let hcrc = payload[12..20].iter().fold(0u8, |acc, &b| (acc << 1) | b);
-            self.header = Some((len, hcrc));
-            self.n_chunks = Some(1 + (len * 8).div_ceil(CHUNK_PAYLOAD_BITS));
+            let n = source_count_for_len((payload >> 8) as usize);
+            self.got.resize(n, None);
         }
-        self.got[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 above
         CHUNK_PAYLOAD_BITS
     }
 
     /// Whether the header and every chunk it announces have decoded.
     pub fn complete(&self) -> bool {
-        self.n_chunks
-            .is_some_and(|n| (0..n).all(|abs| self.have(abs)))
+        self.header().is_some() && self.got.iter().all(Option::is_some)
     }
 
     /// Reassemble the message and check its end-to-end CRC. `None`
     /// before [`complete`](Self::complete) or on a CRC mismatch.
     pub fn assemble(&self) -> Option<Vec<u8>> {
-        let (len, hcrc) = self.header?;
-        let n = self.n_chunks?;
-        let mut bits = Vec::with_capacity(n.saturating_sub(1) * CHUNK_PAYLOAD_BITS);
-        for abs in 1..n {
-            bits.extend_from_slice(self.got.get(abs)?.as_deref()?);
-        }
-        let bytes: Vec<u8> = bits
-            .chunks(8)
-            .take(len)
-            .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-            .collect();
-        (bytes.len() == len && crc8(&bytes) == hcrc).then_some(bytes)
+        assemble_message(self.header()?, self.got.get(1..)?)
     }
 }
 
@@ -781,7 +832,7 @@ struct SessionClient {
     /// (~1 in 4k false accepts adds up over a long transfer), so a
     /// combined result only counts once a second, independent decode
     /// reproduces the identical payload.
-    unconfirmed: Vec<Option<Vec<u8>>>,
+    unconfirmed: Vec<Option<u32>>,
     /// Soft store for control queries (SLIDE/RESYNC). Their report
     /// content is constant while the client's base belief is, so copies
     /// accumulate under a `(kind, base)` key and reset when it changes.
@@ -889,8 +940,10 @@ where
     F: FnMut(&SessionQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
     let mut sender = SessionSender::new(message, cfg.window)?;
-    // Surface an undersized query once, up front, instead of per round.
-    encode_chunk(0, &[0u8; CHUNK_PAYLOAD_BITS], channel_bits)?;
+    // The tag's channel bits, rewritten every round. Surface an
+    // undersized query once, up front, instead of per round.
+    let mut tx = vec![0u8; channel_bits];
+    encode_chunk(0, 0, &mut tx)?;
     let mut client = SessionClient::new(cfg.clone());
     let mut stats = SessionStats::default();
 
@@ -903,7 +956,7 @@ where
                        rec: &mut dyn Recorder|
      -> Result<RoundOutcome, TagnetError> {
         let round = stats.rounds as u64;
-        let tx = sender.serve(q, channel_bits)?;
+        sender.serve(q, &mut tx)?;
         let out = channel(q, &tx, &mut *rec);
         stats.rounds += 1;
         if matches!(q, SessionQuery::Idle) {
@@ -1019,8 +1072,8 @@ where
         }
         let mut issued = 0usize;
         let mut copies: Vec<Vec<u8>> = Vec::new();
-        let mut decoded: Option<(u8, Vec<u8>)> = None;
-        let mut candidate: Option<(u8, Vec<u8>)> = None;
+        let mut decoded: Option<(u8, u32)> = None;
+        let mut candidate: Option<(u8, u32)> = None;
         let mut desynced = false;
         let mut heard_anything = false;
         'attempt: for _ in 0..client.diversity {
@@ -1048,14 +1101,14 @@ where
                 Some((seq, payload)) => {
                     let valid = match expected_seq {
                         Some(want) => seq == want,
-                        None => parse_base_report(seq, &payload).is_some(),
+                        None => parse_base_report(seq, payload).is_some(),
                     };
                     if valid {
                         let confirmed = match slot_abs {
                             Some(abs) => {
-                                let stashed = client.unconfirmed[abs].as_ref() == Some(&payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                                let stashed = client.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
                                 !needs_confirm_pre
-                                    || candidate.as_ref().is_some_and(|(_, p)| *p == payload)
+                                    || candidate.is_some_and(|(_, p)| p == payload)
                                     || stashed
                             }
                             // Control reports carry ~20 check bits
@@ -1100,8 +1153,8 @@ where
                     if let Some((seq, payload)) = combo {
                         if expected_seq == Some(seq) {
                             let confirmed = !needs_confirm_pre
-                                || candidate.as_ref().is_some_and(|(_, p)| *p == payload)
-                                || client.unconfirmed[abs].as_ref() == Some(&payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                                || candidate.is_some_and(|(_, p)| p == payload)
+                                || client.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
                             if confirmed {
                                 decoded = Some((seq, payload));
                                 break 'attempt;
@@ -1151,7 +1204,7 @@ where
         // the previous round's result.
         if decoded.is_none() && fresh_copies > 0 && copies.len() >= 2 {
             if let Some((seq, payload)) = decode_chunk(&majority_combine(&copies), channel_bits) {
-                if parse_base_report(seq, &payload).is_some() {
+                if parse_base_report(seq, payload).is_some() {
                     decoded = Some((seq, payload));
                 }
             }
@@ -1175,7 +1228,7 @@ where
                 // confirmed inside the loop already had one; a lone
                 // candidate gets stashed until a later decode agrees.
                 if unconfirmed_decode {
-                    let payload = decoded.as_ref().map(|(_, p)| p.clone());
+                    let payload = decoded.map(|(_, p)| p);
                     let slot = &mut client.unconfirmed[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
                     if payload.is_some() && *slot != payload {
                         *slot = payload;
@@ -1228,7 +1281,7 @@ where
                         // Structurally infallible: `decoded` is only Some
                         // when the control decode already ran
                         // `parse_base_report` successfully on this payload.
-                        let base = parse_base_report(seq, &payload)
+                        let base = parse_base_report(seq, payload)
                             .expect("validated as a base report above"); // lint:allow(panic_freedom)
                         client.win.set_base(base);
                         if rec.enabled() {
@@ -1444,8 +1497,10 @@ where
     F: FnMut(&FountainQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
     let mut sender = FountainSender::new(message)?;
-    // Surface an undersized query once, up front, instead of per round.
-    encode_chunk(0, &[0u8; CHUNK_PAYLOAD_BITS], channel_bits)?;
+    // The tag's channel bits, rewritten every round. Surface an
+    // undersized query once, up front, instead of per round.
+    let mut tx = vec![0u8; channel_bits];
+    encode_chunk(0, 0, &mut tx)?;
     let mut recv = FountainReceiver::new();
     let mut stats = FountainStats::default();
     let mut dead_streak = 0usize;
@@ -1460,7 +1515,7 @@ where
                        rec: &mut dyn Recorder|
      -> Result<RoundOutcome, TagnetError> {
         let round = stats.rounds as u64;
-        let tx = sender.serve(q, channel_bits)?;
+        sender.serve(q, &mut tx)?;
         let out = channel(q, &tx, &mut *rec);
         stats.rounds += 1;
         if matches!(q, FountainQuery::Idle) {
@@ -1649,11 +1704,19 @@ mod tests {
     use witag_obs::NullRecorder;
     use witag_sim::Rng;
 
+    /// Encode one chunk into a fresh `channel_bits`-bit query.
+    fn encoded(seq: u8, payload: u32, channel_bits: usize) -> Vec<u8> {
+        let mut tx = vec![0u8; channel_bits];
+        encode_chunk(seq, payload, &mut tx).unwrap();
+        tx
+    }
+
     #[test]
     fn chunk_roundtrip() {
-        let payload: Vec<u8> = (0..20).map(|i| (i % 2) as u8).collect();
-        let tx = encode_chunk(7, &payload, 62).unwrap();
+        let payload = 0x5_5555;
+        let tx = encoded(7, payload, 62);
         assert_eq!(tx.len(), 62);
+        assert!(tx[56..].iter().all(|&b| b == 1), "idle pad");
         let (seq, rx) = decode_chunk(&tx, 62).expect("clean chunk must decode");
         assert_eq!(seq, 7);
         assert_eq!(rx, payload);
@@ -1661,8 +1724,8 @@ mod tests {
 
     #[test]
     fn chunk_single_error_corrected_by_fec() {
-        let payload = vec![1u8; 20];
-        let mut tx = encode_chunk(3, &payload, 62).unwrap();
+        let payload = PAYLOAD_MAX;
+        let mut tx = encoded(3, payload, 62);
         tx[10] ^= 1;
         let (seq, rx) = decode_chunk(&tx, 62).expect("FEC must fix one flip");
         assert_eq!(seq, 3);
@@ -1671,8 +1734,7 @@ mod tests {
 
     #[test]
     fn chunk_heavy_damage_detected_by_crc() {
-        let payload = vec![0u8; 20];
-        let mut tx = encode_chunk(3, &payload, 62).unwrap();
+        let mut tx = encoded(3, 0, 62);
         for b in tx.iter_mut().take(20) {
             *b ^= 1;
         }
@@ -1727,20 +1789,19 @@ mod tests {
 
     #[test]
     fn framing_errors_are_typed() {
-        let payload = vec![0u8; CHUNK_PAYLOAD_BITS];
+        let mut tx = [0u8; 62];
         assert_eq!(
-            encode_chunk(16, &payload, 62).unwrap_err(),
+            encode_chunk(16, 0, &mut tx).unwrap_err(),
             TagnetError::SeqOutOfRange { seq: 16 }
         );
         assert_eq!(
-            encode_chunk(0, &payload[..10], 62).unwrap_err(),
-            TagnetError::PayloadSizeMismatch {
-                expected: CHUNK_PAYLOAD_BITS,
-                got: 10
+            encode_chunk(0, 1 << CHUNK_PAYLOAD_BITS, &mut tx).unwrap_err(),
+            TagnetError::PayloadTooWide {
+                payload: 1 << CHUNK_PAYLOAD_BITS
             }
         );
         assert!(matches!(
-            encode_chunk(0, &payload, 7).unwrap_err(),
+            encode_chunk(0, 0, &mut tx[..7]).unwrap_err(),
             TagnetError::QueryTooSmall {
                 channel_bits: 7,
                 ..
@@ -1756,7 +1817,7 @@ mod tests {
         ));
         let s = SessionSender::new(b"x", 2).unwrap();
         assert!(matches!(
-            s.serve(&SessionQuery::Slot(2), 62).unwrap_err(),
+            s.serve(&SessionQuery::Slot(2), &mut tx).unwrap_err(),
             TagnetError::SlotOutOfWindow { slot: 2, window: 2 }
         ));
         // Errors render and behave as std errors.
@@ -1826,14 +1887,19 @@ mod tests {
         let message = b"one window for every driver";
         let sender = SessionSender::new(message, 4).unwrap();
         let mut win = ReceiveWindow::new(4);
-        assert_eq!(win.store(0, vec![0; 5]), 0, "a short payload is ignored");
+        assert_eq!(win.store(0, 1 << 20), 0, "a wide payload is ignored");
+        assert_eq!(
+            win.store(1, 0),
+            0,
+            "only the header lands before the header"
+        );
         assert_eq!(win.assemble(), None);
         for abs in 0..sender.chunk_count() {
-            let (_, payload) =
-                decode_chunk(&encode_chunk(0, &sender.chunks[abs], 62).unwrap(), 62).unwrap();
-            assert_eq!(win.store(abs, payload.clone()), CHUNK_PAYLOAD_BITS);
+            let (_, payload) = decode_chunk(&encoded(0, sender.chunks[abs], 62), 62).unwrap();
+            assert_eq!(win.store(abs, payload), CHUNK_PAYLOAD_BITS);
             assert_eq!(win.store(abs, payload), 0, "a duplicate recovers nothing");
         }
+        assert_eq!(win.store(sender.chunk_count(), 0), 0, "past the count");
         assert_eq!(win.chunk_count(), Some(sender.chunk_count()));
         assert!(win.complete());
         assert_eq!(win.assemble().as_deref(), Some(&message[..]));
@@ -1842,29 +1908,33 @@ mod tests {
     #[test]
     fn base_reports_roundtrip() {
         let s = SessionSender::new(&[0u8; 100], 4).unwrap();
-        let tx = s.serve(&SessionQuery::Resync, 62).unwrap();
+        let mut tx = vec![0u8; 62];
+        s.serve(&SessionQuery::Resync, &mut tx).unwrap();
         let (seq, payload) = decode_chunk(&tx, 62).unwrap();
-        assert_eq!(parse_base_report(seq, &payload), Some(0));
+        assert_eq!(parse_base_report(seq, payload), Some(0));
         // Slide response names the post-slide base before committing.
-        let tx = s.serve(&SessionQuery::Slide, 62).unwrap();
+        s.serve(&SessionQuery::Slide, &mut tx).unwrap();
         let (seq, payload) = decode_chunk(&tx, 62).unwrap();
-        assert_eq!(parse_base_report(seq, &payload), Some(4));
+        assert_eq!(parse_base_report(seq, payload), Some(4));
         // Ordinary chunks never parse as base reports.
-        let tx = s.serve(&SessionQuery::Slot(0), 62).unwrap();
+        s.serve(&SessionQuery::Slot(0), &mut tx).unwrap();
         let (seq, payload) = decode_chunk(&tx, 62).unwrap();
-        assert_eq!(parse_base_report(seq, &payload), None);
+        assert_eq!(parse_base_report(seq, payload), None);
     }
 
     #[test]
     fn base_report_of_the_wrong_length_is_none() {
         let report = base_report_payload(20);
-        assert_eq!(parse_base_report(4, &report), Some(20));
-        for len in [0, 1, 8, 12, CHUNK_PAYLOAD_BITS - 1] {
-            assert_eq!(parse_base_report(4, &report[..len]), None, "{len} bits");
+        assert_eq!(parse_base_report(4, report), Some(20));
+        // The leading bits of a report (shifted down) are none, and so
+        // is a report with any bit set past the 20-bit payload field.
+        for keep in [0, 1, 8, 12, CHUNK_PAYLOAD_BITS - 1] {
+            let short = report >> (CHUNK_PAYLOAD_BITS - keep);
+            assert_eq!(parse_base_report(4, short), None, "{keep} bits");
         }
-        let mut long = report.clone();
-        long.push(0);
-        assert_eq!(parse_base_report(4, &long), None);
+        for bit in CHUNK_PAYLOAD_BITS..32 {
+            assert_eq!(parse_base_report(4, report | (1 << bit)), None, "bit {bit}");
+        }
     }
 
     #[test]
@@ -1979,7 +2049,7 @@ mod tests {
         // keep the output clean or fail loudly — never silent garbage.
         let message = b"integrity over availability";
         let mut rng = Rng::seed_from_u64(5);
-        let wrong = encode_chunk(9, &[1u8; CHUNK_PAYLOAD_BITS], 62).unwrap();
+        let wrong = encoded(9, PAYLOAD_MAX, 62);
         let cfg = SessionConfig {
             max_rounds: 1500,
             ..SessionConfig::default()

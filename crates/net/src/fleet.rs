@@ -434,8 +434,9 @@ enum LinkProto {
 }
 
 impl LinkProto {
-    /// The next query and the bits the tag would modulate for it.
-    fn serve(&self, channel_bits: usize) -> Result<(ProtoQuery, Vec<u8>), TagnetError> {
+    /// The next query; the bits the tag would modulate for it go into
+    /// `out`.
+    fn serve(&mut self, out: &mut [u8]) -> Result<ProtoQuery, TagnetError> {
         match self {
             LinkProto::Arq {
                 sender,
@@ -448,13 +449,13 @@ impl LinkProto {
                     win.next_missing_slot()
                         .map_or(SessionQuery::Slide, SessionQuery::Slot)
                 };
-                let tx = sender.serve(&q, channel_bits)?;
-                Ok((ProtoQuery::Arq(q), tx))
+                sender.serve(&q, out)?;
+                Ok(ProtoQuery::Arq(q))
             }
             LinkProto::Fountain { sender, recv } => {
                 let q = recv.next_query();
-                let tx = sender.serve(&q, channel_bits)?;
-                Ok((ProtoQuery::Fountain(q), tx))
+                sender.serve(&q, out)?;
+                Ok(ProtoQuery::Fountain(q))
             }
         }
     }
@@ -490,7 +491,7 @@ impl LinkProto {
                         *resync = true;
                     }
                     SessionQuery::Slide | SessionQuery::Resync => {
-                        if let Some(base) = parse_base_report(seq, &payload) {
+                        if let Some(base) = parse_base_report(seq, payload) {
                             win.set_base(base);
                             *resync = false;
                         }
@@ -525,6 +526,10 @@ impl LinkProto {
 struct TagLink {
     client: usize,
     proto: LinkProto,
+    /// The round's channel bits, `channel_bits` long: what the tag
+    /// modulates, then — faulted and collided in place — what the client
+    /// reads back. Held across rounds, so a round allocates nothing.
+    bits: Vec<u8>,
     injector: Option<FaultInjector>,
     duty: Option<DutyCycle>,
     channel_bits: usize,
@@ -553,37 +558,38 @@ impl TagLink {
         start: Instant,
         collision_frac: Option<f64>,
     ) -> Result<bool, NetError> {
-        let (q, tx) = self.proto.serve(self.channel_bits)?;
+        let bits = &mut self.bits;
+        let q = self.proto.serve(bits)?;
         let rf = match self.injector.as_mut() {
             Some(inj) => inj.begin_round(self.rounds.into(), &mut NullRecorder),
             None => RoundFaults::inert(),
         };
         let asleep = self.duty.is_some_and(|d| !d.awake(start));
-        let (tag_heard, mut readout) = if rf.query_lost {
-            (false, None)
+        let (tag_heard, read) = if rf.query_lost {
+            (false, false)
         } else if asleep || rf.brownout {
             // The tag cannot afford to respond: every subframe sails
             // through clean and the readout is the idle pattern.
-            (false, Some(vec![1u8; self.channel_bits]))
+            bits.fill(1);
+            (false, true)
         } else if rf.ba_lost {
-            (true, None)
+            (true, false)
         } else {
-            let mut bits = tx;
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(p) = rf.readout_flip {
-                    inj.corrupt_readout(&mut bits, p);
+                    inj.corrupt_readout(bits, p);
                 }
                 if rf.clock_error != 0.0 {
-                    inj.corrupt_readout(&mut bits, DRIFT_SMEAR_FLIP);
+                    inj.corrupt_readout(bits, DRIFT_SMEAR_FLIP);
                 }
             }
-            (true, Some(bits))
+            (true, true)
         };
         // Colliding airtime corrupts delivered subframes at the AP, so
         // the damage lands on the readout no matter what the tag did.
-        if let (Some(bits), Some(frac)) = (readout.as_mut(), collision_frac) {
+        if let (true, Some(frac)) = (read, collision_frac) {
             let prefix = ((bits.len() as f64) * frac).ceil() as usize;
-            for b in bits.iter_mut().take(prefix.min(self.channel_bits)) {
+            for b in bits.iter_mut().take(prefix) {
                 if mac_rng.chance(0.5) {
                     *b ^= 1;
                 }
@@ -592,8 +598,9 @@ impl TagLink {
         if tag_heard {
             self.proto.commit(&q);
         }
-        let alive = readout.as_ref().is_some_and(|bits| bits.contains(&0));
-        self.payload_bits += self.proto.absorb(&q, readout.as_deref(), self.channel_bits) as u32;
+        let readout = read.then_some(bits.as_slice());
+        let alive = readout.is_some_and(|bits| bits.contains(&0));
+        self.payload_bits += self.proto.absorb(&q, readout, self.channel_bits) as u32;
         self.rounds += 1;
         Ok(alive)
     }
@@ -666,6 +673,7 @@ fn build_links(cfg: &FleetConfig) -> Result<Vec<TagLink>, NetError> {
         links.push(TagLink {
             client: tag % cfg.clients,
             proto,
+            bits: vec![1; prof.channel_bits],
             injector: prof.faults.clone().map(FaultInjector::new),
             duty: prof.duty,
             channel_bits: prof.channel_bits,
@@ -732,13 +740,20 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
     let mut contenders: Vec<usize> = Vec::with_capacity(cfg.clients);
     let mut round = Round::default();
     let mut picks: Vec<(usize, usize)> = Vec::with_capacity(cfg.clients);
-    while now < end && !links.iter().all(|l| l.done) {
-        // Servable tags per client, in ascending tag order.
+    while now < end {
+        // One pass over the links: servable tags per client, in
+        // ascending tag order, and the earliest time an unfinished link
+        // is ready (`None` once every session is done).
         for cands in per_client.iter_mut() {
             cands.clear();
         }
+        let mut next_ready: Option<Instant> = None;
         for (tag, link) in links.iter().enumerate() {
-            if link.done || (!ignore_cooldown && link.ready_at > now) {
+            if link.done {
+                continue;
+            }
+            next_ready = Some(next_ready.map_or(link.ready_at, |t| t.min(link.ready_at)));
+            if !ignore_cooldown && link.ready_at > now {
                 continue;
             }
             let cands = &mut per_client[link.client]; // lint:allow(panic_path) link.client < cfg.clients, per_client sized cfg.clients
@@ -748,18 +763,16 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
                 deadline: link.deadline,
             });
         }
+        let Some(next_ready) = next_ready else {
+            break;
+        };
         contenders.clear();
         contenders.extend((0..cfg.clients).filter(|&c| !per_client[c].is_empty()));
         if contenders.is_empty() {
             // Nothing servable: idle forward to the earliest cooldown
             // expiry (cheap — no airtime is burned).
-            match links.iter().filter(|l| !l.done).map(|l| l.ready_at).min() {
-                Some(t) => {
-                    now = t.max(now + timing::SLOT);
-                    continue;
-                }
-                None => break,
-            }
+            now = next_ready.max(now + timing::SLOT);
+            continue;
         }
 
         // Predictive deferral: while ambient contention is forecast

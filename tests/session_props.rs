@@ -12,6 +12,7 @@ use witag::tagnet::{
     CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
 };
 use witag::FecLayout;
+use witag_crypto::crc8;
 use witag_faults::{FaultPlan, RoundFaults};
 use witag_obs::NullRecorder;
 
@@ -94,13 +95,166 @@ proptest! {
     }
 }
 
-/// Derive a deterministic 20-bit chunk payload from a compact seed (the
-/// proptest shim has no vec strategy; a u32 carries more than enough
-/// entropy for 20 bits).
-fn chunk_payload(bits: u32) -> Vec<u8> {
+/// A 20-bit chunk payload from a compact seed: its low 20 bits.
+fn chunk_payload(bits: u32) -> u32 {
+    bits & ((1 << CHUNK_PAYLOAD_BITS) - 1)
+}
+
+/// `payload`'s bits, one per byte, first bit (bit 19) first.
+fn bit_vector(payload: u32) -> Vec<u8> {
     (0..CHUNK_PAYLOAD_BITS)
-        .map(|i| ((bits >> i) & 1) as u8)
+        .rev()
+        .map(|i| ((payload >> i) & 1) as u8)
         .collect()
+}
+
+/// One chunk encoded into a fresh `channel_bits`-bit query.
+fn encoded(seq: u8, payload: u32, channel_bits: usize) -> Vec<u8> {
+    let mut tx = vec![0u8; channel_bits];
+    encode_chunk(seq, payload, &mut tx).expect("capacity checked");
+    tx
+}
+
+/// The bit-vector chunk framing the packed one replaced, kept as the
+/// oracle: one byte per bit at every stage, the data field padded with
+/// 1s to the layout's data bits, the query idle-padded with 1s.
+mod oracle {
+    use super::{crc8, FecLayout};
+
+    const SEQ_BITS: usize = 4;
+    const PAYLOAD_BITS: usize = 20;
+    const DATA_BITS: usize = SEQ_BITS + PAYLOAD_BITS + 8;
+
+    fn hamming_encode([d1, d2, d3, d4]: [u8; 4]) -> [u8; 7] {
+        [d1 ^ d2 ^ d4, d1 ^ d3 ^ d4, d1, d2 ^ d3 ^ d4, d2, d3, d4]
+    }
+
+    fn hamming_decode(cw: [u8; 7]) -> [u8; 4] {
+        let mut w = cw;
+        let s1 = w[0] ^ w[2] ^ w[4] ^ w[6];
+        let s2 = w[1] ^ w[2] ^ w[5] ^ w[6];
+        let s3 = w[3] ^ w[4] ^ w[5] ^ w[6];
+        let syndrome = (s1 as usize) | ((s2 as usize) << 1) | ((s3 as usize) << 2);
+        if syndrome != 0 {
+            w[syndrome - 1] ^= 1;
+        }
+        [w[2], w[4], w[5], w[6]]
+    }
+
+    fn fold(bits: &[u8]) -> u8 {
+        bits.iter().fold(0u8, |acc, &b| (acc << 1) | b)
+    }
+
+    fn crc(seq: u8, payload: &[u8]) -> u8 {
+        let mut bits: Vec<u8> = (0..SEQ_BITS).rev().map(|i| (seq >> i) & 1).collect();
+        bits.extend_from_slice(payload);
+        let bytes: Vec<u8> = bits.chunks(8).map(fold).collect();
+        crc8(&bytes)
+    }
+
+    pub fn encode(seq: u8, payload: &[u8], channel_bits: usize) -> Vec<u8> {
+        let layout = FecLayout::fit(channel_bits);
+        let mut data: Vec<u8> = (0..SEQ_BITS).rev().map(|i| (seq >> i) & 1).collect();
+        data.extend_from_slice(payload);
+        let c = crc(seq, payload);
+        data.extend((0..8).rev().map(|i| (c >> i) & 1));
+        data.resize(layout.data_bits(), 1);
+        let cws: Vec<[u8; 7]> = data
+            .chunks(4)
+            .map(|d| hamming_encode([d[0], d[1], d[2], d[3]]))
+            .collect();
+        let mut out = Vec::with_capacity(channel_bits);
+        for j in 0..7 {
+            out.extend(cws.iter().map(|cw| cw[j]));
+        }
+        out.resize(channel_bits, 1);
+        out
+    }
+
+    pub fn decode(received: &[u8], channel_bits: usize) -> Option<(u8, Vec<u8>)> {
+        let layout = FecLayout::fit(channel_bits);
+        let n = layout.codewords;
+        if received.len() < 7 * n || layout.data_bits() < DATA_BITS {
+            return None;
+        }
+        let mut data = Vec::new();
+        for i in 0..n {
+            let mut cw = [0u8; 7];
+            for (j, b) in cw.iter_mut().enumerate() {
+                *b = received[j * n + i];
+            }
+            data.extend_from_slice(&hamming_decode(cw));
+        }
+        let seq = fold(&data[..SEQ_BITS]);
+        let payload = data[SEQ_BITS..SEQ_BITS + PAYLOAD_BITS].to_vec();
+        let rx_crc = fold(&data[SEQ_BITS + PAYLOAD_BITS..DATA_BITS]);
+        (crc(seq, &payload) == rx_crc).then_some((seq, payload))
+    }
+}
+
+/// The oracle's decode with its payload packed the way
+/// [`decode_chunk`] returns it.
+fn oracle_decode(received: &[u8], channel_bits: usize) -> Option<(u8, u32)> {
+    oracle::decode(received, channel_bits).map(|(seq, bits)| {
+        let payload = bits.iter().fold(0u32, |acc, &b| (acc << 1) | u32::from(b));
+        (seq, payload)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The packed encoder writes exactly the bits the bit-vector
+    /// framing did — data word, pad nibbles past codeword 8 and idle
+    /// 1s past `7 · codewords` — for every sequence number and every
+    /// capacity from the minimum to 80 bits.
+    #[test]
+    fn packed_encoder_matches_the_bit_vector_oracle(
+        payload_bits in any::<u32>(),
+        channel_bits in MIN_CHANNEL_BITS..81usize,
+    ) {
+        let payload = chunk_payload(payload_bits);
+        for seq in 0..16u8 {
+            prop_assert_eq!(
+                encoded(seq, payload, channel_bits),
+                oracle::encode(seq, &bit_vector(payload), channel_bits),
+                "seq {}", seq
+            );
+        }
+    }
+
+    /// The packed decoder agrees with the bit-vector decoder on the
+    /// clean chunk and under every single and double bit flip drawn,
+    /// pad and idle region included: same accept/reject verdict, same
+    /// sequence number and payload.
+    #[test]
+    fn packed_decoder_matches_the_oracle_under_bit_flips(
+        payload_bits in any::<u32>(),
+        channel_bits in MIN_CHANNEL_BITS..81usize,
+        first in any::<usize>(),
+        second in any::<usize>(),
+    ) {
+        let payload = chunk_payload(payload_bits);
+        for seq in 0..16u8 {
+            let clean = encoded(seq, payload, channel_bits);
+            prop_assert_eq!(decode_chunk(&clean, channel_bits), Some((seq, payload)));
+            let (a, b) = (first % channel_bits, second % channel_bits);
+            let mut single = clean.clone();
+            single[a] ^= 1;
+            prop_assert_eq!(
+                decode_chunk(&single, channel_bits),
+                oracle_decode(&single, channel_bits),
+                "seq {} flip {}", seq, a
+            );
+            let mut double = single.clone();
+            double[(a + 1 + b % (channel_bits - 1)) % channel_bits] ^= 1;
+            prop_assert_eq!(
+                decode_chunk(&double, channel_bits),
+                oracle_decode(&double, channel_bits),
+                "seq {} flips {} and {}", seq, a, b
+            );
+        }
+    }
 }
 
 proptest! {
@@ -115,7 +269,7 @@ proptest! {
         channel_bits in MIN_CHANNEL_BITS..201usize,
     ) {
         let payload = chunk_payload(payload_bits);
-        let encoded = encode_chunk(seq, &payload, channel_bits).expect("capacity checked");
+        let encoded = encoded(seq, payload, channel_bits);
         prop_assert_eq!(encoded.len(), channel_bits, "idle-padded to capacity");
         prop_assert_eq!(decode_chunk(&encoded, channel_bits), Some((seq, payload)));
     }
@@ -131,7 +285,7 @@ proptest! {
         flip in any::<usize>(),
     ) {
         let payload = chunk_payload(payload_bits);
-        let mut encoded = encode_chunk(seq, &payload, channel_bits).expect("capacity checked");
+        let mut encoded = encoded(seq, payload, channel_bits);
         let pos = flip % encoded.len();
         encoded[pos] ^= 1;
         prop_assert_eq!(decode_chunk(&encoded, channel_bits), Some((seq, payload)));
@@ -147,7 +301,7 @@ proptest! {
         keep_frac in 0.0f64..1.0,
     ) {
         let payload = chunk_payload(payload_bits);
-        let encoded = encode_chunk(seq, &payload, channel_bits).expect("capacity checked");
+        let encoded = encoded(seq, payload, channel_bits);
         let fec_bits = FecLayout::fit(channel_bits).channel_bits();
         let keep = ((fec_bits - 1) as f64 * keep_frac) as usize;
         prop_assert_eq!(decode_chunk(&encoded[..keep], channel_bits), None);
@@ -164,7 +318,7 @@ proptest! {
         channel_bits in MIN_CHANNEL_BITS..201usize,
     ) {
         let payload = chunk_payload(payload_bits);
-        let mut encoded = encode_chunk(seq, &payload, channel_bits).expect("capacity checked");
+        let mut encoded = encoded(seq, payload, channel_bits);
         let fec_bits = FecLayout::fit(channel_bits).channel_bits();
         for b in encoded.iter_mut().take(fec_bits.div_ceil(2)) {
             *b ^= 1;

@@ -53,8 +53,9 @@ fn manual_arq_over_real_stack() {
     let mut reader = ArqReader::new();
     let mut kind = QueryKind::Advance;
     let mut safety = 0;
+    let mut tx = vec![0u8; n_bits];
     while !tag.done() {
-        let tx = tag.answer(kind, n_bits).expect("query fits the framing");
+        tag.answer(kind, &mut tx).expect("query fits the framing");
         if tag.done() {
             break;
         }
