@@ -65,7 +65,11 @@ pub struct CcmpKey {
 
 impl core::fmt::Debug for CcmpKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "CcmpKey {{ tx_pn: {}, rx_pn: {} }}", self.tx_pn, self.rx_pn)
+        write!(
+            f,
+            "CcmpKey {{ tx_pn: {}, rx_pn: {} }}",
+            self.tx_pn, self.rx_pn
+        )
     }
 }
 
@@ -270,7 +274,10 @@ mod tests {
         let mut protected = tx.encrypt(HDR, &A2, 0, b"data");
         let idx = CCMP_HEADER_LEN; // first ciphertext byte
         protected[idx] ^= 0x01;
-        assert_eq!(rx.decrypt(HDR, &A2, 0, &protected), Err(CcmpError::MicMismatch));
+        assert_eq!(
+            rx.decrypt(HDR, &A2, 0, &protected),
+            Err(CcmpError::MicMismatch)
+        );
     }
 
     #[test]
@@ -308,7 +315,10 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         let (_, mut rx) = key_pair();
-        assert_eq!(rx.decrypt(HDR, &A2, 0, &[0u8; 10]), Err(CcmpError::Truncated));
+        assert_eq!(
+            rx.decrypt(HDR, &A2, 0, &[0u8; 10]),
+            Err(CcmpError::Truncated)
+        );
     }
 
     #[test]
@@ -316,7 +326,10 @@ mod tests {
         let mut tx = CcmpKey::new(&[0x01; 16]);
         let mut rx = CcmpKey::new(&[0x02; 16]);
         let protected = tx.encrypt(HDR, &A2, 0, b"secret");
-        assert_eq!(rx.decrypt(HDR, &A2, 0, &protected), Err(CcmpError::MicMismatch));
+        assert_eq!(
+            rx.decrypt(HDR, &A2, 0, &protected),
+            Err(CcmpError::MicMismatch)
+        );
     }
 
     #[test]
@@ -331,6 +344,9 @@ mod tests {
     fn priority_is_bound_into_nonce() {
         let (mut tx, mut rx) = key_pair();
         let protected = tx.encrypt(HDR, &A2, 3, b"qos data");
-        assert_eq!(rx.decrypt(HDR, &A2, 0, &protected), Err(CcmpError::MicMismatch));
+        assert_eq!(
+            rx.decrypt(HDR, &A2, 0, &protected),
+            Err(CcmpError::MicMismatch)
+        );
     }
 }

@@ -18,13 +18,14 @@ impl Rc4 {
     /// # Panics
     /// Panics on an empty or over-long key.
     pub fn new(key: &[u8]) -> Self {
-        assert!(!key.is_empty() && key.len() <= 256, "RC4 key must be 1-256 bytes");
+        assert!(
+            !key.is_empty() && key.len() <= 256,
+            "RC4 key must be 1-256 bytes"
+        );
         let mut s: [u8; 256] = core::array::from_fn(|i| i as u8);
         let mut j: u8 = 0;
         for i in 0..256 {
-            j = j
-                .wrapping_add(s[i])
-                .wrapping_add(key[i % key.len()]);
+            j = j.wrapping_add(s[i]).wrapping_add(key[i % key.len()]);
             s.swap(i, j as usize);
         }
         Rc4 { s, i: 0, j: 0 }

@@ -44,7 +44,12 @@ pub struct WepKey {
 
 impl core::fmt::Debug for WepKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "WepKey {{ len: {}, next_iv: {} }}", self.key.len(), self.next_iv)
+        write!(
+            f,
+            "WepKey {{ len: {}, next_iv: {} }}",
+            self.key.len(),
+            self.next_iv
+        )
     }
 }
 
@@ -75,11 +80,7 @@ impl WepKey {
     pub fn encrypt(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let iv_num = self.next_iv;
         self.next_iv = (self.next_iv + 1) & 0x00FF_FFFF;
-        let iv = [
-            (iv_num >> 16) as u8,
-            (iv_num >> 8) as u8,
-            iv_num as u8,
-        ];
+        let iv = [(iv_num >> 16) as u8, (iv_num >> 8) as u8, iv_num as u8];
         let mut body = Vec::with_capacity(plaintext.len() + ICV_LEN);
         body.extend_from_slice(plaintext);
         body.extend_from_slice(&crc32(plaintext).to_le_bytes());
