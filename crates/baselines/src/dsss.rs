@@ -159,7 +159,12 @@ pub fn deliver_modified_frame(
 
 /// End-to-end HitchHike exchange over clean channels: returns the tag
 /// bits the host recovers.
-pub fn hitchhike_exchange(data_bits: &[u8], tag_bits: &[u8], rng: &mut Rng, noise_std: f64) -> Vec<u8> {
+pub fn hitchhike_exchange(
+    data_bits: &[u8],
+    tag_bits: &[u8],
+    rng: &mut Rng,
+    noise_std: f64,
+) -> Vec<u8> {
     let chips = spread(data_bits);
     let shifted = codeword_translate(&chips, tag_bits);
     // AWGN on both receptions.
@@ -214,7 +219,11 @@ mod tests {
         // each symbol error can smear into two bits (differential
         // decoding), so allow a small handful.
         let recovered = hitchhike_exchange(&data, &tag, &mut rng, 0.5);
-        let errors = recovered.iter().zip(tag.iter()).filter(|(a, b)| a != b).count();
+        let errors = recovered
+            .iter()
+            .zip(tag.iter())
+            .filter(|(a, b)| a != b)
+            .count();
         assert!(errors <= 4, "{errors} errors under moderate noise");
     }
 

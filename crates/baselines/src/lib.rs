@@ -25,8 +25,8 @@
 
 pub mod dsss;
 pub mod interference;
-pub mod ofdm_shift;
 pub mod matrix;
+pub mod ofdm_shift;
 pub mod systems;
 
 pub use dsss::{hitchhike_exchange, HitchhikeDelivery};

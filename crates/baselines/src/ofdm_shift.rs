@@ -89,9 +89,7 @@ pub fn add_noise(ppdu: &LegacyPpdu, noise_std: f64, rng: &mut Rng) -> LegacyPpdu
     let perturb = |carriers: &[Complex64], rng: &mut Rng| -> Vec<Complex64> {
         carriers
             .iter()
-            .map(|&c| {
-                c + witag_phy::c64(rng.gaussian() * noise_std, rng.gaussian() * noise_std)
-            })
+            .map(|&c| c + witag_phy::c64(rng.gaussian() * noise_std, rng.gaussian() * noise_std))
             .collect()
     };
     LegacyPpdu {
@@ -122,7 +120,9 @@ mod tests {
     #[test]
     fn freerider_roundtrip_clean() {
         let ppdu = excitation(100);
-        let tag_bits: Vec<u8> = (0..ppdu.symbols.len()).map(|i| (i % 3 == 0) as u8).collect();
+        let tag_bits: Vec<u8> = (0..ppdu.symbols.len())
+            .map(|i| (i % 3 == 0) as u8)
+            .collect();
         let shifted = freerider_translate(&ppdu, &tag_bits);
         assert_eq!(recover_symbol_rotations(&ppdu, &shifted), tag_bits);
     }
@@ -166,7 +166,10 @@ mod tests {
         let tag_bits: Vec<u8> = (0..ppdu.symbols.len()).map(|i| (i % 2) as u8).collect();
         let shifted = freerider_translate(&ppdu, &tag_bits);
         let decoded = legacy_receive(&shifted, 1e-6);
-        assert_ne!(decoded, psdu, "translated copy must not decode to the original");
+        assert_ne!(
+            decoded, psdu,
+            "translated copy must not decode to the original"
+        );
     }
 
     #[test]
