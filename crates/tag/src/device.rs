@@ -273,10 +273,7 @@ impl Tag {
         // but each tick really lasts `actual_tick`.
         let nominal_tick = self.cfg.oscillator.period_s();
         let actual_tick = 1.0
-            / (self
-                .cfg
-                .oscillator
-                .effective_hz(self.cfg.temperature_delta)
+            / (self.cfg.oscillator.effective_hz(self.cfg.temperature_delta)
                 * (1.0 + self.clock_fault));
         let ticks_of = |d: Duration| (d.as_secs_f64() / nominal_tick).round();
         let elapse = |ticks: f64| Duration::from_secs_f64(ticks * actual_tick);
@@ -307,21 +304,18 @@ impl Tag {
         let mut state = reference;
         for (i, &bit) in bits.iter().enumerate() {
             if bit == 0 && state == reference {
-                let at =
-                    phase_ref + elapse(lead_ticks + subframe_ticks * i as f64 + margin_ticks);
+                let at = phase_ref + elapse(lead_ticks + subframe_ticks * i as f64 + margin_ticks);
                 events.push((at, zero));
                 state = zero;
             } else if bit == 1 && state == zero {
-                let at =
-                    phase_ref + elapse(lead_ticks + subframe_ticks * i as f64 - margin_ticks);
+                let at = phase_ref + elapse(lead_ticks + subframe_ticks * i as f64 - margin_ticks);
                 events.push((at, reference));
                 state = reference;
             }
         }
         // Return to reference before the A-MPDU ends.
         if state != reference {
-            let at = phase_ref
-                + elapse(lead_ticks + subframe_ticks * n_data as f64 - margin_ticks);
+            let at = phase_ref + elapse(lead_ticks + subframe_ticks * n_data as f64 - margin_ticks);
             events.push((at, reference));
         }
         // The tag's belief of when the PPDU started (diagnostics): the
@@ -447,7 +441,11 @@ mod tests {
         // 64 subframes × 20 µs = 5 symbols each.
         let n_symbols = 64 * 5;
         let schedule = plan.to_tag_schedule(true_start, &phy, n_symbols, TagMode::Phase0);
-        assert_eq!(schedule.ltf, TagMode::Phase0, "LTF must see the reference state");
+        assert_eq!(
+            schedule.ltf,
+            TagMode::Phase0,
+            "LTF must see the reference state"
+        );
         // Guard subframes (first 2 × 5 symbols) unmodulated, plus the
         // margin symbol at the head of the first data subframe.
         for s in 0..=10 {
@@ -479,11 +477,23 @@ mod tests {
         for (i, &bit) in bits.iter().enumerate() {
             let base = (2 + i) * 5;
             if bit == 0 {
-                assert_eq!(schedule.data[base], TagMode::Phase0, "subframe {i} lead margin");
+                assert_eq!(
+                    schedule.data[base],
+                    TagMode::Phase0,
+                    "subframe {i} lead margin"
+                );
                 for s in base + 1..base + 4 {
-                    assert_eq!(schedule.data[s], TagMode::Phase180, "subframe {i} symbol {s}");
+                    assert_eq!(
+                        schedule.data[s],
+                        TagMode::Phase180,
+                        "subframe {i} symbol {s}"
+                    );
                 }
-                assert_eq!(schedule.data[base + 4], TagMode::Phase0, "subframe {i} tail margin");
+                assert_eq!(
+                    schedule.data[base + 4],
+                    TagMode::Phase0,
+                    "subframe {i} tail margin"
+                );
             } else {
                 for s in base..base + 5 {
                     assert_eq!(schedule.data[s], TagMode::Phase0, "subframe {i} symbol {s}");
@@ -570,12 +580,18 @@ mod tests {
         // here, so the tag still triggers — but the schedule smears.
         tag.push_bits(&bits);
         let faulted = score(&tag.respond(&trace).expect("1% fault still triggers"));
-        assert!(faulted > 20, "1% clock fault must smear symbols, got {faulted}");
+        assert!(
+            faulted > 20,
+            "1% clock fault must smear symbols, got {faulted}"
+        );
 
         tag.set_clock_fault(0.0);
         tag.push_bits(&bits);
         let restored = score(&tag.respond(&trace).expect("restored clock triggers"));
-        assert_eq!(restored, 0, "clearing the fault must restore nominal timing");
+        assert_eq!(
+            restored, 0,
+            "clearing the fault must restore nominal timing"
+        );
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl EnergyTrace {
     pub fn push(&mut self, start: Instant, end: Instant, power_dbm: f64) {
         assert!(start < end, "empty or negative segment");
         if let Some(last) = self.segments.last() {
-            assert!(start >= last.end, "segments must be time-ordered and disjoint");
+            assert!(
+                start >= last.end,
+                "segments must be time-ordered and disjoint"
+            );
         }
         self.segments.push(EnergySegment {
             start,
@@ -210,7 +213,11 @@ mod tests {
         trace.push(us(100), us(150), det.sensitivity_dbm - 1.0);
         trace.push(us(150), us(250), -20.0);
         let bursts = det.burst_durations(&trace);
-        assert_eq!(bursts.len(), 1, "dip within hysteresis must not split the burst");
+        assert_eq!(
+            bursts.len(),
+            1,
+            "dip within hysteresis must not split the burst"
+        );
         assert_eq!(bursts[0].1, Duration::micros(250));
     }
 

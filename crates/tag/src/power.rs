@@ -152,12 +152,21 @@ mod tests {
     #[test]
     fn energy_bank_charges_and_spends() {
         let mut bank = EnergyBank::new(10.0, 5.0); // 10 µJ, 5 µW income
-        assert!(bank.try_spend(4.6, 1.0), "full bank covers one second of WiTAG");
+        assert!(
+            bank.try_spend(4.6, 1.0),
+            "full bank covers one second of WiTAG"
+        );
         assert!((bank.level_uj - 5.4).abs() < 1e-9);
         assert!(!bank.try_spend(100.0, 1.0), "cannot overdraw");
-        assert!((bank.level_uj - 5.4).abs() < 1e-9, "failed spend must not drain");
+        assert!(
+            (bank.level_uj - 5.4).abs() < 1e-9,
+            "failed spend must not drain"
+        );
         bank.charge(10.0);
-        assert_eq!(bank.level_uj, bank.capacity_uj, "charge saturates at capacity");
+        assert_eq!(
+            bank.level_uj, bank.capacity_uj,
+            "charge saturates at capacity"
+        );
     }
 
     #[test]

@@ -45,7 +45,11 @@ fn query_trace() -> (EnergyTrace, Instant) {
         now += d + 16;
     }
     let ppdu_start = Instant::from_micros(now - 16 + 24);
-    t.push(ppdu_start, ppdu_start + Duration::micros(36 + 64 * 20), -20.0);
+    t.push(
+        ppdu_start,
+        ppdu_start + Duration::micros(36 + 64 * 20),
+        -20.0,
+    );
     (t, ppdu_start)
 }
 
