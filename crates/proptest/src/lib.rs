@@ -379,7 +379,9 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 
     /// The `prop::` namespace (`prop::sample::Index`, …).
     pub mod prop {
