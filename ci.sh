@@ -24,6 +24,10 @@ cargo fmt --check -p witag
 cargo fmt --check -p witag-faults
 cargo fmt --check -p witag-cli
 cargo fmt --check -p witag-obs
+cargo fmt --check -p witag-crypto
+cargo fmt --check -p witag-baselines
+cargo fmt --check -p witag-tag
+cargo fmt --check -p proptest
 
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.
