@@ -8,13 +8,13 @@ mod common;
 use common::{test_message, SyntheticChannel};
 use proptest::prelude::*;
 use witag::tagnet::{
-    decode_chunk, encode_chunk, run_session, SessionConfig, SessionFailure, SessionOutcome,
-    CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
+    decode_chunk, encode_chunk, run_fountain_session, run_session, FountainStats, SessionConfig,
+    SessionFailure, SessionOutcome, SessionStats, CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
 };
 use witag::FecLayout;
 use witag_crypto::crc8;
 use witag_faults::{FaultPlan, RoundFaults};
-use witag_obs::NullRecorder;
+use witag_obs::{BufferRecorder, Event, NullRecorder};
 
 const CHANNEL_BITS: usize = 62;
 
@@ -92,6 +92,149 @@ proptest! {
             SessionOutcome::Delivered(bytes) => prop_assert_eq!(bytes, message),
             other => prop_assert!(false, "quiet plan must deliver, got {:?}", other),
         }
+    }
+}
+
+/// One ARQ session over the synthetic channel with a `budget`-round
+/// cap, traced into a buffer.
+fn run_traced(
+    message: &[u8],
+    plan: FaultPlan,
+    budget: usize,
+) -> (SessionOutcome, SessionStats, BufferRecorder) {
+    let mut ch = SyntheticChannel::new(plan, CHANNEL_BITS);
+    let cfg = SessionConfig {
+        max_rounds: budget,
+        ..SessionConfig::default()
+    };
+    let mut rec = BufferRecorder::new();
+    let report = run_session(message, CHANNEL_BITS, &cfg, &mut rec, |_q, tx, _rec| {
+        ch.round(tx)
+    })
+    .expect("valid setup");
+    (report.outcome, report.stats, rec)
+}
+
+/// One fountain session over the synthetic channel with a
+/// `budget`-round cap, traced into a buffer.
+fn run_fountain_traced(
+    message: &[u8],
+    plan: FaultPlan,
+    budget: usize,
+) -> (SessionOutcome, FountainStats, BufferRecorder) {
+    let mut ch = SyntheticChannel::new(plan, CHANNEL_BITS);
+    let mut rec = BufferRecorder::new();
+    let report = run_fountain_session(message, CHANNEL_BITS, budget, &mut rec, |_q, tx, _rec| {
+        ch.round(tx)
+    })
+    .expect("valid setup");
+    (report.outcome, report.stats, rec)
+}
+
+/// The round accounting both session drivers keep: every round is a
+/// query or an idle round, the budget is never overrun, the trace
+/// carries one `session_query` per round in round order, and it ends
+/// with exactly one `session_done` that agrees with the report.
+fn assert_round_accounting(
+    events: &[Event],
+    (rounds, queries, idle_rounds, payload_bits): (usize, usize, usize, usize),
+    budget: usize,
+) {
+    assert_eq!(rounds, queries + idle_rounds, "every round is a query or idle");
+    assert!(rounds <= budget, "{rounds} rounds overran a budget of {budget}");
+    let stamps: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SessionQuery { round, .. } => Some(*round),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stamps, (0..rounds as u64).collect::<Vec<_>>(), "one session_query per round");
+    let done: Vec<(u64, u32)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SessionDone {
+                round,
+                payload_bits,
+                ..
+            } => Some((*round, *payload_bits)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(done, [(rounds as u64, payload_bits as u32)], "one session_done");
+    assert!(matches!(events.last(), Some(Event::SessionDone { .. })));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ARQ round accounting under any plan. Plans up to three times
+    /// the stock hostile one and budgets this small end some sessions
+    /// inside a backoff period, where only the budget stops the idling.
+    #[test]
+    fn arq_round_accounting_holds_under_any_plan(
+        seed in any::<u64>(),
+        intensity in 0.5f64..3.0,
+        budget in 1usize..240,
+        msg_len in 0usize..96,
+        msg_seed in any::<u64>(),
+    ) {
+        let message = test_message(msg_len, msg_seed);
+        let (_, s, rec) = run_traced(&message, FaultPlan::hostile_scaled(seed, intensity), budget);
+        assert_round_accounting(
+            rec.events(),
+            (s.rounds, s.queries, s.idle_rounds, s.payload_bits),
+            budget,
+        );
+    }
+
+    /// The same accounting for the fountain driver.
+    #[test]
+    fn fountain_round_accounting_holds_under_any_plan(
+        seed in any::<u64>(),
+        intensity in 0.5f64..3.0,
+        budget in 1usize..240,
+        msg_len in 0usize..96,
+        msg_seed in any::<u64>(),
+    ) {
+        let message = test_message(msg_len, msg_seed);
+        let plan = FaultPlan::hostile_scaled(seed, intensity);
+        let (_, s, rec) = run_fountain_traced(&message, plan, budget);
+        assert_round_accounting(
+            rec.events(),
+            (s.rounds, s.queries, s.idle_rounds, s.payload_bits),
+            budget,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fountain twin of `no_silent_corruption_under_any_plan`: the
+    /// rateless session must also return the message byte-identical or
+    /// an explicit failure. It does not yet: a payload error that slips
+    /// past a chunk's CRC-8 is a multiple of the CRC polynomial, and the
+    /// end-to-end check is the same CRC-8, so the error passes it too
+    /// (ROADMAP, open items). Run it with `--ignored`.
+    #[test]
+    #[ignore = "fountain delivers wrong bytes that pass the end-to-end CRC-8"]
+    fn fountain_no_silent_corruption_under_any_plan(
+        seed in any::<u64>(),
+        intensity in 0.0f64..1.3,
+        msg_len in 0usize..192,
+        msg_seed in any::<u64>(),
+    ) {
+        let message = test_message(msg_len, msg_seed);
+        let plan = FaultPlan::hostile_scaled(seed, intensity);
+        let (outcome, stats, _) = run_fountain_traced(&message, plan, BUDGET);
+        match outcome {
+            SessionOutcome::Delivered(bytes) => prop_assert_eq!(bytes, message),
+            SessionOutcome::Failed(
+                SessionFailure::BudgetExhausted | SessionFailure::CrcMismatch,
+            ) => {}
+        }
+        prop_assert!(stats.rounds <= BUDGET);
     }
 }
 
