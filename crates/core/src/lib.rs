@@ -86,6 +86,6 @@ pub use query::{BuiltQuery, QueryDesign};
 pub use reader::{read_tag_bits, BitErrors, TagReadout};
 pub use tagnet::{
     fountain_session_over_experiment, run_fountain_session, run_session, session_over_experiment,
-    FountainReport, FountainStats, RoundOutcome, SessionConfig, SessionFailure, SessionOutcome,
-    SessionReport, SessionStats, TagnetError,
+    FountainStats, RoundOutcome, SessionConfig, SessionFailure, SessionOutcome, SessionReport,
+    SessionStats, TagnetError,
 };

@@ -693,16 +693,19 @@ impl SessionStats {
     }
 }
 
-/// Full result of [`run_session`].
+/// Full result of a session driver: [`run_session`] reports
+/// [`SessionStats`], [`run_fountain_session`] [`FountainStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionReport {
-    /// How the session ended.
+pub struct SessionReport<S = SessionStats> {
+    /// How the session ended. `CrcMismatch` means every chunk was
+    /// recovered but the end-to-end CRC disagreed: neither transport
+    /// hands over silently corrupted bytes.
     pub outcome: SessionOutcome,
     /// Everything that was spent getting there.
-    pub stats: SessionStats,
+    pub stats: S,
 }
 
-impl SessionReport {
+impl<S> SessionReport<S> {
     /// Convenience: the delivered bytes, if any.
     pub fn delivered(&self) -> Option<&[u8]> {
         match &self.outcome {
@@ -811,15 +814,13 @@ impl ReceiveWindow {
     }
 }
 
-/// Client-side session driver state (kept separate from the loop in
-/// [`run_session`] so tests can poke at decisions directly).
+/// The ARQ driver's client logic: query choice, diversity copies,
+/// chase combining, confirmation and rate adaptation.
 struct SessionClient {
     cfg: SessionConfig,
     win: ReceiveWindow,
     diversity: usize,
     history: VecDeque<bool>,
-    consecutive_losses: usize,
-    backoff_exp: u32,
     pending_resync: bool,
     attempts: Vec<u32>,
     /// Soft-decision store: every modulated (non-idle) readout seen for
@@ -850,23 +851,12 @@ impl SessionClient {
             cfg,
             diversity: 1,
             history: VecDeque::new(),
-            consecutive_losses: 0,
-            backoff_exp: 0,
             pending_resync: false,
             attempts: Vec::new(),
             soft: Vec::new(),
             unconfirmed: Vec::new(),
             control_soft: Vec::new(),
             control_key: None,
-        }
-    }
-
-    /// The terminal outcome of a complete window: the CRC-verified
-    /// message, or a CRC mismatch.
-    fn outcome(&self) -> SessionOutcome {
-        match self.win.assemble() {
-            Some(bytes) => SessionOutcome::Delivered(bytes),
-            None => SessionOutcome::Failed(SessionFailure::CrcMismatch),
         }
     }
 
@@ -891,6 +881,273 @@ impl SessionClient {
             self.history.clear();
         }
     }
+
+    /// One attempt: pick a query and play up to `diversity` copies of it
+    /// through `lp`.
+    fn attempt(&mut self, lp: &mut RoundLoop<'_, SessionSender>) -> Result<(), TagnetError> {
+        let channel_bits = lp.tx.len();
+        // Pick this attempt's query. A pending resync outranks data; a
+        // fully-recovered window slides; otherwise fetch the first hole.
+        let (q, expected_seq) = if self.pending_resync {
+            (SessionQuery::Resync, None)
+        } else {
+            match self.win.next_missing_slot() {
+                None => (SessionQuery::Slide, None),
+                Some(k) => (
+                    SessionQuery::Slot(k),
+                    Some(((self.win.base() + k as usize) % 16) as u8),
+                ),
+            }
+        };
+
+        // One attempt = up to `diversity` copies of the same query, with
+        // an early exit on the first accepted decode. Slides and resyncs
+        // go through the same machinery as data slots: inside a burst, a
+        // lone unprotected control query would stall the whole transfer
+        // at the window boundary.
+        //
+        // Data slots chase-combine per copy: every modulated readout
+        // lands in the chunk's soft store immediately and the store is
+        // re-voted on the spot, so an accept happens on the earliest
+        // copy that tips the majority, not at the attempt boundary. In a
+        // noisy regime a lone valid decode (direct or combined) is only
+        // a *candidate* — acceptance waits for a second decode, fed by
+        // at least one fresh copy, to reproduce the identical payload.
+        let needs_confirm_pre = self.diversity > 1 || self.history.iter().any(|&ok| !ok);
+        let slot_abs = match q {
+            SessionQuery::Slot(k) => Some(self.win.base() + k as usize),
+            _ => None,
+        };
+        // The per-chunk stores grow together, so they share one length.
+        if let Some(abs) = slot_abs.filter(|&abs| abs >= self.soft.len()) {
+            self.soft.resize(abs + 1, Vec::new());
+            self.unconfirmed.resize(abs + 1, None);
+            self.attempts.resize(abs + 1, 0);
+        }
+        let mut issued = 0usize;
+        let mut copies: Vec<Vec<u8>> = Vec::new();
+        let mut decoded: Option<(u8, u32)> = None;
+        let mut candidate: Option<(u8, u32)> = None;
+        let mut desynced = false;
+        let mut heard_anything = false;
+        'attempt: for _ in 0..self.diversity {
+            if !lp.budget_left() {
+                break;
+            }
+            let out = lp.round(&q)?;
+            issued += 1;
+            // No readout, or the pure idle pattern: the tag never
+            // modulated (brownout, missed trigger). Dead air — and
+            // poison for the combiner, so keep it out.
+            let Some(bits) = out.readout.filter(|bits| bits.iter().any(|&b| b != 1)) else {
+                lp.stats.losses += 1;
+                continue;
+            };
+            heard_anything = true;
+            match decode_chunk(&bits, channel_bits) {
+                Some((seq, payload)) => {
+                    let valid = match expected_seq {
+                        Some(want) => seq == want,
+                        None => parse_base_report(seq, payload).is_some(),
+                    };
+                    if valid {
+                        let confirmed = match slot_abs {
+                            Some(abs) => {
+                                let stashed = self.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                                !needs_confirm_pre
+                                    || candidate.is_some_and(|(_, p)| p == payload)
+                                    || stashed
+                            }
+                            // Control reports carry ~20 check bits
+                            // (CRC + magic + seq): strong enough to
+                            // stand alone.
+                            None => true,
+                        };
+                        if confirmed {
+                            decoded = Some((seq, payload));
+                            break;
+                        }
+                        candidate = Some((seq, payload));
+                    } else if expected_seq.is_some() {
+                        // Decodable but stale: the tag's window is
+                        // elsewhere.
+                        lp.stats.desync_events += 1;
+                        desynced = true;
+                    } else {
+                        lp.stats.crc_failures += 1;
+                    }
+                }
+                None => lp.stats.crc_failures += 1,
+            }
+            match slot_abs {
+                Some(abs) => {
+                    // Per-copy chase combining over the persistent soft
+                    // store. Votes need 3+ copies: with two, the
+                    // tie-break reduces the "combine" to the older copy
+                    // verbatim, which could rubber-stamp itself.
+                    let combo = {
+                        let store = &mut self.soft[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                        store.push(bits);
+                        while store.len() > SOFT_COPIES_CAP {
+                            store.remove(0);
+                        }
+                        if store.len() >= 3 {
+                            decode_chunk(&majority_combine(store), channel_bits)
+                        } else {
+                            None
+                        }
+                    };
+                    if let Some((seq, payload)) = combo {
+                        if expected_seq == Some(seq) {
+                            let confirmed = !needs_confirm_pre
+                                || candidate.is_some_and(|(_, p)| p == payload)
+                                || self.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                            if confirmed {
+                                decoded = Some((seq, payload));
+                                break 'attempt;
+                            }
+                            self.unconfirmed[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                        }
+                    }
+                }
+                None => copies.push(bits),
+            }
+            if matches!(q, SessionQuery::Slide) {
+                // Any modulated readout proves the tag served (and so
+                // committed) this slide; the target is client-predicted
+                // below, no decode needed.
+                break;
+            }
+        }
+        // An unconfirmed lone decode still moves the attempt forward:
+        // it becomes the pending candidate via the stash logic below.
+        let unconfirmed_decode = decoded.is_none() && candidate.is_some();
+        decoded = decoded.or(candidate);
+        // Control reports are constant while the client's base belief
+        // is, so their copies accumulate too — under a key that resets
+        // the store whenever that belief (or the query kind) changes.
+        let fresh_copies = copies.len();
+        if matches!(q, SessionQuery::Slide | SessionQuery::Resync) {
+            let key = (matches!(q, SessionQuery::Slide), self.win.base());
+            if self.control_key != Some(key) {
+                self.control_soft.clear();
+                self.control_key = Some(key);
+            }
+            if decoded.is_none() {
+                self.control_soft.append(&mut copies);
+                while self.control_soft.len() > SOFT_COPIES_CAP {
+                    self.control_soft.remove(0);
+                }
+                copies = self.control_soft.clone();
+            }
+        }
+        // Combine the accumulated control copies. The freshness guard
+        // matters: re-combining an unchanged store would just reproduce
+        // the previous round's result.
+        if decoded.is_none() && fresh_copies > 0 && copies.len() >= 2 {
+            if let Some((seq, payload)) = decode_chunk(&majority_combine(&copies), channel_bits) {
+                if parse_base_report(seq, payload).is_some() {
+                    decoded = Some((seq, payload));
+                }
+            }
+        }
+
+        match q {
+            SessionQuery::Slot(k) => {
+                let abs = self.win.base() + k as usize;
+                let tries = &mut self.attempts[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                if issued > 0 {
+                    lp.stats.retransmissions += issued - usize::from(*tries == 0);
+                }
+                *tries = tries.saturating_add(issued as u32);
+                // seq+CRC8 is only 12 check bits; over thousands of
+                // garbage decodes a collision is a near-certainty, so in
+                // noisy regimes EVERY accept needs a second, independent
+                // decode to reproduce the identical payload. Decodes
+                // confirmed inside the loop already had one; a lone
+                // candidate gets stashed until a later decode agrees.
+                if unconfirmed_decode {
+                    let payload = decoded.map(|(_, p)| p);
+                    let slot = &mut self.unconfirmed[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                    if payload.is_some() && *slot != payload {
+                        *slot = payload;
+                        decoded = None;
+                    }
+                }
+                match decoded {
+                    Some((_, payload)) => {
+                        lp.stats.payload_bits += self.win.store(abs, payload);
+                        if lp.rec.enabled() {
+                            lp.rec.record(&Event::SessionChunk {
+                                round: lp.stats.rounds as u64,
+                                chunk: abs as u32,
+                            });
+                        }
+                        self.soft[abs] = Vec::new(); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                        self.unconfirmed[abs] = None; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
+                        lp.progressed();
+                        self.adapt_rate(true, &mut lp.stats);
+                    }
+                    None => {
+                        // Dead air drives backoff; noisy-but-alive air
+                        // drives redundancy instead — conflating the two
+                        // would idle through interference the combiner
+                        // could have worked around.
+                        lp.count_dead(!heard_anything);
+                        self.adapt_rate(false, &mut lp.stats);
+                        if desynced {
+                            self.pending_resync = true;
+                        }
+                    }
+                }
+            }
+            SessionQuery::Slide | SessionQuery::Resync => {
+                if matches!(q, SessionQuery::Slide) {
+                    lp.stats.slides += issued;
+                } else {
+                    lp.stats.resyncs += issued;
+                }
+                let base = match decoded {
+                    // `decoded` only holds a control report that already
+                    // parsed as a base report.
+                    Some((seq, payload)) => parse_base_report(seq, payload),
+                    // The report itself was garbled, but a modulated
+                    // readout proves the tag served the slide — and the
+                    // slid-latch makes the commit exact — so the client
+                    // advances to the predicted target. If the
+                    // "modulation" was actually interference over dead
+                    // air, the next slot's stale sequence number flags
+                    // the desync and a resync repairs the base. A slide
+                    // is only issued with the window fully decoded, so
+                    // the header — and with it the total chunk count —
+                    // is always in hand by now.
+                    None if matches!(q, SessionQuery::Slide) && heard_anything => {
+                        let total = self.win.chunk_count().unwrap_or(usize::MAX);
+                        Some((self.win.base() + self.cfg.window).min(total))
+                    }
+                    None => None,
+                };
+                let Some(base) = base else {
+                    lp.count_dead(!heard_anything);
+                    return Ok(());
+                };
+                self.win.set_base(base);
+                if lp.rec.enabled() {
+                    lp.rec.record(&Event::SessionResync {
+                        round: lp.stats.rounds as u64,
+                        base: base as u32,
+                    });
+                }
+                // A slide is only chosen with no resync pending.
+                self.pending_resync = false;
+                lp.progressed();
+                self.control_soft.clear();
+                self.control_key = None;
+            }
+            SessionQuery::Idle => unreachable!("idle is only issued from the backoff path"),
+        }
+        Ok(())
+    }
 }
 
 /// Majority-combine several noisy copies of the same transmission
@@ -908,6 +1165,259 @@ fn majority_combine(copies: &[Vec<u8>]) -> Vec<u8> {
             }
         })
         .collect()
+}
+
+/// The tag side of a session transport, as [`RoundLoop`] drives it: its
+/// query vocabulary and its stats. `serve` and `commit` forward to the
+/// inherent methods, which the `witag-net` fleet calls directly.
+trait Transport {
+    type Query: PartialEq;
+    type Stats: Default;
+    /// The query of a backoff round.
+    const IDLE: Self::Query;
+
+    fn serve(&mut self, query: &Self::Query, out: &mut [u8]) -> Result<(), TagnetError>;
+    fn commit(&mut self, query: &Self::Query);
+    /// The `query` and `slot` fields of `session_query`.
+    fn label(query: &Self::Query) -> (&'static str, Option<u8>);
+    /// The stats' `rounds`, `queries`, `idle_rounds` and `raw_bits`.
+    fn counters(stats: &mut Self::Stats) -> [&mut usize; 4];
+    /// The closing `session_done`.
+    fn done_event(stats: &Self::Stats, delivered: bool) -> Event;
+}
+
+impl Transport for SessionSender {
+    type Query = SessionQuery;
+    type Stats = SessionStats;
+    const IDLE: SessionQuery = SessionQuery::Idle;
+
+    fn serve(&mut self, query: &SessionQuery, out: &mut [u8]) -> Result<(), TagnetError> {
+        SessionSender::serve(self, query, out)
+    }
+
+    fn commit(&mut self, query: &SessionQuery) {
+        SessionSender::commit(self, query);
+    }
+
+    fn label(query: &SessionQuery) -> (&'static str, Option<u8>) {
+        match query {
+            SessionQuery::Slot(k) => ("slot", Some(*k)),
+            SessionQuery::Slide => ("slide", None),
+            SessionQuery::Resync => ("resync", None),
+            SessionQuery::Idle => ("idle", None),
+        }
+    }
+
+    fn counters(s: &mut SessionStats) -> [&mut usize; 4] {
+        [
+            &mut s.rounds,
+            &mut s.queries,
+            &mut s.idle_rounds,
+            &mut s.raw_bits,
+        ]
+    }
+
+    fn done_event(s: &SessionStats, delivered: bool) -> Event {
+        Event::SessionDone {
+            round: s.rounds as u64,
+            delivered,
+            queries: s.queries as u32,
+            idle_rounds: s.idle_rounds as u32,
+            retransmissions: s.retransmissions as u32,
+            resyncs: s.resyncs as u32,
+            payload_bits: s.payload_bits as u32,
+        }
+    }
+}
+
+impl Transport for FountainSender {
+    type Query = FountainQuery;
+    type Stats = FountainStats;
+    const IDLE: FountainQuery = FountainQuery::Idle;
+
+    fn serve(&mut self, query: &FountainQuery, out: &mut [u8]) -> Result<(), TagnetError> {
+        FountainSender::serve(self, query, out)
+    }
+
+    fn commit(&mut self, query: &FountainQuery) {
+        FountainSender::commit(self, query);
+    }
+
+    fn label(query: &FountainQuery) -> (&'static str, Option<u8>) {
+        let label = match query {
+            FountainQuery::Symbol => "symbol",
+            FountainQuery::Info => "info",
+            FountainQuery::Sync => "sync",
+            FountainQuery::Idle => "idle",
+        };
+        (label, None)
+    }
+
+    fn counters(s: &mut FountainStats) -> [&mut usize; 4] {
+        [
+            &mut s.rounds,
+            &mut s.queries,
+            &mut s.idle_rounds,
+            &mut s.raw_bits,
+        ]
+    }
+
+    /// Field mapping for the shared `session_done` kind:
+    /// `retransmissions` is the rateless overhead (symbol rounds that
+    /// bought no accepted symbol), `resyncs` counts SYNC queries.
+    fn done_event(s: &FountainStats, delivered: bool) -> Event {
+        Event::SessionDone {
+            round: s.rounds as u64,
+            delivered,
+            queries: s.queries as u32,
+            idle_rounds: s.idle_rounds as u32,
+            retransmissions: s.symbols.saturating_sub(s.accepted) as u32,
+            resyncs: s.syncs as u32,
+            payload_bits: s.payload_bits as u32,
+        }
+    }
+}
+
+/// One physical round of a session's channel: query, the tag's channel
+/// bits and the recorder lent for the round.
+type Channel<'a, T> =
+    dyn FnMut(&<T as Transport>::Query, &[u8], &mut dyn Recorder) -> RoundOutcome + 'a;
+
+/// The round loop both session drivers run their client logic through:
+/// it owns the tag and its channel bits, plays every round, counts it,
+/// runs the backoff periods and ends the session.
+struct RoundLoop<'a, T: Transport> {
+    tag: T,
+    /// The tag's channel bits, rewritten every round.
+    tx: Vec<u8>,
+    channel: &'a mut Channel<'a, T>,
+    rec: &'a mut dyn Recorder,
+    max_rounds: usize,
+    stats: T::Stats,
+    /// Dead rounds (or ARQ attempts) in a row.
+    dead_streak: usize,
+    /// The next quiet period lasts `2^backoff_level` idle rounds.
+    backoff_level: u32,
+}
+
+impl<'a, T: Transport> RoundLoop<'a, T> {
+    /// A loop over `tag` with `channel_bits`-bit queries. Surfaces an
+    /// undersized query once, up front, instead of per round.
+    fn new(
+        tag: T,
+        channel_bits: usize,
+        max_rounds: usize,
+        rec: &'a mut dyn Recorder,
+        channel: &'a mut Channel<'a, T>,
+    ) -> Result<Self, TagnetError> {
+        let mut tx = vec![0u8; channel_bits];
+        encode_chunk(0, 0, &mut tx)?;
+        Ok(RoundLoop {
+            tag,
+            tx,
+            channel,
+            rec,
+            max_rounds,
+            stats: T::Stats::default(),
+            dead_streak: 0,
+            backoff_level: 0,
+        })
+    }
+
+    fn rounds(&mut self) -> usize {
+        *T::counters(&mut self.stats)[0]
+    }
+
+    fn budget_left(&mut self) -> bool {
+        self.rounds() < self.max_rounds
+    }
+
+    /// A decode got through: the dead streak and the backoff level
+    /// start over.
+    fn progressed(&mut self) {
+        self.dead_streak = 0;
+        self.backoff_level = 0;
+    }
+
+    /// No decode got through: dead air extends the dead streak, a
+    /// modulated reply ends it.
+    fn count_dead(&mut self, dead: bool) {
+        self.dead_streak = if dead { self.dead_streak + 1 } else { 0 };
+    }
+
+    /// Play one round: serve `query`, run the channel, count the round,
+    /// commit the query if the tag heard it, and emit `session_query`
+    /// after the channel's own events.
+    fn round(&mut self, query: &T::Query) -> Result<RoundOutcome, TagnetError> {
+        self.tag.serve(query, &mut self.tx)?;
+        let out = (self.channel)(query, &self.tx, &mut *self.rec);
+        let [rounds, queries, idle_rounds, raw_bits] = T::counters(&mut self.stats);
+        let round = *rounds as u64;
+        *rounds += 1;
+        if *query == T::IDLE {
+            *idle_rounds += 1;
+        } else {
+            *queries += 1;
+            *raw_bits += self.tx.len();
+        }
+        if out.tag_heard {
+            self.tag.commit(query);
+        }
+        if self.rec.enabled() {
+            let (query, slot) = T::label(query);
+            self.rec.record(&Event::SessionQuery {
+                round,
+                query,
+                slot,
+                heard: out.tag_heard,
+                readout: out.readout.is_some(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// A quiet period after a streak of dead rounds: `session_backoff`,
+    /// then `2^min(level, MAX_BACKOFF_EXP)` idle rounds, cut short by
+    /// the budget; the next period is twice as long, up to the cap.
+    fn back_off(&mut self) -> Result<(), TagnetError> {
+        let idle = 1usize << self.backoff_level.min(MAX_BACKOFF_EXP);
+        if self.rec.enabled() {
+            let round = self.rounds() as u64;
+            self.rec.record(&Event::SessionBackoff {
+                round,
+                idle_rounds: idle as u32,
+                level: self.backoff_level,
+            });
+        }
+        for _ in 0..idle {
+            if !self.budget_left() {
+                break;
+            }
+            self.round(&T::IDLE)?;
+        }
+        self.backoff_level = (self.backoff_level + 1).min(MAX_BACKOFF_EXP);
+        self.dead_streak = 0;
+        Ok(())
+    }
+
+    /// End the session with exactly one `session_done`. `assembled` is
+    /// the receiver's message once it is complete (`Some(None)` when its
+    /// end-to-end CRC disagrees); `None` means the budget ran out first.
+    fn finish(self, assembled: Option<Option<Vec<u8>>>) -> SessionReport<T::Stats> {
+        let outcome = match assembled {
+            Some(Some(bytes)) => SessionOutcome::Delivered(bytes),
+            Some(None) => SessionOutcome::Failed(SessionFailure::CrcMismatch),
+            None => SessionOutcome::Failed(SessionFailure::BudgetExhausted),
+        };
+        if self.rec.enabled() {
+            let delivered = matches!(outcome, SessionOutcome::Delivered(_));
+            self.rec.record(&T::done_event(&self.stats, delivered));
+        }
+        SessionReport {
+            outcome,
+            stats: self.stats,
+        }
+    }
 }
 
 /// Drive a complete message through the resilient session transport.
@@ -939,417 +1449,20 @@ pub fn run_session<F>(
 where
     F: FnMut(&SessionQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
-    let mut sender = SessionSender::new(message, cfg.window)?;
-    // The tag's channel bits, rewritten every round. Surface an
-    // undersized query once, up front, instead of per round.
-    let mut tx = vec![0u8; channel_bits];
-    encode_chunk(0, 0, &mut tx)?;
+    let tag = SessionSender::new(message, cfg.window)?;
+    let mut lp = RoundLoop::new(tag, channel_bits, cfg.max_rounds, rec, &mut channel)?;
     let mut client = SessionClient::new(cfg.clone());
-    let mut stats = SessionStats::default();
-
-    // One closure-owned round executor so every path counts uniformly.
-    // `rec` is threaded through as a parameter (reborrowed per call)
-    // rather than captured, so the outer code can keep emitting too.
-    let mut run_one = |sender: &mut SessionSender,
-                       stats: &mut SessionStats,
-                       q: &SessionQuery,
-                       rec: &mut dyn Recorder|
-     -> Result<RoundOutcome, TagnetError> {
-        let round = stats.rounds as u64;
-        sender.serve(q, &mut tx)?;
-        let out = channel(q, &tx, &mut *rec);
-        stats.rounds += 1;
-        if matches!(q, SessionQuery::Idle) {
-            stats.idle_rounds += 1;
-        } else {
-            stats.queries += 1;
-            stats.raw_bits += channel_bits;
-        }
-        if out.tag_heard {
-            sender.commit(q);
-        }
-        if rec.enabled() {
-            let (query, slot) = match q {
-                SessionQuery::Slot(k) => ("slot", Some(*k)),
-                SessionQuery::Slide => ("slide", None),
-                SessionQuery::Resync => ("resync", None),
-                SessionQuery::Idle => ("idle", None),
-            };
-            rec.record(&Event::SessionQuery {
-                round,
-                query,
-                slot,
-                heard: out.tag_heard,
-                readout: out.readout.is_some(),
-            });
-        }
-        Ok(out)
-    };
-
-    // The terminal event, shared by every return path below.
-    let done_event = |stats: &SessionStats, delivered: bool| Event::SessionDone {
-        round: stats.rounds as u64,
-        delivered,
-        queries: stats.queries as u32,
-        idle_rounds: stats.idle_rounds as u32,
-        retransmissions: stats.retransmissions as u32,
-        resyncs: stats.resyncs as u32,
-        payload_bits: stats.payload_bits as u32,
-    };
-
-    while stats.rounds < cfg.max_rounds {
-        if client.win.complete() {
-            let outcome = client.outcome();
-            if rec.enabled() {
-                let delivered = matches!(outcome, SessionOutcome::Delivered(_));
-                rec.record(&done_event(&stats, delivered));
-            }
-            return Ok(SessionReport { outcome, stats });
-        }
-
-        // Exponential backoff: after a streak of dead rounds, go quiet
-        // and re-establish the window afterwards.
-        if client.consecutive_losses >= BACKOFF_THRESHOLD {
-            let idle = 1usize << client.backoff_exp.min(MAX_BACKOFF_EXP);
-            if rec.enabled() {
-                rec.record(&Event::SessionBackoff {
-                    round: stats.rounds as u64,
-                    idle_rounds: idle as u32,
-                    level: client.backoff_exp,
-                });
-            }
-            for _ in 0..idle {
-                if stats.rounds >= cfg.max_rounds {
-                    break;
-                }
-                run_one(&mut sender, &mut stats, &SessionQuery::Idle, &mut *rec)?;
-            }
-            client.backoff_exp = (client.backoff_exp + 1).min(MAX_BACKOFF_EXP);
-            client.consecutive_losses = 0;
+    while lp.budget_left() && !client.win.complete() {
+        if lp.dead_streak >= BACKOFF_THRESHOLD {
+            lp.back_off()?;
+            // Re-establish the window after the quiet period.
             client.pending_resync = true;
-            continue;
-        }
-
-        // Pick this attempt's query. A pending resync outranks data; a
-        // fully-recovered window slides; otherwise fetch the first hole.
-        let (q, expected_seq) = if client.pending_resync {
-            (SessionQuery::Resync, None)
         } else {
-            match client.win.next_missing_slot() {
-                None => (SessionQuery::Slide, None),
-                Some(k) => (
-                    SessionQuery::Slot(k),
-                    Some(((client.win.base() + k as usize) % 16) as u8),
-                ),
-            }
-        };
-
-        // One attempt = up to `diversity` copies of the same query, with
-        // an early exit on the first accepted decode. Slides and resyncs
-        // go through the same machinery as data slots: inside a burst, a
-        // lone unprotected control query would stall the whole transfer
-        // at the window boundary.
-        //
-        // Data slots chase-combine per copy: every modulated readout
-        // lands in the chunk's soft store immediately and the store is
-        // re-voted on the spot, so an accept happens on the earliest
-        // copy that tips the majority, not at the attempt boundary. In a
-        // noisy regime a lone valid decode (direct or combined) is only
-        // a *candidate* — acceptance waits for a second decode, fed by
-        // at least one fresh copy, to reproduce the identical payload.
-        let needs_confirm_pre = client.diversity > 1 || client.history.iter().any(|&ok| !ok);
-        let slot_abs = match q {
-            SessionQuery::Slot(k) => Some(client.win.base() + k as usize),
-            _ => None,
-        };
-        if let Some(abs) = slot_abs {
-            if client.soft.len() <= abs {
-                client.soft.resize(abs + 1, Vec::new());
-            }
-            if client.unconfirmed.len() <= abs {
-                client.unconfirmed.resize(abs + 1, None);
-            }
-        }
-        let mut issued = 0usize;
-        let mut copies: Vec<Vec<u8>> = Vec::new();
-        let mut decoded: Option<(u8, u32)> = None;
-        let mut candidate: Option<(u8, u32)> = None;
-        let mut desynced = false;
-        let mut heard_anything = false;
-        'attempt: for _ in 0..client.diversity {
-            if stats.rounds >= cfg.max_rounds {
-                break;
-            }
-            let out = run_one(&mut sender, &mut stats, &q, &mut *rec)?;
-            issued += 1;
-            let bits = match out.readout {
-                Some(bits) => bits,
-                None => {
-                    stats.losses += 1;
-                    continue;
-                }
-            };
-            if bits.iter().all(|&b| b == 1) {
-                // Pure idle pattern: the tag never modulated (brownout,
-                // missed trigger). Dead air — and poison for the
-                // combiner, so keep it out.
-                stats.losses += 1;
-                continue;
-            }
-            heard_anything = true;
-            match decode_chunk(&bits, channel_bits) {
-                Some((seq, payload)) => {
-                    let valid = match expected_seq {
-                        Some(want) => seq == want,
-                        None => parse_base_report(seq, payload).is_some(),
-                    };
-                    if valid {
-                        let confirmed = match slot_abs {
-                            Some(abs) => {
-                                let stashed = client.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                                !needs_confirm_pre
-                                    || candidate.is_some_and(|(_, p)| p == payload)
-                                    || stashed
-                            }
-                            // Control reports carry ~20 check bits
-                            // (CRC + magic + seq): strong enough to
-                            // stand alone.
-                            None => true,
-                        };
-                        if confirmed {
-                            decoded = Some((seq, payload));
-                            break;
-                        }
-                        candidate = Some((seq, payload));
-                    } else if expected_seq.is_some() {
-                        // Decodable but stale: the tag's window is
-                        // elsewhere.
-                        stats.desync_events += 1;
-                        desynced = true;
-                    } else {
-                        stats.crc_failures += 1;
-                    }
-                }
-                None => stats.crc_failures += 1,
-            }
-            match slot_abs {
-                Some(abs) => {
-                    // Per-copy chase combining over the persistent soft
-                    // store. Votes need 3+ copies: with two, the
-                    // tie-break reduces the "combine" to the older copy
-                    // verbatim, which could rubber-stamp itself.
-                    let combo = {
-                        let store = &mut client.soft[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                        store.push(bits);
-                        while store.len() > SOFT_COPIES_CAP {
-                            store.remove(0);
-                        }
-                        if store.len() >= 3 {
-                            decode_chunk(&majority_combine(store), channel_bits)
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((seq, payload)) = combo {
-                        if expected_seq == Some(seq) {
-                            let confirmed = !needs_confirm_pre
-                                || candidate.is_some_and(|(_, p)| p == payload)
-                                || client.unconfirmed[abs] == Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                            if confirmed {
-                                decoded = Some((seq, payload));
-                                break 'attempt;
-                            }
-                            client.unconfirmed[abs] = Some(payload); // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                        }
-                    }
-                }
-                None => copies.push(bits),
-            }
-            if matches!(q, SessionQuery::Slide) {
-                // Any modulated readout proves the tag served (and so
-                // committed) this slide; the target is client-predicted
-                // below, no decode needed.
-                break;
-            }
-        }
-        // An unconfirmed lone decode still moves the attempt forward:
-        // it becomes the pending candidate via the stash logic below.
-        let mut unconfirmed_decode = false;
-        if decoded.is_none() {
-            if let Some(c) = candidate.take() {
-                decoded = Some(c);
-                unconfirmed_decode = true;
-            }
-        }
-        // Control reports are constant while the client's base belief
-        // is, so their copies accumulate too — under a key that resets
-        // the store whenever that belief (or the query kind) changes.
-        let fresh_copies = copies.len();
-        if matches!(q, SessionQuery::Slide | SessionQuery::Resync) {
-            let key = (matches!(q, SessionQuery::Slide), client.win.base());
-            if client.control_key != Some(key) {
-                client.control_soft.clear();
-                client.control_key = Some(key);
-            }
-            if decoded.is_none() {
-                client.control_soft.append(&mut copies);
-                while client.control_soft.len() > SOFT_COPIES_CAP {
-                    client.control_soft.remove(0);
-                }
-                copies = client.control_soft.clone();
-            }
-        }
-        // Combine the accumulated control copies. The freshness guard
-        // matters: re-combining an unchanged store would just reproduce
-        // the previous round's result.
-        if decoded.is_none() && fresh_copies > 0 && copies.len() >= 2 {
-            if let Some((seq, payload)) = decode_chunk(&majority_combine(&copies), channel_bits) {
-                if parse_base_report(seq, payload).is_some() {
-                    decoded = Some((seq, payload));
-                }
-            }
-        }
-
-        match q {
-            SessionQuery::Slot(k) => {
-                let abs = client.win.base() + k as usize;
-                let prior = client.attempts.get(abs).copied().unwrap_or(0);
-                if client.attempts.len() <= abs {
-                    client.attempts.resize(abs + 1, 0);
-                }
-                client.attempts[abs] = prior.saturating_add(issued as u32); // lint:allow(panic_path) resized to abs + 1 two lines up
-                if issued > 0 {
-                    stats.retransmissions += issued - usize::from(prior == 0);
-                }
-                // seq+CRC8 is only 12 check bits; over thousands of
-                // garbage decodes a collision is a near-certainty, so in
-                // noisy regimes EVERY accept needs a second, independent
-                // decode to reproduce the identical payload. Decodes
-                // confirmed inside the loop already had one; a lone
-                // candidate gets stashed until a later decode agrees.
-                if unconfirmed_decode {
-                    let payload = decoded.map(|(_, p)| p);
-                    let slot = &mut client.unconfirmed[abs]; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                    if payload.is_some() && *slot != payload {
-                        *slot = payload;
-                        decoded = None;
-                    }
-                }
-                match decoded {
-                    Some((_, payload)) => {
-                        stats.payload_bits += client.win.store(abs, payload);
-                        if rec.enabled() {
-                            rec.record(&Event::SessionChunk {
-                                round: stats.rounds as u64,
-                                chunk: abs as u32,
-                            });
-                        }
-                        if let Some(s) = client.soft.get_mut(abs) {
-                            s.clear();
-                            s.shrink_to_fit();
-                        }
-                        client.unconfirmed[abs] = None; // lint:allow(panic_path) resized to abs + 1 where slot_abs is derived
-                        client.consecutive_losses = 0;
-                        client.backoff_exp = 0;
-                        client.adapt_rate(true, &mut stats);
-                    }
-                    None => {
-                        // Dead air drives backoff; noisy-but-alive air
-                        // drives redundancy instead — conflating the two
-                        // would idle through interference the combiner
-                        // could have worked around.
-                        if heard_anything {
-                            client.consecutive_losses = 0;
-                        } else {
-                            client.consecutive_losses += 1;
-                        }
-                        client.adapt_rate(false, &mut stats);
-                        if desynced {
-                            client.pending_resync = true;
-                        }
-                    }
-                }
-            }
-            SessionQuery::Slide | SessionQuery::Resync => {
-                if matches!(q, SessionQuery::Slide) {
-                    stats.slides += issued;
-                } else {
-                    stats.resyncs += issued;
-                }
-                match decoded {
-                    Some((seq, payload)) => {
-                        // Structurally infallible: `decoded` is only Some
-                        // when the control decode already ran
-                        // `parse_base_report` successfully on this payload.
-                        let base = parse_base_report(seq, payload)
-                            .expect("validated as a base report above"); // lint:allow(panic_freedom)
-                        client.win.set_base(base);
-                        if rec.enabled() {
-                            rec.record(&Event::SessionResync {
-                                round: stats.rounds as u64,
-                                base: base as u32,
-                            });
-                        }
-                        client.pending_resync = false;
-                        client.consecutive_losses = 0;
-                        client.backoff_exp = 0;
-                        client.control_soft.clear();
-                        client.control_key = None;
-                    }
-                    None if matches!(q, SessionQuery::Slide) && heard_anything => {
-                        // The report itself was garbled, but a modulated
-                        // readout proves the tag served the slide — and
-                        // the slid-latch makes the commit exact — so the
-                        // client advances to the predicted target. If
-                        // the "modulation" was actually interference
-                        // over dead air, the next slot's stale sequence
-                        // number flags the desync and a resync repairs
-                        // the base.
-                        // A slide is only issued with the window fully
-                        // decoded, so the header — and with it the total
-                        // chunk count — is always in hand by now.
-                        let total = client.win.chunk_count().unwrap_or(usize::MAX);
-                        let base = (client.win.base() + cfg.window).min(total);
-                        client.win.set_base(base);
-                        if rec.enabled() {
-                            rec.record(&Event::SessionResync {
-                                round: stats.rounds as u64,
-                                base: base as u32,
-                            });
-                        }
-                        client.consecutive_losses = 0;
-                        client.backoff_exp = 0;
-                        client.control_soft.clear();
-                        client.control_key = None;
-                    }
-                    None => {
-                        if heard_anything {
-                            client.consecutive_losses = 0;
-                        } else {
-                            client.consecutive_losses += 1;
-                        }
-                    }
-                }
-            }
-            SessionQuery::Idle => unreachable!("idle is only issued from the backoff path"),
+            client.attempt(&mut lp)?;
         }
     }
-
-    if client.win.complete() {
-        let outcome = client.outcome();
-        if rec.enabled() {
-            let delivered = matches!(outcome, SessionOutcome::Delivered(_));
-            rec.record(&done_event(&stats, delivered));
-        }
-        return Ok(SessionReport { outcome, stats });
-    }
-    if rec.enabled() {
-        rec.record(&done_event(&stats, false));
-    }
-    Ok(SessionReport {
-        outcome: SessionOutcome::Failed(SessionFailure::BudgetExhausted),
-        stats,
-    })
+    let assembled = client.win.complete().then(|| client.win.assemble());
+    Ok(lp.finish(assembled))
 }
 
 /// Run a session over a live [`Experiment`](crate::experiment::Experiment):
@@ -1450,28 +1563,6 @@ impl FountainStats {
     }
 }
 
-/// Full result of [`run_fountain_session`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FountainReport {
-    /// How the session ended. `CrcMismatch` means the decoder solved a
-    /// full block whose end-to-end CRC disagreed — the transport
-    /// refuses to hand over silently corrupted bytes, exactly like the
-    /// ARQ session.
-    pub outcome: SessionOutcome,
-    /// Everything that was spent getting there.
-    pub stats: FountainStats,
-}
-
-impl FountainReport {
-    /// Convenience: the delivered bytes, if any.
-    pub fn delivered(&self) -> Option<&[u8]> {
-        match &self.outcome {
-            SessionOutcome::Delivered(bytes) => Some(bytes),
-            SessionOutcome::Failed(_) => None,
-        }
-    }
-}
-
 /// Deliver `message` over the rateless fountain transport: the tag
 /// streams robust-soliton coded symbols and the client absorbs them in
 /// any order until its decoder completes — the block-ACK readouts *are*
@@ -1492,92 +1583,17 @@ pub fn run_fountain_session<F>(
     max_rounds: usize,
     rec: &mut dyn Recorder,
     mut channel: F,
-) -> Result<FountainReport, TagnetError>
+) -> Result<SessionReport<FountainStats>, TagnetError>
 where
     F: FnMut(&FountainQuery, &[u8], &mut dyn Recorder) -> RoundOutcome,
 {
-    let mut sender = FountainSender::new(message)?;
-    // The tag's channel bits, rewritten every round. Surface an
-    // undersized query once, up front, instead of per round.
-    let mut tx = vec![0u8; channel_bits];
-    encode_chunk(0, 0, &mut tx)?;
+    let tag = FountainSender::new(message)?;
+    let mut lp = RoundLoop::new(tag, channel_bits, max_rounds, rec, &mut channel)?;
     let mut recv = FountainReceiver::new();
-    let mut stats = FountainStats::default();
-    let mut dead_streak = 0usize;
-    let mut backoff_exp = 0u32;
     // Accept EWMA: the decode-progress signal the rate control watches.
     // Starts optimistic so a clean channel never pays a warmup tax.
     let mut accept_ewma = 1.0f64;
-
-    let mut run_one = |sender: &mut FountainSender,
-                       stats: &mut FountainStats,
-                       q: &FountainQuery,
-                       rec: &mut dyn Recorder|
-     -> Result<RoundOutcome, TagnetError> {
-        let round = stats.rounds as u64;
-        sender.serve(q, &mut tx)?;
-        let out = channel(q, &tx, &mut *rec);
-        stats.rounds += 1;
-        if matches!(q, FountainQuery::Idle) {
-            stats.idle_rounds += 1;
-        } else {
-            stats.queries += 1;
-            stats.raw_bits += channel_bits;
-        }
-        if out.tag_heard {
-            sender.commit(q);
-        }
-        if rec.enabled() {
-            let query = match q {
-                FountainQuery::Symbol => "symbol",
-                FountainQuery::Info => "info",
-                FountainQuery::Sync => "sync",
-                FountainQuery::Idle => "idle",
-            };
-            rec.record(&Event::SessionQuery {
-                round,
-                query,
-                slot: None,
-                heard: out.tag_heard,
-                readout: out.readout.is_some(),
-            });
-        }
-        Ok(out)
-    };
-
-    // The terminal event, shared by every return path below. Field
-    // mapping for the shared `session_done` kind: `retransmissions` is
-    // the rateless overhead (symbol rounds that bought no accepted
-    // symbol), `resyncs` counts SYNC queries.
-    let done_event = |stats: &FountainStats, delivered: bool| Event::SessionDone {
-        round: stats.rounds as u64,
-        delivered,
-        queries: stats.queries as u32,
-        idle_rounds: stats.idle_rounds as u32,
-        retransmissions: stats.symbols.saturating_sub(stats.accepted) as u32,
-        resyncs: stats.syncs as u32,
-        payload_bits: stats.payload_bits as u32,
-    };
-    let finish = |stats: FountainStats,
-                  outcome: SessionOutcome,
-                  rec: &mut dyn Recorder|
-     -> Result<FountainReport, TagnetError> {
-        if rec.enabled() {
-            let delivered = matches!(outcome, SessionOutcome::Delivered(_));
-            rec.record(&done_event(&stats, delivered));
-        }
-        Ok(FountainReport { outcome, stats })
-    };
-
-    while stats.rounds < max_rounds {
-        if recv.complete() {
-            let outcome = match recv.assemble() {
-                Some(bytes) => SessionOutcome::Delivered(bytes),
-                None => SessionOutcome::Failed(SessionFailure::CrcMismatch),
-            };
-            return finish(stats, outcome, rec);
-        }
-
+    while lp.budget_left() && !recv.complete() {
         // Adaptive backoff: dead air drives the streak, and a low
         // accept EWMA halves the patience — the symbol rate degrades
         // gracefully with the channel instead of burning budget.
@@ -1586,37 +1602,21 @@ where
         } else {
             BACKOFF_THRESHOLD
         };
-        if dead_streak >= threshold {
-            let idle = 1usize << backoff_exp.min(MAX_BACKOFF_EXP);
-            if rec.enabled() {
-                rec.record(&Event::SessionBackoff {
-                    round: stats.rounds as u64,
-                    idle_rounds: idle as u32,
-                    level: backoff_exp,
-                });
-            }
-            for _ in 0..idle {
-                if stats.rounds >= max_rounds {
-                    break;
-                }
-                run_one(&mut sender, &mut stats, &FountainQuery::Idle, &mut *rec)?;
-            }
-            backoff_exp = (backoff_exp + 1).min(MAX_BACKOFF_EXP);
-            dead_streak = 0;
+        if lp.dead_streak >= threshold {
+            lp.back_off()?;
             // The quiet period is exactly when counter drift sneaks in
             // (brownouts, missed triggers): re-learn it cheaply.
             recv.request_sync();
             continue;
         }
-
         let q = recv.next_query();
-        let out = run_one(&mut sender, &mut stats, &q, &mut *rec)?;
+        let out = lp.round(&q)?;
         match q {
-            FountainQuery::Symbol => stats.symbols += 1,
-            FountainQuery::Info => stats.infos += 1,
-            FountainQuery::Sync => stats.syncs += 1,
+            FountainQuery::Symbol => lp.stats.symbols += 1,
+            FountainQuery::Info => lp.stats.infos += 1,
+            FountainQuery::Sync => lp.stats.syncs += 1,
             // `next_query` never returns Idle; idle rounds only come
-            // from the backoff path above.
+            // from the backoff period.
             FountainQuery::Idle => {}
         }
         let dead = match out.readout.as_deref() {
@@ -1624,38 +1624,38 @@ where
             Some(bits) => bits.iter().all(|&b| b == 1),
         };
         let solved_before = recv.solved_count();
-        let absorbed = recv.absorb(&q, out.readout.as_deref(), channel_bits);
+        let absorbed = recv.absorb(&q, out.readout.as_deref(), lp.tx.len());
         if absorbed.accepted {
-            stats.accepted += 1;
-            stats.payload_bits += absorbed.solved_bits;
-            dead_streak = 0;
-            backoff_exp = 0;
-        } else if dead {
-            stats.losses += 1;
-            dead_streak += 1;
+            lp.stats.accepted += 1;
+            lp.stats.payload_bits += absorbed.solved_bits;
+            lp.progressed();
         } else {
             // Noisy but alive: keep streaming — every fresh symbol is
             // new information, unlike an ARQ retransmission.
-            stats.crc_failures += 1;
-            dead_streak = 0;
+            *if dead {
+                &mut lp.stats.losses
+            } else {
+                &mut lp.stats.crc_failures
+            } += 1;
+            lp.count_dead(dead);
         }
         accept_ewma = 0.75 * accept_ewma + 0.25 * f64::from(u8::from(absorbed.accepted));
-        if rec.enabled() {
-            let round = (stats.rounds - 1) as u64;
+        if lp.rec.enabled() {
+            let round = (lp.stats.rounds - 1) as u64;
             if matches!(q, FountainQuery::Symbol) {
                 let esi = if absorbed.accepted {
                     recv.esi_belief().saturating_sub(1)
                 } else {
                     recv.esi_belief()
                 };
-                rec.record(&Event::TagnetSymbol {
+                lp.rec.record(&Event::TagnetSymbol {
                     round,
                     esi,
                     accepted: absorbed.accepted,
                 });
             }
             if recv.solved_count() > solved_before {
-                rec.record(&Event::TagnetDecodeProgress {
+                lp.rec.record(&Event::TagnetDecodeProgress {
                     round,
                     solved: recv.solved_count() as u32,
                     source: recv.source_count().unwrap_or(0) as u32,
@@ -1664,19 +1664,8 @@ where
             }
         }
     }
-
-    if recv.complete() {
-        let outcome = match recv.assemble() {
-            Some(bytes) => SessionOutcome::Delivered(bytes),
-            None => SessionOutcome::Failed(SessionFailure::CrcMismatch),
-        };
-        return finish(stats, outcome, rec);
-    }
-    finish(
-        stats,
-        SessionOutcome::Failed(SessionFailure::BudgetExhausted),
-        rec,
-    )
+    let assembled = recv.complete().then(|| recv.assemble());
+    Ok(lp.finish(assembled))
 }
 
 /// Run a fountain session over a live
@@ -1690,7 +1679,7 @@ pub fn fountain_session_over_experiment(
     message: &[u8],
     max_rounds: usize,
     rec: &mut dyn Recorder,
-) -> Result<FountainReport, TagnetError> {
+) -> Result<SessionReport<FountainStats>, TagnetError> {
     let channel_bits = exp.design.bits_per_query();
     exp.set_trace_base(0);
     run_fountain_session(message, channel_bits, max_rounds, rec, |q, tx, rec| {
