@@ -15,8 +15,8 @@
 //!   O(1) amortized insert/pop, for simulations holding millions of
 //!   pending wakeups (the metro-scale fleet engine).
 //! * [`stats`] — streaming statistics (Welford), sample sets with exact
-//!   percentiles, empirical CDFs, and histograms used by the experiment
-//!   harness and the benchmark binaries.
+//!   percentiles, empirical CDFs and Wilson intervals, used by the
+//!   experiment harness and the benchmark binaries.
 //! * [`geom`] — 2-D geometry: points, segments, segment intersection,
 //!   attenuating obstacles (walls, cabinets, doors) and the floorplan of the
 //!   paper's testbed (Figure 4).
@@ -44,5 +44,5 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use geom::{Floorplan, Material, Obstacle, Point2, Segment};
 pub use parallel::{available_threads, par_map};
 pub use rng::Rng;
-pub use stats::{wilson_interval_95, Cdf, Histogram, RunningStats, SampleSet};
+pub use stats::{wilson_interval_95, Cdf, RunningStats, SampleSet};
 pub use time::{Duration, Instant};

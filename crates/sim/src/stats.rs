@@ -1,13 +1,14 @@
 //! Statistics collection for experiments.
 //!
-//! Three collectors, used throughout the experiment harness and the
+//! Two collectors, used throughout the experiment harness and the
 //! benchmark binaries:
 //!
 //! * [`RunningStats`] — streaming mean/variance (Welford's algorithm),
 //!   constant memory; for long-running BER counters.
 //! * [`SampleSet`] — stores raw samples; exact percentiles and an empirical
 //!   [`Cdf`]; for per-run BER distributions (paper Figure 6).
-//! * [`Histogram`] — fixed-bin counts; for channel-magnitude distributions.
+//!
+//! [`wilson_interval_95`] puts a confidence interval on a BER point.
 
 /// Streaming mean / variance / min / max using Welford's online algorithm.
 #[derive(Debug, Clone, Default)]
@@ -265,72 +266,6 @@ pub fn wilson_interval_95(errors: u64, total: u64) -> (f64, f64) {
     ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi && bins > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one value.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Bin counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of values below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of values at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded values including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Centre x-value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,22 +389,5 @@ mod tests {
         let (lo4, hi4) = wilson_interval_95(50, 50);
         assert!(lo4 > 0.88);
         assert_eq!(hi4, 1.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-1.0);
-        h.push(0.0);
-        h.push(5.5);
-        h.push(9.999);
-        h.push(10.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.total(), 5);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 }
