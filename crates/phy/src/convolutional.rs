@@ -93,7 +93,9 @@ fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
         // A1 B1 A2 B3 (B2, A3 dropped)
         CodeRate::R34 => &[true, true, true, false, false, true],
         // A1 B1 A2 B3 A4 B5 (B2, A3, B4, A5 dropped)
-        CodeRate::R56 => &[true, true, true, false, false, true, true, false, false, true],
+        CodeRate::R56 => &[
+            true, true, true, false, false, true, true, false, false, true,
+        ],
     }
 }
 
@@ -102,7 +104,10 @@ fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
 fn punctured_len(pattern: &[bool], mother_len: usize) -> usize {
     let keep_per_period = pattern.iter().filter(|&&k| k).count();
     let full = mother_len / pattern.len();
-    let rem = pattern[..mother_len % pattern.len()].iter().filter(|&&k| k).count();
+    let rem = pattern[..mother_len % pattern.len()]
+        .iter()
+        .filter(|&&k| k)
+        .count();
     full * keep_per_period + rem
 }
 
@@ -334,7 +339,11 @@ fn acs_step(l0: i16, l1: i16, cur: &[i16; STATES], nxt: &mut [i16; STATES]) -> u
         d_even[j] = (d0 > 0) as u8;
         d_odd[j] = (d1 > 0) as u8;
     }
-    for ((dst, e), o) in nxt.chunks_exact_mut(16).zip(even.chunks_exact(8)).zip(odd.chunks_exact(8)) {
+    for ((dst, e), o) in nxt
+        .chunks_exact_mut(16)
+        .zip(even.chunks_exact(8))
+        .zip(odd.chunks_exact(8))
+    {
         let mut pairs = [0i16; 16];
         for k in 0..8 {
             pairs[2 * k] = e[k];
@@ -444,7 +453,11 @@ fn viterbi_kernel(
 
     // Last-scanned best reachable state. Metrics wrap, so compare each
     // against state 0's: the spread bound keeps the differences exact.
-    let reachable = if n_steps < TAIL_BITS { 1 << n_steps } else { STATES };
+    let reachable = if n_steps < TAIL_BITS {
+        1 << n_steps
+    } else {
+        STATES
+    };
     let mut best = i16::MIN;
     let mut best_state = 0usize;
     for (s, &m) in cur.iter().enumerate().take(reachable) {
@@ -537,7 +550,14 @@ pub fn viterbi_decode_stream_into(
     out: &mut Vec<u8>,
 ) {
     assert_eq!(llrs.len(), 2 * n_bits, "LLR stream length must be 2*n_bits");
-    viterbi_kernel(llrs, puncture_pattern(CodeRate::R12), n_bits, false, scratch, out);
+    viterbi_kernel(
+        llrs,
+        puncture_pattern(CodeRate::R12),
+        n_bits,
+        false,
+        scratch,
+        out,
+    );
 }
 
 /// Soft-decision Viterbi decode of an unterminated stream of `n_bits`
@@ -577,14 +597,23 @@ pub fn decode_punctured(received: &[f64], rate: CodeRate, info_bits: usize) -> V
     assert_punctured_len(received, pattern, 2 * total_steps);
     let mut scratch = ViterbiScratch::default();
     let mut bits = Vec::new();
-    viterbi_kernel(received, pattern, total_steps, true, &mut scratch, &mut bits);
+    viterbi_kernel(
+        received,
+        pattern,
+        total_steps,
+        true,
+        &mut scratch,
+        &mut bits,
+    );
     bits.truncate(info_bits);
     bits
 }
 
 /// Convert hard bits to strong LLRs (for loss-free test paths).
 pub fn bits_to_llrs(bits: &[u8]) -> Vec<f64> {
-    bits.iter().map(|&b| if b == 0 { 10.0 } else { -10.0 }).collect()
+    bits.iter()
+        .map(|&b| if b == 0 { 10.0 } else { -10.0 })
+        .collect()
 }
 
 #[cfg(test)]
@@ -618,7 +647,11 @@ mod tests {
             for len in [1usize, 2, 3, 5, 24, 100, 241] {
                 let data = random_bits(&mut rng, len);
                 let tx = encode_punctured(&data, rate);
-                assert_eq!(tx.len(), coded_len(len, rate), "len mismatch at {rate:?}/{len}");
+                assert_eq!(
+                    tx.len(),
+                    coded_len(len, rate),
+                    "len mismatch at {rate:?}/{len}"
+                );
                 let llrs = bits_to_llrs(&tx);
                 let decoded = decode_punctured(&llrs, rate, len);
                 assert_eq!(decoded, data, "roundtrip failed at {rate:?} len {len}");
@@ -668,7 +701,10 @@ mod tests {
             }
         }
         let decoded = decode_punctured(&bits_to_llrs(&tx), CodeRate::R34, 120);
-        assert_ne!(decoded, data, "50% random flips on half the bits must break R3/4");
+        assert_ne!(
+            decoded, data,
+            "50% random flips on half the bits must break R3/4"
+        );
     }
 
     #[test]

@@ -233,7 +233,10 @@ mod tests {
             .filter_map(|(i, &b)| (b == 1).then_some(i))
             .collect();
         let contiguous_pairs = positions.windows(2).filter(|w| w[1] - w[0] == 1).count();
-        assert!(contiguous_pairs <= 4, "burst stayed contiguous: {positions:?}");
+        assert!(
+            contiguous_pairs <= 4,
+            "burst stayed contiguous: {positions:?}"
+        );
         // No run longer than a pair survives.
         let longest_run = positions
             .windows(3)

@@ -215,7 +215,9 @@ fn legacy_decode_core(
     // The shape check: the LTF and each decoded symbol must carry every
     // occupied subcarrier.
     let full = |sym: &OfdmSymbol| {
-        sym.streams.first().is_some_and(|s| s.len() >= layout.n_occupied())
+        sym.streams
+            .first()
+            .is_some_and(|s| s.len() >= layout.n_occupied())
     };
     let n_sym = if full(&rx.ltf) {
         rx.symbols.iter().take_while(|sym| full(sym)).count()
@@ -223,7 +225,8 @@ fn legacy_decode_core(
         0
     };
 
-    bufs.eq_streams.resize_with(bufs.eq_streams.len().max(1), Vec::new); // lint:allow(no_alloc)
+    bufs.eq_streams
+        .resize_with(bufs.eq_streams.len().max(1), Vec::new); // lint:allow(no_alloc)
     bufs.coded_llrs.clear();
     if n_sym > 0 {
         // Per-PPDU hoist of `1/h` and the demapper scales (the estimate
@@ -237,7 +240,8 @@ fn legacy_decode_core(
         for &pos in data_pos {
             let hv = h[pos];
             bufs.w_mat.push(hv.inv());
-            bufs.demap_scales.push(axis_scale(modulation, noise_var / hv.norm_sqr().max(1e-9)));
+            bufs.demap_scales
+                .push(axis_scale(modulation, noise_var / hv.norm_sqr().max(1e-9)));
         }
         bufs.coded_llrs.reserve(n_sym * perm.dims().n_cbps);
     }
@@ -298,7 +302,10 @@ mod tests {
                 }
             }
             let got = legacy_receive_with_scratch(&ppdu, 1e-4, &mut scratch);
-            assert!(scratch.bufs.coded_llrs.iter().any(|l| !l.is_finite()), "{rate:?}");
+            assert!(
+                scratch.bufs.coded_llrs.iter().any(|l| !l.is_finite()),
+                "{rate:?}"
+            );
             let n_total = ppdu.symbols.len() * rate.ndbps();
             let want = crate::receiver::two_step_decode(
                 &scratch.bufs.coded_llrs,
@@ -357,7 +364,11 @@ mod tests {
         let mut ppdu = legacy_transmit(LegacyRate::M24, &psdu);
         let noise_var: f64 = 0.005; // 23 dB SNR
         let std = (noise_var / 2.0).sqrt();
-        for sym in ppdu.symbols.iter_mut().chain(core::iter::once(&mut ppdu.ltf)) {
+        for sym in ppdu
+            .symbols
+            .iter_mut()
+            .chain(core::iter::once(&mut ppdu.ltf))
+        {
             for pt in sym.streams[0].iter_mut() {
                 *pt += c64(rng.gaussian() * std, rng.gaussian() * std);
             }

@@ -48,9 +48,13 @@ pub mod receiver;
 pub mod scrambler;
 
 pub use complex::{c64, Complex64};
+pub use legacy::{
+    legacy_receive, legacy_receive_with_scratch, legacy_transmit, LegacyLayout, LegacyPpdu,
+};
 pub use mcs::{CodeRate, Mcs, Modulation};
+pub use mimo::{receive_mu, transmit_mu, MimoEqualiser};
 pub use params::{Bandwidth, GuardInterval, SubcarrierLayout, MAX_AMPDU_SUBFRAMES};
 pub use ppdu::{transmit, OfdmSymbol, PhyConfig, Ppdu};
-pub use legacy::{legacy_receive, legacy_receive_with_scratch, legacy_transmit, LegacyLayout, LegacyPpdu};
-pub use mimo::{receive_mu, transmit_mu, MimoEqualiser};
-pub use receiver::{receive, receive_mu_with_scratch, receive_with_scratch, DecodedPsdu, RxScratch};
+pub use receiver::{
+    receive, receive_mu_with_scratch, receive_with_scratch, DecodedPsdu, RxScratch,
+};

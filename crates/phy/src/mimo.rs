@@ -145,7 +145,12 @@ pub fn invert_into(
     debug_assert!(n <= MAX_NSS);
     for r in 0..n {
         for c in 0..n {
-            w[r * n + c] = if r == c { Complex64::ONE } else { Complex64::ZERO }; // lint:allow(panic_path) indices < n <= MAX_NSS (debug_assert), arrays are MAX_NSS*MAX_NSS
+            let v = if r == c {
+                Complex64::ONE
+            } else {
+                Complex64::ZERO
+            };
+            w[r * n + c] = v; // lint:allow(panic_path) indices < n <= MAX_NSS (debug_assert), arrays are MAX_NSS*MAX_NSS
         }
     }
     for col in 0..n {
@@ -191,7 +196,12 @@ pub fn invert_into(
 fn identity_fallback(w: &mut [Complex64; MAX_NSS * MAX_NSS], n: usize) {
     for r in 0..n {
         for c in 0..n {
-            w[r * n + c] = if r == c { Complex64::ONE } else { Complex64::ZERO }; // lint:allow(panic_path) indices < n <= MAX_NSS (debug_assert), arrays are MAX_NSS*MAX_NSS
+            let v = if r == c {
+                Complex64::ONE
+            } else {
+                Complex64::ZERO
+            };
+            w[r * n + c] = v; // lint:allow(panic_path) indices < n <= MAX_NSS (debug_assert), arrays are MAX_NSS*MAX_NSS
         }
     }
 }
@@ -225,7 +235,11 @@ pub fn mmse_weights(
     let mut a = [Complex64::ZERO; MAX_NSS * MAX_NSS];
     for i in 0..n {
         for k in 0..n {
-            let mut acc = if i == k { c64(noise_var, 0.0) } else { Complex64::ZERO };
+            let mut acc = if i == k {
+                c64(noise_var, 0.0)
+            } else {
+                Complex64::ZERO
+            };
             for j in 0..n {
                 acc += h[j * n + i].conj() * h[j * n + k]; // lint:allow(panic_path) indices < n <= MAX_NSS, h/w/a/b are MAX_NSS*MAX_NSS
             }
@@ -409,7 +423,10 @@ mod tests {
                 let h = random_h(&mut rng, n);
                 let mut a = h;
                 let mut inv = [Complex64::ZERO; MAX_NSS * MAX_NSS];
-                assert!(invert_into(&mut a, &mut inv, n), "gaussian matrix singular?");
+                assert!(
+                    invert_into(&mut a, &mut inv, n),
+                    "gaussian matrix singular?"
+                );
                 let prod = matmul(&inv[..n * n], &h[..n * n], n);
                 for i in 0..n {
                     for j in 0..n {
@@ -430,12 +447,7 @@ mod tests {
     fn singular_matrix_reports_failure_with_identity_fallback() {
         let mut w = [Complex64::ZERO; MAX_NSS * MAX_NSS];
         // Rank-1 2×2 (second row = first row).
-        let h = [
-            c64(1.0, 0.5),
-            c64(-0.3, 0.2),
-            c64(1.0, 0.5),
-            c64(-0.3, 0.2),
-        ];
+        let h = [c64(1.0, 0.5), c64(-0.3, 0.2), c64(1.0, 0.5), c64(-0.3, 0.2)];
         assert!(!zf_weights(&h, 2, &mut w));
         assert_eq!(w[0], Complex64::ONE);
         assert_eq!(w[1], Complex64::ZERO);
@@ -496,7 +508,10 @@ mod tests {
         assert_eq!(mu_stream_seed(base, 0), base);
         let seeds: Vec<u8> = (0..4).map(|i| mu_stream_seed(base, i)).collect();
         for &s in &seeds {
-            assert!((1..=127).contains(&s), "seed {s} out of 7-bit nonzero range");
+            assert!(
+                (1..=127).contains(&s),
+                "seed {s} out of 7-bit nonzero range"
+            );
         }
         for i in 0..4 {
             for j in i + 1..4 {

@@ -271,7 +271,11 @@ pub fn demodulate_hard(symbols: &[Complex64], m: Modulation) -> Vec<u8> {
 /// Average constellation power (should be ≈1 for every modulation).
 pub fn average_power(m: Modulation) -> f64 {
     let n = 1usize << m.bits_per_subcarrier();
-    point_table(m)[..n].iter().map(|pt| pt.norm_sqr()).sum::<f64>() / n as f64
+    point_table(m)[..n]
+        .iter()
+        .map(|pt| pt.norm_sqr())
+        .sum::<f64>()
+        / n as f64
 }
 
 #[cfg(test)]
@@ -305,7 +309,12 @@ mod tests {
     fn qam16_gray_axis_matches_standard_table() {
         // 802.11 Table 17-15: b0b1 = 00→-3, 01→-1, 11→+1, 10→+3 (×K_MOD).
         let k = 1.0 / 10f64.sqrt();
-        let cases = [([0u8, 0], -3.0), ([0, 1], -1.0), ([1, 1], 1.0), ([1, 0], 3.0)];
+        let cases = [
+            ([0u8, 0], -3.0),
+            ([0, 1], -1.0),
+            ([1, 1], 1.0),
+            ([1, 0], 3.0),
+        ];
         for (bits, level) in cases {
             let pt = modulate(&[bits[0], bits[1], 0, 0], Modulation::Qam16)[0];
             assert!((pt.re - level * k).abs() < 1e-12, "{bits:?} -> {pt:?}");
@@ -352,7 +361,10 @@ mod tests {
         let pt = modulate(&[0, 0], Modulation::Qpsk)[0];
         let strong = demodulate_llr(&[pt], Modulation::Qpsk, 0.01);
         let weak = demodulate_llr(&[pt], Modulation::Qpsk, 1.0);
-        assert!(strong[0] > weak[0], "lower noise must mean higher confidence");
+        assert!(
+            strong[0] > weak[0],
+            "lower noise must mean higher confidence"
+        );
         assert!(strong[0] > 0.0 && weak[0] > 0.0);
     }
 

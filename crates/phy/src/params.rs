@@ -145,9 +145,12 @@ pub struct SubcarrierLayout {
 // Backing stores for [`SubcarrierLayout::cached`]. Initialised at most
 // once per process; the builder only ever runs from these initialisers
 // (and from tests exercising it directly), never on a decode path.
-static LAYOUT_20: LazyLock<SubcarrierLayout> = LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz20));
-static LAYOUT_40: LazyLock<SubcarrierLayout> = LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz40));
-static LAYOUT_80: LazyLock<SubcarrierLayout> = LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz80));
+static LAYOUT_20: LazyLock<SubcarrierLayout> =
+    LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz20));
+static LAYOUT_40: LazyLock<SubcarrierLayout> =
+    LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz40));
+static LAYOUT_80: LazyLock<SubcarrierLayout> =
+    LazyLock::new(|| SubcarrierLayout::new(Bandwidth::Mhz80));
 
 impl SubcarrierLayout {
     /// Layout for the given bandwidth (HT/VHT tone plans).
@@ -228,7 +231,10 @@ mod tests {
     #[test]
     fn symbol_durations() {
         assert_eq!(GuardInterval::Long.symbol_duration(), Duration::micros(4));
-        assert_eq!(GuardInterval::Short.symbol_duration(), Duration::nanos(3600));
+        assert_eq!(
+            GuardInterval::Short.symbol_duration(),
+            Duration::nanos(3600)
+        );
     }
 
     #[test]

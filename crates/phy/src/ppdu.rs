@@ -94,8 +94,7 @@ impl PhyConfig {
 
     /// Airtime of a PPDU carrying `len` PSDU bytes.
     pub fn airtime(&self, len: usize) -> Duration {
-        self.preamble_duration()
-            + self.guard.symbol_duration() * (self.n_symbols(len) as u64)
+        self.preamble_duration() + self.guard.symbol_duration() * (self.n_symbols(len) as u64)
     }
 
     /// Start offset (from PPDU start) of DATA symbol `i`.
@@ -192,7 +191,10 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
 /// Panics if `bits.len()` is not a multiple of 8.
 // lint:no_alloc
 pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
-    assert!(bits.len().is_multiple_of(8), "bit count must be a whole number of bytes");
+    assert!(
+        bits.len().is_multiple_of(8),
+        "bit count must be a whole number of bytes"
+    );
     out.clear();
     out.reserve(bits.len() / 8);
     for chunk in bits.chunks_exact(8) {
@@ -274,7 +276,10 @@ impl<'a> SymbolMapper<'a> {
         pilot_positions: &'a [usize],
     ) -> Self {
         // At most 4 streams × 234 carriers × 8 bits = 7 488 coded bits.
-        assert!(nss * dims.n_cbps <= 1 << 16, "symbol too wide for the gather table");
+        assert!(
+            nss * dims.n_cbps <= 1 << 16,
+            "symbol too wide for the gather table"
+        );
         // The parser deals groups of `s = max(1, N_BPSCS/2)` coded bits
         // round-robin, so stream bit `k` of stream `ss` is coded bit
         // `(k/s·nss + ss)·s + k%s`; the interleaver moves it to `perm[k]`.
@@ -287,7 +292,10 @@ impl<'a> SymbolMapper<'a> {
             }
         }
         let mut template = vec![Complex64::ZERO; data_positions.len() + pilot_positions.len()];
-        for (&pos, pv) in pilot_positions.iter().zip(pilot_values(pilot_positions.len())) {
+        for (&pos, pv) in pilot_positions
+            .iter()
+            .zip(pilot_values(pilot_positions.len()))
+        {
             template[pos] = pv;
         }
         SymbolMapper {
@@ -313,7 +321,11 @@ impl<'a> SymbolMapper<'a> {
     /// [`Self::symbols`] with `B` = N_BPSCS fixed, so the gather unrolls.
     fn symbols_of<const B: usize>(&self, coded: &[u8]) -> Vec<OfdmSymbol> {
         let width = self.data_positions.len() * B;
-        debug_assert_eq!(coded.len() % self.gather.len(), 0, "puncturing must align to symbols");
+        debug_assert_eq!(
+            coded.len() % self.gather.len(),
+            0,
+            "puncturing must align to symbols"
+        );
         coded
             .chunks(self.gather.len())
             .map(|symbol| OfdmSymbol {
@@ -321,7 +333,9 @@ impl<'a> SymbolMapper<'a> {
                     .map(|gather| {
                         let mut carriers = self.template.clone();
                         for (&pos, bits) in self.data_positions.iter().zip(gather.chunks_exact(B)) {
-                            let v = bits.iter().fold(0, |v, &i| (v << 1) | symbol[i as usize] as usize);
+                            let v = bits
+                                .iter()
+                                .fold(0, |v, &i| (v << 1) | symbol[i as usize] as usize);
                             carriers[pos] = self.points[v & 0xFF];
                         }
                         carriers
@@ -345,7 +359,10 @@ pub fn transmit(config: &PhyConfig, psdu: &[u8]) -> Ppdu {
     let bits = data_field_bits(config.scrambler_seed, psdu, n_total);
     let coded = encode_stream_punctured(&bits, config.mcs.code_rate);
     let symbols = SymbolMapper::new(
-        InterleaverDims::ht(config.bandwidth, config.mcs.modulation.bits_per_subcarrier()),
+        InterleaverDims::ht(
+            config.bandwidth,
+            config.mcs.modulation.bits_per_subcarrier(),
+        ),
         config.mcs.modulation,
         nss,
         layout.data_positions(),
@@ -434,7 +451,7 @@ mod tests {
     #[test]
     fn byte_range_to_symbol_range() {
         let c = cfg(0); // NDBPS = 26
-        // Byte 0 occupies bits 16..24 -> symbol 0.
+                        // Byte 0 occupies bits 16..24 -> symbol 0.
         assert_eq!(c.symbols_for_byte_range(0, 1), (0, 0));
         // Byte 10: bits 96..104 -> symbols 3..4 (96/26=3, 103/26=3).
         assert_eq!(c.symbols_for_byte_range(10, 11), (3, 3));

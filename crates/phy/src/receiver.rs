@@ -88,7 +88,10 @@ impl RxScratch {
 
     /// The cached interleaver permutation for `dims`, built on first
     /// sight.
-    pub(crate) fn perm(perms: &mut Vec<InterleaverPerm>, dims: InterleaverDims) -> &InterleaverPerm {
+    pub(crate) fn perm(
+        perms: &mut Vec<InterleaverPerm>,
+        dims: InterleaverDims,
+    ) -> &InterleaverPerm {
         cached(perms, |p| p.dims() == dims, || InterleaverPerm::new(dims))
     }
 
@@ -99,7 +102,11 @@ impl RxScratch {
         let dims = InterleaverDims::ht(config.bandwidth, n_bpscs);
         let n_pilots = config.layout().pilot_positions().len();
         let perm = Self::perm(&mut self.perms, dims);
-        let pilots = cached(&mut self.pilots, |p| p.len() == n_pilots, || pilot_values(n_pilots));
+        let pilots = cached(
+            &mut self.pilots,
+            |p| p.len() == n_pilots,
+            || pilot_values(n_pilots),
+        );
         (perm, pilots, &mut self.bufs)
     }
 }
@@ -204,7 +211,10 @@ pub fn receive(rx: &Ppdu, noise_var: f64) -> DecodedPsdu {
 /// `DecodedPsdu`'s two output vectors are freshly allocated). Results are
 /// bit-identical to [`receive`].
 pub fn receive_with_scratch(rx: &Ppdu, noise_var: f64, scratch: &mut RxScratch) -> DecodedPsdu {
-    let mut out = DecodedPsdu { bytes: Vec::new(), symbol_quality: Vec::new() };
+    let mut out = DecodedPsdu {
+        bytes: Vec::new(),
+        symbol_quality: Vec::new(),
+    };
     let (perm, pilots, bufs) = scratch.split_for(&rx.config);
     decode_core(rx, noise_var, perm, pilots, bufs, &mut out);
     out
@@ -335,9 +345,17 @@ fn hoist_weights(
     let modulation = config.mcs.modulation;
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
-    assert!(layout.pilot_positions().len() <= MAX_PILOTS, "pilot table bound");
+    assert!(
+        layout.pilot_positions().len() <= MAX_PILOTS,
+        "pilot table bound"
+    );
 
-    mimo::estimate_into(&rx.ltfs[..ht_ltf_count(nss)], nss, layout.n_occupied(), &mut bufs.h_mat);
+    mimo::estimate_into(
+        &rx.ltfs[..ht_ltf_count(nss)],
+        nss,
+        layout.n_occupied(),
+        &mut bufs.h_mat,
+    );
 
     bufs.w_mat.clear();
     bufs.w_mat.reserve(n_data * nss * nss);
@@ -452,8 +470,10 @@ fn demap_streams(
     let data_pos = layout.data_positions();
     let n_data = data_pos.len();
 
-    bufs.per_stream.resize_with(bufs.per_stream.len().max(nss), Vec::new); // lint:allow(no_alloc)
-    bufs.eq_streams.resize_with(bufs.eq_streams.len().max(nss), Vec::new); // lint:allow(no_alloc)
+    bufs.per_stream
+        .resize_with(bufs.per_stream.len().max(nss), Vec::new); // lint:allow(no_alloc)
+    bufs.eq_streams
+        .resize_with(bufs.eq_streams.len().max(nss), Vec::new); // lint:allow(no_alloc)
     for stream in &mut bufs.per_stream[..nss] {
         stream.clear();
         stream.reserve(n_sym * perm.dims().n_cbps);
@@ -462,7 +482,14 @@ fn demap_streams(
 
     let pilot_exp = hoist_weights(rx, noise_var, pilots, bufs);
     for sym in &rx.symbols[..n_sym] {
-        equalise_symbol(sym, nss, data_pos, layout.pilot_positions(), &pilot_exp, bufs);
+        equalise_symbol(
+            sym,
+            nss,
+            data_pos,
+            layout.pilot_positions(),
+            &pilot_exp,
+            bufs,
+        );
         for ss in 0..nss {
             let scales = &bufs.demap_scales[ss * n_data..(ss + 1) * n_data];
             bufs.llrs_tx.clear();
@@ -635,8 +662,11 @@ mod tests {
             } else {
                 Complex64::ONE
             };
-            let eq: Vec<Complex64> =
-                layout.data_positions().iter().map(|&pos| raw[pos] * cpe / h[pos]).collect();
+            let eq: Vec<Complex64> = layout
+                .data_positions()
+                .iter()
+                .map(|&pos| raw[pos] * cpe / h[pos])
+                .collect();
             llrs.clear();
             demap_symbol_into(&eq, modulation, &scales, &mut llrs);
             quality.push(llrs.iter().map(|l| l.abs()).sum::<f64>() / llrs.len() as f64);
@@ -669,7 +699,10 @@ mod tests {
             cases.extend((0..8).map(|i| (Mcs::ht(i), bw)));
             cases.push((Mcs::vht(8, 1), bw));
         }
-        cases.extend([(Mcs::vht(9, 1), Bandwidth::Mhz40), (Mcs::vht(9, 1), Bandwidth::Mhz80)]);
+        cases.extend([
+            (Mcs::vht(9, 1), Bandwidth::Mhz40),
+            (Mcs::vht(9, 1), Bandwidth::Mhz80),
+        ]);
         let (mut clean, mut corrupt) = (0, 0);
         for (mcs, bw) in cases {
             for _ in 0..3 {
@@ -686,11 +719,24 @@ mod tests {
                 let n_sym = ppdu.symbols.len();
                 let flip_from = rng.below(n_sym as u64 + 1) as usize;
                 let ltf = ppdu.ltfs.iter_mut().map(|s| (s, false));
-                let data = ppdu.symbols.iter_mut().enumerate().map(|(i, s)| (s, i >= flip_from));
+                let data = ppdu
+                    .symbols
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, s)| (s, i >= flip_from));
                 for (sym, flipped) in ltf.chain(data) {
-                    for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
+                    for (&f, pt) in layout
+                        .freq_offsets_hz()
+                        .iter()
+                        .zip(sym.streams[0].iter_mut())
+                    {
                         let path = Complex64::from_polar(tag, -2.0 * PI * f * tau);
-                        let h = direct + if flipped { Complex64::ZERO - path } else { path };
+                        let h = direct
+                            + if flipped {
+                                Complex64::ZERO - path
+                            } else {
+                                path
+                            };
                         *pt = *pt * h + c64(rng.gaussian() * std, rng.gaussian() * std);
                     }
                 }
@@ -716,7 +762,10 @@ mod tests {
         }
         // The corpus must hold both outcomes, or it pins nothing about
         // the decisions the corruption turns on.
-        assert!(clean >= 10 && corrupt >= 10, "{clean} clean, {corrupt} corrupt");
+        assert!(
+            clean >= 10 && corrupt >= 10,
+            "{clean} clean, {corrupt} corrupt"
+        );
     }
 
     /// Identity channel: receive exactly what was sent.
@@ -806,7 +855,11 @@ mod tests {
         let n_sym = ppdu.symbols.len();
         let half = n_sym / 2;
         for sym in ppdu.symbols.iter_mut().skip(half) {
-            for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
+            for (&f, pt) in layout
+                .freq_offsets_hz()
+                .iter()
+                .zip(sym.streams[0].iter_mut())
+            {
                 let extra = Complex64::from_polar(0.3, -2.0 * core::f64::consts::PI * f * 120e-9);
                 *pt *= Complex64::ONE + extra;
             }
@@ -828,7 +881,11 @@ mod tests {
         let layout = config.layout();
         let n_sym = ppdu.symbols.len();
         for sym in ppdu.symbols.iter_mut().skip(n_sym / 2) {
-            for (&f, pt) in layout.freq_offsets_hz().iter().zip(sym.streams[0].iter_mut()) {
+            for (&f, pt) in layout
+                .freq_offsets_hz()
+                .iter()
+                .zip(sym.streams[0].iter_mut())
+            {
                 let extra = Complex64::from_polar(0.2, -2.0 * core::f64::consts::PI * f * 120e-9);
                 *pt *= Complex64::ONE + extra;
             }
@@ -855,7 +912,10 @@ mod tests {
             }
         }
         let decoded = receive(&ppdu, 1e-4);
-        assert_eq!(decoded.bytes, psdu, "pilot CPE correction must heal pure rotation");
+        assert_eq!(
+            decoded.bytes, psdu,
+            "pilot CPE correction must heal pure rotation"
+        );
     }
 
     /// The tag's 180° phase flip applied to a *portion* of the frame's

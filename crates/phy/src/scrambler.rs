@@ -18,7 +18,10 @@ impl Scrambler {
     /// Panics if `seed` is zero or wider than 7 bits (an all-zero state
     /// would emit a constant zero sequence and never whiten anything).
     pub fn new(seed: u8) -> Self {
-        assert!(seed != 0 && seed < 0x80, "scrambler seed must be 7-bit nonzero");
+        assert!(
+            seed != 0 && seed < 0x80,
+            "scrambler seed must be 7-bit nonzero"
+        );
         Scrambler { state: seed }
     }
 

@@ -19,22 +19,20 @@
 //! the same decisions bit for bit; fed the raw LLRs, it bounds what the
 //! quantisation costs (the waterfall test).
 
-use witag_phy::complex::Complex64;
 use proptest::prelude::*;
+use witag_phy::complex::Complex64;
 use witag_phy::convolutional::{
     bits_to_llrs, depuncture, encode, encode_stream, puncture, quantise_llrs, viterbi_decode,
-    viterbi_decode_punctured_into, viterbi_decode_stream, CONSTRAINT, SOFT_MAX, TAIL_BITS,
-    ViterbiScratch,
+    viterbi_decode_punctured_into, viterbi_decode_stream, ViterbiScratch, CONSTRAINT, SOFT_MAX,
+    TAIL_BITS,
 };
 use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
 use witag_phy::mcs::{CodeRate, Mcs, Modulation};
 use witag_phy::modulation::{demodulate_llr, modulate};
 use witag_phy::params::Bandwidth;
-use witag_phy::ppdu::{
-    bytes_to_bits, pilot_values, transmit, OfdmSymbol, PhyConfig,
-};
-use witag_phy::scrambler::Scrambler;
+use witag_phy::ppdu::{bytes_to_bits, pilot_values, transmit, OfdmSymbol, PhyConfig};
 use witag_phy::receiver::{receive, receive_with_scratch, RxScratch};
+use witag_phy::scrambler::Scrambler;
 use witag_sim::Rng;
 
 const STATES: usize = 1 << (CONSTRAINT - 1);
@@ -86,11 +84,7 @@ fn reference_acs(llrs: &[f64], n_steps: usize) -> (Vec<f64>, Vec<u8>) {
     (metrics, decisions)
 }
 
-fn reference_traceback(
-    decisions: &[u8],
-    mut state: usize,
-    n_steps: usize,
-) -> Vec<u8> {
+fn reference_traceback(decisions: &[u8], mut state: usize, n_steps: usize) -> Vec<u8> {
     let mut bits = vec![0u8; n_steps];
     for step in (0..n_steps).rev() {
         bits[step] = (state & 1) as u8;
@@ -157,11 +151,7 @@ fn reference_axis_llrs(y: f64, k: usize, sigma2: f64, out: &mut Vec<f64>) {
     }
 }
 
-fn reference_demodulate_llr(
-    symbols: &[Complex64],
-    m: Modulation,
-    noise_var: f64,
-) -> Vec<f64> {
+fn reference_demodulate_llr(symbols: &[Complex64], m: Modulation, noise_var: f64) -> Vec<f64> {
     let k = match m {
         Modulation::Bpsk => 1.0,
         Modulation::Qpsk => 1.0 / 2f64.sqrt(),
@@ -236,7 +226,10 @@ fn viterbi_matches_reference_on_clean_coded_data() {
         let data: Vec<u8> = (0..n_bits).map(|_| (rng.next_u64() & 1) as u8).collect();
         let llrs = bits_to_llrs(&encode_stream(&data)[..2 * n_bits]);
         let opt = viterbi_decode_stream(&llrs, n_bits);
-        assert_eq!(opt, reference_viterbi_decode_stream(&quantised(&llrs), n_bits));
+        assert_eq!(
+            opt,
+            reference_viterbi_decode_stream(&quantised(&llrs), n_bits)
+        );
         assert_eq!(opt, data, "clean decode must also be correct");
     }
 }
@@ -251,7 +244,13 @@ const ALL_RATES: [CodeRate; 4] = [CodeRate::R12, CodeRate::R23, CodeRate::R34, C
 /// as far as they can), 1 alternates the sign, 2 draws it at random, and
 /// 3 mixes saturated values with small finite ones and erasures.
 fn saturated_stream(rng: &mut Rng, rate: CodeRate, n_bits: usize, kind: u8) -> Vec<f64> {
-    let rail = |bit: bool| if bit { f64::NEG_INFINITY } else { f64::INFINITY };
+    let rail = |bit: bool| {
+        if bit {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        }
+    };
     let data: Vec<u8> = (0..n_bits).map(|_| rng.below(2) as u8).collect();
     let coded = puncture(&encode_stream(&data), rate);
     coded
@@ -308,9 +307,14 @@ fn depuncture_roundtrip_matches_all_rates() {
     let mut rng = Rng::seed_from_u64(0x60_20);
     for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
         for mother_len in [12usize, 24, 120, 1200] {
-            let mother: Vec<u8> = (0..mother_len).map(|_| (rng.next_u64() & 1) as u8).collect();
+            let mother: Vec<u8> = (0..mother_len)
+                .map(|_| (rng.next_u64() & 1) as u8)
+                .collect();
             let kept = puncture(&mother, rate);
-            let llrs: Vec<f64> = kept.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+            let llrs: Vec<f64> = kept
+                .iter()
+                .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+                .collect();
             let soft = depuncture(&llrs, rate, mother_len);
             assert_eq!(soft.len(), mother_len, "{rate:?}/{mother_len}");
             // Punctured positions are exactly the zeros.
@@ -426,7 +430,12 @@ fn receive_chain_bit_identical_across_mcs_and_scratch_reuse() {
 /// over a run of symbols (the WiTAG tag's corruption mechanism) — so the
 /// warm-scratch test covers subframes that fail their FCS, not just
 /// clean ones.
-fn perturb(ppdu: &witag_phy::ppdu::Ppdu, seed: u64, noise_std: f64, flip: bool) -> witag_phy::ppdu::Ppdu {
+fn perturb(
+    ppdu: &witag_phy::ppdu::Ppdu,
+    seed: u64,
+    noise_std: f64,
+    flip: bool,
+) -> witag_phy::ppdu::Ppdu {
     let mut rng = Rng::seed_from_u64(seed);
     let mut out = ppdu.clone();
     let n_sym = out.symbols.len();
@@ -455,7 +464,12 @@ fn legacy_and_ht_decodes_alternate_through_one_warm_scratch() {
     // warm scratch must give exactly what fresh-scratch decodes give.
     use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit, LegacyRate};
     let noise_var: f64 = 1e-3;
-    let rates = [LegacyRate::M6, LegacyRate::M24, LegacyRate::M54, LegacyRate::M24];
+    let rates = [
+        LegacyRate::M6,
+        LegacyRate::M24,
+        LegacyRate::M54,
+        LegacyRate::M24,
+    ];
     let legacy: Vec<_> = rates
         .iter()
         .enumerate()
@@ -519,7 +533,11 @@ fn encoder_matches_reference_parities() {
     let mut rng = Rng::seed_from_u64(0xC0DE);
     for len in [1usize, 7, 64, 1000] {
         let bits: Vec<u8> = (0..len).map(|_| rng.below(2) as u8).collect();
-        assert_eq!(encode_stream(&bits), reference_encode_stream(&bits), "len {len}");
+        assert_eq!(
+            encode_stream(&bits),
+            reference_encode_stream(&bits),
+            "len {len}"
+        );
         let mut tailed = bits.clone();
         tailed.extend_from_slice(&[0; TAIL_BITS]);
         assert_eq!(encode(&bits), reference_encode_stream(&tailed), "len {len}");
@@ -695,7 +713,11 @@ fn transmit_shapes_are_pinned() {
     }
     for idx in 24usize..=31 {
         let psdu = random_psdu(400 + idx as u64, 333);
-        rows.push(ht_pin_row(format!("mcs{idx}/Mhz20"), &PhyConfig::new(Mcs::ht(idx)), &psdu));
+        rows.push(ht_pin_row(
+            format!("mcs{idx}/Mhz20"),
+            &PhyConfig::new(Mcs::ht(idx)),
+            &psdu,
+        ));
     }
     for len in [1usize, 6656] {
         for (name, mcs, bw) in [
@@ -705,7 +727,11 @@ fn transmit_shapes_are_pinned() {
         ] {
             let psdu = random_psdu(500 + len as u64, len);
             let config = PhyConfig::with_bandwidth(mcs, bw);
-            rows.push(ht_pin_row(format!("len{len}/{name}/{bw:?}"), &config, &psdu));
+            rows.push(ht_pin_row(
+                format!("len{len}/{name}/{bw:?}"),
+                &config,
+                &psdu,
+            ));
         }
     }
     for seed in [0x01u8, 0x7F] {
@@ -713,7 +739,11 @@ fn transmit_shapes_are_pinned() {
             let mut config = PhyConfig::with_bandwidth(Mcs::ht(idx), bw);
             config.scrambler_seed = seed;
             let psdu = random_psdu(600 + idx as u64, 333);
-            rows.push(ht_pin_row(format!("seed{seed:#04x}/mcs{idx}/{bw:?}"), &config, &psdu));
+            rows.push(ht_pin_row(
+                format!("seed{seed:#04x}/mcs{idx}/{bw:?}"),
+                &config,
+                &psdu,
+            ));
         }
     }
     {
@@ -828,8 +858,13 @@ fn oracle_data_symbols(
                     // The 802.11n stream parser: groups of max(1, N_BPSCS/2)
                     // bits dealt round-robin across the streams.
                     let s = (dims.n_bpscs / 2).max(1);
-                    let stream_bits: Vec<u8> =
-                        chunk.chunks(s).skip(ss).step_by(nss).flatten().copied().collect();
+                    let stream_bits: Vec<u8> = chunk
+                        .chunks(s)
+                        .skip(ss)
+                        .step_by(nss)
+                        .flatten()
+                        .copied()
+                        .collect();
                     let points = modulate(&interleave(&stream_bits, dims), m);
                     let mut carriers = vec![Complex64::ZERO; n_occupied];
                     for (&pos, &pt) in data_positions.iter().zip(&points) {
@@ -849,13 +884,20 @@ fn oracle_data_symbols(
 fn assert_same_carriers(got: &[OfdmSymbol], want: &[OfdmSymbol], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: symbol count");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.streams.len(), w.streams.len(), "{what}: stream count, symbol {i}");
+        assert_eq!(
+            g.streams.len(),
+            w.streams.len(),
+            "{what}: stream count, symbol {i}"
+        );
         for (ss, (gs, ws)) in g.streams.iter().zip(&w.streams).enumerate() {
             let same = gs.len() == ws.len()
                 && gs.iter().zip(ws).all(|(a, b)| {
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
                 });
-            assert!(same, "{what}: symbol {i} stream {ss} differs from the oracle");
+            assert!(
+                same,
+                "{what}: symbol {i} stream {ss} differs from the oracle"
+            );
         }
     }
 }
@@ -872,7 +914,10 @@ fn table_driven_transmit_matches_the_stage_by_stage_oracle() {
     }
     for idx in 0..10 {
         for nss in 1..=4 {
-            configs.push(PhyConfig::with_bandwidth(Mcs::vht(idx, nss), Bandwidth::Mhz80));
+            configs.push(PhyConfig::with_bandwidth(
+                Mcs::vht(idx, nss),
+                Bandwidth::Mhz80,
+            ));
         }
     }
     let lens = [1usize, 57, 333, 6656];
@@ -895,7 +940,10 @@ fn table_driven_transmit_matches_the_stage_by_stage_oracle() {
                 config.ndbps(),
                 config.mcs.code_rate,
                 config.mcs.modulation,
-                InterleaverDims::ht(config.bandwidth, config.mcs.modulation.bits_per_subcarrier()),
+                InterleaverDims::ht(
+                    config.bandwidth,
+                    config.mcs.modulation.bits_per_subcarrier(),
+                ),
                 config.mcs.spatial_streams,
                 layout.data_positions(),
                 layout.pilot_positions(),
@@ -936,7 +984,10 @@ fn table_driven_transmit_matches_the_stage_by_stage_oracle() {
         let nss = config.mcs.spatial_streams;
         let psdus: Vec<Vec<u8>> = (0..nss).map(|s| random_psdu(950 + s as u64, 150)).collect();
         let mu = transmit_mu(&config, &psdus);
-        let one = Mcs { spatial_streams: 1, ..config.mcs };
+        let one = Mcs {
+            spatial_streams: 1,
+            ..config.mcs
+        };
         let layout = config.layout();
         for (s, psdu) in psdus.iter().enumerate() {
             let seed = witag_phy::mimo::mu_stream_seed(config.scrambler_seed, s);
@@ -954,7 +1005,9 @@ fn table_driven_transmit_matches_the_stage_by_stage_oracle() {
             let got: Vec<OfdmSymbol> = mu
                 .symbols
                 .iter()
-                .map(|sym| OfdmSymbol { streams: vec![sym.streams[s].clone()] })
+                .map(|sym| OfdmSymbol {
+                    streams: vec![sym.streams[s].clone()],
+                })
                 .collect();
             assert_same_carriers(&got, &want, &format!("mu mcs{idx} stream {s}"));
         }
@@ -986,10 +1039,8 @@ fn waterfall_point(mcs: Mcs, snr_db: f64, frames: usize, n_bits: usize, seed: u6
         let mut llrs = demodulate_llr(&syms, m, noise_var);
         llrs.truncate(n_coded);
         viterbi_decode_punctured_into(&llrs, mcs.code_rate, n_bits, &mut scratch, &mut decoded);
-        let reference = reference_viterbi_decode_stream(
-            &depuncture(&llrs, mcs.code_rate, 2 * n_bits),
-            n_bits,
-        );
+        let reference =
+            reference_viterbi_decode_stream(&depuncture(&llrs, mcs.code_rate, 2 * n_bits), n_bits);
         let errors = |bits: &[u8]| bits.iter().zip(&data).filter(|(a, b)| a != b).count() as u64;
         kernel += errors(&decoded);
         oracle += errors(&reference);
@@ -1012,7 +1063,10 @@ fn crossing_db(grid: &[f64], ber: &[f64], target: f64) -> Option<f64> {
 /// curve may sit at most 0.25 dB right of the `f64` oracle's at BER 10⁻³.
 /// Release only (`ci.sh` runs it); the oracle is too slow in debug.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs the release suite")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: ci.sh runs the release suite"
+)]
 fn quantised_decoder_loses_at_most_a_quarter_db_at_ber_1e3() {
     const TARGET: f64 = 1e-3;
     const FRAMES: usize = 100;
@@ -1027,10 +1081,17 @@ fn quantised_decoder_loses_at_most_a_quarter_db_at_ber_1e3() {
             kernel.push(k as f64 / bits);
             oracle.push(o as f64 / bits);
         }
-        let at_kernel = crossing_db(&grid, &kernel, TARGET).expect("decoder curve crosses 1e-3 on the grid");
-        let at_oracle = crossing_db(&grid, &oracle, TARGET).expect("oracle curve crosses 1e-3 on the grid");
+        let at_kernel =
+            crossing_db(&grid, &kernel, TARGET).expect("decoder curve crosses 1e-3 on the grid");
+        let at_oracle =
+            crossing_db(&grid, &oracle, TARGET).expect("oracle curve crosses 1e-3 on the grid");
         let loss = at_kernel - at_oracle;
-        eprintln!("mcs{idx}: BER 1e-3 at {at_kernel:.2} dB (oracle {at_oracle:.2} dB), loss {loss:.3} dB");
-        assert!(loss <= 0.25, "mcs{idx}: quantisation loses {loss:.3} dB at BER 1e-3");
+        eprintln!(
+            "mcs{idx}: BER 1e-3 at {at_kernel:.2} dB (oracle {at_oracle:.2} dB), loss {loss:.3} dB"
+        );
+        assert!(
+            loss <= 0.25,
+            "mcs{idx}: quantisation loses {loss:.3} dB at BER 1e-3"
+        );
     }
 }

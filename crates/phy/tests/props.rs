@@ -112,7 +112,11 @@ fn malform(
         // time, else one of 0x80..=0xFF (only where the PPDU signals one).
         _ => {
             if let Some(seed) = scrambler_seed {
-                *seed = if cut.is_multiple_of(2) { 0 } else { 0x80 | (cut >> 1) as u8 };
+                *seed = if cut.is_multiple_of(2) {
+                    0
+                } else {
+                    0x80 | (cut >> 1) as u8
+                };
             }
         }
     }
