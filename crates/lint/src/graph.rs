@@ -32,13 +32,34 @@ use std::collections::{BTreeMap, VecDeque};
 /// Free functions from the std prelude (or universally glob-imported in
 /// this workspace) that arrive as bare `name(…)` calls: External, not
 /// Unknown, when no workspace definition shadows them.
-const PRELUDE_FNS: &[&str] = &["drop", "size_of", "from_fn", "min", "max", "swap", "replace", "take"];
+const PRELUDE_FNS: &[&str] = &[
+    "drop", "size_of", "from_fn", "min", "max", "swap", "replace", "take",
+];
 
 /// Std module heads: `head::…::f()` with one of these heads is a std
 /// call, not an unresolved workspace edge.
 const STD_MODULE_HEADS: &[&str] = &[
-    "iter", "mem", "fmt", "cmp", "ops", "ptr", "slice", "str", "array", "char", "f32", "f64",
-    "io", "env", "process", "collections", "hash", "convert", "num", "time", "thread",
+    "iter",
+    "mem",
+    "fmt",
+    "cmp",
+    "ops",
+    "ptr",
+    "slice",
+    "str",
+    "array",
+    "char",
+    "f32",
+    "f64",
+    "io",
+    "env",
+    "process",
+    "collections",
+    "hash",
+    "convert",
+    "num",
+    "time",
+    "thread",
 ];
 
 /// Method names that overwhelmingly mean a std type's method at a call
@@ -49,13 +70,74 @@ const STD_MODULE_HEADS: &[&str] = &[
 /// same-crate candidates still win over this gate (a local `parse` is a
 /// plausible callee for a local call).
 const COMMON_STD_METHODS: &[&str] = &[
-    "parse", "len", "is_empty", "get", "get_mut", "push", "pop", "insert", "remove", "clear",
-    "next", "clone", "min", "max", "abs", "take", "find", "position", "count", "map", "filter",
-    "fold", "sum", "rev", "zip", "chain", "extend", "write", "read", "flush", "contains", "split",
-    "join", "trim", "starts_with", "ends_with", "floor", "ceil", "round", "sqrt", "to_string",
-    "cmp", "eq", "hash", "fmt", "drain", "sort", "swap", "last", "first", "peek", "chars",
-    "lines", "bytes", "entry", "keys", "values", "iter", "iter_mut", "into_iter", "as_str",
-    "as_slice", "to_owned", "resize", "fill", "copy_from_slice", "push_str", "truncate",
+    "parse",
+    "len",
+    "is_empty",
+    "get",
+    "get_mut",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "clear",
+    "next",
+    "clone",
+    "min",
+    "max",
+    "abs",
+    "take",
+    "find",
+    "position",
+    "count",
+    "map",
+    "filter",
+    "fold",
+    "sum",
+    "rev",
+    "zip",
+    "chain",
+    "extend",
+    "write",
+    "read",
+    "flush",
+    "contains",
+    "split",
+    "join",
+    "trim",
+    "starts_with",
+    "ends_with",
+    "floor",
+    "ceil",
+    "round",
+    "sqrt",
+    "to_string",
+    "cmp",
+    "eq",
+    "hash",
+    "fmt",
+    "drain",
+    "sort",
+    "swap",
+    "last",
+    "first",
+    "peek",
+    "chars",
+    "lines",
+    "bytes",
+    "entry",
+    "keys",
+    "values",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "as_str",
+    "as_slice",
+    "to_owned",
+    "resize",
+    "fill",
+    "copy_from_slice",
+    "push_str",
+    "truncate",
 ];
 
 /// One function node in the workspace graph.
@@ -333,7 +415,9 @@ impl Indexes<'_> {
                 // unrelated crate that happens to define `parse`/`push`.
                 Some(c) => {
                     let narrowed = narrow(self.nodes, c, caller);
-                    let cross_crate = narrowed.iter().all(|&i| self.nodes[i].krate != caller.krate);
+                    let cross_crate = narrowed
+                        .iter()
+                        .all(|&i| self.nodes[i].krate != caller.krate);
                     if cross_crate && COMMON_STD_METHODS.contains(&name) {
                         Target::External
                     } else {
@@ -438,7 +522,9 @@ mod tests {
     }
 
     fn node(g: &CallGraph, name: &str) -> usize {
-        (0..g.nodes.len()).find(|&i| g.nodes[i].name == name).unwrap()
+        (0..g.nodes.len())
+            .find(|&i| g.nodes[i].name == name)
+            .unwrap()
     }
 
     fn edge(g: &CallGraph, from: &str, callee: &str) -> Target {
@@ -453,11 +539,17 @@ mod tests {
     #[test]
     fn free_call_prefers_same_file_over_same_crate() {
         let g = graph_of(&[
-            ("crates/a/src/lib.rs", "a", "fn helper() {}\nfn caller() { helper(); }"),
+            (
+                "crates/a/src/lib.rs",
+                "a",
+                "fn helper() {}\nfn caller() { helper(); }",
+            ),
             ("crates/b/src/lib.rs", "b", "fn helper() {}"),
         ]);
         let t = edge(&g, "caller", "helper");
-        let Target::Resolved(ids) = t else { panic!("{t:?}") };
+        let Target::Resolved(ids) = t else {
+            panic!("{t:?}")
+        };
         assert_eq!(ids.len(), 1);
         assert_eq!(g.nodes[ids[0]].file, "crates/a/src/lib.rs");
     }
@@ -469,7 +561,9 @@ mod tests {
             ("crates/b/src/lib.rs", "b", "fn helper() {}"),
             ("crates/c/src/lib.rs", "c", "fn helper() {}"),
         ]);
-        let Target::Resolved(ids) = edge(&g, "caller", "helper") else { panic!() };
+        let Target::Resolved(ids) = edge(&g, "caller", "helper") else {
+            panic!()
+        };
         assert_eq!(ids.len(), 2); // over-approximate: both candidates kept
     }
 
@@ -481,7 +575,9 @@ mod tests {
             "struct A;\nimpl A { fn outer(&self) { self.inner(); } fn inner(&self) {} }\n\
              struct B;\nimpl B { fn inner(&self) {} }",
         )]);
-        let Target::Resolved(ids) = edge(&g, "outer", "inner") else { panic!() };
+        let Target::Resolved(ids) = edge(&g, "outer", "inner") else {
+            panic!()
+        };
         assert_eq!(ids.len(), 1);
         assert_eq!(g.nodes[ids[0]].self_ty.as_deref(), Some("A"));
     }
@@ -494,17 +590,25 @@ mod tests {
             "struct A;\nimpl A { fn m(&self) {} }\nstruct B;\nimpl B { fn m(&self) {} }\n\
              fn caller(x: &A) { x.m(); }",
         )]);
-        let Target::Resolved(ids) = edge(&g, "caller", "m") else { panic!() };
+        let Target::Resolved(ids) = edge(&g, "caller", "m") else {
+            panic!()
+        };
         assert_eq!(ids.len(), 2);
     }
 
     #[test]
     fn crate_path_pins_to_calling_crate() {
         let g = graph_of(&[
-            ("crates/a/src/lib.rs", "a", "pub fn target() {}\nfn caller() { crate::target(); }"),
+            (
+                "crates/a/src/lib.rs",
+                "a",
+                "pub fn target() {}\nfn caller() { crate::target(); }",
+            ),
             ("crates/b/src/lib.rs", "b", "pub fn target() {}"),
         ]);
-        let Target::Resolved(ids) = edge(&g, "caller", "target") else { panic!() };
+        let Target::Resolved(ids) = edge(&g, "caller", "target") else {
+            panic!()
+        };
         assert_eq!(ids.len(), 1);
         assert_eq!(g.nodes[ids[0]].krate, "a");
     }
@@ -513,9 +617,15 @@ mod tests {
     fn witag_path_pins_to_named_crate() {
         let g = graph_of(&[
             ("crates/phy/src/lib.rs", "phy", "pub fn receive() {}"),
-            ("crates/mac/src/lib.rs", "mac", "fn caller() { witag_phy::receive(); }"),
+            (
+                "crates/mac/src/lib.rs",
+                "mac",
+                "fn caller() { witag_phy::receive(); }",
+            ),
         ]);
-        let Target::Resolved(ids) = edge(&g, "caller", "receive") else { panic!() };
+        let Target::Resolved(ids) = edge(&g, "caller", "receive") else {
+            panic!()
+        };
         assert_eq!(g.nodes[ids[0]].krate, "phy");
     }
 

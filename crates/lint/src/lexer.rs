@@ -368,7 +368,10 @@ mod tests {
     #[test]
     fn comments_are_not_tokens() {
         let l = lex("let x = 1; // foo.unwrap()\n/* panic!() */ let y = 2;");
-        assert!(l.tokens.iter().all(|t| !t.is_ident("unwrap") && !t.is_ident("panic")));
+        assert!(l
+            .tokens
+            .iter()
+            .all(|t| !t.is_ident("unwrap") && !t.is_ident("panic")));
         assert_eq!(l.comments.len(), 2);
     }
 
@@ -414,7 +417,10 @@ mod tests {
     #[test]
     fn quote_char_literal_double_quote() {
         // '"' must lex as a char literal, not open a string.
-        assert_eq!(idents("let q = '\"'; let z = 1;"), vec!["let", "q", "let", "z"]);
+        assert_eq!(
+            idents("let q = '\"'; let z = 1;"),
+            vec!["let", "q", "let", "z"]
+        );
     }
 
     #[test]

@@ -58,8 +58,9 @@ use std::path::{Path, PathBuf};
 /// `.expect()` / `panic!` / `todo!` / `unimplemented!` forbidden outside
 /// tests). These are the crates a million-round sweep executes, and the
 /// roots of the interprocedural `panic_path` pass.
-pub const PANIC_SCOPE: &[&str] =
-    &["phy", "mac", "crypto", "channel", "tag", "core", "faults", "obs", "net"];
+pub const PANIC_SCOPE: &[&str] = &[
+    "phy", "mac", "crypto", "channel", "tag", "core", "faults", "obs", "net",
+];
 
 /// Crates whose library sources must be deterministic (no wall-clock, no
 /// ad-hoc threads, no entropy, no default-hasher collections). Everything
@@ -67,8 +68,19 @@ pub const PANIC_SCOPE: &[&str] =
 /// the offline `proptest` shim legitimately touch `std::time` and stay
 /// out.
 pub const DETERMINISM_SCOPE: &[&str] = &[
-    "phy", "mac", "crypto", "channel", "tag", "core", "faults", "sim", "baselines", "cli", "lint",
-    "obs", "net",
+    "phy",
+    "mac",
+    "crypto",
+    "channel",
+    "tag",
+    "core",
+    "faults",
+    "sim",
+    "baselines",
+    "cli",
+    "lint",
+    "obs",
+    "net",
 ];
 
 /// Files exempt from the determinism pass because they *implement* the
@@ -80,8 +92,19 @@ pub const DETERMINISM_SANCTIONED: &[&str] = &["crates/sim/src/parallel.rs"];
 /// Crates whose `pub` items must carry doc comments (the crates that
 /// historically built under `missing_docs`).
 pub const DOCS_SCOPE: &[&str] = &[
-    "phy", "mac", "crypto", "channel", "tag", "core", "faults", "sim", "baselines", "bench", "lint",
-    "obs", "net",
+    "phy",
+    "mac",
+    "crypto",
+    "channel",
+    "tag",
+    "core",
+    "faults",
+    "sim",
+    "baselines",
+    "bench",
+    "lint",
+    "obs",
+    "net",
 ];
 
 /// Crate dirs excluded from the call graph: `bench` (timers) and the
@@ -224,9 +247,8 @@ pub fn analyze_workspace(files: &[SourceFile], obs_doc: Option<&str>, threads: u
     );
     passes::run_all(&ctx, &mut findings);
 
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings.dedup();
     Report {
         files_scanned: files.len(),

@@ -27,8 +27,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Run the `determinism_taint` pass.
 pub fn run(ctx: &PassCtx<'_>, findings: &mut Vec<Finding>) {
     let g = ctx.graph;
-    let in_scope =
-        |n: &FnNode| ctx.determinism_scope.contains(&n.krate.as_str());
+    let in_scope = |n: &FnNode| ctx.determinism_scope.contains(&n.krate.as_str());
 
     // Taint sources: non-test fns with an un-allowed nondeterminism hit,
     // outside the sanctioned files.

@@ -56,7 +56,15 @@ impl<'a> PassCtx<'a> {
         obs_doc: Option<&'a str>,
     ) -> Self {
         let allow = facts.iter().map(|f| (f.file.as_str(), f)).collect();
-        PassCtx { graph, facts, panic_scope, determinism_scope, sanctioned, obs_doc, allow }
+        PassCtx {
+            graph,
+            facts,
+            panic_scope,
+            determinism_scope,
+            sanctioned,
+            obs_doc,
+            allow,
+        }
     }
 
     /// Is `rule` suppressed at `file:line` by a `lint:allow` pragma?

@@ -117,7 +117,9 @@ fn parse_doc_kinds(doc: &str) -> (BTreeMap<String, u32>, BTreeSet<String>) {
             pending_allow = true;
             continue;
         }
-        let Some(kind) = kind_on_line(l) else { continue };
+        let Some(kind) = kind_on_line(l) else {
+            continue;
+        };
         kinds.entry(kind.to_string()).or_insert((idx + 1) as u32);
         if pending_allow {
             allowed.insert(kind.to_string());
@@ -143,7 +145,10 @@ mod tests {
 
     #[test]
     fn kind_extraction_tolerates_spacing() {
-        assert_eq!(kind_on_line(r#"{"kind": "phy_rx", "x": 1}"#), Some("phy_rx"));
+        assert_eq!(
+            kind_on_line(r#"{"kind": "phy_rx", "x": 1}"#),
+            Some("phy_rx")
+        );
         assert_eq!(kind_on_line(r#"  "kind":"net.grant","#), Some("net.grant"));
         assert_eq!(kind_on_line("no kinds here"), None);
     }

@@ -34,19 +34,35 @@ pub fn run(ctx: &PassCtx<'_>, findings: &mut Vec<Finding>) {
         if !in_scope {
             // Reached from the hot set but outside the per-line rule's
             // patrol area: panic tokens here take the round down too.
-            report(ctx, findings, &mut seen, &reach, id, HitKind::Panic, |what, q| {
-                format!(
+            report(
+                ctx,
+                findings,
+                &mut seen,
+                &reach,
+                id,
+                HitKind::Panic,
+                |what, q| {
+                    format!(
                     "{what} in `{q}` is reachable from the panic-free hot set; a panic here kills the sweep round — return a typed error or justify with lint:allow(panic_path)"
                 )
-            });
+                },
+            );
         } else {
             // Inside the hot set the per-line rule already bans panic
             // tokens; what it cannot see is unbounded indexing.
-            report(ctx, findings, &mut seen, &reach, id, HitKind::Index, |what, q| {
-                format!(
+            report(
+                ctx,
+                findings,
+                &mut seen,
+                &reach,
+                id,
+                HitKind::Index,
+                |what, q| {
+                    format!(
                     "bare index `[{what}]` in `{q}` is not structurally bounded (no range-loop binder, mask, or constant) and can panic out of bounds; restructure or justify with lint:allow(panic_path)"
                 )
-            });
+                },
+            );
         }
     }
 }

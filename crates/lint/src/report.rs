@@ -115,7 +115,10 @@ mod tests {
         assert!(j.contains("\"findings\": []"));
         assert!(j.contains("\"files_scanned\": 3"));
         assert!(j.contains("\"passes\": [\"no_alloc_transitive\""));
-        assert!(!j.contains("\"root\""), "no machine-specific paths in the report");
+        assert!(
+            !j.contains("\"root\""),
+            "no machine-specific paths in the report"
+        );
     }
 
     #[test]
@@ -138,6 +141,8 @@ mod tests {
         assert!(j.contains("\"line\": 12"));
         assert!(j.contains("\"function\": \"receive\""));
         assert!(j.contains("\\\"quotes\\\""));
-        assert!(j.contains("\"evidence\": [\"root (crates/phy/src/a.rs:3)\", \"helper (crates/phy/src/b.rs:9)\"]"));
+        assert!(j.contains(
+            "\"evidence\": [\"root (crates/phy/src/a.rs:3)\", \"helper (crates/phy/src/b.rs:9)\"]"
+        ));
     }
 }

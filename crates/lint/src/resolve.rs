@@ -209,7 +209,14 @@ pub fn extract(file: &str, krate: &str, lexed: &Lexed<'_>, map: &FileMap) -> Fil
         if !is_test {
             let params = param_names(toks, f.line, &f.name, f.body_start);
             let closures = closure_bindings(toks, f.body_start, f.body_end);
-            extract_calls(toks, f.body_start, f.body_end, &params, &closures, &mut fact.calls);
+            extract_calls(
+                toks,
+                f.body_start,
+                f.body_end,
+                &params,
+                &closures,
+                &mut fact.calls,
+            );
             extract_hits(toks, f.body_start, f.body_end, &mut fact.hits);
         }
         facts.fns.push(fact);
@@ -242,7 +249,11 @@ fn impl_spans(toks: &[Token<'_>]) -> Vec<ImplSpan> {
         match t.kind {
             TokKind::Punct('{') => {
                 if let Some(ty) = pending.take() {
-                    spans.push(ImplSpan { self_ty: ty, start: i, end: toks.len() });
+                    spans.push(ImplSpan {
+                        self_ty: ty,
+                        start: i,
+                        end: toks.len(),
+                    });
                     open.push((spans.len() - 1, depth));
                 }
                 depth += 1;
@@ -323,7 +334,12 @@ fn parse_impl_header(toks: &[Token<'_>], mut j: usize) -> (Option<String>, usize
 /// Parameter names of a fn: idents directly followed by `:` at paren
 /// depth 1 inside the signature's parameter list. Used to classify calls
 /// through function-typed parameters as [`CallKind::Callback`].
-fn param_names(toks: &[Token<'_>], fn_line: u32, name: &str, body_start: usize) -> BTreeSet<String> {
+fn param_names(
+    toks: &[Token<'_>],
+    fn_line: u32,
+    name: &str,
+    body_start: usize,
+) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     // Find the `fn` token of this span (same line, followed by the name).
     let Some(fn_idx) = (0..body_start).rev().find(|&i| {
@@ -416,7 +432,9 @@ fn extract_calls(
         if t.kind != TokKind::Ident || is_keyword(t.text) || is_primitive(t.text) {
             continue;
         }
-        let Some(next) = toks.get(i + 1) else { continue };
+        let Some(next) = toks.get(i + 1) else {
+            continue;
+        };
         if !next.is_punct('(') {
             continue;
         }
@@ -424,14 +442,21 @@ fn extract_calls(
         let line = t.line;
         let prev = &toks[i - 1];
         if prev.is_punct('.') {
-            let on_self = i >= 2
-                && toks[i - 2].is_ident("self")
-                && !(i >= 3 && toks[i - 3].is_punct('.'));
-            out.push(CallFact { name, kind: CallKind::Method { on_self }, line });
+            let on_self =
+                i >= 2 && toks[i - 2].is_ident("self") && !(i >= 3 && toks[i - 3].is_punct('.'));
+            out.push(CallFact {
+                name,
+                kind: CallKind::Method { on_self },
+                line,
+            });
             continue;
         }
         if prev.is_punct(':') && i >= 2 && toks[i - 2].is_punct(':') {
-            out.push(CallFact { name, kind: classify_path(toks, i), line });
+            out.push(CallFact {
+                name,
+                kind: classify_path(toks, i),
+                line,
+            });
             continue;
         }
         // Tuple-struct constructors and enum variants (`Some(x)`,
@@ -440,14 +465,26 @@ fn extract_calls(
             continue;
         }
         if params.contains(&name) {
-            out.push(CallFact { name, kind: CallKind::Callback, line });
+            out.push(CallFact {
+                name,
+                kind: CallKind::Callback,
+                line,
+            });
             continue;
         }
         if closures.contains(&name) {
-            out.push(CallFact { name, kind: CallKind::LocalClosure, line });
+            out.push(CallFact {
+                name,
+                kind: CallKind::LocalClosure,
+                line,
+            });
             continue;
         }
-        out.push(CallFact { name, kind: CallKind::Free, line });
+        out.push(CallFact {
+            name,
+            kind: CallKind::Free,
+            line,
+        });
     }
 }
 
@@ -494,7 +531,11 @@ fn classify_path(toks: &[Token<'_>], i: usize) -> CallKind {
         return CallKind::Std;
     }
     let before = segs[0];
-    if before.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+    if before
+        .chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_uppercase())
+    {
         return CallKind::TypePath(before.to_string());
     }
     CallKind::ModPath(head.to_string())
@@ -513,25 +554,43 @@ fn extract_hits(toks: &[Token<'_>], start: usize, end: usize, out: &mut Vec<Toke
     for i in start..end {
         let line = toks[i].line;
         if let Some(what) = rules::alloc_hit(toks, i) {
-            out.push(TokenHit { kind: HitKind::Alloc, line, what });
+            out.push(TokenHit {
+                kind: HitKind::Alloc,
+                line,
+                what,
+            });
         }
         if let Some(what) = rules::panic_hit(toks, i) {
-            out.push(TokenHit { kind: HitKind::Panic, line, what });
+            out.push(TokenHit {
+                kind: HitKind::Panic,
+                line,
+                what,
+            });
         }
         if let Some(what) = rules::determinism_hit(toks, i) {
-            out.push(TokenHit { kind: HitKind::Entropy, line, what });
+            out.push(TokenHit {
+                kind: HitKind::Entropy,
+                line,
+                what,
+            });
         }
         // Bare indexing: `expr[index]` in expression position whose index
         // is not structurally bounded.
         if toks[i].is_punct('[') && i > start {
             let prev = &toks[i - 1];
-            let expr_pos = matches!(prev.kind, TokKind::Ident | TokKind::Punct(')') | TokKind::Punct(']'))
-                && !(prev.kind == TokKind::Ident && is_keyword(prev.text));
+            let expr_pos = matches!(
+                prev.kind,
+                TokKind::Ident | TokKind::Punct(')') | TokKind::Punct(']')
+            ) && !(prev.kind == TokKind::Ident && is_keyword(prev.text));
             if expr_pos {
                 if let Some((close, bounded)) = index_bounds(toks, i, end, &safe) {
                     if !bounded {
                         let what = render_tokens(&toks[i + 1..close]);
-                        out.push(TokenHit { kind: HitKind::Index, line, what });
+                        out.push(TokenHit {
+                            kind: HitKind::Index,
+                            line,
+                            what,
+                        });
                     }
                 }
             }
@@ -558,8 +617,10 @@ fn safe_index_idents(toks: &[Token<'_>], start: usize, end: usize) -> BTreeSet<S
             }
         } else if t.is_punct('|')
             && i > start
-            && (matches!(toks[i - 1].kind, TokKind::Punct('(') | TokKind::Punct(',') | TokKind::Punct('='))
-                || toks[i - 1].is_ident("move"))
+            && (matches!(
+                toks[i - 1].kind,
+                TokKind::Punct('(') | TokKind::Punct(',') | TokKind::Punct('=')
+            ) || toks[i - 1].is_ident("move"))
         {
             // Closure parameter list `|a, (b, c)|`.
             let mut j = i + 1;
@@ -618,7 +679,10 @@ fn safe_expr_token(t: &Token<'_>, safe: &BTreeSet<String>) -> bool {
             t.text == "as"
                 || is_primitive(t.text)
                 || safe.contains(t.text)
-                || t.text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+                || t.text
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_ascii_uppercase())
         }
         TokKind::Punct(c) => safe_index_punct(c),
         TokKind::Lifetime => false,
@@ -715,7 +779,11 @@ fn obs_ctors(toks: &[Token<'_>], map: &FileMap, out: &mut Vec<ObsCtor>) {
             && !map.in_test(i)
         {
             let variant = toks[i + 3].text;
-            if !variant.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+            if !variant
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_uppercase())
+            {
                 continue;
             }
             out.push(ObsCtor {
@@ -757,9 +825,9 @@ fn kinds_table(toks: &[Token<'_>], out: &mut Vec<String>) {
 
 /// The `Event::Variant { .. } => n` arms of `fn kind_index`.
 fn kind_index_arms(toks: &[Token<'_>], out: &mut Vec<(String, usize)>) {
-    let Some(fn_idx) = (0..toks.len())
-        .find(|&i| toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.is_ident("kind_index")))
-    else {
+    let Some(fn_idx) = (0..toks.len()).find(|&i| {
+        toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.is_ident("kind_index"))
+    }) else {
         return;
     };
     for i in fn_idx..toks.len() {
@@ -824,8 +892,11 @@ mod tests {
              Self::assoc();\n  Type::assoc2();\n  module::path_fn();\n  witag_phy::receive();\n  \
              std::mem::swap(&mut a, &mut b);\n  cb(1);\n  let f = |v| v + 1; f(2);\n  Some(3);\n}",
         );
-        let kinds: Vec<(&str, &CallKind)> =
-            f.fns[0].calls.iter().map(|c| (c.name.as_str(), &c.kind)).collect();
+        let kinds: Vec<(&str, &CallKind)> = f.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.name.as_str(), &c.kind))
+            .collect();
         assert!(kinds.contains(&("free_fn", &CallKind::Free)));
         assert!(kinds.contains(&("method", &CallKind::Method { on_self: false })));
         assert!(kinds.contains(&("assoc", &CallKind::SelfPath)));
@@ -853,8 +924,11 @@ mod tests {
              let _ = xs[0];\n  let _ = xs[HALF - 1];\n  let _ = xs[i & MASK];\n  \
              let _ = xs[k % 8];\n}",
         );
-        let idx: Vec<&TokenHit> =
-            f.fns[0].hits.iter().filter(|h| h.kind == HitKind::Index).collect();
+        let idx: Vec<&TokenHit> = f.fns[0]
+            .hits
+            .iter()
+            .filter(|h| h.kind == HitKind::Index)
+            .collect();
         assert!(idx.is_empty(), "{idx:?}");
     }
 

@@ -147,27 +147,60 @@ fn determinism(file: &str, lexed: &Lexed<'_>, map: &FileMap, findings: &mut Vec<
         }
         let line = toks[i].line;
         if path_match(toks, i, &["std", "time"]) {
-            push(findings, map, file, "determinism", i, line,
-                "std::time is wall-clock state; use witag_sim::time (simulated Instant/Duration)".into());
-        } else if path_match(toks, i, &["std", "thread"]) || path_match(toks, i, &["thread", "spawn"]) {
+            push(
+                findings,
+                map,
+                file,
+                "determinism",
+                i,
+                line,
+                "std::time is wall-clock state; use witag_sim::time (simulated Instant/Duration)"
+                    .into(),
+            );
+        } else if path_match(toks, i, &["std", "thread"])
+            || path_match(toks, i, &["thread", "spawn"])
+        {
             push(findings, map, file, "determinism", i, line,
                 "ad-hoc threading is iteration-order nondeterminism; use witag_sim::parallel::par_map".into());
         } else if toks[i].kind == TokKind::Ident
-            && matches!(toks[i].text, "HashMap" | "HashSet" | "RandomState" | "DefaultHasher")
+            && matches!(
+                toks[i].text,
+                "HashMap" | "HashSet" | "RandomState" | "DefaultHasher"
+            )
         {
             push(findings, map, file, "determinism", i, line,
                 format!("{} iterates in hash order (and seeds per-process); use BTreeMap/BTreeSet or a Vec", toks[i].text));
         } else if toks[i].kind == TokKind::Ident
-            && matches!(toks[i].text, "thread_rng" | "from_entropy" | "OsRng" | "getrandom")
+            && matches!(
+                toks[i].text,
+                "thread_rng" | "from_entropy" | "OsRng" | "getrandom"
+            )
         {
-            push(findings, map, file, "determinism", i, line,
-                format!("{} draws ambient entropy; seed a witag_sim::Rng explicitly", toks[i].text));
+            push(
+                findings,
+                map,
+                file,
+                "determinism",
+                i,
+                line,
+                format!(
+                    "{} draws ambient entropy; seed a witag_sim::Rng explicitly",
+                    toks[i].text
+                ),
+            );
         } else if toks[i].is_ident("rand")
             && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
         {
-            push(findings, map, file, "determinism", i, line,
-                "the rand crate is not seeded by the experiment; use witag_sim::Rng".into());
+            push(
+                findings,
+                map,
+                file,
+                "determinism",
+                i,
+                line,
+                "the rand crate is not seeded by the experiment; use witag_sim::Rng".into(),
+            );
         }
     }
 }
@@ -192,8 +225,15 @@ fn panic_freedom(file: &str, lexed: &Lexed<'_>, map: &FileMap, findings: &mut Ve
         } else {
             for mac in ["panic", "todo", "unimplemented"] {
                 if macro_call(toks, i, mac) {
-                    push(findings, map, file, "panic_freedom", i, line,
-                        format!("{mac}! aborts the round; return a typed error instead"));
+                    push(
+                        findings,
+                        map,
+                        file,
+                        "panic_freedom",
+                        i,
+                        line,
+                        format!("{mac}! aborts the round; return a typed error instead"),
+                    );
                     break;
                 }
             }
@@ -262,12 +302,18 @@ pub(crate) fn determinism_hit(toks: &[Token<'_>], i: usize) -> Option<String> {
         return Some("std::thread".into());
     }
     if toks[i].kind == TokKind::Ident
-        && matches!(toks[i].text, "HashMap" | "HashSet" | "RandomState" | "DefaultHasher")
+        && matches!(
+            toks[i].text,
+            "HashMap" | "HashSet" | "RandomState" | "DefaultHasher"
+        )
     {
         return Some(toks[i].text.to_string());
     }
     if toks[i].kind == TokKind::Ident
-        && matches!(toks[i].text, "thread_rng" | "from_entropy" | "OsRng" | "getrandom")
+        && matches!(
+            toks[i].text,
+            "thread_rng" | "from_entropy" | "OsRng" | "getrandom"
+        )
     {
         return Some(toks[i].text.to_string());
     }
@@ -293,8 +339,15 @@ fn no_alloc(file: &str, lexed: &Lexed<'_>, map: &FileMap, findings: &mut Vec<Fin
         }
     }
     for &line in &map.dangling_no_alloc {
-        push(findings, map, file, "no_alloc", usize::MAX, line,
-            "dangling lint:no_alloc marker: no function follows it".into());
+        push(
+            findings,
+            map,
+            file,
+            "no_alloc",
+            usize::MAX,
+            line,
+            "dangling lint:no_alloc marker: no function follows it".into(),
+        );
     }
 }
 
@@ -339,10 +392,7 @@ fn pub_docs(file: &str, lexed: &Lexed<'_>, map: &FileMap, findings: &mut Vec<Fin
             // `pub mod name;` — the module's docs live in its file as a
             // `//!` header (rustc's missing_docs checks that for real);
             // inline `pub mod name { … }` still needs a doc comment here.
-            Some(t)
-                if t.is_ident("mod")
-                    && toks.get(i + 3).is_some_and(|s| s.is_punct(';')) =>
-            {
+            Some(t) if t.is_ident("mod") && toks.get(i + 3).is_some_and(|s| s.is_punct(';')) => {
                 continue
             }
             Some(_) => {}
@@ -369,8 +419,15 @@ fn pub_docs(file: &str, lexed: &Lexed<'_>, map: &FileMap, findings: &mut Vec<Fin
         // it (`#[doc = "…"] pub fn f…` on one line).
         documented = documented || map.doc_lines.contains(&line);
         if !documented {
-            push(findings, map, file, "hygiene", i, line,
-                "pub item without a doc comment".into());
+            push(
+                findings,
+                map,
+                file,
+                "hygiene",
+                i,
+                line,
+                "pub item without a doc comment".into(),
+            );
         }
     }
 }
@@ -417,14 +474,20 @@ mod tests {
 
     #[test]
     fn allow_pragma_suppresses() {
-        let f = run("fn f() { x.unwrap(); // lint:allow(panic_freedom)\n y.unwrap(); }", ALL);
+        let f = run(
+            "fn f() { x.unwrap(); // lint:allow(panic_freedom)\n y.unwrap(); }",
+            ALL,
+        );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 2);
     }
 
     #[test]
     fn determinism_catches_std_time_and_hashmap() {
-        let f = run("use std::time::Instant;\nfn f() { let m: HashMap<u8, u8> = x; }", ALL);
+        let f = run(
+            "use std::time::Instant;\nfn f() { let m: HashMap<u8, u8> = x; }",
+            ALL,
+        );
         let rules: Vec<_> = f.iter().map(|x| (x.rule, x.line)).collect();
         assert_eq!(rules, vec![("determinism", 1), ("determinism", 2)]);
     }
@@ -447,14 +510,20 @@ mod tests {
 
     #[test]
     fn crate_root_unsafe_check() {
-        let scope = FileScope { crate_root: true, ..FileScope::default() };
+        let scope = FileScope {
+            crate_root: true,
+            ..FileScope::default()
+        };
         assert_eq!(run("fn f() {}", scope).len(), 1);
         assert!(run("#![forbid(unsafe_code)]\nfn f() {}", scope).is_empty());
     }
 
     #[test]
     fn pub_docs_walks_attrs_and_blanks() {
-        let scope = FileScope { docs: true, ..FileScope::default() };
+        let scope = FileScope {
+            docs: true,
+            ..FileScope::default()
+        };
         let ok = "/// Documented.\n#[derive(Debug)]\npub struct S { }\n";
         assert!(run(ok, scope).is_empty());
         let bad = "#[derive(Debug)]\npub struct S { }\n";
@@ -467,7 +536,10 @@ mod tests {
 
     #[test]
     fn pub_docs_sees_through_pragma_markers() {
-        let scope = FileScope { docs: true, ..FileScope::default() };
+        let scope = FileScope {
+            docs: true,
+            ..FileScope::default()
+        };
         let marked = "/// Documented hot path.\n// lint:no_alloc\npub fn hot() { work(); }\n";
         assert!(run(marked, scope).is_empty());
     }

@@ -70,7 +70,9 @@ impl FileMap {
 
     /// Is the token at `idx` inside any function body?
     pub fn in_fn_body(&self, idx: usize) -> bool {
-        self.fns.iter().any(|f| idx > f.body_start && idx < f.body_end)
+        self.fns
+            .iter()
+            .any(|f| idx > f.body_start && idx < f.body_end)
     }
 
     /// Name of the innermost function containing token `idx`, if any.
@@ -261,14 +263,12 @@ fn scan_attribute(toks: &[Token<'_>], open: usize) -> (usize, bool, bool) {
                     return (j + 1, has_cfg && has_test, is_doc);
                 }
             }
-            TokKind::Ident => {
-                match t.text {
-                    "cfg" => has_cfg = true,
-                    "test" => has_test = true,
-                    "doc" if j == open + 1 => is_doc = true,
-                    _ => {}
-                }
-            }
+            TokKind::Ident => match t.text {
+                "cfg" => has_cfg = true,
+                "test" => has_test = true,
+                "doc" if j == open + 1 => is_doc = true,
+                _ => {}
+            },
             _ => {}
         }
         j += 1;
@@ -281,7 +281,11 @@ fn collect_comment_facts(comments: &[Comment<'_>], map: &mut FileMap) {
     for c in comments {
         map.content_lines.insert(c.line);
         let body = c.text;
-        if body.starts_with("///") || body.starts_with("//!") || body.starts_with("/**") || body.starts_with("/*!") {
+        if body.starts_with("///")
+            || body.starts_with("//!")
+            || body.starts_with("/**")
+            || body.starts_with("/*!")
+        {
             // Multi-line doc blocks mark every line they span.
             let span = body.matches('\n').count() as u32;
             for l in c.line..=c.line + span {
@@ -349,7 +353,11 @@ mod tests {
         let src = "fn outer() { inner_call(); }\nfn second() { x(); }";
         let (m, l) = map_of(src);
         assert_eq!(m.fns.len(), 2);
-        let idx = l.tokens.iter().position(|t| t.is_ident("inner_call")).unwrap();
+        let idx = l
+            .tokens
+            .iter()
+            .position(|t| t.is_ident("inner_call"))
+            .unwrap();
         assert_eq!(m.enclosing_fn(idx), Some("outer"));
     }
 
@@ -385,7 +393,8 @@ mod tests {
 
     #[test]
     fn allow_pragma_parses() {
-        let (m, _) = map_of("fn f() {\n    let x = y; // lint:allow(panic_freedom, determinism)\n}");
+        let (m, _) =
+            map_of("fn f() {\n    let x = y; // lint:allow(panic_freedom, determinism)\n}");
         assert!(m.allowed(2, "panic_freedom"));
         assert!(m.allowed(2, "determinism"));
         assert!(!m.allowed(2, "no_alloc"));

@@ -54,7 +54,12 @@ fn hidden_allocation_two_hops_away_is_caught_with_full_chain() {
         ),
     ];
     let findings = run(&files, None);
-    assert_eq!(findings.len(), 1, "expected exactly one finding:\n{}", rendered(&findings));
+    assert_eq!(
+        findings.len(),
+        1,
+        "expected exactly one finding:\n{}",
+        rendered(&findings)
+    );
     let f = &findings[0];
     assert_eq!(f.rule, "no_alloc_transitive");
     assert_eq!(f.file, "crates/phy/src/b.rs");
@@ -119,7 +124,11 @@ fn panic_reached_through_out_of_scope_crate_is_reported_with_chain() {
     assert_eq!(f.rule, "panic_path");
     assert_eq!(f.file, "crates/sim/src/lib.rs");
     assert_eq!(f.line, 2);
-    assert!(f.evidence.first().is_some_and(|e| e.contains("entry")), "{:?}", f.evidence);
+    assert!(
+        f.evidence.first().is_some_and(|e| e.contains("entry")),
+        "{:?}",
+        f.evidence
+    );
 }
 
 #[test]
@@ -133,7 +142,10 @@ fn entropy_in_unsanctioned_file_taints_callers_sanctioned_does_not() {
 
     // Unsanctioned source file: the taint propagates to the in-scope
     // caller with a chain down to the entropy site.
-    let tainted = [caller.clone(), file("crates/sim/src/rngish.rs", "sim", entropy_src)];
+    let tainted = [
+        caller.clone(),
+        file("crates/sim/src/rngish.rs", "sim", entropy_src),
+    ];
     let findings = run(&tainted, None);
     assert_eq!(findings.len(), 1, "{}", rendered(&findings));
     let f = &findings[0];
@@ -141,8 +153,15 @@ fn entropy_in_unsanctioned_file_taints_callers_sanctioned_does_not() {
     assert!(!f.evidence.is_empty());
 
     // Same entropy in the sanctioned parallelism shim: no findings.
-    let sanctioned = [caller, file("crates/sim/src/parallel.rs", "sim", entropy_src)];
-    assert!(run(&sanctioned, None).is_empty(), "{}", rendered(&run(&sanctioned, None)));
+    let sanctioned = [
+        caller,
+        file("crates/sim/src/parallel.rs", "sim", entropy_src),
+    ];
+    assert!(
+        run(&sanctioned, None).is_empty(),
+        "{}",
+        rendered(&run(&sanctioned, None))
+    );
 }
 
 const OBS_VOCAB: &str = "pub const KINDS: [&str; 2] = [\"alpha\", \"beta\"];\n\
@@ -176,10 +195,22 @@ fn obs_schema_checks_both_directions() {
         .collect();
     assert_eq!(findings.len(), 3, "{}", rendered(&findings));
     // Undocumented emit, at the emission site.
-    assert!(rules.contains(&("obs_schema", "crates/mac/src/lib.rs", 2)), "{}", rendered(&findings));
+    assert!(
+        rules.contains(&("obs_schema", "crates/mac/src/lib.rs", 2)),
+        "{}",
+        rendered(&findings)
+    );
     // Dead entry (beta) and stale entry (gamma), at the doc lines.
-    assert!(rules.contains(&("obs_schema", "docs/OBS_SCHEMA.md", 3)), "{}", rendered(&findings));
-    assert!(rules.contains(&("obs_schema", "docs/OBS_SCHEMA.md", 4)), "{}", rendered(&findings));
+    assert!(
+        rules.contains(&("obs_schema", "docs/OBS_SCHEMA.md", 3)),
+        "{}",
+        rendered(&findings)
+    );
+    assert!(
+        rules.contains(&("obs_schema", "docs/OBS_SCHEMA.md", 4)),
+        "{}",
+        rendered(&findings)
+    );
     assert!(findings.iter().any(|f| f.message.contains("stale")));
     assert!(findings.iter().any(|f| f.message.contains("dead")));
 }
@@ -194,6 +225,7 @@ fn obs_schema_doc_allow_keeps_an_intentional_entry() {
             "pub fn go(rec: &mut R) {\n    rec.record(&Event::Alpha);\n    rec.record(&Event::Beta);\n}\n",
         ),
     ];
-    let doc = "{\"kind\": \"alpha\"}\n<!-- lint:allow(obs_schema) reserved -->\n{\"kind\": \"beta\"}\n";
+    let doc =
+        "{\"kind\": \"alpha\"}\n<!-- lint:allow(obs_schema) reserved -->\n{\"kind\": \"beta\"}\n";
     assert!(run(&files, Some(doc)).is_empty());
 }
