@@ -70,10 +70,7 @@ fn main() {
         let (psdu, _) = aggregate(&mpdus);
         let ppdu = transmit(&phy, &psdu);
 
-        print!(
-            "{:>14?}-{:?} k={:<2}",
-            mcs.modulation, mcs.code_rate, k
-        );
+        print!("{:>14?}-{:?} k={:<2}", mcs.modulation, mcs.code_rate, k);
         for d in dists {
             let tag_pos = client.lerp(ap, d / 8.0);
             let mut link = Link::new(

@@ -14,7 +14,10 @@ use witag_sim::time::Duration;
 use witag_tag::oscillator::Oscillator;
 
 fn main() {
-    header("DCF", "§1/§8 (medium sharing: query rate vs contending stations)");
+    header(
+        "DCF",
+        "§1/§8 (medium sharing: query rate vs contending stations)",
+    );
 
     // Real query exchange airtime from the designer.
     let fp = Floorplan::paper_testbed();
@@ -32,7 +35,9 @@ fn main() {
     // the DCF sim itself).
     let exchange = design.marker_airtime()
         + design.marker_gap
-        + design.phy.airtime(design.subframe_bytes * design.n_subframes)
+        + design
+            .phy
+            .airtime(design.subframe_bytes * design.n_subframes)
         + Duration::micros(16)
         + Duration::micros(32);
     println!(

@@ -29,7 +29,9 @@ const MESSAGE_BYTES: usize = 32;
 
 fn message() -> Vec<u8> {
     let mut rng = Rng::seed_from_u64(0xFA22);
-    (0..MESSAGE_BYTES).map(|_| (rng.next_u64() & 0xFF) as u8).collect()
+    (0..MESSAGE_BYTES)
+        .map(|_| (rng.next_u64() & 0xFF) as u8)
+        .collect()
 }
 
 fn experiment(intensity: f64) -> Experiment {
@@ -67,8 +69,8 @@ fn main() {
             max_rounds: budget,
             ..SessionConfig::default()
         };
-        let report =
-            session_over_experiment(&mut exp, &message, &cfg, &mut NullRecorder).expect("valid session setup");
+        let report = session_over_experiment(&mut exp, &message, &cfg, &mut NullRecorder)
+            .expect("valid session setup");
         let stats = &report.stats;
         let session_cell = match &report.outcome {
             SessionOutcome::Delivered(bytes) => {

@@ -13,7 +13,10 @@ use witag_bench::{header, rounds_from_env};
 use witag_sim::rng::Rng;
 
 fn main() {
-    header("FEC", "§4.1 future work (error correction over the tag channel)");
+    header(
+        "FEC",
+        "§4.1 future work (error correction over the tag channel)",
+    );
     let rounds = rounds_from_env(150);
     let layout = FecLayout::fit(62);
     println!(
@@ -59,8 +62,7 @@ fn main() {
                 .count();
             coded_total += payload.len();
         }
-        let goodput =
-            (coded_total - coded_errors) as f64 / elapsed / 1e3;
+        let goodput = (coded_total - coded_errors) as f64 / elapsed / 1e3;
         let raw_ber = raw_errors as f64 / raw_total as f64;
         let coded_ber = coded_errors as f64 / coded_total as f64;
         if raw_ber > 0.0 {
@@ -83,6 +85,9 @@ fn main() {
         let hi = ratios.iter().copied().fold(0.0, f64::max);
         println!("\nmeasured: coded/raw BER ratio {lo:.2}-{hi:.2} across the rows,");
     }
-    println!("at a fixed {:.0}% goodput cost — a concrete instantiation of", cost * 100.0);
+    println!(
+        "at a fixed {:.0}% goodput cost — a concrete instantiation of",
+        cost * 100.0
+    );
     println!("the paper's future-work mechanism.");
 }

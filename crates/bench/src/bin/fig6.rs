@@ -37,7 +37,9 @@ fn main() {
 
     println!("\nCDF series (fraction of windows with BER <= x):");
     println!("{:>10} {:>12} {:>12}", "BER", "CDF A", "CDF B");
-    for ber_x in [0.0, 0.001, 0.002, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.025, 0.05] {
+    for ber_x in [
+        0.0, 0.001, 0.002, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.025, 0.05,
+    ] {
         println!(
             "{:>10.4} {:>12.3} {:>12.3}",
             ber_x,
@@ -54,6 +56,10 @@ fn main() {
     println!(
         "shape:    B/A percentile ratio {:.1}x (paper: ~2.6x); ordering {}",
         p90_b / p90_a.max(1e-9),
-        if p90_b >= p90_a { "preserved" } else { "VIOLATED" }
+        if p90_b >= p90_a {
+            "preserved"
+        } else {
+            "VIOLATED"
+        }
     );
 }

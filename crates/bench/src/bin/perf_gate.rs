@@ -48,14 +48,12 @@ use witag::experiment::{Experiment, ExperimentConfig};
 use witag_channel::{Link, LinkConfig, TagMode, TagSchedule};
 use witag_faults::FaultPlan;
 use witag_net::{run_fleet, run_metro, FleetConfig, MetroConfig, SchedulerKind, Transport};
+use witag_obs::NullRecorder;
 use witag_phy::convolutional::{bits_to_llrs, encode_stream, viterbi_decode_stream};
 use witag_phy::mcs::Mcs;
 use witag_phy::mimo::{transmit_mu, MimoEqualiser};
 use witag_phy::ppdu::{transmit, PhyConfig};
-use witag_phy::receiver::{
-    receive, receive_mu_with_scratch, receive_with_scratch, RxScratch,
-};
-use witag_obs::NullRecorder;
+use witag_phy::receiver::{receive, receive_mu_with_scratch, receive_with_scratch, RxScratch};
 use witag_sim::geom::Floorplan;
 use witag_sim::time::Duration;
 use witag_sim::Rng;
@@ -150,8 +148,7 @@ fn main() {
     let mut mimo_rows = Vec::new();
     for nss in 1..=3usize {
         let mut mcfg = PhyConfig::new(Mcs::ht((nss - 1) * 8 + 5));
-        let psdus: Vec<Vec<u8>> =
-            (0..nss).map(|i| vec![0x5Au8 ^ i as u8; 256]).collect();
+        let psdus: Vec<Vec<u8>> = (0..nss).map(|i| vec![0x5Au8 ^ i as u8; 256]).collect();
         for eq in [MimoEqualiser::Zf, MimoEqualiser::Mmse] {
             mcfg.equaliser = eq;
             let mu = transmit_mu(&mcfg, &psdus);
@@ -295,18 +292,11 @@ fn main() {
     let mut metro_rows = Vec::new();
     for &(tags, cells, readers, horizon_s) in metro_sizes {
         let bench = |kind: SchedulerKind| {
-            let cfg = MetroConfig::inventory(
-                cells,
-                readers,
-                tags,
-                kind,
-                Duration::secs(horizon_s),
-                0xBE,
-            )
-            .with_duty_cycle(Duration::secs(4), 0.08);
+            let cfg =
+                MetroConfig::inventory(cells, readers, tags, kind, Duration::secs(horizon_s), 0xBE)
+                    .with_duty_cycle(Duration::secs(4), 0.08);
             let t0 = Instant::now();
-            let rep =
-                run_metro(&cfg, METRO_THREADS, &mut NullRecorder).expect("viable metro");
+            let rep = run_metro(&cfg, METRO_THREADS, &mut NullRecorder).expect("viable metro");
             (rep, t0.elapsed().as_secs_f64() * 1e3)
         };
         let (fair, fair_wall_ms) = bench(SchedulerKind::Fair);
@@ -336,9 +326,8 @@ fn main() {
         (100usize, Duration::secs(30))
     };
     let bench_transport = |transport: Transport, intensity: f64| {
-        let mut cfg =
-            FleetConfig::inventory(2, t_tags, SchedulerKind::Fair, t_horizon, 0xBE)
-                .with_transport(transport);
+        let mut cfg = FleetConfig::inventory(2, t_tags, SchedulerKind::Fair, t_horizon, 0xBE)
+            .with_transport(transport);
         for (i, p) in cfg.profiles.iter_mut().enumerate() {
             p.faults = Some(if intensity >= 1.0 {
                 FaultPlan::hostile(0xBE ^ i as u64)
@@ -371,8 +360,7 @@ fn main() {
         t_horizon.as_secs_f64(),
         transport_rows.join(",\n"),
     );
-    let net_out =
-        std::env::var("WITAG_PERF_NET_OUT").unwrap_or_else(|_| "BENCH_net.json".into());
+    let net_out = std::env::var("WITAG_PERF_NET_OUT").unwrap_or_else(|_| "BENCH_net.json".into());
     std::fs::write(&net_out, format!("{net_json}\n")).expect("write net perf JSON");
     println!("{net_json}");
     eprintln!("wrote {net_out}");

@@ -84,7 +84,10 @@ fn main() {
     println!("\nPart 3: full tag power budgets + RF harvesting feasibility\n");
     let budgets = [
         ("WiTAG (250 kHz crystal)", PowerBudget::witag()),
-        ("channel-shifting (20 MHz ring)", PowerBudget::channel_shifting()),
+        (
+            "channel-shifting (20 MHz ring)",
+            PowerBudget::channel_shifting(),
+        ),
     ];
     println!(
         "{:>32} {:>12} {:>22} {:>22}",

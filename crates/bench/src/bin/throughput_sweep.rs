@@ -84,11 +84,13 @@ fn main() {
         LinkConfig::default(),
         0x700,
     );
-    println!("{:>12} {:>14} {:>14}", "subframes", "bits/query", "tput (Kbps)");
+    println!(
+        "{:>12} {:>14} {:>14}",
+        "subframes", "bits/query", "tput (Kbps)"
+    );
     for n in [4usize, 8, 16, 32, 48, 64] {
         let d = QueryDesign::best(&link, &clock, n, 2.min(n - 1)).unwrap();
-        let kbps =
-            d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64() / 1e3;
+        let kbps = d.bits_per_query() as f64 / d.round_airtime_estimate().as_secs_f64() / 1e3;
         println!("{:>12} {:>14} {:>14.1}", n, d.bits_per_query(), kbps);
     }
 
@@ -98,8 +100,14 @@ fn main() {
     let exp = Experiment::new(cfg.clone()).unwrap();
     // The sharded runner splits the rounds across cores; its statistics
     // are thread-count invariant (see Experiment::run_parallel docs).
-    let stats =
-        Experiment::run_parallel(&cfg, None, rounds, witag_sim::available_threads(), &mut NullRecorder).unwrap();
+    let stats = Experiment::run_parallel(
+        &cfg,
+        None,
+        rounds,
+        witag_sim::available_threads(),
+        &mut NullRecorder,
+    )
+    .unwrap();
     println!(
         "design {:?} x {} symbols -> measured {:.1} Kbps at BER {:.4} ({} shards)",
         exp.design.phy.mcs.modulation,
