@@ -50,7 +50,9 @@ impl SyntheticChannel {
     /// One physical round: the tag wants to modulate `tx`; returns
     /// whether it heard the trigger and what the client read back.
     pub fn round(&mut self, tx: &[u8]) -> RoundOutcome {
-        let rf = self.inj.begin_round(self.verdicts.len() as u64, &mut NullRecorder);
+        let rf = self
+            .inj
+            .begin_round(self.verdicts.len() as u64, &mut NullRecorder);
         self.verdicts.push(rf);
         if rf.query_lost {
             return RoundOutcome {

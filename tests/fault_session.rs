@@ -7,9 +7,7 @@
 mod common;
 
 use common::{test_message, SyntheticChannel};
-use witag::tagnet::{
-    deliver, run_session, SessionConfig, SessionOutcome,
-};
+use witag::tagnet::{deliver, run_session, SessionConfig, SessionOutcome};
 use witag_faults::FaultPlan;
 use witag_obs::NullRecorder;
 
@@ -26,7 +24,14 @@ fn hostile_session(message: &[u8], seed: u64) -> witag::tagnet::SessionReport {
         window: 8,
         max_diversity: 4,
     };
-    run_session(message, CHANNEL_BITS, &cfg, &mut NullRecorder, |_q, tx, _rec| ch.round(tx)).expect("valid session setup")
+    run_session(
+        message,
+        CHANNEL_BITS,
+        &cfg,
+        &mut NullRecorder,
+        |_q, tx, _rec| ch.round(tx),
+    )
+    .expect("valid session setup")
 }
 
 /// Stop-and-wait over the same synthetic hostile channel. A lost block
@@ -47,7 +52,10 @@ fn session_delivers_1kib_where_stop_and_wait_cannot() {
     let report = hostile_session(&message, 1234);
     let delivered = match &report.outcome {
         SessionOutcome::Delivered(bytes) => bytes,
-        other => panic!("session must deliver under hostile faults, got {other:?} ({:?})", report.stats),
+        other => panic!(
+            "session must deliver under hostile faults, got {other:?} ({:?})",
+            report.stats
+        ),
     };
     assert_eq!(delivered, &message, "delivery must be CRC-clean and exact");
 

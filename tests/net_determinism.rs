@@ -28,13 +28,7 @@ fn trace_bytes(buf: &BufferRecorder) -> String {
 /// enough moving parts (fault RNG, collision corruption, cooldowns)
 /// that any nondeterminism would show.
 fn hostile_fleet(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::inventory(
-        2,
-        8,
-        SchedulerKind::Fair,
-        Duration::millis(1500),
-        seed,
-    );
+    let mut cfg = FleetConfig::inventory(2, 8, SchedulerKind::Fair, Duration::millis(1500), seed);
     for (i, p) in cfg.profiles.iter_mut().enumerate() {
         if i % 2 == 0 {
             p.faults = Some(FaultPlan::hostile_scaled(seed ^ i as u64, 0.5));
@@ -50,8 +44,15 @@ fn replica_traces_are_byte_identical_across_thread_counts() {
     let mut four = BufferRecorder::new();
     let reports_one = run_replicas(&cfg, 3, 1, &mut one).expect("valid fleet");
     let reports_four = run_replicas(&cfg, 3, 4, &mut four).expect("valid fleet");
-    assert_eq!(reports_one, reports_four, "aggregate stats must not depend on threads");
-    assert_eq!(trace_bytes(&one), trace_bytes(&four), "traces must be byte-identical");
+    assert_eq!(
+        reports_one, reports_four,
+        "aggregate stats must not depend on threads"
+    );
+    assert_eq!(
+        trace_bytes(&one),
+        trace_bytes(&four),
+        "traces must be byte-identical"
+    );
     assert!(!one.events().is_empty());
 }
 
@@ -101,8 +102,8 @@ fn starvation_fleet(kind: SchedulerKind) -> FleetConfig {
 
 #[test]
 fn airtime_fair_bounds_the_adversarial_fast_tag() {
-    let rep = run_fleet(&starvation_fleet(SchedulerKind::Fair), &mut NullRecorder)
-        .expect("valid fleet");
+    let rep =
+        run_fleet(&starvation_fleet(SchedulerKind::Fair), &mut NullRecorder).expect("valid fleet");
     let shares = rep.airtime_shares();
     assert!(
         shares[0] <= 0.40,
@@ -156,9 +157,8 @@ fn fountain_beats_arq_on_the_hostile_loaded_fleet() {
     // count with lower p99 latency. Mirrors the perf_gate intensity-1.0
     // rows in BENCH_net.json.
     let run = |transport: Transport| {
-        let mut cfg =
-            FleetConfig::inventory(2, 100, SchedulerKind::Fair, Duration::secs(30), 0xBE)
-                .with_transport(transport);
+        let mut cfg = FleetConfig::inventory(2, 100, SchedulerKind::Fair, Duration::secs(30), 0xBE)
+            .with_transport(transport);
         for (i, p) in cfg.profiles.iter_mut().enumerate() {
             p.faults = Some(FaultPlan::hostile(0xBE ^ i as u64));
         }
@@ -172,8 +172,12 @@ fn fountain_beats_arq_on_the_hostile_loaded_fleet() {
         fount.delivered(),
         arq.delivered()
     );
-    let arq_p99 = arq.latency_percentile(99.0).expect("arq delivered something");
-    let fount_p99 = fount.latency_percentile(99.0).expect("fountain delivered something");
+    let arq_p99 = arq
+        .latency_percentile(99.0)
+        .expect("arq delivered something");
+    let fount_p99 = fount
+        .latency_percentile(99.0)
+        .expect("fountain delivered something");
     assert!(
         fount_p99 < arq_p99,
         "fountain p99 must beat ARQ: {fount_p99:.0}us vs {arq_p99:.0}us"
@@ -225,8 +229,15 @@ fn ten_thousand_tag_metro_is_byte_identical_across_thread_counts() {
     let a = run_metro(&cfg, 1, &mut one).expect("valid metro");
     let b = run_metro(&cfg, 4, &mut four).expect("valid metro");
     assert_eq!(a, b, "metro reports must not depend on threads");
-    assert_eq!(trace_bytes(&one), trace_bytes(&four), "metro traces must be byte-identical");
-    assert!(a.domains < a.cells, "single channel must merge cells into domains");
+    assert_eq!(
+        trace_bytes(&one),
+        trace_bytes(&four),
+        "metro traces must be byte-identical"
+    );
+    assert!(
+        a.domains < a.cells,
+        "single channel must merge cells into domains"
+    );
     assert!(a.delivered > 0);
     let bytes = trace_bytes(&one);
     assert!(bytes.contains("\"kind\":\"net.cell_assign\""));
@@ -237,8 +248,8 @@ fn ten_thousand_tag_metro_is_byte_identical_across_thread_counts() {
 fn round_robin_lets_the_heavy_tag_hog_the_medium() {
     // The counterpoint proving the starvation test has teeth: grant-fair
     // round robin hands the 8x tag the majority of the airtime.
-    let rep = run_fleet(&starvation_fleet(SchedulerKind::Rr), &mut NullRecorder)
-        .expect("valid fleet");
+    let rep =
+        run_fleet(&starvation_fleet(SchedulerKind::Rr), &mut NullRecorder).expect("valid fleet");
     let shares = rep.airtime_shares();
     assert!(
         shares[0] >= 0.50,

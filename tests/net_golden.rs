@@ -14,8 +14,7 @@
 
 use witag::fountain::FountainQuery;
 use witag::tagnet::{
-    run_fountain_session, run_session, RoundOutcome, SessionConfig, SessionOutcome,
-    SessionQuery,
+    run_fountain_session, run_session, RoundOutcome, SessionConfig, SessionOutcome, SessionQuery,
 };
 use witag_faults::FaultPlan;
 use witag_mac::dcf::{simulate, DcfStation};
@@ -51,7 +50,9 @@ fn check(actual: &[Row], expected: &[(&str, &str, u64)]) {
     if !same {
         let mut table = String::new();
         for (name, counters, hash) in actual {
-            table.push_str(&format!("    (\"{name}\", \"{counters}\", 0x{hash:016x}),\n"));
+            table.push_str(&format!(
+                "    (\"{name}\", \"{counters}\", 0x{hash:016x}),\n"
+            ));
         }
         panic!("golden mismatch; the runs now give:\n{table}");
     }
@@ -92,7 +93,8 @@ fn hostile_duty_cycled_fleet_is_pinned() {
     for transport in [Transport::Arq, Transport::Fountain] {
         for kind in POLICIES {
             let mut rec = JsonlRecorder::in_memory();
-            let rep = run_fleet(&hostile_duty_fleet(kind, transport), &mut rec).expect("valid fleet");
+            let rep =
+                run_fleet(&hostile_duty_fleet(kind, transport), &mut rec).expect("valid fleet");
             let rounds: u32 = rep.tags.iter().map(|t| t.rounds).sum();
             let bits: u32 = rep.tags.iter().map(|t| t.payload_bits).sum();
             let counters = format!(
@@ -150,7 +152,11 @@ fn duty_cycled_metro_is_pinned() {
                 rep.delivered_bits,
                 rep.deadline_hits,
             );
-            rows.push((format!("ch{channels}/{}", kind.name()), counters, trace_done(rec)));
+            rows.push((
+                format!("ch{channels}/{}", kind.name()),
+                counters,
+                trace_done(rec),
+            ));
         }
     }
     check(&rows, METRO);
@@ -196,7 +202,10 @@ struct LossyChannel {
 
 impl LossyChannel {
     fn new(seed: u64) -> Self {
-        LossyChannel { rng: Rng::seed_from_u64(seed), outage: 0 }
+        LossyChannel {
+            rng: Rng::seed_from_u64(seed),
+            outage: 0,
+        }
     }
 
     fn round(&mut self, tx: &[u8]) -> RoundOutcome {
@@ -205,19 +214,31 @@ impl LossyChannel {
         }
         if self.outage > 0 {
             self.outage -= 1;
-            return RoundOutcome { tag_heard: false, readout: Some(vec![1; tx.len()]) };
+            return RoundOutcome {
+                tag_heard: false,
+                readout: Some(vec![1; tx.len()]),
+            };
         }
         if self.rng.chance(0.05) {
-            return RoundOutcome { tag_heard: false, readout: None };
+            return RoundOutcome {
+                tag_heard: false,
+                readout: None,
+            };
         }
         if self.rng.chance(0.05) {
-            return RoundOutcome { tag_heard: true, readout: None };
+            return RoundOutcome {
+                tag_heard: true,
+                readout: None,
+            };
         }
         let readout = tx
             .iter()
             .map(|&b| if self.rng.chance(0.04) { b ^ 1 } else { b })
             .collect();
-        RoundOutcome { tag_heard: true, readout: Some(readout) }
+        RoundOutcome {
+            tag_heard: true,
+            readout: Some(readout),
+        }
     }
 }
 
@@ -235,11 +256,18 @@ fn lossy_sessions_are_pinned() {
     let mut rows = Vec::new();
     for seed in [1u64, 2] {
         let mut ch = LossyChannel::new(seed);
-        let cfg = SessionConfig { max_rounds: 3000, ..SessionConfig::default() };
+        let cfg = SessionConfig {
+            max_rounds: 3000,
+            ..SessionConfig::default()
+        };
         let mut rec = JsonlRecorder::in_memory();
-        let rep = run_session(SESSION_MESSAGE, 62, &cfg, &mut rec, |_q: &SessionQuery, tx, _rec| {
-            ch.round(tx)
-        })
+        let rep = run_session(
+            SESSION_MESSAGE,
+            62,
+            &cfg,
+            &mut rec,
+            |_q: &SessionQuery, tx, _rec| ch.round(tx),
+        )
         .expect("valid session");
         let s = rep.stats;
         let counters = format!(

@@ -78,7 +78,10 @@ fn encryption_equivalence() {
         cfg.security = mode;
         let mut exp = Experiment::new(cfg).unwrap();
         let stats = exp.run(30, &mut NullRecorder);
-        assert_eq!(exp.decrypt_failures, 0, "{mode:?}: surviving frames must decrypt");
+        assert_eq!(
+            exp.decrypt_failures, 0,
+            "{mode:?}: surviving frames must decrypt"
+        );
         bers.push(stats.ber());
     }
     // Identical seeds and identical channel draws -> identical outcomes.
@@ -133,7 +136,11 @@ fn idle_tag_is_invisible() {
     // Tag sends all 1s = never reflects differently = every subframe
     // delivered.
     let r = exp.run_round(&vec![1u8; n]);
-    assert_eq!(r.errors.errors(), 0, "an idle tag must not corrupt anything");
+    assert_eq!(
+        r.errors.errors(),
+        0,
+        "an idle tag must not corrupt anything"
+    );
     assert_eq!(r.readout.bits, vec![1u8; n]);
 }
 
@@ -143,7 +150,11 @@ fn experiments_are_deterministic() {
     let run = || {
         let mut exp = Experiment::new(ExperimentConfig::fig5(3.0, 58)).unwrap();
         let stats = exp.run(20, &mut NullRecorder);
-        (stats.errors.false_zeros, stats.errors.false_ones, stats.elapsed)
+        (
+            stats.errors.false_zeros,
+            stats.errors.false_ones,
+            stats.elapsed,
+        )
     };
     assert_eq!(run(), run());
 }

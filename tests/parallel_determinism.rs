@@ -22,7 +22,11 @@ fn fingerprint(s: &ExperimentStats) -> (usize, usize, usize, usize, u64, Vec<u64
         s.missed_triggers,
         s.lost_block_acks,
         s.elapsed.as_nanos(),
-        s.window_bers.samples().iter().map(|b| b.to_bits()).collect(),
+        s.window_bers
+            .samples()
+            .iter()
+            .map(|b| b.to_bits())
+            .collect(),
     )
 }
 
@@ -49,13 +53,15 @@ fn parallel_stats_are_thread_count_invariant_under_faults() {
     let cfg = quiet_cfg(43);
     let plan = FaultPlan::hostile(17);
     let rounds = 2 * PARALLEL_SHARD_ROUNDS;
-    let baseline = Experiment::run_parallel(&cfg, Some(&plan), rounds, 1, &mut NullRecorder).unwrap();
+    let baseline =
+        Experiment::run_parallel(&cfg, Some(&plan), rounds, 1, &mut NullRecorder).unwrap();
     assert!(
         baseline.errors.errors() > 0,
         "a hostile plan must actually inject faults"
     );
     for threads in [3, 8] {
-        let run = Experiment::run_parallel(&cfg, Some(&plan), rounds, threads, &mut NullRecorder).unwrap();
+        let run = Experiment::run_parallel(&cfg, Some(&plan), rounds, threads, &mut NullRecorder)
+            .unwrap();
         assert_eq!(
             fingerprint(&run),
             fingerprint(&baseline),
@@ -68,8 +74,22 @@ fn parallel_stats_are_thread_count_invariant_under_faults() {
 fn shards_depend_on_master_seed() {
     // Different master seeds must produce different shard streams — the
     // derivation cannot collapse to a constant.
-    let a = Experiment::run_parallel(&quiet_cfg(1), None, PARALLEL_SHARD_ROUNDS, 2, &mut NullRecorder).unwrap();
-    let b = Experiment::run_parallel(&quiet_cfg(2), None, PARALLEL_SHARD_ROUNDS, 2, &mut NullRecorder).unwrap();
+    let a = Experiment::run_parallel(
+        &quiet_cfg(1),
+        None,
+        PARALLEL_SHARD_ROUNDS,
+        2,
+        &mut NullRecorder,
+    )
+    .unwrap();
+    let b = Experiment::run_parallel(
+        &quiet_cfg(2),
+        None,
+        PARALLEL_SHARD_ROUNDS,
+        2,
+        &mut NullRecorder,
+    )
+    .unwrap();
     assert_ne!(
         a.elapsed, b.elapsed,
         "different seeds must draw different backoffs/fading"

@@ -30,8 +30,14 @@ fn cfg() -> SessionConfig {
 
 fn run(message: &[u8], plan: FaultPlan) -> (witag::tagnet::SessionReport, Vec<RoundFaults>, u64) {
     let mut ch = SyntheticChannel::new(plan, CHANNEL_BITS);
-    let report =
-        run_session(message, CHANNEL_BITS, &cfg(), &mut NullRecorder, |_q, tx, _rec| ch.round(tx)).expect("valid setup");
+    let report = run_session(
+        message,
+        CHANNEL_BITS,
+        &cfg(),
+        &mut NullRecorder,
+        |_q, tx, _rec| ch.round(tx),
+    )
+    .expect("valid setup");
     let verdicts = ch.verdicts();
     (report, verdicts, ch.rounds())
 }
@@ -140,8 +146,15 @@ fn assert_round_accounting(
     (rounds, queries, idle_rounds, payload_bits): (usize, usize, usize, usize),
     budget: usize,
 ) {
-    assert_eq!(rounds, queries + idle_rounds, "every round is a query or idle");
-    assert!(rounds <= budget, "{rounds} rounds overran a budget of {budget}");
+    assert_eq!(
+        rounds,
+        queries + idle_rounds,
+        "every round is a query or idle"
+    );
+    assert!(
+        rounds <= budget,
+        "{rounds} rounds overran a budget of {budget}"
+    );
     let stamps: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
@@ -149,7 +162,11 @@ fn assert_round_accounting(
             _ => None,
         })
         .collect();
-    assert_eq!(stamps, (0..rounds as u64).collect::<Vec<_>>(), "one session_query per round");
+    assert_eq!(
+        stamps,
+        (0..rounds as u64).collect::<Vec<_>>(),
+        "one session_query per round"
+    );
     let done: Vec<(u64, u32)> = events
         .iter()
         .filter_map(|e| match e {
@@ -161,7 +178,11 @@ fn assert_round_accounting(
             _ => None,
         })
         .collect();
-    assert_eq!(done, [(rounds as u64, payload_bits as u32)], "one session_done");
+    assert_eq!(
+        done,
+        [(rounds as u64, payload_bits as u32)],
+        "one session_done"
+    );
     assert!(matches!(events.last(), Some(Event::SessionDone { .. })));
 }
 

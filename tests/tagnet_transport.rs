@@ -14,10 +14,8 @@ fn message_delivered_over_real_stack() {
     let n_bits = exp.design.bits_per_query();
 
     let message = b"temp=21.5C hum=40%";
-    let (got, queries) = deliver(message, n_bits, 200, |tx| {
-        exp.run_round(tx).readout.bits
-    })
-    .expect("message must be delivered");
+    let (got, queries) = deliver(message, n_bits, 200, |tx| exp.run_round(tx).readout.bits)
+        .expect("message must be delivered");
     assert_eq!(&got, message);
     // 18 bytes = 144 bits -> 8 chunks; clean channel ≈ one query each.
     assert!(queries <= 12, "took {queries} queries on a clean channel");
@@ -32,10 +30,8 @@ fn message_survives_the_midpoint() {
     let n_bits = exp.design.bits_per_query();
 
     let message = b"midpoint!";
-    let (got, queries) = deliver(message, n_bits, 400, |tx| {
-        exp.run_round(tx).readout.bits
-    })
-    .expect("ARQ must deliver despite the raw BER");
+    let (got, queries) = deliver(message, n_bits, 400, |tx| exp.run_round(tx).readout.bits)
+        .expect("ARQ must deliver despite the raw BER");
     assert_eq!(&got, message);
     // 9 bytes = 72 bits -> 4 chunks; allow generous retransmissions.
     assert!(queries >= 4);

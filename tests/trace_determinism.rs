@@ -7,12 +7,13 @@
 
 use witag::experiment::{Experiment, ExperimentConfig, ExperimentStats, PARALLEL_SHARD_ROUNDS};
 use witag::tagnet::{
-    fountain_session_over_experiment, session_over_experiment, SessionConfig,
-    SessionOutcome,
+    fountain_session_over_experiment, session_over_experiment, SessionConfig, SessionOutcome,
 };
 use witag_faults::FaultPlan;
 use witag_net::{run_replicas, FleetConfig, SchedulerKind, Transport};
-use witag_obs::{jsonl, BufferRecorder, JsonlRecorder, NullRecorder, Recorder, TraceSummary, SCHEMA};
+use witag_obs::{
+    jsonl, BufferRecorder, JsonlRecorder, NullRecorder, Recorder, TraceSummary, SCHEMA,
+};
 use witag_sim::time::Duration;
 
 fn quiet_cfg(seed: u64) -> ExperimentConfig {
@@ -51,7 +52,10 @@ fn parallel_trace_is_byte_identical_at_1_and_4_threads() {
     // events per executed round.
     let text = String::from_utf8(bytes_1t).unwrap();
     let mut lines = text.lines();
-    assert_eq!(lines.next().unwrap(), format!("{{\"schema\":\"{SCHEMA}\"}}"));
+    assert_eq!(
+        lines.next().unwrap(),
+        format!("{{\"schema\":\"{SCHEMA}\"}}")
+    );
     let shard_lines = text
         .lines()
         .filter(|l| jsonl::field_str(l, "kind") == Some("shard"))
@@ -71,7 +75,10 @@ fn faulted_parallel_trace_is_byte_identical_at_1_and_4_threads() {
     let rounds = 2 * PARALLEL_SHARD_ROUNDS;
     let (bytes_1t, _) = traced_parallel(&cfg, Some(&plan), rounds, 1);
     let (bytes_4t, _) = traced_parallel(&cfg, Some(&plan), rounds, 4);
-    assert_eq!(bytes_4t, bytes_1t, "faulted trace must be thread-count-invariant");
+    assert_eq!(
+        bytes_4t, bytes_1t,
+        "faulted trace must be thread-count-invariant"
+    );
     // The injected-fault events must actually appear, and their rounds
     // must be globally numbered (shard-rebased), not per-shard.
     let text = String::from_utf8(bytes_1t).unwrap();
@@ -82,7 +89,9 @@ fn faulted_parallel_trace_is_byte_identical_at_1_and_4_threads() {
         .collect();
     assert!(!fault_rounds.is_empty(), "hostile plan must inject");
     assert!(
-        fault_rounds.iter().any(|&r| r >= PARALLEL_SHARD_ROUNDS as u64),
+        fault_rounds
+            .iter()
+            .any(|&r| r >= PARALLEL_SHARD_ROUNDS as u64),
         "second shard's faults must carry rebased round stamps"
     );
 }
@@ -141,13 +150,20 @@ fn session_trace_is_reproducible_and_complete() {
     }
     assert_eq!(summary.schema(), Some(SCHEMA));
     assert_eq!(summary.unknown(), 0);
-    assert_eq!(summary.count("session_done"), 1, "exactly one terminal event");
+    assert_eq!(
+        summary.count("session_done"),
+        1,
+        "exactly one terminal event"
+    );
     assert_eq!(
         summary.count("session_query") as usize,
         report_a.stats.rounds,
         "one query event per session round (idle rounds included)"
     );
-    assert!(summary.count("session_chunk") > 0, "chunks must be recorded");
+    assert!(
+        summary.count("session_chunk") > 0,
+        "chunks must be recorded"
+    );
     // The driver's and the experiment's event streams interleave on one
     // shared recorder; both must be present.
     assert!(summary.count("phy_rx") > 0);
@@ -178,7 +194,11 @@ fn fountain_session_trace_is_reproducible_and_counts_add_up() {
         summary.ingest_line(line);
     }
     assert_eq!(summary.schema(), Some(SCHEMA));
-    assert_eq!(summary.unknown(), 0, "every fountain kind must be known to the schema");
+    assert_eq!(
+        summary.unknown(),
+        0,
+        "every fountain kind must be known to the schema"
+    );
     assert_eq!(summary.count("session_done"), 1);
     assert_eq!(
         summary.count("session_query") as usize,
@@ -220,11 +240,15 @@ fn fountain_fleet_jsonl_is_byte_identical_at_1_and_4_threads() {
     let (bytes_1t, reports_1t) = run(1);
     let (bytes_4t, reports_4t) = run(4);
     assert_eq!(reports_1t, reports_4t);
-    assert_eq!(bytes_1t, bytes_4t, "fountain fleet JSONL must be thread-count-invariant");
+    assert_eq!(
+        bytes_1t, bytes_4t,
+        "fountain fleet JSONL must be thread-count-invariant"
+    );
     let text = String::from_utf8(bytes_1t).unwrap();
     for kind in ["net.enqueue", "net.grant", "net.session_done"] {
         assert!(
-            text.lines().any(|l| jsonl::field_str(l, "kind") == Some(kind)),
+            text.lines()
+                .any(|l| jsonl::field_str(l, "kind") == Some(kind)),
             "fleet trace must carry {kind} events"
         );
     }
