@@ -39,7 +39,11 @@ fn main() {
             let round = exp.run_round(&q);
             received.extend_from_slice(&round.readout.bits[..chunk.len()]);
         }
-        let errors = received.iter().zip(bits.iter()).filter(|(a, b)| a != b).count();
+        let errors = received
+            .iter()
+            .zip(bits.iter())
+            .filter(|(a, b)| a != b)
+            .count();
         let bytes_back: Vec<u8> = received
             .chunks(8)
             .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))

@@ -57,7 +57,14 @@ fn main() {
 
     println!(
         "{:>9} {:>9} {:>11} {:>14} {:>12} {:>13} {:>11} {:>11}",
-        "scheduler", "transport", "delivered", "goodput bps", "p50 ms", "p99 ms", "coll rate", "deadlines"
+        "scheduler",
+        "transport",
+        "delivered",
+        "goodput bps",
+        "p50 ms",
+        "p99 ms",
+        "coll rate",
+        "deadlines"
     );
     for (kind, transport) in [
         (SchedulerKind::Serial, Transport::Arq),

@@ -21,7 +21,10 @@ fn describe(name: &str, cfg: ExperimentConfig) {
     let pen = fp.penetration_loss_db(cfg.ap, cfg.client);
     let crossings = fp.crossings(cfg.ap, cfg.client);
     println!("location {name}:");
-    println!("  client at ({:.1}, {:.1}), {d:.1} m from the AP", cfg.client.x, cfg.client.y);
+    println!(
+        "  client at ({:.1}, {:.1}), {d:.1} m from the AP",
+        cfg.client.x, cfg.client.y
+    );
     println!("  {crossings} obstacles on the direct path, {pen:.0} dB penetration loss");
     match Experiment::new(cfg) {
         Ok(mut exp) => {
@@ -52,8 +55,14 @@ fn describe(name: &str, cfg: ExperimentConfig) {
 
 fn main() {
     println!("NLOS office scenarios (paper Figure 4 floorplan)\n");
-    describe("A (paper: ~7 m, BER p90 = 0.007)", ExperimentConfig::nlos_a(606));
-    describe("B (paper: ~17 m, BER p90 = 0.018)", ExperimentConfig::nlos_b(607));
+    describe(
+        "A (paper: ~7 m, BER p90 = 0.007)",
+        ExperimentConfig::nlos_a(606),
+    );
+    describe(
+        "B (paper: ~17 m, BER p90 = 0.018)",
+        ExperimentConfig::nlos_b(607),
+    );
 
     // Beyond the paper: keep walking away until the design space closes.
     println!("pushing further (not in the paper):\n");

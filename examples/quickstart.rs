@@ -49,7 +49,11 @@ fn main() {
         .fold(0u8, |acc, &b| (acc << 1) | b);
     println!(
         "message:         0b{message:08b} -> 0b{byte_back:08b} ({})",
-        if byte_back == message { "delivered" } else { "corrupted" }
+        if byte_back == message {
+            "delivered"
+        } else {
+            "corrupted"
+        }
     );
     println!(
         "round airtime:   {} ({} damaged guard subframes)",
