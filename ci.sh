@@ -14,20 +14,9 @@ cargo test -q
 cargo test -q --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Formatting ratchet: crates listed here are rustfmt-clean and must stay
-# so. Add a crate once it has been formatted in a commit of its own.
-cargo fmt --check -p witag-channel
-cargo fmt --check -p witag-sim
-cargo fmt --check -p witag-mac
-cargo fmt --check -p witag-net
-cargo fmt --check -p witag
-cargo fmt --check -p witag-faults
-cargo fmt --check -p witag-cli
-cargo fmt --check -p witag-obs
-cargo fmt --check -p witag-crypto
-cargo fmt --check -p witag-baselines
-cargo fmt --check -p witag-tag
-cargo fmt --check -p proptest
+# Formatting: every workspace crate is rustfmt-clean and must stay so.
+# (`perfbench/` is outside the workspace and is not checked.)
+cargo fmt --all --check
 
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.
